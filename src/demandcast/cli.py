@@ -233,9 +233,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     scenario_doc = report["scenarios"][scenario_id]
     policy = cfg.policy()
 
-    models = [m for m in cfg.models if m != "naive"]
     if "naive" not in scenario_doc["models"]:
         raise MissingForecastsError("simulation baseline requires the naive model in the evaluation")
+    # A model that failed in evaluate has no forecasts to replay; the others
+    # still do, so it is reported as skipped rather than failing the run.
+    models, skipped = [], {}
+    for model in cfg.models:
+        if model == "naive":
+            continue
+        error = scenario_doc["models"].get(model, {}).get("error")
+        if error is None:
+            models.append(model)
+        else:
+            skipped[model] = error
 
     def outcomes_for(model: str):
         path = out_dir / f"residuals_{slug(model, scenario_id)}.csv"
@@ -287,9 +297,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
             }
             for model, o in pooled.items()
         },
+        "skipped": skipped,
     }
     write_json(out_dir / "impact.json", impact_doc)
     print(table.to_text())
+    if skipped:
+        print(f"skipped models that failed in evaluate: {sorted(skipped)}", file=sys.stderr)
     return EXIT_OK
 
 

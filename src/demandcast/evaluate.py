@@ -188,8 +188,17 @@ def make_scenario(
 
 # --- per-series model tasks ---------------------------------------------------
 
-def _exog_columns(columns: Sequence[str]) -> list[str]:
-    return [c for c in columns if c in ARIMAX_EXOG_COLUMNS]
+def _exog_columns(train: FeatureMatrix) -> list[str]:
+    """Exogenous columns that vary over the rows arimax regresses on (t >= 2).
+
+    A column constant there, such as a deviation flag that never fires on an
+    aggregated series, cannot be told apart from the intercept.
+    """
+    return [
+        c
+        for c in train.columns
+        if c in ARIMAX_EXOG_COLUMNS and len(np.unique(train.column(c)[1:])) > 1
+    ]
 
 
 def _sub_matrix(fm: FeatureMatrix, sl: slice) -> FeatureMatrix:
@@ -231,7 +240,7 @@ def _run_series_task(payload: dict) -> dict:
         artifact = model.to_dict()
         mode = "one-step-features"
     elif model_name == "arimax":
-        exog_names = _exog_columns(train.columns)
+        exog_names = _exog_columns(train)
         X_train = (
             np.column_stack([train.column(c) for c in exog_names]) if exog_names else None
         )

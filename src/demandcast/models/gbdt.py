@@ -1,4 +1,4 @@
-"""Gradient-boosted regression trees with exact greedy split search.
+"""Gradient-boosted regression trees with presorted exact greedy split search.
 
 Squared-error boosting: each round fits a depth-limited binary tree to the
 current residuals.  With squared loss the per-row hessian is 1, so leaf
@@ -7,10 +7,17 @@ weights reduce to sum(residuals) / (rows + l2_lambda) and the split gain to
     0.5 * (GL^2/(nL+lam) + GR^2/(nR+lam) - G^2/(n+lam))
 
 over every feature and every midpoint between consecutive distinct sorted
-values.  There is no subsampling and no randomness anywhere: two fits on
-identical input are bit-identical, and candidate rows are canonically
-ordered by (feature value, residual) so fits are invariant to row
-permutation.
+values.  Candidate rows are canonically ordered by (feature value,
+residual), so fits are invariant to row permutation.
+
+The residuals are fixed while a tree grows, so each feature column is
+sorted once per tree, at the root (the column blocks of Chen & Guestrin,
+KDD 2016).  A split partitions every sorted list with a boolean mask, which
+is stable: each child's lists are exactly the (value, residual) order that
+sorting the child's rows would give, and every running sum adds the same
+numbers in the same order.  The search therefore picks the same splits,
+bit for bit, as a sort at every node.  There is no subsampling and no
+randomness anywhere: two fits on identical input are bit-identical.
 """
 
 from __future__ import annotations
@@ -137,89 +144,104 @@ class GbdtModel:
         )
 
 
-def _node_score(g: float, n: float, lam: float) -> float:
-    return (g * g) / (n + lam)
-
-
 def _best_split(
-    X: np.ndarray,
+    XT: np.ndarray,
     residual: np.ndarray,
     rows: np.ndarray,
+    idx: np.ndarray,
     cfg: GbdtConfig,
 ) -> tuple[float, int, float] | None:
-    """Highest-gain (feature, threshold) over all exact candidates.
+    """Highest-gain (feature, threshold) over all exact candidates of a node.
 
-    Ties break toward the lowest feature index, then the lowest threshold,
-    which the strictly-greater comparison over an ascending scan guarantees.
+    ``idx`` holds the node's rows once per feature, each row of it in
+    (feature value, residual, row) order, so every feature is scored at once
+    from running residual sums.  Ties break toward the lowest feature index,
+    then the lowest threshold: the first maximum in row-major order.
     """
-    Xn = X[rows]
-    rf = residual[rows]
-    g_total = float(rf.sum())
-    n_total = float(len(rows))
-    parent = _node_score(g_total, n_total, cfg.l2_lambda)
-    best_gain = cfg.gamma_split_threshold
-    best: tuple[float, int, float] | None = None
-    min_rows = cfg.min_child_rows
-
-    for f in range(X.shape[1]):
-        xf = Xn[:, f]
-        order = np.lexsort((rf, xf))
-        xs = xf[order]
-        rs = rf[order]
-        if xs[0] == xs[-1]:
-            continue
-        csum = np.cumsum(rs)
-        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-        n_left = boundaries + 1.0
-        ok = (n_left >= min_rows) & (n_total - n_left >= min_rows)
-        boundaries = boundaries[ok]
-        if not len(boundaries):
-            continue
-        n_left = boundaries + 1.0
-        g_left = csum[boundaries]
-        g_right = g_total - g_left
-        gains = 0.5 * (
-            g_left * g_left / (n_left + cfg.l2_lambda)
-            + g_right * g_right / (n_total - n_left + cfg.l2_lambda)
-            - parent
-        )
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            i = boundaries[k]
-            best = (best_gain, f, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+    m = len(rows)
+    g_total = float(residual[rows].sum())
+    n_total = float(m)
+    lam = cfg.l2_lambda
+    parent = g_total * g_total / (n_total + lam)
+    # Position i splits off the first i + 1 sorted rows.  Candidates lie
+    # between distinct values and leave min_child_rows on each side.
+    lo, hi = cfg.min_child_rows - 1, m - cfg.min_child_rows
+    xs = XT[np.arange(len(XT))[:, None], idx]
+    f, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
+    i += lo
+    g_left = np.cumsum(residual[idx], axis=1)[f, i]
+    n_left = i + 1.0
+    g_right = g_total - g_left
+    gains = 0.5 * (
+        g_left * g_left / (n_left + lam)
+        + g_right * g_right / (n_total - n_left + lam)
+        - parent
+    )
+    if not len(gains):
+        return None
+    k = int(np.argmax(gains))
+    if not gains[k] > cfg.gamma_split_threshold:
+        return None
+    f, i = int(f[k]), int(i[k])
+    return float(gains[k]), f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
 
 def _build_tree(
-    X: np.ndarray,
+    XT: np.ndarray,
+    ranks: np.ndarray,
     residual: np.ndarray,
     cfg: GbdtConfig,
     gain_totals: dict[str, float],
     feature_names: Sequence[str],
-) -> RegressionTree:
-    tree = RegressionTree()
+) -> tuple[RegressionTree, np.ndarray]:
+    """Grow one tree on the residuals; also return each row's leaf value.
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    ``ranks`` holds each value's rank within its column of ``XT``.
+    """
+    tree = RegressionTree()
+    n_features, n_rows = XT.shape
+    leaf_value = np.empty(n_rows)
+    goes_left = np.zeros(n_rows, dtype=bool)
+
+    def splittable(rows: np.ndarray, depth: int) -> bool:
+        return depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows
+
+    def grow(rows: np.ndarray, idx: np.ndarray | None, depth: int) -> int:
         node = tree.add_node()
-        split = None
-        if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows:
-            split = _best_split(X, residual, rows, cfg)
+        split = None if idx is None else _best_split(XT, residual, rows, idx, cfg)
         if split is None:
-            g = float(residual[rows].sum())
-            tree.value[node] = g / (len(rows) + cfg.l2_lambda)
+            value = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
+            tree.value[node] = value
+            leaf_value[rows] = value
             return node
         gain, f, threshold = split
         gain_totals[feature_names[f]] = gain_totals.get(feature_names[f], 0.0) + gain
-        goes_left = X[rows, f] <= threshold
+        side = XT[f, rows] <= threshold
+        goes_left[rows] = side
+        left_rows = rows[side]
+        right_rows = rows[~side]
+        # Masking each sorted list keeps both children's lists sorted.
+        mask = goes_left[idx]
+        left_idx = right_idx = None
+        if splittable(left_rows, depth + 1):
+            left_idx = idx[mask].reshape(n_features, len(left_rows))
+        if splittable(right_rows, depth + 1):
+            right_idx = idx[~mask].reshape(n_features, len(right_rows))
         tree.feature[node] = f
         tree.threshold[node] = threshold
-        tree.left[node] = grow(rows[goes_left], depth + 1)
-        tree.right[node] = grow(rows[~goes_left], depth + 1)
+        tree.left[node] = grow(left_rows, left_idx, depth + 1)
+        tree.right[node] = grow(right_rows, right_idx, depth + 1)
         return node
 
-    grow(np.arange(len(residual)), 0)
-    return tree
+    rows = np.arange(n_rows)
+    idx = None
+    if splittable(rows, 0):
+        # (value, residual, row) order: a stable sort by value rank of the
+        # rows already in (residual, row) order.
+        by_residual = np.argsort(residual, kind="stable")
+        idx = by_residual[np.argsort(ranks[:, by_residual], axis=1, kind="stable")]
+    grow(rows, idx, 0)
+    return tree, leaf_value
 
 
 def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
@@ -231,17 +253,21 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
     """
     if not len(matrix):
         raise ValueError("cannot fit on an empty matrix")
-    X = np.ascontiguousarray(matrix.rows)
+    XT = np.ascontiguousarray(matrix.rows.T)
     y = matrix.target
+    # Sorting small integer ranks orders rows as sorting the values does,
+    # and numpy radix-sorts them when they fit in 16 bits.
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in XT])
+    ranks = ranks.astype(np.min_scalar_type(len(y)))
     base = float(y.mean())
     gain_totals = {name: 0.0 for name in matrix.columns}
     trees: list[RegressionTree] = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
         residual = y - prediction
-        tree = _build_tree(X, residual, cfg, gain_totals, matrix.columns)
+        tree, leaf_value = _build_tree(XT, ranks, residual, cfg, gain_totals, matrix.columns)
         trees.append(tree)
-        prediction = prediction + cfg.learning_rate * tree.predict(X)
+        prediction = prediction + cfg.learning_rate * leaf_value
     return GbdtModel(
         config=cfg,
         base_score=base,

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import demandcast.evaluate
 from demandcast.cli import main
 from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
 
@@ -192,6 +193,34 @@ def test_simulate_missing_model_forecasts(tmp_path, small_csv, capsys):
     )
     code = main(["simulate", "--config", str(cfg2)])
     assert code == 3
+
+
+def fail_in_evaluate(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(demandcast.evaluate, name, boom)
+
+
+def test_simulate_skips_models_that_failed_in_evaluate(tmp_path, small_csv, monkeypatch, capsys):
+    fail_in_evaluate(monkeypatch, "fit_gbdt")
+    cfg, out = small_config(tmp_path, small_csv, "failed", scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    impact = json.loads((out / "impact.json").read_text())
+    assert set(impact["models"]) == {"arimax"}
+    assert impact["skipped"] == {"gbdt": "RuntimeError: synthetic failure"}
+    assert (out / "ledger_arimax_S2.csv").exists()
+    assert not (out / "ledger_gbdt_S2.csv").exists()
+    assert "gbdt" in capsys.readouterr().err
+
+
+def test_simulate_requires_naive_forecasts(tmp_path, small_csv, monkeypatch):
+    fail_in_evaluate(monkeypatch, "seasonal_naive_forecast")
+    cfg, out = small_config(tmp_path, small_csv, "nonaive", scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    assert not (out / "impact.json").exists()
 
 
 def test_report_renders_comparison_and_importance(evaluated, capsys):

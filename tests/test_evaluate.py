@@ -195,6 +195,25 @@ def test_run_scenario_deterministic_across_worker_counts():
         assert np.array_equal(r1.entries[name].predictions, r2.entries[name].predictions)
 
 
+def test_arimax_drops_exogenous_columns_constant_over_training():
+    # Summed over two steady series the deviation flag never fires, so it is
+    # a constant column that arimax cannot separate from its intercept.
+    one = toy_table()
+    table = make_table(
+        [(r.date, store, "1", r.quantity) for store in ("1", "2") for r in one.records()]
+    )
+    spec = make_scenario(
+        "S2", SPLIT, granularity=Granularity.AGGREGATE, models=("arimax", "naive")
+    )
+    report = run_scenario(table, spec, HolidayCalendar.bundled())
+    entry = report.entries["arimax"]
+    assert entry.error is None
+    assert np.isfinite(entry.metrics.mae)
+    (artifact,) = entry.artifacts.values()
+    assert "deviation_flag" not in artifact["beta"]
+    assert "holiday" in artifact["beta"]
+
+
 def test_s2_beats_s1_for_tree_model_on_planted_exogenous_structure():
     # Planted weekday profile plus outage days.  The weekday pattern alone is
     # partly recoverable from same-weekday lags, so the decisive planted

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from demandcast.errors import NoSplitsError, SchemaMismatchError
 from demandcast.models.gbdt import (
     GbdtConfig,
     GbdtModel,
+    RegressionTree,
     feature_importance,
     fit_gbdt,
     predict_gbdt,
@@ -62,6 +66,134 @@ def assert_same_tree(tree, node, oracle_node):
     assert tree.threshold[node] == oracle_node["threshold"]
     assert_same_tree(tree, tree.left[node], oracle_node["left"])
     assert_same_tree(tree, tree.right[node], oracle_node["right"])
+
+
+# Reference fit: exact greedy search that re-sorts every feature by
+# (value, residual) at every node and scans the boundaries one feature at a
+# time, then updates predictions through RegressionTree.predict.  fit_gbdt
+# sorts once per tree instead; it must reproduce this fit bit for bit.
+def reference_best_split(X, residual, rows, cfg):
+    Xn = X[rows]
+    rf = residual[rows]
+    g_total = float(rf.sum())
+    n_total = float(len(rows))
+    parent = g_total * g_total / (n_total + cfg.l2_lambda)
+    best_gain = cfg.gamma_split_threshold
+    best = None
+    min_rows = cfg.min_child_rows
+    for f in range(X.shape[1]):
+        xf = Xn[:, f]
+        order = np.lexsort((rf, xf))
+        xs = xf[order]
+        rs = rf[order]
+        if xs[0] == xs[-1]:
+            continue
+        csum = np.cumsum(rs)
+        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+        n_left = boundaries + 1.0
+        ok = (n_left >= min_rows) & (n_total - n_left >= min_rows)
+        boundaries = boundaries[ok]
+        if not len(boundaries):
+            continue
+        n_left = boundaries + 1.0
+        g_left = csum[boundaries]
+        g_right = g_total - g_left
+        gains = 0.5 * (
+            g_left * g_left / (n_left + cfg.l2_lambda)
+            + g_right * g_right / (n_total - n_left + cfg.l2_lambda)
+            - parent
+        )
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            i = boundaries[k]
+            best = (best_gain, f, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def reference_fit(matrix, cfg):
+    X = np.ascontiguousarray(matrix.rows)
+    y = matrix.target
+    base = float(y.mean())
+    gain_totals = {name: 0.0 for name in matrix.columns}
+    trees = []
+    prediction = np.full(len(y), base)
+    for _ in range(cfg.n_trees):
+        residual = y - prediction
+        tree = RegressionTree()
+
+        def grow(rows, depth):
+            node = tree.add_node()
+            split = None
+            if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows:
+                split = reference_best_split(X, residual, rows, cfg)
+            if split is None:
+                tree.value[node] = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
+                return node
+            gain, f, threshold = split
+            name = matrix.columns[f]
+            gain_totals[name] = gain_totals.get(name, 0.0) + gain
+            goes_left = X[rows, f] <= threshold
+            tree.feature[node] = f
+            tree.threshold[node] = threshold
+            tree.left[node] = grow(rows[goes_left], depth + 1)
+            tree.right[node] = grow(rows[~goes_left], depth + 1)
+            return node
+
+        grow(np.arange(len(y)), 0)
+        trees.append(tree)
+        prediction = prediction + cfg.learning_rate * tree.predict(X)
+    return GbdtModel(cfg, base, trees, list(matrix.columns), gain_totals)
+
+
+@st.composite
+def tied_problems(draw):
+    """Small matrices built to tie: few distinct values, repeated rows, a
+    constant column, and columns that induce the same partitions as x0 (a
+    monotone copy, and a weekday-like code next to its sine)."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 6))
+    base = draw(arrays(np.int64, (n, k), elements=st.integers(0, levels)))
+    target = draw(arrays(np.int64, n, elements=st.integers(-4, 4)))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    base = np.vstack([base, base[repeats]]) / 2.0
+    target = np.concatenate([target, target[repeats]]) / 4.0
+    x0 = base[:, 0]
+    columns = [
+        *base.T,
+        np.full(len(x0), 1.5),
+        2.0 * x0 + 1.0,
+        np.sin(2.0 * np.pi * (2.0 * x0 % 7) / 7.0),
+    ]
+    perm = draw(st.permutations(range(len(columns))))
+    X = np.column_stack([columns[j] for j in perm])
+    cfg = GbdtConfig(
+        n_trees=draw(st.integers(1, 5)),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        l2_lambda=draw(st.sampled_from([0.0, 0.1, 1.0])),
+        max_depth=draw(st.integers(1, 6)),
+        min_child_rows=draw(st.integers(1, 3)),
+        gamma_split_threshold=draw(st.sampled_from([0.0, 0.3])),
+    )
+    return make_matrix(X, target), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_problems())
+def test_presorted_fit_matches_per_node_sort_reference(problem):
+    matrix, cfg = problem
+    assert fit_gbdt(matrix, cfg).to_dict() == reference_fit(matrix, cfg).to_dict()
+
+
+def test_presorted_fit_matches_reference_on_continuous_features():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(300, 6))
+    X[:, 3] = np.round(X[:, 3])
+    y = np.sin(X[:, 0]) + X[:, 3] + 0.3 * rng.normal(size=300)
+    m = make_matrix(X, y)
+    cfg = GbdtConfig(n_trees=15, max_depth=6, min_child_rows=2)
+    assert fit_gbdt(m, cfg).to_dict() == reference_fit(m, cfg).to_dict()
 
 
 EIGHT_ROWS = make_matrix(

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -16,8 +17,67 @@ from demandcast.models.svr import (
 from conftest import make_matrix
 
 
+def exact_dual(Xz, y, C, eps, gamma):
+    """Exact optimum (objective, beta) of the epsilon-SVR dual, for n <= 6.
+
+    At the optimum alpha_i * alpha*_i = 0, so with beta = alpha - alpha* the
+    dual is: maximise y'b - eps*|b|_1 - b'Kb/2 subject to -C <= b_i <= C and
+    sum(b) = 0.  Each b_i is -C, free negative, 0, free positive or C.  For a
+    free set F with signs s_F and bounded values b_B, the maximiser on F
+    solves [[K_FF, 1], [1', 0]] [b_F; nu] = [y_F - eps*s_F - K_FB b_B; -sum b_B];
+    one solve per free set covers every sign and bound pattern at once.  The
+    best feasible candidate is the optimum.  Rows of Xz must be distinct so
+    that K is positive definite.
+    """
+    n = len(y)
+    assert n <= 6
+    K = rbf_kernel(Xz, Xz, gamma)
+    best, best_beta = -np.inf, None
+    for free in itertools.product((False, True), repeat=n):
+        F = np.flatnonzero(free)
+        B = np.flatnonzero(~np.array(free))
+        signs = patterns((-1.0, 1.0), len(F))
+        bounds = patterns((-C, 0.0, C), len(B))
+        s_F = np.repeat(signs, len(bounds), axis=0)
+        b_B = np.tile(bounds, (len(signs), 1))
+        beta = np.zeros((len(s_F), n))
+        beta[:, B] = b_B
+        if len(F):
+            A = np.ones((len(F) + 1, len(F) + 1))
+            A[:-1, :-1] = K[np.ix_(F, F)]
+            A[-1, -1] = 0.0
+            rhs = np.column_stack([y[F] - eps * s_F - b_B @ K[np.ix_(B, F)], -b_B.sum(axis=1)])
+            beta[:, F] = np.linalg.solve(A, rhs.T).T[:, :-1]
+            feasible = ((s_F * beta[:, F] >= -1e-12) & (np.abs(beta[:, F]) <= C + 1e-12)).all(axis=1)
+        else:
+            feasible = np.abs(b_B.sum(axis=1)) <= 1e-12
+        beta = beta[feasible]
+        if not len(beta):
+            continue
+        obj = dual_value(beta, K, y, eps)
+        k = int(np.argmax(obj))
+        if obj[k] > best:
+            best, best_beta = float(obj[k]), beta[k]
+    return best, best_beta
+
+
+def patterns(levels, k):
+    """Every length-k row over ``levels``, as a (len(levels)**k, k) array."""
+    return np.array(list(itertools.product(levels, repeat=k)), dtype=float)
+
+
+def dual_value(beta, K, y, eps):
+    """y'b - eps*|b|_1 - b'Kb/2 for each row b of ``beta``."""
+    return beta @ y - eps * np.abs(beta).sum(axis=-1) - 0.5 * np.einsum("...i,ij,...j->...", beta, K, beta)
+
+
 def brute_force_dual(Xz, y, C, eps, gamma):
-    """Independent reference solve of the epsilon-SVR dual via a QP solver."""
+    """Optimal epsilon-SVR dual objective by exact active-set enumeration."""
+    return exact_dual(Xz, y, C, eps, gamma)[0]
+
+
+def cvxopt_dual(Xz, y, C, eps, gamma):
+    """Reference solve of the epsilon-SVR dual via a general QP solver."""
     cvxopt = pytest.importorskip("cvxopt")
     cvxopt.solvers.options["show_progress"] = False
     n = len(y)
@@ -38,6 +98,39 @@ def brute_force_dual(Xz, y, C, eps, gamma):
     theta = np.array(sol["x"]).ravel()
     beta = theta[:n] - theta[n:]
     return float(y @ beta - eps * theta.sum() - 0.5 * beta @ K @ beta)
+
+
+def small_duals(seed, count=6):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        yield rng.normal(size=(n, 2)), rng.normal(size=n), float(rng.uniform(0.2, 2.0))
+
+
+def test_exact_dual_admits_no_improving_pair_step():
+    # The dual is concave and its feasible directions are spanned by pair
+    # moves b_i += t, b_j -= t, so an optimum admits no improving pair step.
+    for X, y, C in small_duals(21):
+        eps, gamma = 0.1, 0.8
+        best, beta = exact_dual(X, y, C, eps, gamma)
+        K = rbf_kernel(X, X, gamma)
+        assert np.isclose(best, dual_value(beta, K, y, eps))
+        assert abs(beta.sum()) < 1e-9 and (np.abs(beta) <= C + 1e-12).all()
+        for i, j in itertools.permutations(range(len(y)), 2):
+            for t in (1e-4, 1e-2, 0.3):
+                step = min(t, C - beta[i], C + beta[j])
+                if step <= 0:
+                    continue
+                moved = beta.copy()
+                moved[i] += step
+                moved[j] -= step
+                assert dual_value(moved, K, y, eps) <= best + 1e-12
+
+
+def test_exact_dual_agrees_with_cvxopt():
+    for X, y, C in small_duals(22):
+        expected = cvxopt_dual(X, y, C, 0.1, 0.8)
+        assert abs(brute_force_dual(X, y, C, 0.1, 0.8) - expected) < 1e-6
 
 
 def test_constant_target_has_no_support_vectors():
