@@ -45,7 +45,6 @@ class RunConfig:
     model_overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
     output_dir: str = "out"
     workers: int = 1
-    seed: int = 0  # reserved: the pipeline is deterministic end to end
     save_models: bool = False
     simulation: dict[str, Any] = field(default_factory=dict)
 

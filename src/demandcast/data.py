@@ -86,6 +86,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def series_runs(stores: np.ndarray, items: np.ndarray) -> dict[tuple[str, str], tuple[int, int]]:
+    """(store, item) -> (start, stop) row range of each run of equal keys, in row order."""
+    if not len(stores):
+        return {}
+    change = (stores[1:] != stores[:-1]) | (items[1:] != items[:-1])
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(stores)]
+    return {(str(stores[a]), str(items[a])): (a, b) for a, b in zip(bounds, bounds[1:])}
+
+
 class SalesTable:
     """Immutable column store of daily sales records.
 
@@ -138,22 +147,7 @@ class SalesTable:
             self.coverage = (dt.date.fromordinal(lo), dt.date.fromordinal(hi))
         else:
             self.coverage = None
-        self.series_index = self._build_series_index() if is_sorted else None
-
-    def _build_series_index(self) -> dict[tuple[str, str], tuple[int, int]]:
-        index: dict[tuple[str, str], tuple[int, int]] = {}
-        n = len(self)
-        start = 0
-        for i in range(1, n + 1):
-            if (
-                i == n
-                or self.store_ids[i] != self.store_ids[start]
-                or self.item_ids[i] != self.item_ids[start]
-            ):
-                key = (str(self.store_ids[start]), str(self.item_ids[start]))
-                index[key] = (start, i)
-                start = i
-        return index
+        self.series_index = series_runs(self.store_ids, self.item_ids) if is_sorted else None
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -171,10 +165,6 @@ class SalesTable:
     def series_keys(self) -> list[tuple[str, str]]:
         self._require_sorted()
         return list(self.series_index)
-
-    def series_rows(self, key: tuple[str, str]) -> tuple[int, int]:
-        self._require_sorted()
-        return self.series_index[key]
 
     def take(self, mask_or_index: np.ndarray, is_sorted: bool | None = None) -> "SalesTable":
         keep = mask_or_index

@@ -31,10 +31,6 @@ class EmptyPartitionError(DemandcastError):
     """A temporal split left the train or test side with zero rows."""
 
 
-class ZeroPeriodError(DemandcastError):
-    """Cyclical encoding requested with a non-positive period."""
-
-
 class LagExceedsSeriesError(DemandcastError):
     """Every row of a series would be dropped because a lag is too long."""
 

@@ -15,13 +15,13 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Granularity, SalesTable, SplitSpec, aggregate
-from .errors import FingerprintMismatchError
+from .data import Granularity, SalesTable, SplitSpec, aggregate, series_runs
+from .errors import FingerprintMismatchError, NoSplitsError
 from .features import (
     DeviationConfig,
     DeviationMode,
@@ -31,18 +31,16 @@ from .features import (
     build_train_test_matrices,
 )
 from .models.arimax import (
-    ArimaxModel,
     ForecastMode,
     fit_arimax,
     forecast_arimax,
     in_sample_predictions,
 )
-from .models.gbdt import GbdtConfig, GbdtModel, fit_gbdt, predict_gbdt
+from .models.gbdt import GbdtConfig, feature_importance, fit_gbdt, predict_gbdt
 from .models.naive import seasonal_naive_forecast, seasonal_naive_insample
-from .models.svr import SvrConfig, SvrModel, fit_svr, predict_svr
+from .models.svr import SvrConfig, fit_svr, predict_svr
 from .models.trend_seasonal import (
     TrendSeasonalConfig,
-    TrendSeasonalModel,
     fit_trend_seasonal,
     forecast_trend_seasonal,
 )
@@ -101,11 +99,6 @@ def error_histogram(residuals: np.ndarray, n_bins: int) -> list[tuple[float, flo
     ]
 
 
-def naive_baseline(train: np.ndarray, test_dates: Sequence) -> np.ndarray:
-    """Seasonal-naive predictions for a contiguous test window."""
-    return seasonal_naive_forecast(np.asarray(train, dtype=np.float64), len(test_dates))
-
-
 # --- scenario specification ---------------------------------------------------
 
 S1_FEATURES = FeatureSpec(lags=(1, 7, 14, 28), cyclical=frozenset({"month"}))
@@ -120,9 +113,6 @@ def s2_features(deviation_mode: DeviationMode = DeviationMode.SAME_DAY) -> Featu
         use_deviation_flag=True,
         deviation=DeviationConfig(mode=deviation_mode),
     )
-
-
-_EXOGENOUS_MARKERS = ("weekday", "holiday", "deviation_flag")
 
 
 @dataclass(frozen=True)
@@ -201,45 +191,28 @@ def _exog_columns(train: FeatureMatrix) -> list[str]:
     ]
 
 
-def _sub_matrix(fm: FeatureMatrix, sl: slice) -> FeatureMatrix:
-    return FeatureMatrix(
-        list(fm.columns),
-        fm.rows[sl],
-        fm.target[sl],
-        fm.dates[sl],
-        fm.stores[sl],
-        fm.items[sl],
-        dict(fm.scaling),
-    )
-
-
-def _run_series_task(payload: dict) -> dict:
+def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]:
     """Fit one model on one series and forecast its test window.
 
-    Top-level function so worker processes can unpickle it.  Returns the
-    test predictions, in-sample training residual std, and the serialized
-    model artifact.
+    Returns the test predictions, the in-sample predictions, the serialized
+    model artifact and the forecast mode.
     """
     model_name = payload["model"]
     train: FeatureMatrix = payload["train"]
     test: FeatureMatrix = payload["test"]
     spec: ScenarioSpec = payload["spec"]
     calendar_entries: dict | None = payload["calendar_entries"]
-    started = time.perf_counter()
 
-    if model_name == "gbdt":
-        model = fit_gbdt(train, spec.gbdt_config)
-        predictions = predict_gbdt(model, test)
-        train_pred = predict_gbdt(model, train)
-        artifact = model.to_dict()
-        mode = "one-step-features"
-    elif model_name == "svr":
-        model = fit_svr(train, spec.svr_config)
-        predictions = predict_svr(model, test)
-        train_pred = predict_svr(model, train)
-        artifact = model.to_dict()
-        mode = "one-step-features"
-    elif model_name == "arimax":
+    if model_name in ("gbdt", "svr"):
+        if model_name == "gbdt":
+            fit, predict, cfg = fit_gbdt, predict_gbdt, spec.gbdt_config
+        else:
+            fit, predict, cfg = fit_svr, predict_svr, spec.svr_config
+        model = fit(train, cfg)
+        predictions = predict(model, test)
+        train_pred = model.train_prediction if model_name == "gbdt" else predict(model, train)
+        return predictions, train_pred, model.to_dict(), "one-step-features"
+    if model_name == "arimax":
         exog_names = _exog_columns(train)
         X_train = (
             np.column_stack([train.column(c) for c in exog_names]) if exog_names else None
@@ -257,9 +230,8 @@ def _run_series_task(payload: dict) -> dict:
         )
         fitted = in_sample_predictions(model, train.target, X_train)
         train_pred = np.concatenate([[train.target[0]], fitted])
-        artifact = model.to_dict()
-        mode = spec.arimax_mode.value
-    elif model_name == "trend_seasonal":
+        return predictions, train_pred, model.to_dict(), spec.arimax_mode.value
+    if model_name == "trend_seasonal":
         calendar = None
         if calendar_entries:
             calendar = HolidayCalendar(
@@ -268,27 +240,39 @@ def _run_series_task(payload: dict) -> dict:
         model = fit_trend_seasonal(train.target, train.dates, spec.trend_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
         train_pred, _, _ = forecast_trend_seasonal(model, train.dates)
-        artifact = model.to_dict()
-        mode = "multi-step"
-    elif model_name == "naive":
+        return predictions, train_pred, model.to_dict(), "multi-step"
+    if model_name == "naive":
         predictions = seasonal_naive_forecast(train.target, len(test))
         insample = seasonal_naive_insample(train.target)
         train_pred = np.concatenate([[train.target[0]], insample])
-        artifact = {"kind": "naive", "period": 7}
-        mode = "seasonal-naive"
-    else:
-        raise ValueError(f"unknown model {model_name!r}")
+        return predictions, train_pred, {"kind": "naive", "period": 7}, "seasonal-naive"
+    raise ValueError(f"unknown model {model_name!r}")
 
-    train_residuals = train.target - train_pred
-    return {
-        "model": model_name,
-        "key": payload["key"],
-        "predictions": predictions,
-        "train_residual_std": float(train_residuals.std()),
-        "artifact": artifact,
-        "task_seconds": time.perf_counter() - started,
-        "mode": mode,
-    }
+
+def _run_series_task(payload: dict) -> dict:
+    """Run one (model, series) task and time it.
+
+    Top-level function so worker processes can unpickle it.  Returns the
+    test predictions, in-sample training residual std, serialized model
+    artifact and task seconds; a failure returns its error text instead, so
+    the other tasks in the pool keep running.
+    """
+    started = time.perf_counter()
+    try:
+        predictions, train_pred, artifact, mode = _fit_and_forecast(payload)
+    except Exception as exc:
+        logger.exception("model %s failed on series %s", payload["model"], payload["key"])
+        result = {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        train_residuals = payload["train"].target - train_pred
+        result = {
+            "predictions": predictions,
+            "train_residual_std": float(train_residuals.std()),
+            "artifact": artifact,
+            "mode": mode,
+        }
+    result["task_seconds"] = time.perf_counter() - started
+    return result
 
 
 def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
@@ -319,10 +303,6 @@ class ModelEvaluation:
     runtime_s: float
     error: str | None = None
 
-    @property
-    def residuals(self) -> np.ndarray:
-        return self.actuals - self.predictions
-
 
 @dataclass
 class EvaluationReport:
@@ -331,9 +311,6 @@ class EvaluationReport:
     entries: dict[str, ModelEvaluation]
     config_fingerprint: str
     data_fingerprint: str
-
-    def entry(self, model: str) -> ModelEvaluation:
-        return self.entries[model]
 
 
 def data_fingerprint(table: SalesTable) -> str:
@@ -367,33 +344,46 @@ def run_scenario(
     train_fm, test_fm = build_train_test_matrices(
         working, spec.feature_spec, calendar if spec.feature_spec.use_holiday else None, spec.split
     )
-    train_slices = dict(train_fm.series_slices())
-    test_slices = dict(test_fm.series_slices())
-    keys = [k for k in train_slices if k in test_slices]
+    train_runs, test_runs = (
+        {k: slice(*r) for k, r in series_runs(fm.stores, fm.items).items()}
+        for fm in (train_fm, test_fm)
+    )
+    keys = [k for k in train_runs if k in test_runs]
 
     use_calendar = spec.id != "S1"
     calendar_entries = (
         {d.toordinal(): n for d, n in calendar.entries.items()} if use_calendar else None
     )
 
+    # Every (model, series) task of the scenario goes through one pool, in
+    # model-major order, so each model's results are a contiguous run.  The
+    # pool is per scenario, not per run, so workers forked inside a traced
+    # scenario book their time under it.  The models share each series'
+    # matrices, which are views of the scenario's.
+    series = {
+        k: (train_fm.select_rows(train_runs[k]), test_fm.select_rows(test_runs[k])) for k in keys
+    }
+    tasks = [
+        {
+            "model": model_name,
+            "key": key,
+            "train": series[key][0],
+            "test": series[key][1],
+            "spec": spec,
+            "calendar_entries": calendar_entries,
+        }
+        for model_name in spec.models
+        for key in keys
+    ]
+    all_results = _execute_tasks(tasks, workers)
+
     entries: dict[str, ModelEvaluation] = {}
-    for model_name in spec.models:
-        tasks = [
-            {
-                "model": model_name,
-                "key": key,
-                "train": _sub_matrix(train_fm, train_slices[key]),
-                "test": _sub_matrix(test_fm, test_slices[key]),
-                "spec": spec,
-                "calendar_entries": calendar_entries,
-            }
-            for key in keys
-        ]
-        started = time.perf_counter()
-        try:
-            results = _execute_tasks(tasks, workers)
-        except Exception as exc:  # recorded; other models keep running
-            logger.exception("model %s failed", model_name)
+    for m, model_name in enumerate(spec.models):
+        results = all_results[m * len(keys) : (m + 1) * len(keys)]
+        runtime = sum(r["task_seconds"] for r in results)
+        # The first failing series, in series order, fails the whole model.
+        error = next((r["error"] for r in results if "error" in r), None)
+        if error is not None:
             entries[model_name] = ModelEvaluation(
                 model=model_name,
                 scenario=spec.id,
@@ -409,17 +399,16 @@ def run_scenario(
                 train_residual_std=float("nan"),
                 per_series_train_residual_std={},
                 artifacts={},
-                runtime_s=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}",
+                runtime_s=runtime,
+                error=error,
             )
             continue
-        runtime = time.perf_counter() - started
 
         predictions = np.concatenate([r["predictions"] for r in results])
-        actuals = np.concatenate([test_fm.target[test_slices[k]] for k in keys])
-        stores = np.concatenate([test_fm.stores[test_slices[k]] for k in keys])
-        items = np.concatenate([test_fm.items[test_slices[k]] for k in keys])
-        dates = np.concatenate([test_fm.dates[test_slices[k]] for k in keys])
+        actuals = np.concatenate([test_fm.target[test_runs[k]] for k in keys])
+        stores = np.concatenate([test_fm.stores[test_runs[k]] for k in keys])
+        items = np.concatenate([test_fm.items[test_runs[k]] for k in keys])
+        dates = np.concatenate([test_fm.dates[test_runs[k]] for k in keys])
         metrics = score(actuals, predictions)
 
         importance = None
@@ -428,12 +417,12 @@ def run_scenario(
             for r in results:
                 for feat, gain in r["artifact"]["gain_totals"].items():
                     totals[feat] = totals.get(feat, 0.0) + gain
-            total = sum(totals.values())
-            if total > 0:
-                ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-                importance = [(f, g / total) for f, g in ranked]
+            try:
+                importance = feature_importance(totals)
+            except NoSplitsError:
+                pass
 
-        per_series_std = {r["key"]: r["train_residual_std"] for r in results}
+        per_series_std = {k: r["train_residual_std"] for k, r in zip(keys, results)}
         pooled_std = float(
             np.sqrt(np.mean([s * s for s in per_series_std.values()]))
         )
@@ -451,7 +440,7 @@ def run_scenario(
             importance=importance,
             train_residual_std=pooled_std,
             per_series_train_residual_std=per_series_std,
-            artifacts={r["key"]: r["artifact"] for r in results},
+            artifacts={k: r["artifact"] for k, r in zip(keys, results)},
             runtime_s=runtime,
         )
 

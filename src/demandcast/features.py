@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -20,28 +19,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import SalesTable, SplitSpec
-from .errors import CalendarGapError, LagExceedsSeriesError, ZeroPeriodError
-
-MONDAY = 0
-SUNDAY = 6
-
-
-def weekday_of(date: dt.date) -> int:
-    """Weekday index with Monday = 0 through Sunday = 6."""
-    return (date.toordinal() - 1) % 7
-
+from .errors import CalendarGapError, LagExceedsSeriesError
 
 def weekdays_of_ordinals(ordinals: np.ndarray) -> np.ndarray:
+    """Weekday index with Monday = 0 through Sunday = 6."""
     # Ordinal 1 (0001-01-01) was a Monday.
     return (np.asarray(ordinals, dtype=np.int64) - 1) % 7
 
 
-def cyclical_encode(value: float, period: int) -> tuple[float, float]:
-    """Map a periodic integer onto the unit circle as (sin, cos)."""
-    if period <= 0:
-        raise ZeroPeriodError(f"period must be positive, got {period}")
-    angle = 2.0 * math.pi * value / period
-    return math.sin(angle), math.cos(angle)
+def cyclical_columns(values: np.ndarray, period: int) -> np.ndarray:
+    """Map periodic values onto the unit circle as (sin, cos) columns."""
+    angle = 2.0 * np.pi * values / period
+    return np.column_stack([np.sin(angle), np.cos(angle)])
 
 
 def lag_features(series: np.ndarray, lags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +90,6 @@ class DeviationConfig:
     min_periods: int = 3
     ratio: float = 0.30
     mode: DeviationMode = DeviationMode.SAME_DAY
-    flag_spikes: bool = False
 
     def __post_init__(self) -> None:
         if not (1 <= self.min_periods <= self.window):
@@ -111,7 +99,7 @@ class DeviationConfig:
 
 
 def deviation_flag(series: np.ndarray, cfg: DeviationConfig) -> np.ndarray:
-    """Binary vector marking abnormal drops (optionally spikes) in sales."""
+    """Binary vector marking abnormal drops in sales."""
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
     rm = rolling_mean(series, cfg.window, cfg.min_periods)
@@ -120,9 +108,6 @@ def deviation_flag(series: np.ndarray, cfg: DeviationConfig) -> np.ndarray:
     flags = np.zeros(n, dtype=np.float64)
     drop = defined & (series < cfg.ratio * trailing)
     flags[drop] = 1.0
-    if cfg.flag_spikes:
-        spike = defined & (series > trailing / cfg.ratio)
-        flags[spike] = 1.0
     if cfg.mode is DeviationMode.LAGGED:
         flags = np.concatenate([[0.0], flags[:-1]])
     return flags
@@ -133,10 +118,9 @@ class HolidayCalendar:
     """Explicit date -> holiday-name map covering the dataset window."""
 
     entries: Mapping[dt.date, str]
-    country_tag: str = ""
 
     @classmethod
-    def from_csv(cls, path: str | Path, country_tag: str = "") -> "HolidayCalendar":
+    def from_csv(cls, path: str | Path) -> "HolidayCalendar":
         entries: dict[dt.date, str] = {}
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -150,46 +134,37 @@ class HolidayCalendar:
                 if day in entries:
                     raise ValueError(f"duplicate holiday date {day} in {path}")
                 entries[day] = row[1].strip()
-        return cls(entries=entries, country_tag=country_tag)
+        return cls(entries=entries)
 
     @classmethod
     def bundled(cls) -> "HolidayCalendar":
         ref = resources.files("demandcast.assets") / "holidays_IN_2013_2017.csv"
         with resources.as_file(ref) as path:
-            return cls.from_csv(path, country_tag="IN")
-
-    @classmethod
-    def empty(cls) -> "HolidayCalendar":
-        return cls(entries={}, country_tag="")
+            return cls.from_csv(path)
 
     def years(self) -> set[int]:
         return {d.year for d in self.entries}
-
-    def names(self) -> list[str]:
-        return sorted(set(self.entries.values()))
 
 
 def holiday_flag(
     dates: Sequence[dt.date] | np.ndarray,
     calendar: HolidayCalendar,
-    require_coverage: bool = True,
 ) -> np.ndarray:
     """1.0 where the date is a calendar holiday, else 0.0.
 
-    With ``require_coverage`` a year present in ``dates`` but absent from the
-    calendar raises, because an all-zero year would silently mean "no
-    holidays" when it really means "calendar file too short".
+    A year present in ``dates`` but absent from the calendar raises, because
+    an all-zero year would silently mean "no holidays" when it really means
+    "calendar file too short".
     """
     if len(dates) and isinstance(dates[0], (int, np.integer)):
         days = [dt.date.fromordinal(int(o)) for o in np.asarray(dates)]
     else:
         days = list(dates)
-    if require_coverage:
-        missing = {d.year for d in days} - calendar.years()
-        if missing:
-            raise CalendarGapError(
-                f"calendar lacks entries for years {sorted(missing)}"
-            )
+    missing = {d.year for d in days} - calendar.years()
+    if missing:
+        raise CalendarGapError(
+            f"calendar lacks entries for years {sorted(missing)}"
+        )
     holidays = calendar.entries
     return np.array([1.0 if d in holidays else 0.0 for d in days], dtype=np.float64)
 
@@ -204,8 +179,6 @@ class FeatureSpec:
     use_holiday: bool = False
     use_deviation_flag: bool = False
     deviation: DeviationConfig = field(default_factory=DeviationConfig)
-    one_hot_ids: bool = False
-    extra_columns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if any(lag <= 0 for lag in self.lags):
@@ -219,14 +192,9 @@ class FeatureSpec:
             or self.use_weekday_numeric
             or self.use_holiday
             or self.use_deviation_flag
-            or self.one_hot_ids
-            or bool(self.extra_columns)
         )
         if not active:
             raise ValueError("feature spec activates no features")
-
-    def with_deviation_mode(self, mode: DeviationMode) -> "FeatureSpec":
-        return replace(self, deviation=replace(self.deviation, mode=mode))
 
 
 @dataclass
@@ -258,44 +226,22 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
 
-    def series_slices(self) -> list[tuple[tuple[str, str], slice]]:
-        """Contiguous per-series row ranges, in row order."""
-        out: list[tuple[tuple[str, str], slice]] = []
-        n = len(self)
-        start = 0
-        for i in range(1, n + 1):
-            if (
-                i == n
-                or self.stores[i] != self.stores[start]
-                or self.items[i] != self.items[start]
-            ):
-                out.append(((str(self.stores[start]), str(self.items[start])), slice(start, i)))
-                start = i
-        return out
-
-    def select_rows(self, mask: np.ndarray) -> "FeatureMatrix":
+    def select_rows(self, rows: np.ndarray | slice) -> "FeatureMatrix":
+        """The given rows; a slice keeps views of this matrix's arrays."""
         return FeatureMatrix(
             list(self.columns),
-            self.rows[mask],
-            self.target[mask],
-            self.dates[mask],
-            self.stores[mask],
-            self.items[mask],
+            self.rows[rows],
+            self.target[rows],
+            self.dates[rows],
+            self.stores[rows],
+            self.items[rows],
             dict(self.scaling),
         )
 
 
-# Columns scaled to [0, 1] with training statistics; binary flags, one-hot
-# ids, and passthrough extras keep their native values.
-def _scalable_columns(spec: FeatureSpec) -> list[str]:
-    cols = [f"lag_{lag}" for lag in spec.lags]
-    if "month" in spec.cyclical:
-        cols += ["month_sin", "month_cos"]
-    if "weekday" in spec.cyclical:
-        cols += ["weekday_sin", "weekday_cos"]
-    if spec.use_weekday_numeric:
-        cols.append("weekday")
-    return cols
+# Binary flags keep their native values; every other column is scaled to
+# [0, 1] with training statistics.
+_FLAG_COLUMNS = ("holiday", "deviation_flag")
 
 
 def _assemble_unscaled(
@@ -306,9 +252,6 @@ def _assemble_unscaled(
     table._require_sorted()
     if spec.use_holiday and calendar is None:
         raise ValueError("holiday features require a calendar")
-    for name in spec.extra_columns:
-        if name not in table.extras:
-            raise ValueError(f"table lacks extra column {name!r}")
 
     columns: list[str] = [f"lag_{lag}" for lag in spec.lags]
     if "month" in spec.cyclical:
@@ -321,14 +264,6 @@ def _assemble_unscaled(
         columns.append("holiday")
     if spec.use_deviation_flag:
         columns.append("deviation_flag")
-    columns.extend(spec.extra_columns)
-    store_levels: list[str] = []
-    item_levels: list[str] = []
-    if spec.one_hot_ids:
-        store_levels = sorted({k[0] for k in table.series_keys()})
-        item_levels = sorted({k[1] for k in table.series_keys()})
-        columns.extend(f"store={s}" for s in store_levels)
-        columns.extend(f"item={i}" for i in item_levels)
 
     blocks: list[np.ndarray] = []
     keep_targets: list[np.ndarray] = []
@@ -339,44 +274,28 @@ def _assemble_unscaled(
     for key, (lo, hi) in table.series_index.items():
         ordinals = table.dates[lo:hi]
         values = table.quantities[lo:hi]
-        n = len(values)
         parts: list[np.ndarray] = []
 
         if spec.lags:
             lagged, valid = lag_features(values, spec.lags)
             parts.append(lagged)
         else:
-            valid = np.ones(n, dtype=bool)
+            valid = np.ones(len(values), dtype=bool)
 
         if "month" in spec.cyclical:
             months = np.array(
                 [dt.date.fromordinal(int(o)).month - 1 for o in ordinals], dtype=np.float64
             )
-            angle = 2.0 * np.pi * months / 12.0
-            parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+            parts.append(cyclical_columns(months, 12))
         dows = weekdays_of_ordinals(ordinals).astype(np.float64)
         if "weekday" in spec.cyclical:
-            angle = 2.0 * np.pi * dows / 7.0
-            parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+            parts.append(cyclical_columns(dows, 7))
         if spec.use_weekday_numeric:
             parts.append(dows[:, None])
         if spec.use_holiday:
             parts.append(holiday_flag(ordinals, calendar)[:, None])
         if spec.use_deviation_flag:
             parts.append(deviation_flag(values, spec.deviation)[:, None])
-        for name in spec.extra_columns:
-            parts.append(table.extras[name][lo:hi][:, None])
-        if spec.one_hot_ids:
-            parts.append(
-                np.column_stack(
-                    [np.full(n, 1.0 if key[0] == s else 0.0) for s in store_levels]
-                )
-            )
-            parts.append(
-                np.column_stack(
-                    [np.full(n, 1.0 if key[1] == i else 0.0) for i in item_levels]
-                )
-            )
 
         block = np.column_stack(parts)
         blocks.append(block[valid])
@@ -395,9 +314,11 @@ def _assemble_unscaled(
     )
 
 
-def _fit_scaling(matrix: FeatureMatrix, spec: FeatureSpec) -> dict[str, tuple[float, float]]:
+def _fit_scaling(matrix: FeatureMatrix) -> dict[str, tuple[float, float]]:
     scaling: dict[str, tuple[float, float]] = {}
-    for name in _scalable_columns(spec):
+    for name in matrix.columns:
+        if name in _FLAG_COLUMNS:
+            continue
         col = matrix.column(name)
         scaling[name] = (float(col.min()), float(col.max())) if len(col) else (0.0, 1.0)
     return scaling
@@ -423,25 +344,6 @@ def _apply_scaling(matrix: FeatureMatrix, scaling: Mapping[str, tuple[float, flo
     )
 
 
-def build_design_matrix(
-    table: SalesTable,
-    spec: FeatureSpec,
-    calendar: HolidayCalendar | None = None,
-    scaling: Mapping[str, tuple[float, float]] | None = None,
-) -> FeatureMatrix:
-    """Assemble the active feature columns for every valid row of the table.
-
-    Rows whose lags precede the series start are dropped.  When ``scaling``
-    is omitted the min-max statistics are fit from this table (training use);
-    passing the training matrix's recorded scaling reproduces test-time
-    assembly, where values may map outside [0, 1].
-    """
-    unscaled = _assemble_unscaled(table, spec, calendar)
-    if scaling is None:
-        scaling = _fit_scaling(unscaled, spec)
-    return _apply_scaling(unscaled, scaling)
-
-
 def build_train_test_matrices(
     table: SalesTable,
     spec: FeatureSpec,
@@ -461,5 +363,5 @@ def build_train_test_matrices(
     )
     train = unscaled.select_rows(train_mask)
     test = unscaled.select_rows(test_mask)
-    scaling = _fit_scaling(train, spec)
+    scaling = _fit_scaling(train)
     return _apply_scaling(train, scaling), _apply_scaling(test, scaling)

@@ -9,7 +9,7 @@ routine; tests check it against a direct normal-equations solve.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,19 +22,6 @@ logger = logging.getLogger(__name__)
 class ForecastMode(str, Enum):
     RECURSIVE = "recursive"
     ONE_STEP = "one-step-with-actuals"
-
-
-@dataclass(frozen=True)
-class ArimaxConfig:
-    exogenous_columns: tuple[str, ...] = ()
-    order: tuple[int, int, int] = (1, 0, 0)
-    allow_nonstandard_order: bool = False
-
-    def __post_init__(self) -> None:
-        if self.order != (1, 0, 0) and not self.allow_nonstandard_order:
-            raise ValueError(
-                "order is fixed at (1,0,0); set allow_nonstandard_order to override"
-            )
 
 
 @dataclass
@@ -59,24 +46,10 @@ class ArimaxModel:
             "n_obs": self.n_obs,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ArimaxModel":
-        names = list(doc["beta"])
-        return cls(
-            intercept=float(doc["intercept"]),
-            phi=float(doc["phi"]),
-            beta=np.array([doc["beta"][n] for n in names], dtype=np.float64),
-            exog_names=names,
-            sigma2=float(doc["sigma2"]),
-            last_train_value=float(doc["last_train_value"]),
-            n_obs=int(doc["n_obs"]),
-        )
-
 
 def fit_arimax(
     y: np.ndarray,
     X: np.ndarray | None = None,
-    cfg: ArimaxConfig = ArimaxConfig(),
     exog_names: list[str] | None = None,
 ) -> ArimaxModel:
     """Fit y_t = c + phi*y_{t-1} + beta'x_t + e_t on rows t >= 2.
@@ -87,8 +60,6 @@ def fit_arimax(
     column (a constant series) is solved in the minimum-norm sense instead,
     which reproduces the series exactly.
     """
-    if cfg.order != (1, 0, 0):
-        raise NotImplementedError("only order (1,0,0) is implemented")
     y = np.asarray(y, dtype=np.float64)
     k_exog = 0 if X is None else X.shape[1]
     if X is not None:

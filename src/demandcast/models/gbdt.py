@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,6 +97,9 @@ class GbdtModel:
     trees: list[RegressionTree]
     feature_names: list[str]
     gain_totals: dict[str, float]
+    # Each training row's prediction, as boosting left it: bit for bit what
+    # predict_gbdt gives on the training matrix.  Not serialized.
+    train_prediction: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -123,25 +126,6 @@ class GbdtModel:
                 for t in self.trees
             ],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GbdtModel":
-        return cls(
-            config=GbdtConfig(**doc["config"]),
-            base_score=float(doc["base_score"]),
-            trees=[
-                RegressionTree(
-                    feature=list(t["feature"]),
-                    threshold=list(t["threshold"]),
-                    left=list(t["left"]),
-                    right=list(t["right"]),
-                    value=list(t["value"]),
-                )
-                for t in doc["trees"]
-            ],
-            feature_names=list(doc["feature_names"]),
-            gain_totals=dict(doc["gain_totals"]),
-        )
 
 
 def _best_split(
@@ -274,6 +258,7 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
         trees=trees,
         feature_names=list(matrix.columns),
         gain_totals=gain_totals,
+        train_prediction=prediction,
     )
 
 
@@ -289,10 +274,13 @@ def predict_gbdt(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
     return out
 
 
-def feature_importance(model: GbdtModel) -> list[tuple[str, float]]:
-    """Gain shares per feature, descending, ties broken by name."""
-    total = sum(model.gain_totals.values())
+def feature_importance(gain_totals: Mapping[str, float]) -> list[tuple[str, float]]:
+    """Gain shares per feature, descending, ties broken by name.
+
+    ``gain_totals`` is one model's ``gain_totals`` or their sum over models.
+    """
+    total = sum(gain_totals.values())
     if total <= 0.0:
         raise NoSplitsError("model contains no accepted splits")
-    ranked = sorted(model.gain_totals.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(gain_totals.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(name, gain / total) for name, gain in ranked]

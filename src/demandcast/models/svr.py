@@ -95,29 +95,6 @@ class SvrModel:
             "sweeps": self.sweeps,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SvrModel":
-        k = len(doc["feature_names"])
-        sv = np.array(doc["support_vectors"], dtype=np.float64)
-        if sv.size == 0:
-            sv = np.empty((0, k))
-        return cls(
-            config=SvrConfig(**doc["config"]),
-            support_vectors=sv.reshape(-1, k),
-            support_indices=np.array(doc["support_indices"], dtype=np.int64),
-            dual_coeffs=np.array(doc["dual_coeffs"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            gamma=float(doc["gamma"]),
-            feature_names=list(doc["feature_names"]),
-            feature_means=np.array(doc["feature_means"], dtype=np.float64),
-            feature_stds=np.array(doc["feature_stds"], dtype=np.float64),
-            target_mean=float(doc["target_mean"]),
-            target_std=float(doc["target_std"]),
-            converged=bool(doc["converged"]),
-            kkt_violation_achieved=float(doc["kkt_violation_achieved"]),
-            sweeps=int(doc["sweeps"]),
-        )
-
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     a2 = np.sum(A * A, axis=1)

@@ -159,25 +159,6 @@ class TrendSeasonalModel:
             "fit_on_log": self.fit_on_log,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrendSeasonalModel":
-        cfg = dict(doc["config"])
-        cfg["seasonality_mode"] = SeasonalityMode(cfg["seasonality_mode"])
-        names = list(doc["coef"])
-        return cls(
-            config=TrendSeasonalConfig(**cfg),
-            offset=float(doc["offset"]),
-            basis_coef=np.array([doc["coef"][n] for n in names], dtype=np.float64),
-            basis_names=names,
-            changepoints=np.array(doc["changepoints"], dtype=np.float64),
-            t_start=int(doc["t_start"]),
-            t_span=float(doc["t_span"]),
-            holiday_names=list(doc["holiday_names"]),
-            calendar_entries={int(o): n for o, n in doc["calendar_entries"].items()},
-            residual_quantiles=tuple(doc["residual_quantiles"]),
-            fit_on_log=bool(doc["fit_on_log"]),
-        )
-
 
 def fit_trend_seasonal(
     y: np.ndarray,

@@ -404,11 +404,31 @@ def test_inventory_directional_claim(bundled_run):
 
 # --- 10. determinism across worker counts -------------------------------------------
 
+# Everything evaluate writes except runtimes.csv and manifest.json, which
+# record timings.
+DETERMINISTIC_ARTIFACTS = (
+    "metrics.csv",
+    "importance.csv",
+    "report.json",
+    "residuals_*.csv",
+    "histogram_*.csv",
+    "actual_vs_predicted_*.csv",
+)
+
+
 def test_worker_count_determinism(bundled_run, bundled_run_two_workers):
     with criterion("worker_count_determinism"):
         _, out1 = bundled_run
         _, out2 = bundled_run_two_workers
-        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+        def artifacts(out):
+            return sorted(p.name for pattern in DETERMINISTIC_ARTIFACTS for p in out.glob(pattern))
+
+        names = artifacts(out2)
+        assert len(names) == 3 + 3 * 5 * 2  # three per (model, scenario)
+        assert artifacts(out1) == names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 # --- 11. split-count check ------------------------------------------------------------

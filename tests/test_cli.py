@@ -89,6 +89,9 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"granularty": "per-series"}))
     assert main(["evaluate", "--config", str(cfg)]) == 2
+    # seed was a reserved key that nothing read; it is no longer accepted
+    cfg.write_text(json.dumps({"seed": 0}))
+    assert main(["evaluate", "--config", str(cfg)]) == 2
 
 
 @pytest.fixture(scope="module")

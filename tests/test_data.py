@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demandcast.data import (
     FillMethod,
@@ -13,6 +15,7 @@ from demandcast.data import (
     aggregate,
     fill_gaps,
     parse_sales_csv,
+    series_runs,
     sort_chronological,
     split_temporal,
     write_sales_csv,
@@ -116,6 +119,25 @@ def test_sort_groups_interleaved_series_matches_reference_sort():
     assert got == [(d, s, i, q) for d, s, i, q in expected]
 
 
+def per_row_runs(stores, items):
+    """The per-row loop series_runs replaced, kept as its reference."""
+    index, start = {}, 0
+    for i in range(1, len(stores) + 1):
+        if i == len(stores) or stores[i] != stores[start] or items[i] != items[start]:
+            index[(str(stores[start]), str(items[start]))] = (start, i)
+            start = i
+    return index
+
+
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(["1", "22"])), max_size=30))
+def test_series_runs_match_per_row_loop(keys):
+    stores = np.array([s for s, _ in keys], dtype=np.str_)
+    items = np.array([i for _, i in keys], dtype=np.str_)
+    got = series_runs(stores, items)
+    expected = per_row_runs(stores, items)
+    assert got == expected and list(got) == list(expected)
+
+
 def test_sort_raises_on_duplicate_date():
     t = SalesTable.from_records(
         [
@@ -197,7 +219,8 @@ def test_fill_gaps_reports_leading_gap_when_aligning():
     filled, report = fill_gaps(t, align_to_coverage=True)
     assert report.leading_gaps == {("1", "2"): 2}
     # the late series is not back-filled before its first observation
-    assert filled.series_rows(("1", "2"))[1] - filled.series_rows(("1", "2"))[0] == 2
+    lo, hi = filled.series_index[("1", "2")]
+    assert hi - lo == 2
 
 
 def test_aggregate_sums_across_series():

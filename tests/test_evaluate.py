@@ -13,12 +13,12 @@ from demandcast.evaluate import (
     error_histogram,
     improvement_percent,
     make_scenario,
-    naive_baseline,
     run_scenario,
     score,
 )
 from demandcast.features import DeviationMode, HolidayCalendar
 from demandcast.models.gbdt import GbdtConfig
+from demandcast.models.naive import seasonal_naive_forecast
 
 from conftest import make_table
 
@@ -120,7 +120,7 @@ def test_histogram_conserves_count():
 
 
 def test_naive_constant_series():
-    out = naive_baseline(np.full(30, 4.0), list(range(10)))
+    out = seasonal_naive_forecast(np.full(30, 4.0), 10)
     assert np.allclose(out, 4.0)
 
 
@@ -128,12 +128,12 @@ def test_naive_weekly_periodic_zero_error():
     week = np.array([1.0, 2, 3, 4, 5, 6, 7])
     train = np.tile(week, 10)
     test = np.tile(week, 3)
-    out = naive_baseline(train, list(range(21)))
+    out = seasonal_naive_forecast(train, 21)
     assert np.array_equal(out, test)
 
 
 def test_naive_short_series_falls_back_to_last_value():
-    out = naive_baseline(np.array([1.0, 2.0, 3.0]), list(range(5)))
+    out = seasonal_naive_forecast(np.array([1.0, 2.0, 3.0]), 5)
     # the weekly lag is unavailable for the first days (fallback to the last
     # value) but reaches back into the 3-day history from day 4 on
     assert np.array_equal(out, [3.0, 3.0, 3.0, 3.0, 1.0])
@@ -170,18 +170,52 @@ def test_run_scenario_smoke_naive_only():
     assert entry.error is None
 
 
+def two_series_table():
+    """Store 1 sells about 20 a day, store 2 about 2,000."""
+    small, large = toy_table(), toy_table(scale=100.0)
+    return make_table(
+        [(r.date, store, "1", r.quantity) for store, t in (("1", small), ("2", large)) for r in t.records()]
+    )
+
+
 def test_run_scenario_records_per_model_failure(monkeypatch):
-    table = toy_table()
+    fit_arimax = ev.fit_arimax
 
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+    def fails_on_store_2(y, *args, **kwargs):
+        if y.mean() > 1000.0:
+            raise RuntimeError(f"synthetic failure at mean {y.mean():.3f}")
+        return fit_arimax(y, *args, **kwargs)
 
-    monkeypatch.setattr(ev, "fit_gbdt", boom)
-    spec = make_scenario("S1", SPLIT, models=("gbdt", "naive"))
-    report = run_scenario(table, spec, HolidayCalendar.bundled())
-    assert report.entries["gbdt"].error is not None
-    assert report.entries["naive"].error is None
-    assert report.entries["naive"].metrics is not None
+    monkeypatch.setattr(ev, "fit_arimax", fails_on_store_2)
+    table = two_series_table()
+    spec = make_scenario("S2", SPLIT)
+    cal = HolidayCalendar.bundled()
+    serial = run_scenario(table, spec, cal, workers=1)
+    for workers in (1, 2):
+        report = serial if workers == 1 else run_scenario(table, spec, cal, workers=workers)
+        failed = report.entries["arimax"]
+        assert failed.error.startswith("RuntimeError: synthetic failure at mean")
+        assert failed.error == serial.entries["arimax"].error
+        assert failed.metrics is None
+        for name in ("gbdt", "trend_seasonal", "svr", "naive"):
+            entry = report.entries[name]
+            assert entry.error is None and entry.metrics.n == 2 * 70
+            assert np.array_equal(entry.predictions, serial.entries[name].predictions)
+
+
+def test_run_scenario_starts_one_pool(monkeypatch):
+    pools = []
+
+    class CountingPool(ev.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", CountingPool)
+    spec = make_scenario("S1", SPLIT, models=("naive", "arimax"))
+    report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
+    assert pools == [{"max_workers": 2}]
+    assert all(e.error is None for e in report.entries.values())
 
 
 def test_run_scenario_deterministic_across_worker_counts():

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from demandcast.data import SplitSpec
-from demandcast.errors import CalendarGapError, LagExceedsSeriesError, ZeroPeriodError
+from demandcast.errors import CalendarGapError, LagExceedsSeriesError
 from demandcast.features import (
     DeviationConfig,
     DeviationMode,
     FeatureSpec,
     HolidayCalendar,
-    build_design_matrix,
     build_train_test_matrices,
-    cyclical_encode,
+    cyclical_columns,
     deviation_flag,
     holiday_flag,
     lag_features,
     rolling_mean,
-    weekday_of,
+    weekdays_of_ordinals,
 )
 
 from conftest import make_table
@@ -29,47 +28,51 @@ def series_table(values, start=dt.date(2015, 1, 1), store="1", item="1"):
     )
 
 
+def train_matrix(table, spec, calendar=None):
+    """Training side of a split whose training window holds every row."""
+    last = table.coverage[1]
+    day = dt.timedelta(days=1)
+    split = SplitSpec(last, last + day, last + day)
+    return build_train_test_matrices(table, spec, calendar, split)[0]
+
+
+def weekday(date):
+    return int(weekdays_of_ordinals(np.array([date.toordinal()]))[0])
+
+
 # --- weekday ---------------------------------------------------------------
 
 def test_weekday_known_dates():
-    assert weekday_of(dt.date(2013, 1, 1)) == 1  # Tuesday
-    assert weekday_of(dt.date(2017, 12, 31)) == 6  # Sunday
+    assert weekday(dt.date(2013, 1, 1)) == 1  # Tuesday
+    assert weekday(dt.date(2017, 12, 31)) == 6  # Sunday
 
 
 def test_weekday_matches_civil_calendar_library():
-    d = dt.date(2013, 1, 1)
-    for _ in range(400):
-        assert weekday_of(d) == d.weekday()
-        d += dt.timedelta(days=1)
+    days = [dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(400)]
+    got = weekdays_of_ordinals(np.array([d.toordinal() for d in days]))
+    assert got.tolist() == [d.weekday() for d in days]
 
 
 def test_weekday_periodicity():
     for offset in range(30):
         d = dt.date(2016, 2, 1) + dt.timedelta(days=offset)
-        assert weekday_of(d) == weekday_of(d + dt.timedelta(days=7))
+        assert weekday(d) == weekday(d + dt.timedelta(days=7))
 
 
 # --- cyclical encoding -----------------------------------------------------
 
 def test_cyclical_zero_angle():
-    s, c = cyclical_encode(0, 7)
-    assert (s, c) == (0.0, 1.0)
+    assert cyclical_columns(np.array([0.0]), 7).tolist() == [[0.0, 1.0]]
 
 
 def test_cyclical_quarter_turn():
-    s, c = cyclical_encode(3, 12)
+    (s, c), = cyclical_columns(np.array([3.0]), 12)
     assert abs(s - 1.0) < 1e-12 and abs(c) < 1e-12
 
 
 def test_cyclical_unit_circle_identity():
-    for v in range(12):
-        s, c = cyclical_encode(v, 12)
-        assert abs(s * s + c * c - 1.0) < 1e-12
-
-
-def test_cyclical_zero_period_raises():
-    with pytest.raises(ZeroPeriodError):
-        cyclical_encode(0, 0)
+    sc = cyclical_columns(np.arange(12.0), 12)
+    assert np.abs((sc * sc).sum(axis=1) - 1.0).max() < 1e-12
 
 
 # --- lags ------------------------------------------------------------------
@@ -146,12 +149,6 @@ def test_deviation_flag_lagged_is_causal():
         assert deviation_flag(mutated, cfg)[t] == flags[t]
 
 
-def test_deviation_flag_spike_rule_optional():
-    cfg = DeviationConfig(window=3, min_periods=3, ratio=0.30, flag_spikes=True)
-    flags = deviation_flag(np.array([10.0, 10.0, 10.0, 50.0]), cfg)
-    assert flags.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-
 # --- holiday flag ------------------------------------------------------------
 
 def test_bundled_calendar_republic_day():
@@ -171,15 +168,6 @@ def test_holiday_calendar_gap_raises():
         holiday_flag([dt.date(2016, 5, 1)], cal)
 
 
-def test_holiday_empty_calendar_without_coverage_check():
-    flags = holiday_flag(
-        [dt.date(2016, 5, 1), dt.date(2016, 5, 2)],
-        HolidayCalendar.empty(),
-        require_coverage=False,
-    )
-    assert flags.tolist() == [0.0, 0.0]
-
-
 # --- design matrix -----------------------------------------------------------
 
 S1_SPEC = FeatureSpec(lags=(1, 7, 14, 28), cyclical=frozenset({"month"}))
@@ -187,7 +175,7 @@ S1_SPEC = FeatureSpec(lags=(1, 7, 14, 28), cyclical=frozenset({"month"}))
 
 def test_design_matrix_s1_column_count():
     table = series_table(np.arange(40.0) + 10.0)
-    m = build_design_matrix(table, S1_SPEC)
+    m = train_matrix(table, S1_SPEC)
     assert len(m.columns) == 6
     assert m.columns[:4] == ["lag_1", "lag_7", "lag_14", "lag_28"]
 
@@ -202,14 +190,14 @@ def test_design_matrix_with_flags_column_count():
     )
     table = series_table(np.arange(40.0) + 10.0, start=dt.date(2015, 1, 1))
     cal = HolidayCalendar(entries={dt.date(2015, 1, 26): "republic_day"})
-    m = build_design_matrix(table, spec, cal)
+    m = train_matrix(table, spec, cal)
     assert len(m.columns) == 9
 
 
 def test_min_max_scaling_endpoints():
     spec = FeatureSpec(lags=(1,), cyclical=frozenset())
     table = series_table([2.0, 4.0, 6.0, 8.0])
-    m = build_design_matrix(table, spec)
+    m = train_matrix(table, spec)
     # lag column over the three valid rows is [2, 4, 6] before scaling
     col = m.column("lag_1")
     assert np.allclose(col, [0.0, 0.5, 1.0])
@@ -228,7 +216,7 @@ def test_dropped_rows_equal_series_times_max_lag():
             for d in range(50)
         ]
     )
-    m = build_design_matrix(table, S1_SPEC)
+    m = train_matrix(table, S1_SPEC)
     assert len(m) == 6 * (50 - 28)
 
 
@@ -253,24 +241,9 @@ def test_calendar_features_ignore_quantities():
     cal = HolidayCalendar(entries={dt.date(2015, 1, 5): "h"})
     t1 = series_table([5.0] * 10)
     t2 = series_table(np.arange(10.0) * 3 + 1)
-    m1 = build_design_matrix(t1, spec, cal)
-    m2 = build_design_matrix(t2, spec, cal)
+    m1 = train_matrix(t1, spec, cal)
+    m2 = train_matrix(t2, spec, cal)
     assert np.array_equal(m1.rows, m2.rows)
-
-
-def test_one_hot_ids_columns():
-    rows = [
-        (dt.date(2015, 1, 1) + dt.timedelta(days=d), s, i, float(d))
-        for s in ("1", "2")
-        for i in ("1", "2")
-        for d in range(5)
-    ]
-    spec = FeatureSpec(lags=(1,), cyclical=frozenset(), one_hot_ids=True)
-    m = build_design_matrix(make_table(rows), spec)
-    assert m.columns == ["lag_1", "store=1", "store=2", "item=1", "item=2"]
-    onehots = m.rows[:, 1:]
-    assert set(np.unique(onehots)) == {0.0, 1.0}
-    assert np.allclose(onehots[:, :2].sum(axis=1), 1.0)
 
 
 def test_feature_spec_rejects_lag_zero_and_empty():

@@ -1,0 +1,74 @@
+"""The traced benchmark's hooks still reach the calls they are meant to time.
+
+``perfbench/tracing.py`` wraps each layer's functions where the program
+looks them up at call time.  A renamed function, or a dispatch table that
+captures a function when its module is imported, would leave those spans
+silently empty; these tests fail first.
+"""
+
+import datetime as dt
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import demandcast.evaluate as ev
+from demandcast.data import SplitSpec
+from demandcast.evaluate import make_scenario, run_scenario
+from demandcast.features import HolidayCalendar
+
+from conftest import make_table
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_layer_call_exists():
+    for module_name, attr, span in load_tracing().LAYER_CALLS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span}) is gone"
+
+
+# Calls per series at workers=1; the rest are once per series.  svr and
+# trend_seasonal also predict their training rows for the residual std.
+PER_SERIES = {"predict_svr": 2, "forecast_trend_seasonal": 2}
+PER_SCENARIO = {"aggregate", "build_train_test_matrices"}
+
+
+def test_run_scenario_calls_each_patched_model_function(monkeypatch):
+    start = dt.date(2015, 1, 1)
+    rng = np.random.default_rng(3)
+    table = make_table(
+        [
+            (start + dt.timedelta(days=i), store, "1", float(rng.poisson(30)))
+            for store in ("1", "2", "3")
+            for i in range(435)
+        ]
+    )
+    calls = {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patched = [attr for module, attr, _ in load_tracing().LAYER_CALLS if module == "demandcast.evaluate"]
+    for attr in patched:
+        monkeypatch.setattr(ev, attr, counting(attr, getattr(ev, attr)))
+    split = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 1, 1), dt.date(2016, 3, 10))
+    report = run_scenario(table, make_scenario("S2", split), HolidayCalendar.bundled(), workers=1)
+    assert all(entry.error is None for entry in report.entries.values())
+    expected = {
+        attr: 1 if attr in PER_SCENARIO else 3 * PER_SERIES.get(attr, 1) for attr in patched
+    }
+    assert calls == expected
+
