@@ -121,7 +121,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
             f"{s}|{i}": count for (s, i), count in sorted(gaps.imputed_per_series.items())
         },
         "total_imputed": gaps.total_imputed,
-        "leading_gaps": {f"{s}|{i}": n for (s, i), n in sorted(gaps.leading_gaps.items())},
         "coverage": [filled.coverage[0].isoformat(), filled.coverage[1].isoformat()],
         "series_count": len(filled.series_keys()),
     }

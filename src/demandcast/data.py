@@ -206,7 +206,6 @@ class GapReport:
     """What fill_gaps changed: imputed-row counts keyed by series."""
 
     imputed_per_series: dict[tuple[str, str], int] = field(default_factory=dict)
-    leading_gaps: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def total_imputed(self) -> int:
@@ -372,23 +371,16 @@ def sort_chronological(table: SalesTable) -> SalesTable:
 def fill_gaps(
     table: SalesTable,
     method: FillMethod = FillMethod.LINEAR_INTERPOLATE,
-    align_to_coverage: bool = False,
 ) -> tuple[SalesTable, GapReport]:
     """Fill missing calendar days inside each series.
 
     A run of k missing days between observed values a and b is filled with
     a + j*(b-a)/(k+1) for j=1..k under LINEAR_INTERPOLATE, or with a under
-    FORWARD_FILL.  Filled rows are flagged imputed.
-
-    With ``align_to_coverage`` each series is also extended to the table's
-    full coverage window: trailing gaps forward-fill from the last
-    observation; leading gaps have no anchor value, are left unfilled, and
-    are reported in the gap report.
+    FORWARD_FILL.  Filled rows are flagged imputed.  Each series keeps its
+    own first and last observed day.
     """
     table._require_sorted()
     report = GapReport()
-    cov_lo = table.coverage[0].toordinal() if table.coverage else 0
-    cov_hi = table.coverage[1].toordinal() if table.coverage else 0
 
     out_dates: list[np.ndarray] = []
     out_stores: list[str] = []
@@ -403,15 +395,9 @@ def fill_gaps(
         q = table.quantities[lo:hi]
         imp = table.imputed[lo:hi]
         first, last = int(d[0]), int(d[-1])
-        if align_to_coverage:
-            if first > cov_lo:
-                report.leading_gaps[key] = first - cov_lo
-            stop = cov_hi
-        else:
-            stop = last
-        span = np.arange(first, stop + 1, dtype=np.int64)
+        span = np.arange(first, last + 1, dtype=np.int64)
         n_new = len(span)
-        if n_new == len(d) and stop == last:
+        if n_new == len(d):
             out_dates.append(d)
             out_qty.append(q)
             out_imputed.append(imp)
@@ -421,49 +407,31 @@ def fill_gaps(
             report.imputed_per_series[key] = 0
             continue
 
-        pos = d - first
-        observed = np.zeros(n_new, dtype=bool)
-        observed[pos] = True
+        pos = d - first  # observed offsets, ascending; at least one gap remains
+        missing = np.ones(n_new, dtype=bool)
+        missing[pos] = False
+        gap_idx = np.flatnonzero(missing)
+        prev = np.searchsorted(pos, gap_idx, side="right") - 1  # last observation before
         qty_new = np.empty(n_new, dtype=np.float64)
         qty_new[pos] = q
+        if method is FillMethod.LINEAR_INTERPOLATE:
+            qty_new[gap_idx] = np.interp(gap_idx, pos, q)
+        else:
+            qty_new[gap_idx] = q[prev]
         imp_new = np.ones(n_new, dtype=bool)
         imp_new[pos] = imp
-
-        missing = ~observed
-        if missing.any():
-            obs_idx = np.flatnonzero(observed)
-            gap_idx = np.flatnonzero(missing)
-            if method is FillMethod.LINEAR_INTERPOLATE:
-                # Trailing positions (beyond the last observation) have no
-                # right anchor; they forward-fill.
-                interior = gap_idx[gap_idx < obs_idx[-1]]
-                trailing = gap_idx[gap_idx > obs_idx[-1]]
-                if len(interior):
-                    qty_new[interior] = np.interp(interior, obs_idx, q)
-                if len(trailing):
-                    qty_new[trailing] = q[-1]
-            else:
-                prev = np.searchsorted(obs_idx, gap_idx, side="right") - 1
-                qty_new[gap_idx] = q[prev]
-
-        extras_new = {}
         for name in table.extras:
+            observed_extra = table.extras[name][lo:hi]
             col = np.empty(n_new, dtype=np.float64)
-            col[pos] = table.extras[name][lo:hi]
-            gap_idx = np.flatnonzero(missing)
-            if len(gap_idx):
-                obs_idx = np.flatnonzero(observed)
-                prev = np.searchsorted(obs_idx, gap_idx, side="right") - 1
-                col[gap_idx] = col[pos][prev]
-            extras_new[name] = col
+            col[pos] = observed_extra
+            col[gap_idx] = observed_extra[prev]
+            out_extras[name].append(col)
 
         out_dates.append(span)
         out_qty.append(qty_new)
         out_imputed.append(imp_new)
-        for name in table.extras:
-            out_extras[name].append(extras_new[name])
         counts.append(n_new)
-        report.imputed_per_series[key] = int(missing.sum())
+        report.imputed_per_series[key] = len(gap_idx)
 
     keys = list(table.series_index)
     stores = np.concatenate(

@@ -97,16 +97,19 @@ class SvrModel:
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    # einsum without ``optimize`` sums each entry in a fixed order and calls
+    # no BLAS, so the kernel does not depend on the BLAS thread count and an
+    # entry depends only on its two rows, never on their position.
     a2 = np.sum(A * A, axis=1)
     b2 = np.sum(B * B, axis=1)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
+    d2 = a2[:, None] + b2[None, :] - 2.0 * np.einsum("ik,jk->ij", A, B)
     np.maximum(d2, 0.0, out=d2)
     return np.exp(-gamma * d2)
 
 
 def dual_objective(beta: np.ndarray, theta: np.ndarray, K: np.ndarray, y: np.ndarray, eps: float) -> float:
-    n = len(y)
-    return float(y @ beta - eps * theta.sum() - 0.5 * beta @ (K @ beta))
+    Kb = np.einsum("ij,j->i", K, beta)
+    return float(np.einsum("i,i->", y, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, Kb))
 
 
 def _cap_rows(matrix: FeatureMatrix, cfg: SvrConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -117,25 +120,21 @@ def _cap_rows(matrix: FeatureMatrix, cfg: SvrConfig) -> tuple[np.ndarray, np.nda
     return X, y
 
 
-def _multiplier_bounds(q: np.ndarray, theta: np.ndarray, C: float, n: int) -> tuple[float, float, int, int]:
-    """(max lower bound, min upper bound) on the equality-constraint multiplier.
+def _penalties(t: float, plus: bool, C: float) -> tuple[float, float]:
+    """(lo, hi) working-set penalties of one dual variable at value ``t``.
 
-    Every index bounds the multiplier from below (lo set), above (hi set),
-    or both (interior); a positive lo-hi overlap is the KKT violation and
-    the two extremes form the maximal violating pair.
+    Every index bounds the equality-constraint multiplier from below (lo
+    set), above (hi set), or both (interior).  The penalty is 0 on a set and
+    -inf (lo) or +inf (hi) off it, so the lo-set maximum of q is the
+    maximum of q + lo penalty; a positive lo-hi overlap is the KKT violation
+    and the two extremes form the maximal violating pair.
     """
-    at_lower = theta <= _TINY
-    at_upper = theta >= C - _TINY
-    interior = ~at_lower & ~at_upper
-    plus = np.zeros(2 * n, dtype=bool)
-    plus[:n] = True
-    lo_mask = interior | (at_lower & ~plus) | (at_upper & plus)
-    hi_mask = interior | (at_lower & plus) | (at_upper & ~plus)
-    q_lo = np.where(lo_mask, q, -np.inf)
-    q_hi = np.where(hi_mask, q, np.inf)
-    i = int(np.argmax(q_lo))
-    j = int(np.argmin(q_hi))
-    return float(q_lo[i]), float(q_hi[j]), i, j
+    at_lower = t <= _TINY
+    at_upper = t >= C - _TINY
+    interior = not at_lower and not at_upper
+    in_lo = interior or (at_lower and not plus) or (at_upper and plus)
+    in_hi = interior or (at_lower and plus) or (at_upper and not plus)
+    return (0.0 if in_lo else -np.inf), (0.0 if in_hi else np.inf)
 
 
 def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
@@ -194,6 +193,16 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     # q_u = s_u * grad_u of the minimisation form; at theta = 0 the gradient
     # is [eps - y; eps + y], so q starts at [eps - y; -eps - y].
     q = np.concatenate([eps - yz, -eps - yz])
+    q2 = q.reshape(2, n)  # view: a gradient step adds the same h to both halves
+    # Working-set penalties (see _penalties), kept in place: a pair update
+    # moves only theta_i and theta_j, so only their entries change.
+    pen_lo = np.empty(2 * n)
+    pen_hi = np.empty(2 * n)
+    pen_lo[:n], pen_hi[:n] = _penalties(0.0, True, C)
+    pen_lo[n:], pen_hi[n:] = _penalties(0.0, False, C)
+    q_lo = np.empty(2 * n)
+    q_hi = np.empty(2 * n)
+    h = np.empty(n)
 
     trace: list[float] = []
     violation = 0.0
@@ -203,8 +212,11 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     for sweep in range(cfg.max_passes):
         progressed = False
         for _ in range(n):
-            lo, hi, i, j = _multiplier_bounds(q, theta, C, n)
-            violation = lo - hi
+            np.add(q, pen_lo, out=q_lo)
+            np.add(q, pen_hi, out=q_hi)
+            i = int(np.argmax(q_lo))
+            j = int(np.argmin(q_hi))
+            violation = float(q_lo[i]) - float(q_hi[j])
             if violation <= cfg.smo_tolerance:
                 converged = True
                 break
@@ -228,9 +240,11 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
                 break
             theta[i] = min(max(theta[i] + s_i * step, 0.0), C)
             theta[j] = min(max(theta[j] - s_j * step, 0.0), C)
-            h = step * (K[bi] - K[bj])
-            q[:n] += h
-            q[n:] += h
+            pen_lo[i], pen_hi[i] = _penalties(theta[i], i < n, C)
+            pen_lo[j], pen_hi[j] = _penalties(theta[j], j < n, C)
+            np.subtract(K[bi], K[bj], out=h)
+            h *= step
+            q2 += h
             progressed = True
         beta = theta[:n] - theta[n:]
         trace.append(dual_objective(beta, theta, K, yz, eps))
@@ -246,8 +260,9 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             cfg.smo_tolerance,
         )
 
-    lo, hi, _, _ = _multiplier_bounds(q, theta, C, n)
-    bias = -(lo + hi) / 2.0
+    np.add(q, pen_lo, out=q_lo)
+    np.add(q, pen_hi, out=q_hi)
+    bias = -(float(q_lo.max()) + float(q_hi.min())) / 2.0
 
     beta = theta[:n] - theta[n:]
     sv = np.abs(beta) > _TINY

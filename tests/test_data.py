@@ -161,10 +161,19 @@ def test_fill_gaps_linear_interpolation():
 
 def test_fill_gaps_forward_fill():
     t = make_table(
-        [(dt.date(2013, 1, 1), "1", "1", 10.0), (dt.date(2013, 1, 3), "1", "1", 20.0)]
+        [
+            (dt.date(2013, 1, 1), "1", "1", 10.0),
+            (dt.date(2013, 1, 3), "1", "1", 20.0),
+            (dt.date(2013, 1, 2), "1", "2", 7.0),
+        ]
     )
-    filled, _ = fill_gaps(t, FillMethod.FORWARD_FILL)
-    assert list(filled.quantities) == [10.0, 10.0, 20.0]
+    filled, report = fill_gaps(t, FillMethod.FORWARD_FILL)
+    lo, hi = filled.series_index[("1", "1")]
+    assert list(filled.quantities[lo:hi]) == [10.0, 10.0, 20.0]
+    # each series keeps its own first and last day: no back-fill, no extension
+    lo, hi = filled.series_index[("1", "2")]
+    assert list(filled.quantities[lo:hi]) == [7.0]
+    assert report.imputed_per_series == {("1", "1"): 1, ("1", "2"): 0}
 
 
 def test_fill_gaps_linear_run_formula():
@@ -205,22 +214,6 @@ def test_fill_gaps_interpolation_bounded_by_anchors():
         nxt = min(d for d in day_list if d > off)
         lo, hi = sorted((anchors[prev], anchors[nxt]))
         assert lo - 1e-9 <= rec.quantity <= hi + 1e-9
-
-
-def test_fill_gaps_reports_leading_gap_when_aligning():
-    t = make_table(
-        [
-            (dt.date(2013, 1, 1), "1", "1", 5.0),
-            (dt.date(2013, 1, 4), "1", "1", 5.0),
-            (dt.date(2013, 1, 3), "1", "2", 7.0),
-            (dt.date(2013, 1, 4), "1", "2", 7.0),
-        ]
-    )
-    filled, report = fill_gaps(t, align_to_coverage=True)
-    assert report.leading_gaps == {("1", "2"): 2}
-    # the late series is not back-filled before its first observation
-    lo, hi = filled.series_index[("1", "2")]
-    assert hi - lo == 2
 
 
 def test_aggregate_sums_across_series():

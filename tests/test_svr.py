@@ -1,13 +1,25 @@
 import itertools
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import demandcast
 from demandcast.errors import SchemaMismatchError
 from demandcast.models.svr import (
+    _TINY,
     SvrConfig,
+    SvrModel,
+    _cap_rows,
+    dual_objective,
     fit_svr,
     kkt_violation,
     predict_svr,
@@ -15,6 +27,152 @@ from demandcast.models.svr import (
 )
 
 from conftest import make_matrix
+
+
+def _multiplier_bounds(q, theta, C, n):
+    """(max lower bound, min upper bound) on the equality-constraint
+    multiplier, rebuilt from theta on every call, with their indices."""
+    at_lower = theta <= _TINY
+    at_upper = theta >= C - _TINY
+    interior = ~at_lower & ~at_upper
+    plus = np.zeros(2 * n, dtype=bool)
+    plus[:n] = True
+    lo_mask = interior | (at_lower & ~plus) | (at_upper & plus)
+    hi_mask = interior | (at_lower & plus) | (at_upper & ~plus)
+    q_lo = np.where(lo_mask, q, -np.inf)
+    q_hi = np.where(hi_mask, q, np.inf)
+    i = int(np.argmax(q_lo))
+    j = int(np.argmin(q_hi))
+    return float(q_lo[i]), float(q_hi[j]), i, j
+
+
+def reference_fit(matrix, cfg):
+    """fit_svr with the working set rebuilt from theta at every pair update."""
+    X, y = _cap_rows(matrix, cfg)
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd = np.where(sd < _TINY, 1.0, sd)
+    Xz = (X - mu) / sd
+    y_mean = float(y.mean()) if cfg.standardize_target else 0.0
+    y_std = float(y.std()) if cfg.standardize_target else 1.0
+    gamma = cfg.rbf_gamma if cfg.rbf_gamma is not None else 1.0 / X.shape[1]
+    common = dict(
+        config=cfg, gamma=gamma, feature_names=list(matrix.columns), feature_means=mu, feature_stds=sd
+    )
+    if cfg.standardize_target and y_std < _TINY:
+        return SvrModel(
+            support_vectors=np.empty((0, X.shape[1])),
+            support_indices=np.empty(0, dtype=np.int64),
+            dual_coeffs=np.empty(0),
+            bias=0.0,
+            target_mean=y_mean,
+            target_std=1.0,
+            converged=True,
+            kkt_violation_achieved=0.0,
+            sweeps=0,
+            dual_objective_trace=[0.0],
+            **common,
+        )
+    yz = (y - y_mean) / y_std
+    n = len(yz)
+    K = rbf_kernel(Xz, Xz, gamma)
+    C, eps = cfg.C, cfg.epsilon
+    theta = np.zeros(2 * n)
+    q = np.concatenate([eps - yz, -eps - yz])
+    trace = []
+    violation = 0.0
+    sweeps_done = 0
+    converged = False
+    for sweep in range(cfg.max_passes):
+        progressed = False
+        for _ in range(n):
+            lo, hi, i, j = _multiplier_bounds(q, theta, C, n)
+            violation = lo - hi
+            if violation <= cfg.smo_tolerance:
+                converged = True
+                break
+            bi, bj = i % n, j % n
+            kappa = max(K[bi, bi] + K[bj, bj] - 2.0 * K[bi, bj], _TINY)
+            step = -(q[i] - q[j]) / kappa
+            s_i = 1.0 if i < n else -1.0
+            s_j = 1.0 if j < n else -1.0
+            if s_i > 0:
+                lo_i, hi_i = -theta[i], C - theta[i]
+            else:
+                lo_i, hi_i = theta[i] - C, theta[i]
+            if s_j > 0:
+                lo_j, hi_j = theta[j] - C, theta[j]
+            else:
+                lo_j, hi_j = -theta[j], C - theta[j]
+            step = min(max(step, lo_i, lo_j), hi_i, hi_j)
+            if step == 0.0:
+                break
+            theta[i] = min(max(theta[i] + s_i * step, 0.0), C)
+            theta[j] = min(max(theta[j] - s_j * step, 0.0), C)
+            h = step * (K[bi] - K[bj])
+            q[:n] += h
+            q[n:] += h
+            progressed = True
+        beta = theta[:n] - theta[n:]
+        trace.append(dual_objective(beta, theta, K, yz, eps))
+        sweeps_done = sweep + 1
+        if converged or not progressed:
+            break
+    lo, hi, _, _ = _multiplier_bounds(q, theta, C, n)
+    beta = theta[:n] - theta[n:]
+    sv = np.abs(beta) > _TINY
+    return SvrModel(
+        support_vectors=Xz[sv].copy(),
+        support_indices=np.flatnonzero(sv).astype(np.int64),
+        dual_coeffs=beta[sv].copy(),
+        bias=-(lo + hi) / 2.0,
+        target_mean=y_mean,
+        target_std=y_std if cfg.standardize_target else 1.0,
+        converged=converged,
+        kkt_violation_achieved=max(violation, 0.0),
+        sweeps=sweeps_done,
+        dual_objective_trace=trace,
+        **common,
+    )
+
+
+@st.composite
+def smo_problems(draw):
+    """Small SMO problems built to tie and to bind: few distinct feature
+    values, repeated rows, a constant column, tight and loose boxes, targets
+    too large for the box, and one to three sweeps so that unconverged
+    exits run.  C = 1e5 is large enough that C - 1e-12 rounds to C."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 3))
+    levels = draw(st.integers(1, 5))
+    base = draw(arrays(np.int64, (n, k), elements=st.integers(0, levels)))
+    target = draw(arrays(np.int64, n, elements=st.integers(-6, 6)))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=10))
+    base = np.vstack([base, base[repeats]]) / 2.0
+    target = np.concatenate([target, target[repeats]]) * draw(st.sampled_from([0.25, 3e5]))
+    columns = [*base.T, np.full(len(base), 1.5)]
+    perm = draw(st.permutations(range(len(columns))))
+    X = np.column_stack([columns[j] for j in perm])
+    cfg = SvrConfig(
+        C=draw(st.sampled_from([0.05, 1.0, 10.0, 1e5])),
+        epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])),
+        rbf_gamma=draw(st.sampled_from([None, 0.5, 4.0])),
+        smo_tolerance=draw(st.sampled_from([1e-3, 0.0])),
+        max_passes=draw(st.integers(1, 3)),
+        max_train_rows=draw(st.sampled_from([2000, 12])),
+        standardize_target=draw(st.booleans()),
+    )
+    return make_matrix(X, target), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(smo_problems())
+def test_in_place_working_set_matches_rebuilt_reference(problem):
+    matrix, cfg = problem
+    model = fit_svr(matrix, cfg)
+    expected = reference_fit(matrix, cfg)
+    assert model.to_dict() == expected.to_dict()
+    assert model.dual_objective_trace == expected.dual_objective_trace
 
 
 def exact_dual(Xz, y, C, eps, gamma):
@@ -290,3 +448,56 @@ def test_config_validation():
         SvrConfig(epsilon=-0.1)
     with pytest.raises(ValueError):
         SvrConfig(rbf_gamma=0.0)
+
+
+def test_rbf_kernel_is_row_order_invariant_and_exact():
+    rng = np.random.default_rng(10)
+    A = rng.normal(size=(37, 13))
+    A[5] = A[20]
+    B = rng.normal(size=(23, 13))
+    gamma = 0.3
+    K = rbf_kernel(A, B, gamma)
+    p, r = rng.permutation(len(A)), rng.permutation(len(B))
+    assert np.array_equal(rbf_kernel(A[p], B[r], gamma), K[p][:, r])
+    assert np.array_equal(K[5], K[20])
+    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    assert np.abs(K - np.exp(-gamma * d2)).max() <= 1e-12
+
+
+# Fits the bundled sample's first S1 series of store 2 (the quickest of the
+# 40 bundled svr fits) and prints its artifact and both predictions.
+_BUNDLED_FIT = """
+import json
+from demandcast.config import RunConfig, bundled_sample_stream
+from demandcast.data import fill_gaps, parse_sales_csv, series_runs, sort_chronological
+from demandcast.evaluate import make_scenario
+from demandcast.features import build_train_test_matrices
+from demandcast.models.svr import fit_svr, predict_svr
+
+with bundled_sample_stream() as stream:
+    table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
+spec = make_scenario("S1", RunConfig().split())
+train, test = build_train_test_matrices(table, spec.feature_spec, None, spec.split)
+key = ("2", "1")
+train = train.select_rows(slice(*series_runs(train.stores, train.items)[key]))
+test = test.select_rows(slice(*series_runs(test.stores, test.items)[key]))
+model = fit_svr(train, spec.svr_config)
+print(json.dumps(model.to_dict()))
+print(json.dumps(model.dual_objective_trace))
+print(predict_svr(model, test).tobytes().hex())
+print(predict_svr(model, train).tobytes().hex())
+"""
+
+
+def test_bundled_fit_does_not_depend_on_blas_threads():
+    src = str(Path(demandcast.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _BUNDLED_FIT], env=env, capture_output=True, check=True
+        )
+        outputs.append(run.stdout)
+    assert outputs[0].count(b"\n") == 4
+    assert outputs[0] == outputs[1]
