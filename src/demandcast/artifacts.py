@@ -21,8 +21,8 @@ from .inventory import ImpactTable, InventoryOutcome
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is np.float64(...)
+        return repr(float(value))
     return str(value)
 
 
@@ -120,22 +120,18 @@ def write_histogram_csv(path: Path, entry) -> None:
 
 
 def write_actual_vs_predicted_csv(path: Path, entry) -> None:
-    """Per-date totals across series: the single-curve view of the test window."""
-    order = np.argsort(entry.dates, kind="stable")
-    dates = entry.dates[order]
-    actual = entry.actuals[order]
-    predicted = entry.predictions[order]
-    rows = []
-    i = 0
-    while i < len(dates):
-        j = i
-        a = p = 0.0
-        while j < len(dates) and dates[j] == dates[i]:
-            a += actual[j]
-            p += predicted[j]
-            j += 1
-        rows.append([dt.date.fromordinal(int(dates[i])).isoformat(), a, p])
-        i = j
+    """Per-date totals across series: the single-curve view of the test window.
+
+    ``bincount`` adds each date's values in row order, as a running sum would.
+    """
+    days, slot = np.unique(entry.dates, return_inverse=True)
+    actual = np.bincount(slot, weights=entry.actuals)
+    predicted = np.bincount(slot, weights=entry.predictions)
+    rows = zip(
+        (dt.date.fromordinal(d).isoformat() for d in days.tolist()),
+        actual.tolist(),
+        predicted.tolist(),
+    )
     _write_csv(path, ["date", "actual", "predicted"], rows)
 
 

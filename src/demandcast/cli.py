@@ -122,7 +122,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         },
         "total_imputed": gaps.total_imputed,
         "coverage": [filled.coverage[0].isoformat(), filled.coverage[1].isoformat()],
-        "series_count": len(filled.series_keys()),
+        "series_count": len(filled.series_index),
     }
     write_json(out_dir / "ingest_summary.json", summary)
     print(

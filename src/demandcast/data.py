@@ -1,4 +1,4 @@
-"""Sales table ingestion, repair, aggregation, and leakage-safe temporal splitting.
+"""Sales table ingestion, repair, aggregation, and the chronological split boundaries.
 
 A :class:`SalesTable` is a column-oriented, immutable snapshot of daily
 (store, item, quantity) records.  Every operation in this module is a pure
@@ -15,14 +15,13 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     DuplicateDateError,
     EmptyInputError,
-    EmptyPartitionError,
     MalformedInputError,
 )
 
@@ -52,15 +51,6 @@ class FillMethod(str, Enum):
 
 
 @dataclass(frozen=True)
-class SalesRecord:
-    date: dt.date
-    store_id: str
-    item_id: str
-    quantity: float
-    imputed: bool = False
-
-
-@dataclass(frozen=True)
 class MalformedRow:
     line: int
     reason: str
@@ -68,17 +58,22 @@ class MalformedRow:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological split boundaries; train_end is inclusive."""
+    """Chronological split boundaries, all inclusive.
+
+    The test window starts the day after train_end: a gap would leave days
+    that neither side sees, and naive and arimax forecast from the last
+    training day onwards.
+    """
 
     train_end: dt.date
     test_start: dt.date
     test_end: dt.date
 
     def __post_init__(self) -> None:
-        if not (self.train_end < self.test_start <= self.test_end):
-            raise ValueError(
-                "split boundaries must satisfy train_end < test_start <= test_end"
-            )
+        if self.test_start != self.train_end + dt.timedelta(days=1):
+            raise ValueError("test_start must be the day after train_end")
+        if self.test_end < self.test_start:
+            raise ValueError("test_end must not precede test_start")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -152,20 +147,6 @@ class SalesTable:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def records(self) -> Iterator[SalesRecord]:
-        for i in range(len(self)):
-            yield SalesRecord(
-                date=dt.date.fromordinal(int(self.dates[i])),
-                store_id=str(self.store_ids[i]),
-                item_id=str(self.item_ids[i]),
-                quantity=float(self.quantities[i]),
-                imputed=bool(self.imputed[i]),
-            )
-
-    def series_keys(self) -> list[tuple[str, str]]:
-        self._require_sorted()
-        return list(self.series_index)
-
     def take(self, mask_or_index: np.ndarray, is_sorted: bool | None = None) -> "SalesTable":
         keep = mask_or_index
         return SalesTable(
@@ -181,17 +162,6 @@ class SalesTable:
     def _require_sorted(self) -> None:
         if not self.is_sorted:
             raise ValueError("table must be sorted; call sort_chronological first")
-
-    @classmethod
-    def from_records(cls, records: Iterable[SalesRecord]) -> "SalesTable":
-        records = list(records)
-        return cls(
-            np.array([r.date.toordinal() for r in records], dtype=np.int64),
-            np.array([r.store_id for r in records], dtype=np.str_),
-            np.array([r.item_id for r in records], dtype=np.str_),
-            np.array([r.quantity for r in records], dtype=np.float64),
-            np.array([r.imputed for r in records], dtype=bool),
-        )
 
 
 @dataclass
@@ -221,7 +191,7 @@ def parse_sales_csv(
     schema: Mapping[str, str] | None = None,
     extra_columns: Sequence[str] = (),
 ) -> IngestResult:
-    """Parse a UTF-8 sales CSV into a :class:`SalesTable`.
+    """Parse a UTF-8 sales CSV, given as a path or a binary stream, into a :class:`SalesTable`.
 
     ``schema`` remaps the logical column names (date, store, item, sales) to
     the header names actually present.  Rows that fail to parse, or that
@@ -236,18 +206,12 @@ def parse_sales_csv(
     if schema:
         colmap.update(schema)
 
-    close_after = False
     if isinstance(source, (str, Path)):
         stream = open(source, "r", encoding="utf-8", newline="")
-        close_after = True
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.StringIO(source.decode("utf-8"))
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
     else:
-        stream = source
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
-    try:
+    with stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -321,9 +285,6 @@ def parse_sales_csv(
             quantities.append(qty)
             for name, val in extra_vals.items():
                 extras[name].append(val)
-    finally:
-        if close_after:
-            stream.close()
 
     if rows_read == 0:
         raise EmptyInputError("input has a header but zero data rows")
@@ -486,28 +447,6 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
         imputed_any[present],
         is_sorted=True,
     )
-
-
-def split_temporal(table: SalesTable, spec: SplitSpec) -> tuple[SalesTable, SalesTable]:
-    """Partition rows by date: train holds dates <= train_end, test the rest.
-
-    The split must be a true partition; rows dated strictly between
-    train_end and test_start would silently vanish and are treated as a
-    caller error.
-    """
-    train_end = spec.train_end.toordinal()
-    test_start = spec.test_start.toordinal()
-    test_end = spec.test_end.toordinal()
-    train_mask = table.dates <= train_end
-    test_mask = (table.dates >= test_start) & (table.dates <= test_end)
-    dropped = int((~train_mask & ~test_mask).sum())
-    if dropped:
-        raise ValueError(
-            f"split drops {dropped} rows outside [start, train_end] + [test_start, test_end]"
-        )
-    if not train_mask.any() or not test_mask.any():
-        raise EmptyPartitionError("temporal split produced an empty partition")
-    return table.take(train_mask), table.take(test_mask)
 
 
 def write_sales_csv(table: SalesTable, path: str | Path) -> None:

@@ -28,7 +28,7 @@ class DuplicateDateError(DemandcastError):
 
 
 class EmptyPartitionError(DemandcastError):
-    """A temporal split left the train or test side with zero rows."""
+    """A temporal split left no series with rows on both sides."""
 
 
 class LagExceedsSeriesError(DemandcastError):

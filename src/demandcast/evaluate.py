@@ -9,7 +9,6 @@ aborting the others.
 
 from __future__ import annotations
 
-import datetime as dt
 import hashlib
 import json
 import logging
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Granularity, SalesTable, SplitSpec, aggregate, series_runs
-from .errors import FingerprintMismatchError, NoSplitsError
+from .errors import EmptyPartitionError, FingerprintMismatchError, NoSplitsError
 from .features import (
     DeviationConfig,
     DeviationMode,
@@ -201,7 +200,6 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
     train: FeatureMatrix = payload["train"]
     test: FeatureMatrix = payload["test"]
     spec: ScenarioSpec = payload["spec"]
-    calendar_entries: dict | None = payload["calendar_entries"]
 
     if model_name in ("gbdt", "svr"):
         if model_name == "gbdt":
@@ -232,11 +230,7 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         train_pred = np.concatenate([[train.target[0]], fitted])
         return predictions, train_pred, model.to_dict(), spec.arimax_mode.value
     if model_name == "trend_seasonal":
-        calendar = None
-        if calendar_entries:
-            calendar = HolidayCalendar(
-                entries={dt.date.fromordinal(o): n for o, n in calendar_entries.items()}
-            )
+        calendar = payload["calendar"]
         model = fit_trend_seasonal(train.target, train.dates, spec.trend_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
         train_pred, _, _ = forecast_trend_seasonal(model, train.dates)
@@ -336,24 +330,24 @@ def run_scenario(
 ) -> EvaluationReport:
     """Fit every model of the scenario and evaluate on the test window.
 
-    The holiday calendar reaches models only in S2: scenario 1 is the
-    history-only condition, so the trend model sees no holiday regressors
-    and the design matrix carries no exogenous flags.
+    The holiday calendar reaches the design matrix and the trend model only
+    when the feature spec uses holidays, as S2 does: S1 is the history-only
+    condition.  Raises :class:`EmptyPartitionError` when no series has rows
+    on both sides of the split.
     """
+    calendar = calendar if spec.feature_spec.use_holiday else None
     working = aggregate(table, spec.granularity)
-    train_fm, test_fm = build_train_test_matrices(
-        working, spec.feature_spec, calendar if spec.feature_spec.use_holiday else None, spec.split
-    )
+    train_fm, test_fm = build_train_test_matrices(working, spec.feature_spec, calendar, spec.split)
     train_runs, test_runs = (
         {k: slice(*r) for k, r in series_runs(fm.stores, fm.items).items()}
         for fm in (train_fm, test_fm)
     )
     keys = [k for k in train_runs if k in test_runs]
-
-    use_calendar = spec.id != "S1"
-    calendar_entries = (
-        {d.toordinal(): n for d, n in calendar.entries.items()} if use_calendar else None
-    )
+    if not keys:
+        raise EmptyPartitionError(
+            f"no series has rows both up to {spec.split.train_end} and "
+            f"from {spec.split.test_start} to {spec.split.test_end}"
+        )
 
     # Every (model, series) task of the scenario goes through one pool, in
     # model-major order, so each model's results are a contiguous run.  The
@@ -370,7 +364,7 @@ def run_scenario(
             "train": series[key][0],
             "test": series[key][1],
             "spec": spec,
-            "calendar_entries": calendar_entries,
+            "calendar": calendar,
         }
         for model_name in spec.models
         for key in keys

@@ -115,13 +115,17 @@ def deviation_flag(series: np.ndarray, cfg: DeviationConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HolidayCalendar:
-    """Explicit date -> holiday-name map covering the dataset window."""
+    """Explicit day-ordinal -> holiday-name map covering the dataset window.
 
-    entries: Mapping[dt.date, str]
+    Keys are ``datetime.date.toordinal`` values, the same day numbers a
+    :class:`SalesTable` holds.
+    """
+
+    entries: Mapping[int, str]
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "HolidayCalendar":
-        entries: dict[dt.date, str] = {}
+        entries: dict[int, str] = {}
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -131,9 +135,9 @@ class HolidayCalendar:
                 if not row:
                     continue
                 day = dt.date.fromisoformat(row[0].strip())
-                if day in entries:
+                if day.toordinal() in entries:
                     raise ValueError(f"duplicate holiday date {day} in {path}")
-                entries[day] = row[1].strip()
+                entries[day.toordinal()] = row[1].strip()
         return cls(entries=entries)
 
     @classmethod
@@ -143,30 +147,22 @@ class HolidayCalendar:
             return cls.from_csv(path)
 
     def years(self) -> set[int]:
-        return {d.year for d in self.entries}
+        return {dt.date.fromordinal(o).year for o in self.entries}
 
 
-def holiday_flag(
-    dates: Sequence[dt.date] | np.ndarray,
-    calendar: HolidayCalendar,
-) -> np.ndarray:
-    """1.0 where the date is a calendar holiday, else 0.0.
+def holiday_flag(ordinals: np.ndarray, calendar: HolidayCalendar) -> np.ndarray:
+    """1.0 where the day ordinal is a calendar holiday, else 0.0.
 
-    A year present in ``dates`` but absent from the calendar raises, because
-    an all-zero year would silently mean "no holidays" when it really means
-    "calendar file too short".
+    A year present in ``ordinals`` but absent from the calendar raises,
+    because an all-zero year would silently mean "no holidays" when it
+    really means "calendar file too short".
     """
-    if len(dates) and isinstance(dates[0], (int, np.integer)):
-        days = [dt.date.fromordinal(int(o)) for o in np.asarray(dates)]
-    else:
-        days = list(dates)
-    missing = {d.year for d in days} - calendar.years()
+    missing = {dt.date.fromordinal(int(o)).year for o in ordinals} - calendar.years()
     if missing:
         raise CalendarGapError(
             f"calendar lacks entries for years {sorted(missing)}"
         )
-    holidays = calendar.entries
-    return np.array([1.0 if d in holidays else 0.0 for d in days], dtype=np.float64)
+    return np.isin(ordinals, list(calendar.entries)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -350,17 +346,17 @@ def build_train_test_matrices(
     calendar: HolidayCalendar | None,
     split: SplitSpec,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Assemble leakage-safe train/test matrices for a chronological split.
+    """Assemble leakage-safe train/test matrices: the program's one split.
 
     Features are computed over each series' full timeline (test-row lags may
-    reach back into training days), rows are partitioned by date, and min-max
-    statistics are fit on the training rows only and applied to both sides.
+    reach back into training days).  Train holds the rows dated on or before
+    train_end, test those after it up to test_end, and rows after test_end
+    are ignored; both keep (store, item, date) order.  Min-max statistics
+    are fit on the training rows only and applied to both sides.
     """
     unscaled = _assemble_unscaled(table, spec, calendar)
     train_mask = unscaled.dates <= split.train_end.toordinal()
-    test_mask = (unscaled.dates >= split.test_start.toordinal()) & (
-        unscaled.dates <= split.test_end.toordinal()
-    )
+    test_mask = ~train_mask & (unscaled.dates <= split.test_end.toordinal())
     train = unscaled.select_rows(train_mask)
     test = unscaled.select_rows(test_mask)
     scaling = _fit_scaling(train)

@@ -23,7 +23,7 @@ randomness anywhere: two fits on identical input are bit-identical.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,14 +104,7 @@ class GbdtModel:
     def to_dict(self) -> dict:
         return {
             "kind": "gbdt",
-            "config": {
-                "n_trees": self.config.n_trees,
-                "learning_rate": self.config.learning_rate,
-                "l2_lambda": self.config.l2_lambda,
-                "max_depth": self.config.max_depth,
-                "min_child_rows": self.config.min_child_rows,
-                "gamma_split_threshold": self.config.gamma_split_threshold,
-            },
+            "config": asdict(self.config),
             "base_score": self.base_score,
             "feature_names": list(self.feature_names),
             "gain_totals": dict(self.gain_totals),

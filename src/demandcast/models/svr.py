@@ -17,7 +17,7 @@ predictions are mapped back to original units.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,15 +71,7 @@ class SvrModel:
     def to_dict(self) -> dict:
         return {
             "kind": "svr",
-            "config": {
-                "C": self.config.C,
-                "epsilon": self.config.epsilon,
-                "rbf_gamma": self.config.rbf_gamma,
-                "smo_tolerance": self.config.smo_tolerance,
-                "max_passes": self.config.max_passes,
-                "max_train_rows": self.config.max_train_rows,
-                "standardize_target": self.config.standardize_target,
-            },
+            "config": asdict(self.config),
             "support_vectors": self.support_vectors.tolist(),
             "support_indices": self.support_indices.tolist(),
             "dual_coeffs": self.dual_coeffs.tolist(),

@@ -12,9 +12,9 @@ residual quantiles, constant width on the fitting scale.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,14 +74,14 @@ def build_basis(
     changepoints: np.ndarray,
     t_start: int,
     t_span: float,
-    calendar: HolidayCalendar | None,
+    calendar_entries: Mapping[int, str],
     holiday_names: Sequence[str],
 ) -> np.ndarray:
     """Regression basis for the given dates; extrapolates past training time.
 
     Trend time is normalised so training spans [0, 1]; hinge terms
     max(0, t - c_j) keep the final-segment slope beyond the last
-    changepoint.
+    changepoint.  ``calendar_entries`` maps day ordinals to holiday names.
     """
     ordinals = np.asarray(ordinals, dtype=np.int64)
     t = (ordinals - t_start) / t_span
@@ -99,9 +99,7 @@ def build_basis(
             angle = 2.0 * np.pi * k * doy / YEAR_DAYS
             parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
     if holiday_names:
-        entries = calendar.entries if calendar is not None else {}
-        by_date = {d.toordinal(): name for d, name in entries.items()}
-        row_names = [by_date.get(int(o)) for o in ordinals]
+        row_names = [calendar_entries.get(int(o)) for o in ordinals]
         for name in holiday_names:
             parts.append(
                 np.array([1.0 if rn == name else 0.0 for rn in row_names])[:, None]
@@ -131,23 +129,10 @@ class TrendSeasonalModel:
     def changepoint_deltas(self) -> np.ndarray:
         return self.basis_coef[1 : 1 + len(self.changepoints)]
 
-    def _calendar(self) -> HolidayCalendar:
-        return HolidayCalendar(
-            entries={dt.date.fromordinal(o): n for o, n in self.calendar_entries.items()}
-        )
-
     def to_dict(self) -> dict:
         return {
             "kind": "trend_seasonal",
-            "config": {
-                "n_changepoints": self.config.n_changepoints,
-                "changepoint_range": self.config.changepoint_range,
-                "weekly_fourier_order": self.config.weekly_fourier_order,
-                "yearly_fourier_order": self.config.yearly_fourier_order,
-                "seasonality_mode": self.config.seasonality_mode.value,
-                "changepoint_penalty": self.config.changepoint_penalty,
-                "interval_level": self.config.interval_level,
-            },
+            "config": asdict(self.config),
             "offset": self.offset,
             "coef": {n: float(c) for n, c in zip(self.basis_names, self.basis_coef)},
             "changepoints": [float(c) for c in self.changepoints],
@@ -199,16 +184,15 @@ def fit_trend_seasonal(
     holiday_names: list[str] = []
     calendar_entries: dict[int, str] = {}
     if calendar is not None and calendar.entries:
-        lo = dt.date.fromordinal(t_start)
-        hi = dt.date.fromordinal(int(ordinals[-1]))
-        names_in_window = {n for d, n in calendar.entries.items() if lo <= d <= hi}
+        hi = int(ordinals[-1])
+        names_in_window = {n for o, n in calendar.entries.items() if t_start <= o <= hi}
         holiday_names = sorted(names_in_window)
         calendar_entries = {
-            d.toordinal(): n for d, n in calendar.entries.items() if n in names_in_window
+            o: n for o, n in calendar.entries.items() if n in names_in_window
         }
 
     basis = build_basis(
-        ordinals, cfg, changepoints, t_start, t_span, calendar, holiday_names
+        ordinals, cfg, changepoints, t_start, t_span, calendar_entries, holiday_names
     )
     n, k = basis.shape
     if n < k + 1:
@@ -259,7 +243,7 @@ def forecast_trend_seasonal(
         model.changepoints,
         model.t_start,
         model.t_span,
-        model._calendar(),
+        model.calendar_entries,
         model.holiday_names,
     )
     linear = model.offset + basis @ model.basis_coef
@@ -267,17 +251,3 @@ def forecast_trend_seasonal(
     if model.fit_on_log:
         return np.expm1(linear), np.expm1(linear + q_lo), np.expm1(linear + q_hi)
     return linear, linear + q_lo, linear + q_hi
-
-
-def trend_at(model: TrendSeasonalModel, t: np.ndarray) -> np.ndarray:
-    """Trend component at normalised times (fitting scale).
-
-    Accepts fractional times so continuity can be probed arbitrarily close
-    to each changepoint.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    out = model.offset + model.base_slope * t
-    deltas = model.changepoint_deltas
-    if len(deltas):
-        out = out + np.maximum(0.0, t[:, None] - model.changepoints[None, :]) @ deltas
-    return out

@@ -76,7 +76,7 @@ def generate_sales_table(
 ) -> SalesTable:
     if calendar is None:
         calendar = HolidayCalendar.bundled()
-    holiday_ordinals = {d.toordinal() for d in calendar.entries}
+    holiday_ordinals = set(calendar.entries)
     ordinals = np.arange(start.toordinal(), end.toordinal() + 1, dtype=np.int64)
 
     dates = []

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from demandcast.data import SalesRecord, SalesTable, sort_chronological
+from demandcast.data import SalesTable, sort_chronological
 from demandcast.features import FeatureMatrix
 
 
@@ -25,13 +25,33 @@ def make_matrix(X, y, dates=None, store="1", item="1", columns=None) -> FeatureM
     )
 
 
+def unsorted_table(rows) -> SalesTable:
+    """rows: iterable of (date, store, item, qty), kept in the given order."""
+    rows = list(rows)
+    return SalesTable(
+        np.array([d.toordinal() for d, _, _, _ in rows], dtype=np.int64),
+        np.array([s for _, s, _, _ in rows], dtype=np.str_),
+        np.array([i for _, _, i, _ in rows], dtype=np.str_),
+        np.array([float(q) for _, _, _, q in rows], dtype=np.float64),
+    )
+
+
 def make_table(rows) -> SalesTable:
     """rows: iterable of (date, store, item, qty)."""
-    records = [
-        SalesRecord(date=d, store_id=s, item_id=i, quantity=float(q))
-        for d, s, i, q in rows
+    return sort_chronological(unsorted_table(rows))
+
+
+def table_rows(table: SalesTable) -> list[tuple[dt.date, str, str, float]]:
+    """The table's rows as (date, store, item, qty), in row order."""
+    return [
+        (dt.date.fromordinal(d), s, i, q)
+        for d, s, i, q in zip(
+            table.dates.tolist(),
+            table.store_ids.tolist(),
+            table.item_ids.tolist(),
+            table.quantities.tolist(),
+        )
     ]
-    return sort_chronological(SalesTable.from_records(records))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ criteria that need it; the worker-count determinism criterion adds one
 more full run.
 """
 
+import csv
 import datetime as dt
 import json
 import time
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from demandcast.cli import main
-from demandcast.data import SplitSpec, parse_sales_csv, sort_chronological, split_temporal
+from demandcast.data import SplitSpec, fill_gaps, parse_sales_csv, sort_chronological
 from demandcast.config import bundled_sample_stream
-from demandcast.evaluate import improvement_percent, s2_features
+from demandcast.evaluate import S1_FEATURES, improvement_percent, s2_features
 from demandcast.features import DeviationMode, HolidayCalendar, build_train_test_matrices
 from demandcast.inventory import ReplenishmentPolicy, simulate
 from demandcast.models.arimax import fit_arimax
@@ -452,10 +453,38 @@ def test_split_count_check():
         assert abs(train_rows - quoted_train) / total < 0.05
         assert abs(test_rows - quoted_test) / total < 0.05
 
-        # the bundled sample splits exactly per the same calendar arithmetic
+        # The bundled sample splits per the same calendar arithmetic on the
+        # path evaluate runs, less the 28 leading days each series' lag-28
+        # column leaves undefined.
         with bundled_sample_stream() as stream:
-            table = sort_chronological(parse_sales_csv(stream).table)
+            table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
         split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 8, 1), dt.date(2017, 12, 31))
-        train, test = split_temporal(table, split)
-        assert len(train) == 20 * 1673
-        assert len(test) == 20 * 153
+        cal = HolidayCalendar.bundled()
+        for features in (S1_FEATURES, s2_features()):
+            train, test = build_train_test_matrices(table, features, cal, split)
+            assert len(train) == 20 * (1673 - 28) == 32_900
+            assert len(test) == 20 * 153 == 3_060
+
+
+# --- 12. plain numbers in every CSV artifact ---------------------------------------------
+
+TEXT_COLUMNS = {
+    "model", "scenario", "deviation_mode", "forecast_mode", "error",
+    "store", "item", "date", "feature", "metric", "direction",
+}
+
+
+def test_csv_artifacts_hold_plain_numbers(bundled_run):
+    with criterion("csv_artifacts_hold_plain_numbers"):
+        _, out = bundled_run
+        paths = sorted(out.glob("*.csv"))
+        assert len(paths) >= 3 + 3 * 5 * 2
+        for path in paths:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                numeric = [c for c in reader.fieldnames if c not in TEXT_COLUMNS]
+                assert numeric, path.name
+                for row in reader:
+                    for column in numeric:
+                        if row[column]:  # an empty cell stands for an undefined value
+                            float(row[column])

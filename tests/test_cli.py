@@ -94,6 +94,37 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert main(["evaluate", "--config", str(cfg)]) == 2
 
 
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_gap_between_train_and_test_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "gap.json"
+    doc = {"test_start": "2017-08-15", "models": ["naive"], "output_dir": str(tmp_path / "out")}
+    cfg.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    error = last_error(capsys)
+    assert error["code"] == "E_CONFIG"
+    assert "day after train_end" in error["message"]
+
+
+def test_test_window_without_data_exits_3(tmp_path, capsys):
+    # The bundled sample ends on 2017-12-31, so no series has a test row.
+    cfg = tmp_path / "late.json"
+    doc = {
+        "train_end": "2017-12-31",
+        "test_start": "2018-01-01",
+        "test_end": "2018-03-31",
+        "models": ["naive"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg.write_text(json.dumps(doc))
+    assert main(["evaluate", "--config", str(cfg)]) == 3
+    error = last_error(capsys)
+    assert error["code"] == "E_INPUT"
+    assert "no series has rows" in error["message"]
+
+
 @pytest.fixture(scope="module")
 def evaluated(tmp_path_factory, small_csv):
     tmp_path = tmp_path_factory.mktemp("run")

@@ -3,13 +3,12 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandcast.data import (
     FillMethod,
     Granularity,
-    SalesRecord,
     SalesTable,
     SplitSpec,
     aggregate,
@@ -17,7 +16,6 @@ from demandcast.data import (
     parse_sales_csv,
     series_runs,
     sort_chronological,
-    split_temporal,
     write_sales_csv,
 )
 from demandcast.errors import (
@@ -26,16 +24,27 @@ from demandcast.errors import (
     EmptyPartitionError,
     MalformedInputError,
 )
+from demandcast.evaluate import make_scenario, run_scenario
+from demandcast.features import (
+    DeviationConfig,
+    DeviationMode,
+    FeatureSpec,
+    HolidayCalendar,
+    build_train_test_matrices,
+)
 
-from conftest import make_table
+from conftest import make_table, table_rows, unsorted_table
+
+
+def parse_bytes(data: bytes, **kwargs):
+    return parse_sales_csv(io.BytesIO(data), **kwargs)
 
 
 def test_parse_single_row():
-    res = parse_sales_csv(b"date,store,item,sales\n2013-01-01,1,1,13\n")
+    res = parse_bytes(b"date,store,item,sales\n2013-01-01,1,1,13\n")
     assert len(res.table) == 1
     assert res.table.coverage == (dt.date(2013, 1, 1), dt.date(2013, 1, 1))
-    rec = next(res.table.records())
-    assert (rec.store_id, rec.item_id, rec.quantity) == ("1", "1", 13.0)
+    assert table_rows(res.table) == [(dt.date(2013, 1, 1), "1", "1", 13.0)]
     assert res.malformed == []
 
 
@@ -43,7 +52,7 @@ def test_parse_rejects_negative_quantity_row():
     good_days = [
         (dt.date(2013, 1, 3) + dt.timedelta(days=k)).isoformat() for k in range(100)
     ]
-    res = parse_sales_csv(
+    res = parse_bytes(
         b"date,store,item,sales\n"
         b"2013-01-01,1,1,5\n"
         b"2013-01-02,1,1,-3\n"
@@ -57,7 +66,7 @@ def test_parse_rejects_negative_quantity_row():
 
 def test_parse_aborts_when_malformed_fraction_exceeds_threshold():
     with pytest.raises(MalformedInputError) as exc:
-        parse_sales_csv(
+        parse_bytes(
             b"date,store,item,sales\n"
             b"2013-01-01,1,1,5\n"
             b"not-a-date,1,1,5\n"
@@ -67,16 +76,16 @@ def test_parse_aborts_when_malformed_fraction_exceeds_threshold():
 
 def test_parse_empty_input():
     with pytest.raises(EmptyInputError):
-        parse_sales_csv(b"date,store,item,sales\n")
+        parse_bytes(b"date,store,item,sales\n")
 
 
 def test_parse_missing_column():
     with pytest.raises(MalformedInputError):
-        parse_sales_csv(b"date,shop,item,sales\n2013-01-01,1,1,5\n")
+        parse_bytes(b"date,shop,item,sales\n2013-01-01,1,1,5\n")
 
 
 def test_parse_schema_remap_and_extras():
-    res = parse_sales_csv(
+    res = parse_bytes(
         b"day,s,i,qty,promo\n2013-01-01,1,1,5,0.5\n",
         schema={"date": "day", "store": "s", "item": "i", "sales": "qty"},
         extra_columns=("promo",),
@@ -86,12 +95,7 @@ def test_parse_schema_remap_and_extras():
 
 
 def test_sort_orders_by_date():
-    t = SalesTable.from_records(
-        [
-            SalesRecord(dt.date(2013, 1, 2), "1", "1", 2.0),
-            SalesRecord(dt.date(2013, 1, 1), "1", "1", 1.0),
-        ]
-    )
+    t = unsorted_table([(dt.date(2013, 1, 2), "1", "1", 2.0), (dt.date(2013, 1, 1), "1", "1", 1.0)])
     out = sort_chronological(t)
     assert list(out.quantities) == [1.0, 2.0]
 
@@ -111,12 +115,9 @@ def test_sort_groups_interleaved_series_matches_reference_sort():
             for d in range(10):
                 rows.append((dt.date(2013, 1, 1 + d), store, item, float(rng.integers(0, 50))))
     rng.shuffle(rows)
-    t = sort_chronological(
-        SalesTable.from_records(SalesRecord(d, s, i, q) for d, s, i, q in rows)
-    )
+    t = sort_chronological(unsorted_table(rows))
     expected = sorted(rows, key=lambda r: (r[1], r[2], r[0]))
-    got = [(r.date, r.store_id, r.item_id, r.quantity) for r in t.records()]
-    assert got == [(d, s, i, q) for d, s, i, q in expected]
+    assert table_rows(t) == expected
 
 
 def per_row_runs(stores, items):
@@ -139,12 +140,7 @@ def test_series_runs_match_per_row_loop(keys):
 
 
 def test_sort_raises_on_duplicate_date():
-    t = SalesTable.from_records(
-        [
-            SalesRecord(dt.date(2013, 1, 1), "1", "1", 1.0),
-            SalesRecord(dt.date(2013, 1, 1), "1", "1", 2.0),
-        ]
-    )
+    t = unsorted_table([(dt.date(2013, 1, 1), "1", "1", 1.0), (dt.date(2013, 1, 1), "1", "1", 2.0)])
     with pytest.raises(DuplicateDateError):
         sort_chronological(t)
 
@@ -206,14 +202,14 @@ def test_fill_gaps_interpolation_bounded_by_anchors():
     filled, _ = fill_gaps(t)
     anchors = dict(zip(days, vals))
     day_list = sorted(anchors)
-    for rec in filled.records():
-        off = (rec.date - dt.date(2013, 1, 1)).days
+    for date, _, _, quantity in table_rows(filled):
+        off = (date - dt.date(2013, 1, 1)).days
         if off in anchors:
             continue
         prev = max(d for d in day_list if d < off)
         nxt = min(d for d in day_list if d > off)
         lo, hi = sorted((anchors[prev], anchors[nxt]))
-        assert lo - 1e-9 <= rec.quantity <= hi + 1e-9
+        assert lo - 1e-9 <= quantity <= hi + 1e-9
 
 
 def test_aggregate_sums_across_series():
@@ -247,32 +243,120 @@ def test_aggregate_preserves_total_mass_and_day_count():
     assert np.isclose(agg.quantities.sum(), t.quantities.sum())
 
 
-def test_split_partition_property():
-    t = make_table([(dt.date(2013, 1, 1 + i), "1", "1", float(i)) for i in range(10)])
-    spec = SplitSpec(dt.date(2013, 1, 5), dt.date(2013, 1, 6), dt.date(2013, 1, 10))
-    train, test = split_temporal(t, spec)
-    assert len(train) + len(test) == len(t)
-    assert train.dates.max() < test.dates.min()
+# --- the one split: features.build_train_test_matrices -----------------------
+
+def split_features(mode: DeviationMode) -> FeatureSpec:
+    return FeatureSpec(
+        lags=(1, 3),
+        cyclical=frozenset({"month", "weekday"}),
+        use_weekday_numeric=True,
+        use_holiday=True,
+        use_deviation_flag=True,
+        deviation=DeviationConfig(mode=mode),
+    )
+
+
+MAX_LAG = 3
+BASE = dt.date(2015, 1, 1)
+
+
+@st.composite
+def gap_filled_tables(draw):
+    """Up to four series, each with its own first day, length and missing days.
+
+    Quantities are Poisson draws with about one outage day in six, so the
+    deviation flag fires.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for k in range(draw(st.integers(1, 4))):
+        first = draw(st.integers(0, 20))
+        length = draw(st.integers(MAX_LAG + 1, 40))
+        inner = draw(st.lists(st.booleans(), min_size=length - 2, max_size=length - 2))
+        qty = rng.poisson(np.where(rng.random(length) < 0.15, 2.0, 20.0)).tolist()
+        for j, kept in enumerate([True, *inner, True]):
+            if kept:
+                day = BASE + dt.timedelta(days=first + j)
+                rows.append((day, str(k % 2 + 1), str(k // 2 + 1), qty[j]))
+    return fill_gaps(make_table(rows))[0]
+
+
+def matrix_rows(fm):
+    return list(zip(fm.stores.tolist(), fm.items.tolist(), fm.dates.tolist(), fm.target.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gap_filled_tables(),
+    st.integers(-1, 60),
+    st.integers(0, 30),
+    st.sampled_from(DeviationMode),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_partition_property(table, train_days, test_days, mode, seed):
+    train_end = BASE + dt.timedelta(days=train_days)
+    split = SplitSpec(
+        train_end, train_end + dt.timedelta(days=1), train_end + dt.timedelta(days=1 + test_days)
+    )
+    features, cal = split_features(mode), HolidayCalendar.bundled()
+    train, test = build_train_test_matrices(table, features, cal, split)
+
+    lag_valid = sorted(
+        (store, item, d, q)
+        for (store, item), (lo, hi) in table.series_index.items()
+        for d, q in zip(table.dates[lo + MAX_LAG : hi].tolist(), table.quantities[lo + MAX_LAG : hi])
+    )
+    end, last = train_end.toordinal(), split.test_end.toordinal()
+    assert matrix_rows(train) == [r for r in lag_valid if r[2] <= end]
+    assert matrix_rows(test) == [r for r in lag_valid if end < r[2] <= last]
+
+    # Quantities dated after test_end reach no feature on either side.
+    later = table.dates > last
+    noise = np.random.default_rng(seed).uniform(1.0, 1000.0, len(table))
+    perturbed = SalesTable(
+        table.dates,
+        table.store_ids,
+        table.item_ids,
+        np.where(later, table.quantities + noise, table.quantities),
+        is_sorted=True,
+    )
+    train2, test2 = build_train_test_matrices(perturbed, features, cal, split)
+    assert np.array_equal(train2.rows, train.rows)
+    assert np.array_equal(test2.rows, test.rows)
 
 
 def test_split_last_day_only():
     t = make_table([(dt.date(2013, 1, 1 + i), "1", "1", float(i)) for i in range(10)])
     spec = SplitSpec(dt.date(2013, 1, 9), dt.date(2013, 1, 10), dt.date(2013, 1, 10))
-    train, test = split_temporal(t, spec)
-    assert len(test) == 1
-    assert test.dates[0] == dt.date(2013, 1, 10).toordinal()
+    features = FeatureSpec(lags=(1,), cyclical=frozenset())
+    train, test = build_train_test_matrices(t, features, None, spec)
+    assert len(train) == 8  # the first day has no lag
+    assert test.dates.tolist() == [dt.date(2013, 1, 10).toordinal()]
 
 
 def test_split_empty_partition_raises():
-    t = make_table([(dt.date(2013, 1, 2), "1", "1", 1.0)])
-    spec = SplitSpec(dt.date(2013, 1, 5), dt.date(2013, 1, 6), dt.date(2013, 1, 7))
-    with pytest.raises(EmptyPartitionError):
-        split_temporal(t, spec)
+    days = [dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(100)]
+    spec = SplitSpec(dt.date(2013, 2, 14), dt.date(2013, 2, 15), dt.date(2013, 4, 10))
+    scenario = make_scenario("S1", spec, models=("naive",))
+    cal = HolidayCalendar.bundled()
+    # Every row precedes the test window.
+    before = make_table([(d, "1", "1", 5.0) for d in days[:40]])
+    # Store 1 has only training rows and store 2 only test rows.
+    apart = make_table(
+        [(d, "1", "1", 5.0) for d in days[:40]] + [(d, "2", "1", 5.0) for d in days[50:]]
+    )
+    for table in (before, apart):
+        with pytest.raises(EmptyPartitionError):
+            run_scenario(table, scenario, cal)
 
 
 def test_split_spec_validates_ordering():
     with pytest.raises(ValueError):
         SplitSpec(dt.date(2013, 1, 5), dt.date(2013, 1, 5), dt.date(2013, 1, 7))
+    with pytest.raises(ValueError, match="day after train_end"):  # a gap
+        SplitSpec(dt.date(2013, 1, 5), dt.date(2013, 1, 8), dt.date(2013, 1, 9))
+    with pytest.raises(ValueError):
+        SplitSpec(dt.date(2013, 1, 5), dt.date(2013, 1, 6), dt.date(2013, 1, 5))
 
 
 def test_cleaned_csv_roundtrip(tmp_path):

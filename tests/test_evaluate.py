@@ -20,7 +20,7 @@ from demandcast.features import DeviationMode, HolidayCalendar
 from demandcast.models.gbdt import GbdtConfig
 from demandcast.models.naive import seasonal_naive_forecast
 
-from conftest import make_table
+from conftest import make_table, table_rows
 
 
 def brute_force_metrics(actual, predicted):
@@ -174,7 +174,11 @@ def two_series_table():
     """Store 1 sells about 20 a day, store 2 about 2,000."""
     small, large = toy_table(), toy_table(scale=100.0)
     return make_table(
-        [(r.date, store, "1", r.quantity) for store, t in (("1", small), ("2", large)) for r in t.records()]
+        [
+            (d, store, "1", q)
+            for store, t in (("1", small), ("2", large))
+            for d, _, _, q in table_rows(t)
+        ]
     )
 
 
@@ -234,7 +238,7 @@ def test_arimax_drops_exogenous_columns_constant_over_training():
     # a constant column that arimax cannot separate from its intercept.
     one = toy_table()
     table = make_table(
-        [(r.date, store, "1", r.quantity) for store in ("1", "2") for r in one.records()]
+        [(d, store, "1", q) for store in ("1", "2") for d, _, _, q in table_rows(one)]
     )
     spec = make_scenario(
         "S2", SPLIT, granularity=Granularity.AGGREGATE, models=("arimax", "naive")

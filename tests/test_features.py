@@ -153,7 +153,8 @@ def test_deviation_flag_lagged_is_causal():
 
 def test_bundled_calendar_republic_day():
     cal = HolidayCalendar.bundled()
-    flags = holiday_flag([dt.date(2017, 1, 26), dt.date(2017, 3, 14)], cal)
+    days = np.array([dt.date(2017, 1, 26).toordinal(), dt.date(2017, 3, 14).toordinal()])
+    flags = holiday_flag(days, cal)
     assert flags.tolist() == [1.0, 0.0]
 
 
@@ -163,9 +164,9 @@ def test_bundled_calendar_covers_dataset_window():
 
 
 def test_holiday_calendar_gap_raises():
-    cal = HolidayCalendar(entries={dt.date(2015, 1, 26): "x"})
+    cal = HolidayCalendar(entries={dt.date(2015, 1, 26).toordinal(): "x"})
     with pytest.raises(CalendarGapError):
-        holiday_flag([dt.date(2016, 5, 1)], cal)
+        holiday_flag(np.array([dt.date(2016, 5, 1).toordinal()]), cal)
 
 
 # --- design matrix -----------------------------------------------------------
@@ -189,7 +190,7 @@ def test_design_matrix_with_flags_column_count():
         use_deviation_flag=True,
     )
     table = series_table(np.arange(40.0) + 10.0, start=dt.date(2015, 1, 1))
-    cal = HolidayCalendar(entries={dt.date(2015, 1, 26): "republic_day"})
+    cal = HolidayCalendar(entries={dt.date(2015, 1, 26).toordinal(): "republic_day"})
     m = train_matrix(table, spec, cal)
     assert len(m.columns) == 9
 
@@ -238,7 +239,7 @@ def test_calendar_features_ignore_quantities():
     spec = FeatureSpec(
         lags=(), cyclical=frozenset({"weekday"}), use_weekday_numeric=True, use_holiday=True
     )
-    cal = HolidayCalendar(entries={dt.date(2015, 1, 5): "h"})
+    cal = HolidayCalendar(entries={dt.date(2015, 1, 5).toordinal(): "h"})
     t1 = series_table([5.0] * 10)
     t2 = series_table(np.arange(10.0) * 3 + 1)
     m1 = train_matrix(t1, spec, cal)

@@ -13,7 +13,6 @@ from demandcast.models.trend_seasonal import (
     build_basis,
     fit_trend_seasonal,
     forecast_trend_seasonal,
-    trend_at,
 )
 
 START = dt.date(2015, 1, 1).toordinal()
@@ -27,7 +26,7 @@ def test_basis_degenerate_single_column():
     cfg = TrendSeasonalConfig(
         n_changepoints=0, weekly_fourier_order=0, yearly_fourier_order=0
     )
-    basis = build_basis(ordinals(10), cfg, np.empty(0), START, 9.0, None, [])
+    basis = build_basis(ordinals(10), cfg, np.empty(0), START, 9.0, {}, [])
     assert basis.shape == (10, 1)
     assert basis_columns(cfg, []) == ["trend"]
 
@@ -35,14 +34,14 @@ def test_basis_degenerate_single_column():
 def test_basis_default_column_count():
     cfg = TrendSeasonalConfig()
     cps = 0.8 * np.arange(1, 26) / 25.0
-    basis = build_basis(ordinals(100), cfg, cps, START, 99.0, None, [])
+    basis = build_basis(ordinals(100), cfg, cps, START, 99.0, {}, [])
     assert basis.shape[1] == 1 + 25 + 6 + 20
     assert len(basis_columns(cfg, [])) == 52
 
 
 def test_weekly_columns_repeat_after_seven_days():
     cfg = TrendSeasonalConfig(n_changepoints=0, yearly_fourier_order=0)
-    basis = build_basis(ordinals(15), cfg, np.empty(0), START, 14.0, None, [])
+    basis = build_basis(ordinals(15), cfg, np.empty(0), START, 14.0, {}, [])
     weekly = basis[:, 1:7]
     assert np.allclose(weekly[0], weekly[7])
     assert np.allclose(weekly[3], weekly[10])
@@ -117,6 +116,20 @@ def test_interval_coverage_on_iid_noise():
     assert abs(covered - 0.95) <= 0.05
 
 
+def trend_at(model, t: np.ndarray) -> np.ndarray:
+    """Trend component at normalised times (fitting scale).
+
+    Accepts fractional times so continuity can be probed arbitrarily close
+    to each changepoint.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    out = model.offset + model.base_slope * t
+    deltas = model.changepoint_deltas
+    if len(deltas):
+        out = out + np.maximum(0.0, t[:, None] - model.changepoints[None, :]) @ deltas
+    return out
+
+
 def test_trend_continuous_at_changepoints():
     rng = np.random.default_rng(1)
     n = 400
@@ -182,12 +195,7 @@ def test_zero_penalty_singular_basis_raises():
 
 
 def test_holiday_regressor_recovers_effect():
-    cal = HolidayCalendar(
-        entries={
-            dt.date.fromordinal(int(o)): "festival"
-            for o in ordinals(400)[::50]
-        }
-    )
+    cal = HolidayCalendar(entries={int(o): "festival" for o in ordinals(400)[::50]})
     n = 400
     hol = np.zeros(n)
     hol[::50] = 1.0
