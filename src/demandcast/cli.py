@@ -7,7 +7,6 @@ failed.  Fatal errors also emit a machine-readable JSON document on stderr.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import logging
 import sys
@@ -41,13 +40,9 @@ from .data import (
     write_sales_csv,
 )
 from .errors import DemandcastError, MissingForecastsError
-from .evaluate import compare, data_fingerprint, make_scenario, run_scenario
+from .evaluate import compare, data_fingerprint, run_scenario
 from .features import DeviationMode, HolidayCalendar
 from .inventory import impact_table, pool_outcomes, simulate
-from .models.arimax import ForecastMode
-from .models.gbdt import GbdtConfig
-from .models.svr import SvrConfig
-from .models.trend_seasonal import TrendSeasonalConfig
 
 logger = logging.getLogger(__name__)
 
@@ -133,28 +128,6 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scenario_specs(cfg: RunConfig):
-    overrides = {}
-    if "gbdt" in cfg.model_overrides:
-        overrides["gbdt_config"] = GbdtConfig(**cfg.model_overrides["gbdt"])
-    if "svr" in cfg.model_overrides:
-        overrides["svr_config"] = SvrConfig(**cfg.model_overrides["svr"])
-    if "trend_seasonal" in cfg.model_overrides:
-        overrides["trend_config"] = TrendSeasonalConfig(**cfg.model_overrides["trend_seasonal"])
-    return [
-        make_scenario(
-            scenario_id,
-            cfg.split(),
-            granularity=Granularity(cfg.granularity),
-            deviation_mode=DeviationMode(cfg.deviation_mode),
-            models=tuple(cfg.models),
-            arimax_mode=ForecastMode(cfg.arimax_forecast_mode),
-            **overrides,
-        )
-        for scenario_id in cfg.scenarios
-    ]
-
-
 def cmd_evaluate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -166,7 +139,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     stage_times["ingest"] = time.perf_counter() - started
 
     reports = []
-    for spec in _scenario_specs(cfg):
+    for spec in cfg.scenario_specs():
         started = time.perf_counter()
         reports.append(run_scenario(table, spec, calendar, workers=cfg.workers))
         stage_times[f"scenario_{spec.id}"] = time.perf_counter() - started

@@ -17,10 +17,16 @@ from pathlib import Path
 from typing import Any
 
 from .data import FillMethod, Granularity, SplitSpec
-from .evaluate import MODEL_NAMES
+from .evaluate import MODEL_NAMES, ScenarioSpec
 from .features import DeviationMode
 from .inventory import ReplenishmentPolicy
 from .models.arimax import ForecastMode
+from .models.gbdt import GbdtConfig
+from .models.svr import SvrConfig
+from .models.trend_seasonal import TrendSeasonalConfig
+
+# Models whose settings model_overrides may change, and their config types.
+MODEL_CONFIGS = {"gbdt": GbdtConfig, "svr": SvrConfig, "trend_seasonal": TrendSeasonalConfig}
 
 
 class ConfigError(ValueError):
@@ -69,10 +75,10 @@ class RunConfig:
         return dataclasses.replace(self, **updates)
 
     def validate(self) -> None:
-        try:
-            self.split()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        """Check every value at load: any bad one raises ConfigError.
+
+        Building the scenario specs and the policy runs their own checks.
+        """
         for value, enum_cls, name in (
             (self.granularity, Granularity, "granularity"),
             (self.deviation_mode, DeviationMode, "deviation_mode"),
@@ -87,21 +93,41 @@ class RunConfig:
         bad_schema = set(self.schema) - {"date", "store", "item", "sales"}
         if bad_schema:
             raise ConfigError(f"schema may remap only date/store/item/sales, got {sorted(bad_schema)}")
-        bad_models = set(self.models) - set(MODEL_NAMES)
-        if bad_models:
-            raise ConfigError(f"unknown models: {sorted(bad_models)}")
-        bad_scenarios = set(self.scenarios) - {"S1", "S2"}
-        if bad_scenarios:
-            raise ConfigError(f"unknown scenarios: {sorted(bad_scenarios)}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         # Path existence is deliberately not a config check: a missing file
         # surfaces when opened, as an input error with its own exit code.
-        policy_keys = {f.name for f in dataclasses.fields(ReplenishmentPolicy)}
-        sim_known = policy_keys | {"scenario"}
-        unknown = set(self.simulation) - sim_known
+        try:
+            self.scenario_specs()
+            self.policy()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+
+    def scenario_specs(self) -> list[ScenarioSpec]:
+        """The scenarios this config runs: its one translation for evaluate."""
+        if not self.scenarios or len(set(self.scenarios)) != len(self.scenarios):
+            raise ConfigError(f"scenarios must name each scenario once, got {self.scenarios!r}")
+        unknown = set(self.model_overrides) - set(MODEL_CONFIGS)
         if unknown:
-            raise ConfigError(f"unknown simulation keys: {sorted(unknown)}")
+            raise ConfigError(
+                f"model_overrides accepts only {sorted(MODEL_CONFIGS)}, got {sorted(unknown)}"
+            )
+        configs = {
+            f"{name}_config": MODEL_CONFIGS[name](**settings)
+            for name, settings in self.model_overrides.items()
+        }
+        return [
+            ScenarioSpec(
+                scenario_id,
+                split=self.split(),
+                granularity=Granularity(self.granularity),
+                deviation_mode=DeviationMode(self.deviation_mode),
+                models=tuple(self.models),
+                arimax_mode=ForecastMode(self.arimax_forecast_mode),
+                **configs,
+            )
+            for scenario_id in self.scenarios
+        ]
 
     def split(self) -> SplitSpec:
         return SplitSpec(

@@ -22,10 +22,9 @@ import numpy as np
 from .data import Granularity, SalesTable, SplitSpec, aggregate, series_runs
 from .errors import EmptyPartitionError, FingerprintMismatchError, NoSplitsError
 from .features import (
-    DeviationConfig,
+    EXTERNAL_COLUMNS,
     DeviationMode,
     FeatureMatrix,
-    FeatureSpec,
     HolidayCalendar,
     build_train_test_matrices,
 )
@@ -47,10 +46,7 @@ from .models.trend_seasonal import (
 logger = logging.getLogger(__name__)
 
 MODEL_NAMES = ("gbdt", "arimax", "trend_seasonal", "svr", "naive")
-
-# Exogenous regressors handed to the AR(1) model: calendar/anomaly flags
-# only, never lag columns (the autoregressive term already covers lag 1).
-ARIMAX_EXOG_COLUMNS = ("weekday_sin", "weekday_cos", "weekday", "holiday", "deviation_flag")
+SCENARIO_IDS = ("S1", "S2")
 
 HISTOGRAM_BINS = 30
 
@@ -100,49 +96,33 @@ def error_histogram(residuals: np.ndarray, n_bins: int) -> list[tuple[float, flo
 
 # --- scenario specification ---------------------------------------------------
 
-S1_FEATURES = FeatureSpec(lags=(1, 7, 14, 28), cyclical=frozenset({"month"}))
-
-
-def s2_features(deviation_mode: DeviationMode = DeviationMode.SAME_DAY) -> FeatureSpec:
-    return FeatureSpec(
-        lags=(1, 7, 14, 28),
-        cyclical=frozenset({"month", "weekday"}),
-        use_weekday_numeric=True,
-        use_holiday=True,
-        use_deviation_flag=True,
-        deviation=DeviationConfig(mode=deviation_mode),
-    )
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One evaluation condition: feature set, split, granularity, models."""
+    """One evaluation condition: S1 (history only) or S2 (with the external
+    factors), split, granularity, deviation mode and models."""
 
     id: str
-    feature_spec: FeatureSpec
     split: SplitSpec
     granularity: Granularity = Granularity.PER_SERIES
+    deviation_mode: DeviationMode = DeviationMode.SAME_DAY
     models: tuple[str, ...] = MODEL_NAMES
     arimax_mode: ForecastMode = ForecastMode.RECURSIVE
     gbdt_config: GbdtConfig = field(default_factory=GbdtConfig)
     svr_config: SvrConfig = field(default_factory=SvrConfig)
-    trend_config: TrendSeasonalConfig = field(default_factory=TrendSeasonalConfig)
+    trend_seasonal_config: TrendSeasonalConfig = field(default_factory=TrendSeasonalConfig)
 
     def __post_init__(self) -> None:
+        if self.id not in SCENARIO_IDS:
+            raise ValueError(f"unknown scenario {self.id!r}; expected one of {list(SCENARIO_IDS)}")
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        fs = self.feature_spec
-        has_exog = (
-            fs.use_weekday_numeric
-            or fs.use_holiday
-            or fs.use_deviation_flag
-            or "weekday" in fs.cyclical
-        )
-        if self.id == "S1" and has_exog:
-            raise ValueError("S1 must exclude weekday/holiday/deviation columns")
-        if self.id == "S2" and not has_exog:
-            raise ValueError("S2 must include the exogenous flag columns")
+        if not self.models or len(set(self.models)) != len(self.models):
+            raise ValueError(f"models must name each model once, got {list(self.models)}")
+
+    @property
+    def external(self) -> bool:
+        return self.id == "S2"
 
     def fingerprint_payload(self) -> dict:
         return {
@@ -156,37 +136,19 @@ class ScenarioSpec:
         }
 
 
-def make_scenario(
-    scenario_id: str,
-    split: SplitSpec,
-    granularity: Granularity = Granularity.PER_SERIES,
-    deviation_mode: DeviationMode = DeviationMode.SAME_DAY,
-    models: tuple[str, ...] = MODEL_NAMES,
-    **overrides,
-) -> ScenarioSpec:
-    feature_spec = S1_FEATURES if scenario_id == "S1" else s2_features(deviation_mode)
-    return ScenarioSpec(
-        id=scenario_id,
-        feature_spec=feature_spec,
-        split=split,
-        granularity=granularity,
-        models=models,
-        **overrides,
-    )
-
-
 # --- per-series model tasks ---------------------------------------------------
 
 def _exog_columns(train: FeatureMatrix) -> list[str]:
-    """Exogenous columns that vary over the rows arimax regresses on (t >= 2).
+    """External columns that vary over the rows arimax regresses on (t >= 2).
 
+    Lag columns never enter: the autoregressive term already covers lag 1.
     A column constant there, such as a deviation flag that never fires on an
     aggregated series, cannot be told apart from the intercept.
     """
     return [
         c
         for c in train.columns
-        if c in ARIMAX_EXOG_COLUMNS and len(np.unique(train.column(c)[1:])) > 1
+        if c in EXTERNAL_COLUMNS and len(np.unique(train.column(c)[1:])) > 1
     ]
 
 
@@ -231,7 +193,7 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         return predictions, train_pred, model.to_dict(), spec.arimax_mode.value
     if model_name == "trend_seasonal":
         calendar = payload["calendar"]
-        model = fit_trend_seasonal(train.target, train.dates, spec.trend_config, calendar)
+        model = fit_trend_seasonal(train.target, train.dates, spec.trend_seasonal_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
         train_pred, _, _ = forecast_trend_seasonal(model, train.dates)
         return predictions, train_pred, model.to_dict(), "multi-step"
@@ -331,13 +293,14 @@ def run_scenario(
     """Fit every model of the scenario and evaluate on the test window.
 
     The holiday calendar reaches the design matrix and the trend model only
-    when the feature spec uses holidays, as S2 does: S1 is the history-only
-    condition.  Raises :class:`EmptyPartitionError` when no series has rows
-    on both sides of the split.
+    in S2; S1 is history only.  Raises :class:`EmptyPartitionError` when no
+    series has rows on both sides of the split.
     """
-    calendar = calendar if spec.feature_spec.use_holiday else None
+    calendar = calendar if spec.external else None
     working = aggregate(table, spec.granularity)
-    train_fm, test_fm = build_train_test_matrices(working, spec.feature_spec, calendar, spec.split)
+    train_fm, test_fm = build_train_test_matrices(
+        working, spec.split, spec.external, calendar, spec.deviation_mode
+    )
     train_runs, test_runs = (
         {k: slice(*r) for k, r in series_runs(fm.stores, fm.items).items()}
         for fm in (train_fm, test_fm)
@@ -440,9 +403,7 @@ def run_scenario(
 
     return EvaluationReport(
         scenario=spec,
-        deviation_mode=spec.feature_spec.deviation.mode.value
-        if spec.feature_spec.use_deviation_flag
-        else "",
+        deviation_mode=spec.deviation_mode.value if spec.external else "",
         entries=entries,
         config_fingerprint=config_fingerprint(spec.fingerprint_payload()),
         data_fingerprint=data_fingerprint(table),
@@ -524,11 +485,11 @@ def compare(reports: Sequence[EvaluationReport]) -> ComparisonTable:
             rmse[key] = entry.metrics.rmse if entry.metrics else None
             r2[key] = entry.metrics.r2 if entry.metrics else None
 
+    # The paper's gain: from S1 to S2, whatever order the scenarios ran in.
     improvement: dict[str, float | None] = {}
-    if len(scenarios) > 1:
-        first, last = scenarios[0], scenarios[-1]
+    if set(SCENARIO_IDS) <= set(scenarios):
         for m in models:
-            a, b = mae.get((m, first)), mae.get((m, last))
+            a, b = mae.get((m, "S1")), mae.get((m, "S2"))
             improvement[m] = improvement_percent(a, b) if a is not None and b is not None else None
 
     best: dict[tuple[str, str], str] = {}

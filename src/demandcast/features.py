@@ -72,43 +72,35 @@ def rolling_mean(series: np.ndarray, window: int, min_periods: int = 1) -> np.nd
 
 
 class DeviationMode(str, Enum):
-    SAME_DAY = "same-day"
-    LAGGED = "lagged"
-
-
-@dataclass(frozen=True)
-class DeviationConfig:
-    """Rule flagging sales that collapse below a fraction of recent volume.
-
-    SAME_DAY compares the current day's actual sales against the trailing
+    """SAME_DAY compares the current day's actual sales against the trailing
     mean ending the day before; the flag therefore encodes same-day
     information and is not a causal feature.  LAGGED re-uses the previous
     day's flag, making the feature a function of strictly earlier data.
     """
 
-    window: int = 7
-    min_periods: int = 3
-    ratio: float = 0.30
-    mode: DeviationMode = DeviationMode.SAME_DAY
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.min_periods <= self.window):
-            raise ValueError("need 1 <= min_periods <= window")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError("ratio must lie in (0, 1)")
+    SAME_DAY = "same-day"
+    LAGGED = "lagged"
 
 
-def deviation_flag(series: np.ndarray, cfg: DeviationConfig) -> np.ndarray:
+# The deviation rule: a day's sales below DEVIATION_RATIO of the trailing
+# DEVIATION_WINDOW-day mean ending the day before, once that mean covers at
+# least DEVIATION_MIN_PERIODS days.
+DEVIATION_WINDOW = 7
+DEVIATION_MIN_PERIODS = 3
+DEVIATION_RATIO = 0.30
+
+
+def deviation_flag(series: np.ndarray, mode: DeviationMode) -> np.ndarray:
     """Binary vector marking abnormal drops in sales."""
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
-    rm = rolling_mean(series, cfg.window, cfg.min_periods)
+    rm = rolling_mean(series, DEVIATION_WINDOW, DEVIATION_MIN_PERIODS)
     trailing = np.concatenate([[np.nan], rm[:-1]])
     defined = ~np.isnan(trailing)
     flags = np.zeros(n, dtype=np.float64)
-    drop = defined & (series < cfg.ratio * trailing)
+    drop = defined & (series < DEVIATION_RATIO * trailing)
     flags[drop] = 1.0
-    if cfg.mode is DeviationMode.LAGGED:
+    if mode is DeviationMode.LAGGED:
         flags = np.concatenate([[0.0], flags[:-1]])
     return flags
 
@@ -165,32 +157,12 @@ def holiday_flag(ordinals: np.ndarray, calendar: HolidayCalendar) -> np.ndarray:
     return np.isin(ordinals, list(calendar.entries)).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Which engineered columns are active when assembling a design matrix."""
-
-    lags: tuple[int, ...] = (1, 7, 14, 28)
-    cyclical: frozenset[str] = frozenset({"month"})
-    use_weekday_numeric: bool = False
-    use_holiday: bool = False
-    use_deviation_flag: bool = False
-    deviation: DeviationConfig = field(default_factory=DeviationConfig)
-
-    def __post_init__(self) -> None:
-        if any(lag <= 0 for lag in self.lags):
-            raise ValueError("lags must be strictly positive (lag 0 is the target)")
-        unknown = set(self.cyclical) - {"month", "weekday"}
-        if unknown:
-            raise ValueError(f"unknown cyclical components: {sorted(unknown)}")
-        active = (
-            bool(self.lags)
-            or bool(self.cyclical)
-            or self.use_weekday_numeric
-            or self.use_holiday
-            or self.use_deviation_flag
-        )
-        if not active:
-            raise ValueError("feature spec activates no features")
+# S1, the history-only scenario: the lagged sales and the month on the unit
+# circle.  S2 appends the external factors, weekday, holiday and sales
+# deviation, in EXTERNAL_COLUMNS order.
+LAGS = (1, 7, 14, 28)
+S1_COLUMNS = (*(f"lag_{lag}" for lag in LAGS), "month_sin", "month_cos")
+EXTERNAL_COLUMNS = ("weekday_sin", "weekday_cos", "weekday", "holiday", "deviation_flag")
 
 
 @dataclass
@@ -242,25 +214,15 @@ _FLAG_COLUMNS = ("holiday", "deviation_flag")
 
 def _assemble_unscaled(
     table: SalesTable,
-    spec: FeatureSpec,
+    external: bool,
     calendar: HolidayCalendar | None,
+    deviation_mode: DeviationMode,
 ) -> FeatureMatrix:
     table._require_sorted()
-    if spec.use_holiday and calendar is None:
-        raise ValueError("holiday features require a calendar")
+    if external and calendar is None:
+        raise ValueError("external features require a holiday calendar")
 
-    columns: list[str] = [f"lag_{lag}" for lag in spec.lags]
-    if "month" in spec.cyclical:
-        columns += ["month_sin", "month_cos"]
-    if "weekday" in spec.cyclical:
-        columns += ["weekday_sin", "weekday_cos"]
-    if spec.use_weekday_numeric:
-        columns.append("weekday")
-    if spec.use_holiday:
-        columns.append("holiday")
-    if spec.use_deviation_flag:
-        columns.append("deviation_flag")
-
+    columns = list(S1_COLUMNS + EXTERNAL_COLUMNS if external else S1_COLUMNS)
     blocks: list[np.ndarray] = []
     keep_targets: list[np.ndarray] = []
     keep_dates: list[np.ndarray] = []
@@ -270,28 +232,19 @@ def _assemble_unscaled(
     for key, (lo, hi) in table.series_index.items():
         ordinals = table.dates[lo:hi]
         values = table.quantities[lo:hi]
-        parts: list[np.ndarray] = []
-
-        if spec.lags:
-            lagged, valid = lag_features(values, spec.lags)
-            parts.append(lagged)
-        else:
-            valid = np.ones(len(values), dtype=bool)
-
-        if "month" in spec.cyclical:
-            months = np.array(
-                [dt.date.fromordinal(int(o)).month - 1 for o in ordinals], dtype=np.float64
-            )
-            parts.append(cyclical_columns(months, 12))
-        dows = weekdays_of_ordinals(ordinals).astype(np.float64)
-        if "weekday" in spec.cyclical:
-            parts.append(cyclical_columns(dows, 7))
-        if spec.use_weekday_numeric:
-            parts.append(dows[:, None])
-        if spec.use_holiday:
-            parts.append(holiday_flag(ordinals, calendar)[:, None])
-        if spec.use_deviation_flag:
-            parts.append(deviation_flag(values, spec.deviation)[:, None])
+        lagged, valid = lag_features(values, LAGS)
+        months = np.array(
+            [dt.date.fromordinal(int(o)).month - 1 for o in ordinals], dtype=np.float64
+        )
+        parts = [lagged, cyclical_columns(months, 12)]
+        if external:
+            dows = weekdays_of_ordinals(ordinals).astype(np.float64)
+            parts += [
+                cyclical_columns(dows, 7),
+                dows[:, None],
+                holiday_flag(ordinals, calendar)[:, None],
+                deviation_flag(values, deviation_mode)[:, None],
+            ]
 
         block = np.column_stack(parts)
         blocks.append(block[valid])
@@ -342,19 +295,21 @@ def _apply_scaling(matrix: FeatureMatrix, scaling: Mapping[str, tuple[float, flo
 
 def build_train_test_matrices(
     table: SalesTable,
-    spec: FeatureSpec,
-    calendar: HolidayCalendar | None,
     split: SplitSpec,
+    external: bool = False,
+    calendar: HolidayCalendar | None = None,
+    deviation_mode: DeviationMode = DeviationMode.SAME_DAY,
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Assemble leakage-safe train/test matrices: the program's one split.
 
-    Features are computed over each series' full timeline (test-row lags may
-    reach back into training days).  Train holds the rows dated on or before
-    train_end, test those after it up to test_end, and rows after test_end
-    are ignored; both keep (store, item, date) order.  Min-max statistics
-    are fit on the training rows only and applied to both sides.
+    S1's columns, plus EXTERNAL_COLUMNS (S2) when ``external``.  Features are
+    computed over each series' full timeline (test-row lags may reach back
+    into training days).  Train holds the rows dated on or before train_end,
+    test those after it up to test_end, and rows after test_end are ignored;
+    both keep (store, item, date) order.  Min-max statistics are fit on the
+    training rows only and applied to both sides.
     """
-    unscaled = _assemble_unscaled(table, spec, calendar)
+    unscaled = _assemble_unscaled(table, external, calendar, deviation_mode)
     train_mask = unscaled.dates <= split.train_end.toordinal()
     test_mask = ~train_mask & (unscaled.dates <= split.test_end.toordinal())
     train = unscaled.select_rows(train_mask)

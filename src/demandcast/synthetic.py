@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SalesTable, sort_chronological, write_sales_csv
+from .data import SalesTable, sort_chronological
 from .features import HolidayCalendar, weekdays_of_ordinals
 
 DEFAULT_START = dt.date(2013, 1, 1)

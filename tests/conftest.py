@@ -2,9 +2,10 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from demandcast.data import SalesTable, sort_chronological
-from demandcast.features import FeatureMatrix
+from demandcast.data import SalesTable, fill_gaps, sort_chronological
+from demandcast.features import LAGS, FeatureMatrix
 
 
 def make_matrix(X, y, dates=None, store="1", item="1", columns=None) -> FeatureMatrix:
@@ -52,6 +53,30 @@ def table_rows(table: SalesTable) -> list[tuple[dt.date, str, str, float]]:
             table.quantities.tolist(),
         )
     ]
+
+
+BASE = dt.date(2015, 1, 1)
+
+
+@st.composite
+def gap_filled_tables(draw):
+    """Up to four series, each with its own first day, length and missing days.
+
+    Every series outlasts the longest lag.  Quantities are Poisson draws with
+    about one outage day in six, so the deviation flag fires.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for k in range(draw(st.integers(1, 4))):
+        first = draw(st.integers(0, 20))
+        length = draw(st.integers(max(LAGS) + 1, max(LAGS) + 40))
+        inner = draw(st.lists(st.booleans(), min_size=length - 2, max_size=length - 2))
+        qty = rng.poisson(np.where(rng.random(length) < 0.15, 2.0, 20.0)).tolist()
+        for j, kept in enumerate([True, *inner, True]):
+            if kept:
+                day = BASE + dt.timedelta(days=first + j)
+                rows.append((day, str(k % 2 + 1), str(k // 2 + 1), qty[j]))
+    return fill_gaps(make_table(rows))[0]
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ import pytest
 from demandcast.cli import main
 from demandcast.data import SplitSpec, fill_gaps, parse_sales_csv, sort_chronological
 from demandcast.config import bundled_sample_stream
-from demandcast.evaluate import S1_FEATURES, improvement_percent, s2_features
+from demandcast.evaluate import improvement_percent
 from demandcast.features import DeviationMode, HolidayCalendar, build_train_test_matrices
 from demandcast.inventory import ReplenishmentPolicy, simulate
 from demandcast.models.arimax import fit_arimax
@@ -281,8 +281,8 @@ def test_leakage_sentinel_perturbation():
             start + dt.timedelta(days=n - 1),
         )
         cal = HolidayCalendar.bundled()
-        spec = s2_features(DeviationMode.LAGGED)
-        train0, test0 = build_train_test_matrices(base_table, spec, cal, split)
+        lagged = DeviationMode.LAGGED
+        train0, test0 = build_train_test_matrices(base_table, split, True, cal, lagged)
 
         test_offsets = [0, 1, 7, 25, 49]
         for off in test_offsets:
@@ -301,7 +301,7 @@ def test_leakage_sentinel_perturbation():
                     )
                 ]
             )
-            train1, test1 = build_train_test_matrices(mutated, spec, cal, split)
+            train1, test1 = build_train_test_matrices(mutated, split, True, cal, lagged)
             # training matrices are bit-identical under any test-window edit
             assert train0.rows.tobytes() == train1.rows.tobytes()
             assert train0.target.tobytes() == train1.target.tobytes()
@@ -311,8 +311,8 @@ def test_leakage_sentinel_perturbation():
             assert np.array_equal(test0.rows[upto], test1.rows[upto])
 
         # contrast: the paper-faithful same-day flag does leak the same-day value
-        spec_leaky = s2_features(DeviationMode.SAME_DAY)
-        _, test_leaky0 = build_train_test_matrices(base_table, spec_leaky, cal, split)
+        leaky = DeviationMode.SAME_DAY
+        _, test_leaky0 = build_train_test_matrices(base_table, split, True, cal, leaky)
         perturb_date = (start + dt.timedelta(days=n - 50 + 25)).toordinal()
         qty = base_table.quantities.copy()
         mask = (base_table.dates == perturb_date) & (base_table.store_ids == "1") & (
@@ -327,7 +327,7 @@ def test_leakage_sentinel_perturbation():
                 )
             ]
         )
-        _, test_leaky1 = build_train_test_matrices(mutated, spec_leaky, cal, split)
+        _, test_leaky1 = build_train_test_matrices(mutated, split, True, cal, leaky)
         same_day_rows = test_leaky0.dates == perturb_date
         flag_col = test_leaky0.columns.index("deviation_flag")
         assert not np.array_equal(
@@ -460,8 +460,8 @@ def test_split_count_check():
             table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
         split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 8, 1), dt.date(2017, 12, 31))
         cal = HolidayCalendar.bundled()
-        for features in (S1_FEATURES, s2_features()):
-            train, test = build_train_test_matrices(table, features, cal, split)
+        for external in (False, True):
+            train, test = build_train_test_matrices(table, split, external, cal)
             assert len(train) == 20 * (1673 - 28) == 32_900
             assert len(test) == 20 * 153 == 3_060
 

@@ -77,12 +77,36 @@ def test_missing_data_file_exits_3_with_error_document(tmp_path, capsys):
     assert err["error"]["code"] == "E_INPUT"
 
 
+BAD_CONFIGS = [
+    ("evaluate", {"granularity": "weekly"}),
+    ("evaluate", {"train_end": 20170731}),
+    ("evaluate", {"workers": "2"}),
+    ("evaluate", {"workers": 0}),
+    ("evaluate", {"model_overrides": {"gbdt": {"bogus": 1}}}),
+    ("evaluate", {"model_overrides": {"gbdt": {"n_trees": -1}}}),
+    ("evaluate", {"model_overrides": {"gbdt": 5}}),
+    ("evaluate", {"model_overrides": {"xgboost": {"n_trees": 5}}}),
+    ("evaluate", {"scenarios": ["S1", "S3"]}),
+    ("evaluate", {"scenarios": ["S1", "S1"]}),
+    ("evaluate", {"scenarios": []}),
+    ("evaluate", {"models": ["gbdt", "nope"]}),
+    ("evaluate", {"models": ["naive", "naive"]}),
+    ("evaluate", {"models": []}),
+    ("simulate", {"simulation": {"review_period": 0}}),
+    ("simulate", {"simulation": {"lead_time": "1"}}),
+    ("simulate", {"simulation": {"reorder_point": 3}}),
+]
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
+    # Each is caught when the config loads, before any output is written.
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"granularity": "weekly"}))
-    assert main(["evaluate", "--config", str(cfg)]) == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"]["code"] == "E_CONFIG"
+    for command, doc in BAD_CONFIGS:
+        cfg.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
+        assert main([command, "--config", str(cfg)]) == 2, doc
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["code"] == "E_CONFIG", doc
+        assert not (tmp_path / "out").exists(), doc
 
 
 def test_unknown_config_key_exits_2(tmp_path):

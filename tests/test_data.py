@@ -24,16 +24,10 @@ from demandcast.errors import (
     EmptyPartitionError,
     MalformedInputError,
 )
-from demandcast.evaluate import make_scenario, run_scenario
-from demandcast.features import (
-    DeviationConfig,
-    DeviationMode,
-    FeatureSpec,
-    HolidayCalendar,
-    build_train_test_matrices,
-)
+from demandcast.evaluate import ScenarioSpec, run_scenario
+from demandcast.features import LAGS, DeviationMode, HolidayCalendar, build_train_test_matrices
 
-from conftest import make_table, table_rows, unsorted_table
+from conftest import BASE, gap_filled_tables, make_table, table_rows, unsorted_table
 
 
 def parse_bytes(data: bytes, **kwargs):
@@ -245,40 +239,7 @@ def test_aggregate_preserves_total_mass_and_day_count():
 
 # --- the one split: features.build_train_test_matrices -----------------------
 
-def split_features(mode: DeviationMode) -> FeatureSpec:
-    return FeatureSpec(
-        lags=(1, 3),
-        cyclical=frozenset({"month", "weekday"}),
-        use_weekday_numeric=True,
-        use_holiday=True,
-        use_deviation_flag=True,
-        deviation=DeviationConfig(mode=mode),
-    )
-
-
-MAX_LAG = 3
-BASE = dt.date(2015, 1, 1)
-
-
-@st.composite
-def gap_filled_tables(draw):
-    """Up to four series, each with its own first day, length and missing days.
-
-    Quantities are Poisson draws with about one outage day in six, so the
-    deviation flag fires.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for k in range(draw(st.integers(1, 4))):
-        first = draw(st.integers(0, 20))
-        length = draw(st.integers(MAX_LAG + 1, 40))
-        inner = draw(st.lists(st.booleans(), min_size=length - 2, max_size=length - 2))
-        qty = rng.poisson(np.where(rng.random(length) < 0.15, 2.0, 20.0)).tolist()
-        for j, kept in enumerate([True, *inner, True]):
-            if kept:
-                day = BASE + dt.timedelta(days=first + j)
-                rows.append((day, str(k % 2 + 1), str(k // 2 + 1), qty[j]))
-    return fill_gaps(make_table(rows))[0]
+MAX_LAG = max(LAGS)
 
 
 def matrix_rows(fm):
@@ -288,7 +249,7 @@ def matrix_rows(fm):
 @settings(max_examples=150, deadline=None)
 @given(
     gap_filled_tables(),
-    st.integers(-1, 60),
+    st.integers(20, 90),
     st.integers(0, 30),
     st.sampled_from(DeviationMode),
     st.integers(0, 2**32 - 1),
@@ -298,8 +259,8 @@ def test_split_partition_property(table, train_days, test_days, mode, seed):
     split = SplitSpec(
         train_end, train_end + dt.timedelta(days=1), train_end + dt.timedelta(days=1 + test_days)
     )
-    features, cal = split_features(mode), HolidayCalendar.bundled()
-    train, test = build_train_test_matrices(table, features, cal, split)
+    cal = HolidayCalendar.bundled()
+    train, test = build_train_test_matrices(table, split, True, cal, mode)
 
     lag_valid = sorted(
         (store, item, d, q)
@@ -320,24 +281,23 @@ def test_split_partition_property(table, train_days, test_days, mode, seed):
         np.where(later, table.quantities + noise, table.quantities),
         is_sorted=True,
     )
-    train2, test2 = build_train_test_matrices(perturbed, features, cal, split)
+    train2, test2 = build_train_test_matrices(perturbed, split, True, cal, mode)
     assert np.array_equal(train2.rows, train.rows)
     assert np.array_equal(test2.rows, test.rows)
 
 
 def test_split_last_day_only():
-    t = make_table([(dt.date(2013, 1, 1 + i), "1", "1", float(i)) for i in range(10)])
-    spec = SplitSpec(dt.date(2013, 1, 9), dt.date(2013, 1, 10), dt.date(2013, 1, 10))
-    features = FeatureSpec(lags=(1,), cyclical=frozenset())
-    train, test = build_train_test_matrices(t, features, None, spec)
-    assert len(train) == 8  # the first day has no lag
-    assert test.dates.tolist() == [dt.date(2013, 1, 10).toordinal()]
+    days = [dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(40)]
+    t = make_table([(d, "1", "1", float(i)) for i, d in enumerate(days)])
+    train, test = build_train_test_matrices(t, SplitSpec(days[38], days[39], days[39]))
+    assert len(train) == 39 - MAX_LAG  # the first 28 days have no lag_28
+    assert test.dates.tolist() == [days[39].toordinal()]
 
 
 def test_split_empty_partition_raises():
     days = [dt.date(2013, 1, 1) + dt.timedelta(days=i) for i in range(100)]
     spec = SplitSpec(dt.date(2013, 2, 14), dt.date(2013, 2, 15), dt.date(2013, 4, 10))
-    scenario = make_scenario("S1", spec, models=("naive",))
+    scenario = ScenarioSpec("S1", spec, models=("naive",))
     cal = HolidayCalendar.bundled()
     # Every row precedes the test window.
     before = make_table([(d, "1", "1", 5.0) for d in days[:40]])

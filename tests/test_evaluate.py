@@ -12,11 +12,10 @@ from demandcast.evaluate import (
     compare,
     error_histogram,
     improvement_percent,
-    make_scenario,
     run_scenario,
     score,
 )
-from demandcast.features import DeviationMode, HolidayCalendar
+from demandcast.features import HolidayCalendar
 from demandcast.models.gbdt import GbdtConfig
 from demandcast.models.naive import seasonal_naive_forecast
 
@@ -161,7 +160,7 @@ def toy_table(n_days=435, start=dt.date(2015, 1, 1), scale=1.0):
 
 def test_run_scenario_smoke_naive_only():
     table = toy_table()
-    spec = make_scenario("S1", SPLIT, models=("naive",))
+    spec = ScenarioSpec("S1", SPLIT, models=("naive",))
     report = run_scenario(table, spec, HolidayCalendar.bundled())
     assert list(report.entries) == ["naive"]
     entry = report.entries["naive"]
@@ -192,7 +191,7 @@ def test_run_scenario_records_per_model_failure(monkeypatch):
 
     monkeypatch.setattr(ev, "fit_arimax", fails_on_store_2)
     table = two_series_table()
-    spec = make_scenario("S2", SPLIT)
+    spec = ScenarioSpec("S2", SPLIT)
     cal = HolidayCalendar.bundled()
     serial = run_scenario(table, spec, cal, workers=1)
     for workers in (1, 2):
@@ -216,7 +215,7 @@ def test_run_scenario_starts_one_pool(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", CountingPool)
-    spec = make_scenario("S1", SPLIT, models=("naive", "arimax"))
+    spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
     assert pools == [{"max_workers": 2}]
     assert all(e.error is None for e in report.entries.values())
@@ -224,7 +223,7 @@ def test_run_scenario_starts_one_pool(monkeypatch):
 
 def test_run_scenario_deterministic_across_worker_counts():
     table = toy_table()
-    spec = make_scenario("S1", SPLIT, models=("naive", "arimax"))
+    spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
     cal = HolidayCalendar.bundled()
     r1 = run_scenario(table, spec, cal, workers=1)
     r2 = run_scenario(table, spec, cal, workers=2)
@@ -240,7 +239,7 @@ def test_arimax_drops_exogenous_columns_constant_over_training():
     table = make_table(
         [(d, store, "1", q) for store in ("1", "2") for d, _, _, q in table_rows(one)]
     )
-    spec = make_scenario(
+    spec = ScenarioSpec(
         "S2", SPLIT, granularity=Granularity.AGGREGATE, models=("arimax", "naive")
     )
     report = run_scenario(table, spec, HolidayCalendar.bundled())
@@ -276,40 +275,47 @@ def test_s2_beats_s1_for_tree_model_on_planted_exogenous_structure():
     )
     cal = HolidayCalendar.bundled()
     cfg = GbdtConfig(n_trees=60, max_depth=4)
-    r1 = run_scenario(table, make_scenario("S1", split, models=("gbdt",), gbdt_config=cfg), cal)
-    r2 = run_scenario(table, make_scenario("S2", split, models=("gbdt",), gbdt_config=cfg), cal)
+    r1 = run_scenario(table, ScenarioSpec("S1", split, models=("gbdt",), gbdt_config=cfg), cal)
+    r2 = run_scenario(table, ScenarioSpec("S2", split, models=("gbdt",), gbdt_config=cfg), cal)
     mae1 = r1.entries["gbdt"].metrics.mae
     mae2 = r2.entries["gbdt"].metrics.mae
     assert improvement_percent(mae1, mae2) >= 20.0
 
 
 def test_scenario_spec_validates_feature_sets():
-    with pytest.raises(ValueError):
-        ScenarioSpec(id="S1", feature_spec=ev.s2_features(), split=SPLIT)
-    with pytest.raises(ValueError):
-        ScenarioSpec(id="S2", feature_spec=ev.S1_FEATURES, split=SPLIT)
-    with pytest.raises(ValueError):
-        make_scenario("S1", SPLIT, models=("nope",))
+    for bad in (
+        {"id": "S3"},
+        {"id": "s2"},
+        {"id": "S1", "models": ("nope",)},
+        {"id": "S1", "models": ()},
+        {"id": "S2", "models": ("naive", "gbdt", "naive")},
+    ):
+        with pytest.raises(ValueError):
+            ScenarioSpec(split=SPLIT, **bad)
+    assert not ScenarioSpec("S1", SPLIT).external
+    assert ScenarioSpec("S2", SPLIT).external
 
 
 def test_compare_improvement_column():
     table = toy_table()
     cal = HolidayCalendar.bundled()
-    r1 = run_scenario(table, make_scenario("S1", SPLIT, models=("naive",)), cal)
-    r2 = run_scenario(table, make_scenario("S2", SPLIT, models=("naive",)), cal)
+    r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
+    r2 = run_scenario(table, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
     # synthesize distinct MAE values to pin the improvement arithmetic
     r1.entries["naive"].metrics = Metrics(mae=46.13, rmse=50.0, r2=0.5, n=70)
     r2.entries["naive"].metrics = Metrics(mae=22.7, rmse=30.0, r2=0.7, n=70)
     table_ = compare([r1, r2])
     assert round(table_.improvement_pct["naive"], 1) == 50.8
     assert table_.best_by_metric[("mae", "S2")] == "naive"
+    # The gain runs from S1 to S2 whatever order the scenarios ran in.
+    assert compare([r2, r1]).improvement_pct == table_.improvement_pct
 
 
 def test_compare_identical_reports_zero_improvement():
     table = toy_table()
     cal = HolidayCalendar.bundled()
-    r1 = run_scenario(table, make_scenario("S1", SPLIT, models=("naive",)), cal)
-    r2 = run_scenario(table, make_scenario("S2", SPLIT, models=("naive",)), cal)
+    r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
+    r2 = run_scenario(table, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
     table_ = compare([r1, r2])
     assert table_.improvement_pct["naive"] == 0.0
 
@@ -317,7 +323,7 @@ def test_compare_identical_reports_zero_improvement():
 def test_compare_single_report_degenerate():
     table = toy_table()
     cal = HolidayCalendar.bundled()
-    r1 = run_scenario(table, make_scenario("S1", SPLIT, models=("naive",)), cal)
+    r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
     table_ = compare([r1])
     assert table_.scenarios == ["S1"]
     assert table_.improvement_pct == {}
@@ -326,8 +332,8 @@ def test_compare_single_report_degenerate():
 
 def test_compare_rejects_mismatched_data():
     cal = HolidayCalendar.bundled()
-    r1 = run_scenario(toy_table(), make_scenario("S1", SPLIT, models=("naive",)), cal)
+    r1 = run_scenario(toy_table(), ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
     other = toy_table(scale=2.0)
-    r2 = run_scenario(other, make_scenario("S2", SPLIT, models=("naive",)), cal)
+    r2 = run_scenario(other, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
     with pytest.raises(FingerprintMismatchError):
         compare([r1, r2])

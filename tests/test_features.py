@@ -2,13 +2,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demandcast.data import SplitSpec
+from demandcast.data import SalesTable, SplitSpec
 from demandcast.errors import CalendarGapError, LagExceedsSeriesError
 from demandcast.features import (
-    DeviationConfig,
+    EXTERNAL_COLUMNS,
+    S1_COLUMNS,
     DeviationMode,
-    FeatureSpec,
     HolidayCalendar,
     build_train_test_matrices,
     cyclical_columns,
@@ -19,7 +21,7 @@ from demandcast.features import (
     weekdays_of_ordinals,
 )
 
-from conftest import make_table
+from conftest import BASE, gap_filled_tables, make_table
 
 
 def series_table(values, start=dt.date(2015, 1, 1), store="1", item="1"):
@@ -28,12 +30,12 @@ def series_table(values, start=dt.date(2015, 1, 1), store="1", item="1"):
     )
 
 
-def train_matrix(table, spec, calendar=None):
+def train_matrix(table, external=False, calendar=None):
     """Training side of a split whose training window holds every row."""
     last = table.coverage[1]
     day = dt.timedelta(days=1)
     split = SplitSpec(last, last + day, last + day)
-    return build_train_test_matrices(table, spec, calendar, split)[0]
+    return build_train_test_matrices(table, split, external, calendar)[0]
 
 
 def weekday(date):
@@ -120,33 +122,34 @@ def test_rolling_mean_min_periods_marks_undefined():
 # --- deviation flag ----------------------------------------------------------
 
 def test_deviation_flag_same_day_example():
-    cfg = DeviationConfig(window=3, min_periods=3, ratio=0.30)
-    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), cfg)
+    # Three days make the first defined trailing mean; 20 < 0.30 * 100.
+    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), DeviationMode.SAME_DAY)
     assert flags.tolist() == [0.0, 0.0, 0.0, 1.0]
+    flags = deviation_flag(np.array([100.0, 100.0, 20.0]), DeviationMode.SAME_DAY)
+    assert flags.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_deviation_flag_constant_series_all_zero():
-    cfg = DeviationConfig(window=3, min_periods=1, ratio=0.30)
-    assert deviation_flag(np.full(10, 55.0), cfg).sum() == 0.0
+    for mode in DeviationMode:
+        assert deviation_flag(np.full(10, 55.0), mode).sum() == 0.0
 
 
 def test_deviation_flag_lagged_shifts_trigger():
-    cfg = DeviationConfig(window=3, min_periods=3, ratio=0.30, mode=DeviationMode.LAGGED)
-    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), cfg)
+    lagged = DeviationMode.LAGGED
+    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), lagged)
     assert flags.tolist() == [0.0, 0.0, 0.0, 0.0]
-    flags5 = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0, 100.0]), cfg)
+    flags5 = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0, 100.0]), lagged)
     assert flags5.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_deviation_flag_lagged_is_causal():
     rng = np.random.default_rng(5)
     base = rng.uniform(50, 100, size=30)
-    cfg = DeviationConfig(window=7, min_periods=3, ratio=0.30, mode=DeviationMode.LAGGED)
-    flags = deviation_flag(base, cfg)
+    flags = deviation_flag(base, DeviationMode.LAGGED)
     for t in range(len(base)):
         mutated = base.copy()
         mutated[t] = 1.0
-        assert deviation_flag(mutated, cfg)[t] == flags[t]
+        assert deviation_flag(mutated, DeviationMode.LAGGED)[t] == flags[t]
 
 
 # --- holiday flag ------------------------------------------------------------
@@ -171,38 +174,28 @@ def test_holiday_calendar_gap_raises():
 
 # --- design matrix -----------------------------------------------------------
 
-S1_SPEC = FeatureSpec(lags=(1, 7, 14, 28), cyclical=frozenset({"month"}))
-
-
 def test_design_matrix_s1_column_count():
     table = series_table(np.arange(40.0) + 10.0)
-    m = train_matrix(table, S1_SPEC)
+    m = train_matrix(table)
     assert len(m.columns) == 6
     assert m.columns[:4] == ["lag_1", "lag_7", "lag_14", "lag_28"]
 
 
 def test_design_matrix_with_flags_column_count():
-    spec = FeatureSpec(
-        lags=(1, 7, 14, 28),
-        cyclical=frozenset({"month"}),
-        use_weekday_numeric=True,
-        use_holiday=True,
-        use_deviation_flag=True,
-    )
     table = series_table(np.arange(40.0) + 10.0, start=dt.date(2015, 1, 1))
     cal = HolidayCalendar(entries={dt.date(2015, 1, 26).toordinal(): "republic_day"})
-    m = train_matrix(table, spec, cal)
-    assert len(m.columns) == 9
+    m = train_matrix(table, True, cal)
+    assert len(m.columns) == 11
+    assert m.columns[6:] == list(EXTERNAL_COLUMNS)
 
 
 def test_min_max_scaling_endpoints():
-    spec = FeatureSpec(lags=(1,), cyclical=frozenset())
-    table = series_table([2.0, 4.0, 6.0, 8.0])
-    m = train_matrix(table, spec)
-    # lag column over the three valid rows is [2, 4, 6] before scaling
+    table = series_table(2.0 * np.arange(1, 33))
+    m = train_matrix(table)
+    # lag_1 over the four rows after the 28-day lag is [56, 58, 60, 62] unscaled
     col = m.column("lag_1")
-    assert np.allclose(col, [0.0, 0.5, 1.0])
-    assert m.scaling["lag_1"] == (2.0, 6.0)
+    assert np.allclose(col, [0.0, 1 / 3, 2 / 3, 1.0])
+    assert m.scaling["lag_1"] == (56.0, 62.0)
 
 
 def test_dropped_rows_equal_series_times_max_lag():
@@ -217,7 +210,7 @@ def test_dropped_rows_equal_series_times_max_lag():
             for d in range(50)
         ]
     )
-    m = train_matrix(table, S1_SPEC)
+    m = train_matrix(table)
     assert len(m) == 6 * (50 - 28)
 
 
@@ -228,34 +221,79 @@ def test_test_matrix_uses_training_scaling_stats():
         dt.date(2015, 1, 1) + dt.timedelta(days=40),
         dt.date(2015, 1, 1) + dt.timedelta(days=49),
     )
-    spec = FeatureSpec(lags=(1,), cyclical=frozenset())
-    train, test = build_train_test_matrices(table, spec, None, split)
+    train, test = build_train_test_matrices(table, split)
     assert train.scaling == test.scaling
     assert train.column("lag_1").max() <= 1.0
     assert test.column("lag_1").max() > 1.0  # test extremes map outside [0, 1]
 
 
 def test_calendar_features_ignore_quantities():
-    spec = FeatureSpec(
-        lags=(), cyclical=frozenset({"weekday"}), use_weekday_numeric=True, use_holiday=True
+    calendar_columns = ["month_sin", "month_cos", *EXTERNAL_COLUMNS[:4]]
+    cal = HolidayCalendar(entries={dt.date(2015, 2, 5).toordinal(): "h"})
+    m1 = train_matrix(series_table([5.0] * 40), True, cal)
+    m2 = train_matrix(series_table(np.arange(40.0) * 3 + 1), True, cal)
+    for name in calendar_columns:
+        assert np.array_equal(m1.column(name), m2.column(name))
+    assert m1.column("holiday").sum() == 1.0
+
+
+# --- the two feature sets ------------------------------------------------------
+
+def random_split(train_days, test_days):
+    train_end = BASE + dt.timedelta(days=train_days)
+    day = dt.timedelta(days=1)
+    return SplitSpec(train_end, train_end + day, train_end + day + dt.timedelta(days=test_days))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gap_filled_tables(),
+    st.integers(20, 90),
+    st.integers(0, 30),
+    st.sampled_from(DeviationMode),
+)
+def test_s2_is_s1_with_external_columns_appended(table, train_days, test_days, mode):
+    split = random_split(train_days, test_days)
+    s1 = build_train_test_matrices(table, split)
+    s2 = build_train_test_matrices(table, split, True, HolidayCalendar.bundled(), mode)
+    k = len(S1_COLUMNS)
+    for a, b in zip(s1, s2):
+        assert a.columns == list(S1_COLUMNS)
+        assert b.columns == list(S1_COLUMNS + EXTERNAL_COLUMNS)
+        assert a.rows.tobytes() == np.ascontiguousarray(b.rows[:, :k]).tobytes()
+        for name in ("target", "dates", "stores", "items"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.scaling == {c: b.scaling[c] for c in S1_COLUMNS}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gap_filled_tables(),
+    st.integers(20, 90),
+    st.integers(0, 30),
+    st.data(),
+)
+def test_lagged_matrices_are_causal(table, train_days, test_days, data):
+    split = random_split(train_days, test_days)
+    first, last = split.test_start.toordinal(), split.test_end.toordinal()
+    t = data.draw(st.integers(first, last))
+    cal = HolidayCalendar.bundled()
+    train, test = build_train_test_matrices(table, split, True, cal, DeviationMode.LAGGED)
+
+    noise = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+        -20.0, 1000.0, len(table)
     )
-    cal = HolidayCalendar(entries={dt.date(2015, 1, 5).toordinal(): "h"})
-    t1 = series_table([5.0] * 10)
-    t2 = series_table(np.arange(10.0) * 3 + 1)
-    m1 = train_matrix(t1, spec, cal)
-    m2 = train_matrix(t2, spec, cal)
-    assert np.array_equal(m1.rows, m2.rows)
-
-
-def test_feature_spec_rejects_lag_zero_and_empty():
-    with pytest.raises(ValueError):
-        FeatureSpec(lags=(0, 1))
-    with pytest.raises(ValueError):
-        FeatureSpec(lags=(), cyclical=frozenset())
-
-
-def test_deviation_config_validation():
-    with pytest.raises(ValueError):
-        DeviationConfig(window=2, min_periods=3)
-    with pytest.raises(ValueError):
-        DeviationConfig(ratio=1.5)
+    moved = (table.dates >= t) & (table.dates <= last)
+    perturbed = SalesTable(
+        table.dates,
+        table.store_ids,
+        table.item_ids,
+        np.where(moved, np.maximum(table.quantities + noise, 0.0), table.quantities),
+        is_sorted=True,
+    )
+    train2, test2 = build_train_test_matrices(perturbed, split, True, cal, DeviationMode.LAGGED)
+    assert train2.rows.tobytes() == train.rows.tobytes()
+    assert train2.target.tobytes() == train.target.tobytes()
+    assert train2.scaling == train.scaling
+    upto = test.dates <= t
+    assert test2.rows[upto].tobytes() == test.rows[upto].tobytes()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandcast.inventory import (
     ImpactTable,
@@ -22,15 +24,36 @@ def outcome_with(overstock, stockout, accuracy, cost):
     )
 
 
-def test_ledger_identities_hold():
-    rng = np.random.default_rng(0)
-    demand = rng.poisson(20, size=120).astype(float)
-    forecast = demand + rng.normal(scale=4.0, size=120)
-    out = simulate(demand, forecast, ReplenishmentPolicy(lead_time=2, review_period=3), sigma_hat=4.0)
-    assert np.allclose(out.closing, out.opening + out.received - out.sold)
-    assert np.allclose(out.sold, np.minimum(out.demand, out.opening + out.received))
-    assert (out.lost_sales >= -1e-12).all()
-    assert np.allclose(out.lost_sales, out.demand - out.sold)
+@st.composite
+def demand_and_forecast(draw):
+    n = draw(st.integers(1, 60))
+    demand = draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    forecast = draw(st.lists(st.floats(-50.0, 150.0), min_size=n, max_size=n))
+    return np.array(demand), np.array(forecast)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    demand_and_forecast(),
+    st.floats(0.0, 30.0),
+    st.integers(1, 7),
+    st.integers(0, 5),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 200.0),
+)
+def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
+    demand, forecast = data
+    policy = ReplenishmentPolicy(
+        review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
+    )
+    out = simulate(demand, forecast, policy, sigma_hat=sigma)
+    assert np.array_equal(out.closing, out.opening + out.received - out.sold)
+    assert np.array_equal(out.sold, np.minimum(demand, out.opening + out.received))
+    assert np.array_equal(out.lost_sales, demand - out.sold)
+    assert (out.sold >= 0.0).all() and (out.sold <= demand).all()
+    assert np.array_equal(out.opening[1:], out.closing[:-1])
+    assert out.opening[0] == initial
+    assert out.negative_forecast_days == int((forecast < 0).sum())
 
 
 def test_perfect_forecast_zero_lead_never_stocks_out_or_holds():

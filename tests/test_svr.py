@@ -470,18 +470,16 @@ _BUNDLED_FIT = """
 import json
 from demandcast.config import RunConfig, bundled_sample_stream
 from demandcast.data import fill_gaps, parse_sales_csv, series_runs, sort_chronological
-from demandcast.evaluate import make_scenario
 from demandcast.features import build_train_test_matrices
-from demandcast.models.svr import fit_svr, predict_svr
+from demandcast.models.svr import SvrConfig, fit_svr, predict_svr
 
 with bundled_sample_stream() as stream:
     table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
-spec = make_scenario("S1", RunConfig().split())
-train, test = build_train_test_matrices(table, spec.feature_spec, None, spec.split)
+train, test = build_train_test_matrices(table, RunConfig().split())
 key = ("2", "1")
 train = train.select_rows(slice(*series_runs(train.stores, train.items)[key]))
 test = test.select_rows(slice(*series_runs(test.stores, test.items)[key]))
-model = fit_svr(train, spec.svr_config)
+model = fit_svr(train, SvrConfig())
 print(json.dumps(model.to_dict()))
 print(json.dumps(model.dual_objective_trace))
 print(predict_svr(model, test).tobytes().hex())

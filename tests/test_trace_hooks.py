@@ -15,7 +15,7 @@ import numpy as np
 
 import demandcast.evaluate as ev
 from demandcast.data import SplitSpec
-from demandcast.evaluate import make_scenario, run_scenario
+from demandcast.evaluate import ScenarioSpec, run_scenario
 from demandcast.features import HolidayCalendar
 
 from conftest import make_table
@@ -65,7 +65,7 @@ def test_run_scenario_calls_each_patched_model_function(monkeypatch):
     for attr in patched:
         monkeypatch.setattr(ev, attr, counting(attr, getattr(ev, attr)))
     split = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 1, 1), dt.date(2016, 3, 10))
-    report = run_scenario(table, make_scenario("S2", split), HolidayCalendar.bundled(), workers=1)
+    report = run_scenario(table, ScenarioSpec("S2", split), HolidayCalendar.bundled(), workers=1)
     assert all(entry.error is None for entry in report.entries.values())
     expected = {
         attr: 1 if attr in PER_SCENARIO else 3 * PER_SERIES.get(attr, 1) for attr in patched
