@@ -7,6 +7,7 @@ fixed row order, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import json
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .evaluate import ComparisonTable, EvaluationReport
+from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
 
 
@@ -72,17 +74,15 @@ def write_runtimes_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
     _write_csv(path, ["model", "scenario", "runtime_s"], rows)
 
 
-def write_residuals_csv(path: Path, entry) -> None:
-    rows = (
-        [
-            str(entry.stores[i]),
-            str(entry.items[i]),
-            dt.date.fromordinal(int(entry.dates[i])).isoformat(),
-            float(entry.actuals[i]),
-            float(entry.predictions[i]),
-            float(entry.actuals[i] - entry.predictions[i]),
-        ]
-        for i in range(len(entry.actuals))
+def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray) -> None:
+    residuals = test.target - predictions
+    rows = zip(
+        test.stores.tolist(),
+        test.items.tolist(),
+        (dt.date.fromordinal(d).isoformat() for d in test.dates.tolist()),
+        test.target.tolist(),
+        predictions.tolist(),
+        residuals.tolist(),
     )
     _write_csv(path, ["store", "item", "date", "actual", "predicted", "residual"], rows)
 
@@ -119,14 +119,14 @@ def write_histogram_csv(path: Path, entry) -> None:
     )
 
 
-def write_actual_vs_predicted_csv(path: Path, entry) -> None:
+def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray) -> None:
     """Per-date totals across series: the single-curve view of the test window.
 
     ``bincount`` adds each date's values in row order, as a running sum would.
     """
-    days, slot = np.unique(entry.dates, return_inverse=True)
-    actual = np.bincount(slot, weights=entry.actuals)
-    predicted = np.bincount(slot, weights=entry.predictions)
+    days, slot = np.unique(test.dates, return_inverse=True)
+    actual = np.bincount(slot, weights=test.target)
+    predicted = np.bincount(slot, weights=predictions)
     rows = zip(
         (dt.date.fromordinal(d).isoformat() for d in days.tolist()),
         actual.tolist(),
@@ -136,7 +136,7 @@ def write_actual_vs_predicted_csv(path: Path, entry) -> None:
 
 
 def report_document(reports: Sequence[EvaluationReport], comparison: ComparisonTable) -> dict:
-    doc: dict = {"scenarios": {}, "comparison": {}}
+    doc: dict = {"scenarios": {}, "comparison": dataclasses.asdict(comparison)}
     for report in reports:
         scenario_doc: dict = {
             "id": report.scenario.id,
@@ -150,25 +150,12 @@ def report_document(reports: Sequence[EvaluationReport], comparison: ComparisonT
             scenario_doc["models"][model] = {
                 "forecast_mode": entry.forecast_mode,
                 "error": entry.error,
-                "metrics": None
-                if m is None
-                else {"mae": m.mae, "rmse": m.rmse, "r2": m.r2, "n": m.n},
+                "metrics": None if m is None else dataclasses.asdict(m),
                 "train_residual_std": entry.train_residual_std,
-                "per_series_train_residual_std": {
-                    f"{s}|{i}": v for (s, i), v in entry.per_series_train_residual_std.items()
-                },
+                "per_series_train_residual_std": entry.per_series_train_residual_std,
                 "importance": entry.importance,
             }
         doc["scenarios"][report.scenario.id] = scenario_doc
-    doc["comparison"] = {
-        "scenarios": comparison.scenarios,
-        "models": comparison.models,
-        "mae": {f"{m}|{s}": v for (m, s), v in comparison.mae.items()},
-        "rmse": {f"{m}|{s}": v for (m, s), v in comparison.rmse.items()},
-        "r2": {f"{m}|{s}": v for (m, s), v in comparison.r2.items()},
-        "improvement_pct": comparison.improvement_pct,
-        "best_by_metric": {f"{metric}|{s}": m for (metric, s), m in comparison.best_by_metric.items()},
-    }
     return doc
 
 
@@ -176,29 +163,15 @@ def write_json(path: Path, doc: Mapping) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+LEDGER_COLUMNS = ("opening", "ordered", "received", "demand", "sold", "lost_sales", "closing")
+
+
 def write_ledger_csv(path: Path, outcomes: Mapping[tuple[str, str], "InventoryOutcome"]) -> None:
     rows = []
     for (store, item), outcome in outcomes.items():
-        for t in range(outcome.days):
-            rows.append(
-                [
-                    store,
-                    item,
-                    t,
-                    float(outcome.opening[t]),
-                    float(outcome.ordered[t]),
-                    float(outcome.received[t]),
-                    float(outcome.demand[t]),
-                    float(outcome.sold[t]),
-                    float(outcome.lost_sales[t]),
-                    float(outcome.closing[t]),
-                ]
-            )
-    _write_csv(
-        path,
-        ["store", "item", "day", "opening", "ordered", "received", "demand", "sold", "lost_sales", "closing"],
-        rows,
-    )
+        days = zip(*(getattr(outcome, name).tolist() for name in LEDGER_COLUMNS))
+        rows.extend([store, item, t, *values] for t, values in enumerate(days))
+    _write_csv(path, ["store", "item", "day", *LEDGER_COLUMNS], rows)
 
 
 def write_impact_csv(path: Path, table: ImpactTable) -> None:

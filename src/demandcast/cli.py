@@ -42,7 +42,7 @@ from .data import (
 from .errors import DemandcastError, MissingForecastsError
 from .evaluate import compare, data_fingerprint, run_scenario
 from .features import DeviationMode, HolidayCalendar
-from .inventory import impact_table, pool_outcomes, simulate
+from .inventory import IMPACT_METRICS, impact_table, pool_outcomes, simulate
 
 logger = logging.getLogger(__name__)
 
@@ -154,14 +154,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             if entry.error is not None:
                 continue
             name = slug(model, report.scenario.id)
-            write_residuals_csv(out_dir / f"residuals_{name}.csv", entry)
+            write_residuals_csv(out_dir / f"residuals_{name}.csv", report.test, entry.predictions)
             write_histogram_csv(out_dir / f"histogram_{name}.csv", entry)
-            write_actual_vs_predicted_csv(out_dir / f"actual_vs_predicted_{name}.csv", entry)
+            write_actual_vs_predicted_csv(
+                out_dir / f"actual_vs_predicted_{name}.csv", report.test, entry.predictions
+            )
             if cfg.save_models:
-                write_json(
-                    out_dir / f"models_{name}.json",
-                    {f"{s}|{i}": doc for (s, i), doc in entry.artifacts.items()},
-                )
+                write_json(out_dir / f"models_{name}.json", entry.artifacts)
     write_json(out_dir / "report.json", report_document(reports, comparison))
     stage_times["artifacts"] = time.perf_counter() - started
 
@@ -253,18 +252,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "scenario": scenario_id,
         "policy": cfg.simulation,
         "baseline": "naive",
-        "baseline_rates": {
-            "overstock_rate": baseline.overstock_rate,
-            "stockout_rate": baseline.stockout_rate,
-            "forecast_accuracy": baseline.forecast_accuracy,
-            "cost_index": baseline.cost_index,
-        },
+        "baseline_rates": {name: getattr(baseline, name) for name, _ in IMPACT_METRICS},
         "models": {
             model: {
-                "overstock_rate": o.overstock_rate,
-                "stockout_rate": o.stockout_rate,
-                "forecast_accuracy": o.forecast_accuracy,
-                "cost_index": o.cost_index,
+                **{name: getattr(o, name) for name, _ in IMPACT_METRICS},
                 "negative_forecast_days": o.negative_forecast_days,
             }
             for model, o in pooled.items()

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .data import FillMethod, Granularity, SplitSpec
-from .evaluate import MODEL_NAMES, ScenarioSpec
+from .evaluate import MODEL_NAMES, ScenarioSpec, config_fingerprint
 from .features import DeviationMode
 from .inventory import ReplenishmentPolicy
 from .models.arimax import ForecastMode
@@ -77,8 +77,17 @@ class RunConfig:
     def validate(self) -> None:
         """Check every value at load: any bad one raises ConfigError.
 
-        Building the scenario specs and the policy runs their own checks.
+        Every field must first have the JSON type of its default, or be a
+        string where the default is null.  Building the scenario specs and
+        the policy then runs their own checks.
         """
+        for f in dataclasses.fields(self):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            allowed = (str, type(None)) if default is None else (type(default),)
+            value = getattr(self, f.name)
+            if type(value) not in allowed:
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ConfigError(f"{f.name} must be {names}, got {value!r}")
         for value, enum_cls, name in (
             (self.granularity, Granularity, "granularity"),
             (self.deviation_mode, DeviationMode, "deviation_mode"),
@@ -93,7 +102,7 @@ class RunConfig:
         bad_schema = set(self.schema) - {"date", "store", "item", "sales"}
         if bad_schema:
             raise ConfigError(f"schema may remap only date/store/item/sales, got {sorted(bad_schema)}")
-        if type(self.workers) is not int or self.workers < 1:
+        if self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         # Path existence is deliberately not a config check: a missing file
         # surfaces when opened, as an input error with its own exit code.
@@ -130,11 +139,14 @@ class RunConfig:
         ]
 
     def split(self) -> SplitSpec:
-        return SplitSpec(
-            dt.date.fromisoformat(self.train_end),
-            dt.date.fromisoformat(self.test_start),
-            dt.date.fromisoformat(self.test_end),
-        )
+        dates = []
+        for name in ("train_end", "test_start", "test_end"):
+            value = getattr(self, name)
+            try:
+                dates.append(dt.date.fromisoformat(value))
+            except ValueError:
+                raise ConfigError(f"{name} must be a date as YYYY-MM-DD, got {value!r}") from None
+        return SplitSpec(*dates)
 
     def policy(self) -> ReplenishmentPolicy:
         kwargs = {k: v for k, v in self.simulation.items() if k != "scenario"}
@@ -147,9 +159,7 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
+        return config_fingerprint(self.to_dict())
 
 
 def bundled_sample_stream():

@@ -147,18 +147,6 @@ class SalesTable:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def take(self, mask_or_index: np.ndarray, is_sorted: bool | None = None) -> "SalesTable":
-        keep = mask_or_index
-        return SalesTable(
-            self.dates[keep],
-            self.store_ids[keep],
-            self.item_ids[keep],
-            self.quantities[keep],
-            self.imputed[keep],
-            {name: col[keep] for name, col in self.extras.items()},
-            is_sorted=self.is_sorted if is_sorted is None else is_sorted,
-        )
-
     def _require_sorted(self) -> None:
         if not self.is_sorted:
             raise ValueError("table must be sorted; call sort_chronological first")
@@ -314,7 +302,15 @@ def sort_chronological(table: SalesTable) -> SalesTable:
     same day: silently averaging duplicates would hide ingestion bugs.
     """
     order = np.lexsort((table.dates, table.item_ids, table.store_ids))
-    out = table.take(order, is_sorted=True)
+    out = SalesTable(
+        table.dates[order],
+        table.store_ids[order],
+        table.item_ids[order],
+        table.quantities[order],
+        table.imputed[order],
+        {name: col[order] for name, col in table.extras.items()},
+        is_sorted=True,
+    )
     same_series = (out.store_ids[1:] == out.store_ids[:-1]) & (
         out.item_ids[1:] == out.item_ids[:-1]
     )
@@ -341,77 +337,44 @@ def fill_gaps(
     own first and last observed day.
     """
     table._require_sorted()
-    report = GapReport()
+    if not len(table):
+        return table, GapReport()
+    lo, hi = np.array(list(table.series_index.values()), dtype=np.int64).T
+    first, last = table.dates[lo], table.dates[hi - 1]
+    lengths = last - first + 1
+    start = np.cumsum(lengths) - lengths  # each series' first output row
+    series = np.repeat(np.arange(len(lo)), hi - lo)
+    pos = start[series] + table.dates - first[series]  # output row of each observed row
+    n_out = int(lengths.sum())
+    missing = np.ones(n_out, dtype=bool)
+    missing[pos] = False
+    gaps = np.flatnonzero(missing)
+    # Every gap lies between two observations of its own series, so the
+    # observation before it, and the interpolation, never cross series.
+    prev = np.searchsorted(pos, gaps, side="right") - 1
 
-    out_dates: list[np.ndarray] = []
-    out_stores: list[str] = []
-    out_items: list[str] = []
-    out_qty: list[np.ndarray] = []
-    out_imputed: list[np.ndarray] = []
-    out_extras: dict[str, list[np.ndarray]] = {name: [] for name in table.extras}
-    counts: list[int] = []
+    def spread(observed: np.ndarray, gap_values) -> np.ndarray:
+        col = np.empty(n_out, dtype=observed.dtype)
+        col[pos] = observed
+        col[gaps] = gap_values
+        return col
 
-    for key, (lo, hi) in table.series_index.items():
-        d = table.dates[lo:hi]
-        q = table.quantities[lo:hi]
-        imp = table.imputed[lo:hi]
-        first, last = int(d[0]), int(d[-1])
-        span = np.arange(first, last + 1, dtype=np.int64)
-        n_new = len(span)
-        if n_new == len(d):
-            out_dates.append(d)
-            out_qty.append(q)
-            out_imputed.append(imp)
-            for name in table.extras:
-                out_extras[name].append(table.extras[name][lo:hi])
-            counts.append(len(d))
-            report.imputed_per_series[key] = 0
-            continue
-
-        pos = d - first  # observed offsets, ascending; at least one gap remains
-        missing = np.ones(n_new, dtype=bool)
-        missing[pos] = False
-        gap_idx = np.flatnonzero(missing)
-        prev = np.searchsorted(pos, gap_idx, side="right") - 1  # last observation before
-        qty_new = np.empty(n_new, dtype=np.float64)
-        qty_new[pos] = q
-        if method is FillMethod.LINEAR_INTERPOLATE:
-            qty_new[gap_idx] = np.interp(gap_idx, pos, q)
-        else:
-            qty_new[gap_idx] = q[prev]
-        imp_new = np.ones(n_new, dtype=bool)
-        imp_new[pos] = imp
-        for name in table.extras:
-            observed_extra = table.extras[name][lo:hi]
-            col = np.empty(n_new, dtype=np.float64)
-            col[pos] = observed_extra
-            col[gap_idx] = observed_extra[prev]
-            out_extras[name].append(col)
-
-        out_dates.append(span)
-        out_qty.append(qty_new)
-        out_imputed.append(imp_new)
-        counts.append(n_new)
-        report.imputed_per_series[key] = len(gap_idx)
-
-    keys = list(table.series_index)
-    stores = np.concatenate(
-        [np.full(c, k[0], dtype=table.store_ids.dtype) for k, c in zip(keys, counts)]
-    ) if keys else np.array([], dtype=np.str_)
-    items = np.concatenate(
-        [np.full(c, k[1], dtype=table.item_ids.dtype) for k, c in zip(keys, counts)]
-    ) if keys else np.array([], dtype=np.str_)
-
+    q = table.quantities
+    if method is FillMethod.LINEAR_INTERPOLATE:
+        gap_qty = np.interp(gaps, pos, q)
+    else:
+        gap_qty = q[prev]
     filled = SalesTable(
-        np.concatenate(out_dates) if out_dates else np.array([], dtype=np.int64),
-        stores,
-        items,
-        np.concatenate(out_qty) if out_qty else np.array([], dtype=np.float64),
-        np.concatenate(out_imputed) if out_imputed else np.array([], dtype=bool),
-        {name: np.concatenate(cols) for name, cols in out_extras.items()},
+        np.repeat(first - start, lengths) + np.arange(n_out),
+        np.repeat(table.store_ids[lo], lengths),
+        np.repeat(table.item_ids[lo], lengths),
+        spread(q, gap_qty),
+        spread(table.imputed, True),
+        {name: spread(col, col[prev]) for name, col in table.extras.items()},
         is_sorted=True,
     )
-    return filled, report
+    imputed = lengths - (hi - lo)
+    return filled, GapReport(dict(zip(table.series_index, imputed.tolist())))
 
 
 def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:

@@ -174,12 +174,10 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         return predictions, train_pred, model.to_dict(), "one-step-features"
     if model_name == "arimax":
         exog_names = _exog_columns(train)
-        X_train = (
-            np.column_stack([train.column(c) for c in exog_names]) if exog_names else None
-        )
-        X_test = (
-            np.column_stack([test.column(c) for c in exog_names]) if exog_names else None
-        )
+        cols = [train.columns.index(c) for c in exog_names]
+        # take() returns row-major arrays; rows[:, cols] would be column-major,
+        # and BLAS sums products over that layout in another order.
+        X_train, X_test = train.rows.take(cols, axis=1), test.rows.take(cols, axis=1)
         model = fit_arimax(train.target, X_train, exog_names=exog_names)
         predictions = forecast_arimax(
             model,
@@ -242,31 +240,37 @@ def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
 
 @dataclass
 class ModelEvaluation:
-    model: str
-    scenario: str
-    forecast_mode: str
-    metrics: Metrics | None
-    stores: np.ndarray
-    items: np.ndarray
-    dates: np.ndarray
-    actuals: np.ndarray
-    predictions: np.ndarray
-    histogram: list[tuple[float, float, int]]
-    importance: list[tuple[str, float]] | None
-    train_residual_std: float
-    per_series_train_residual_std: dict[tuple[str, str], float]
-    artifacts: dict[tuple[str, str], dict]
+    """One model's results on its scenario's test rows; a failed model keeps
+    only its runtime and error."""
+
     runtime_s: float
     error: str | None = None
+    forecast_mode: str = ""
+    metrics: Metrics | None = None
+    predictions: np.ndarray = field(default_factory=lambda: np.empty(0))
+    histogram: list[tuple[float, float, int]] = field(default_factory=list)
+    importance: list[tuple[str, float]] | None = None
+    train_residual_std: float = float("nan")
+    # Keyed "store|item", as report.json and the saved models key series.
+    per_series_train_residual_std: dict[str, float] = field(default_factory=dict)
+    artifacts: dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
 class EvaluationReport:
+    """One scenario's results.  ``test`` holds the pooled test rows of the
+    series with rows on both sides of the split, in (store, item, date)
+    order, and every model's predictions align with them."""
+
     scenario: ScenarioSpec
-    deviation_mode: str
+    test: FeatureMatrix
     entries: dict[str, ModelEvaluation]
     config_fingerprint: str
     data_fingerprint: str
+
+    @property
+    def deviation_mode(self) -> str:
+        return self.scenario.deviation_mode.value if self.scenario.external else ""
 
 
 def data_fingerprint(table: SalesTable) -> str:
@@ -334,6 +338,10 @@ def run_scenario(
     ]
     all_results = _execute_tasks(tasks, workers)
 
+    labels = [f"{store}|{item}" for store, item in keys]
+    test = test_fm.select_rows(
+        np.concatenate([np.arange(test_runs[k].start, test_runs[k].stop) for k in keys])
+    )
     entries: dict[str, ModelEvaluation] = {}
     for m, model_name in enumerate(spec.models):
         results = all_results[m * len(keys) : (m + 1) * len(keys)]
@@ -341,33 +349,10 @@ def run_scenario(
         # The first failing series, in series order, fails the whole model.
         error = next((r["error"] for r in results if "error" in r), None)
         if error is not None:
-            entries[model_name] = ModelEvaluation(
-                model=model_name,
-                scenario=spec.id,
-                forecast_mode="",
-                metrics=None,
-                stores=np.array([], dtype=np.str_),
-                items=np.array([], dtype=np.str_),
-                dates=np.empty(0, dtype=np.int64),
-                actuals=np.empty(0),
-                predictions=np.empty(0),
-                histogram=[],
-                importance=None,
-                train_residual_std=float("nan"),
-                per_series_train_residual_std={},
-                artifacts={},
-                runtime_s=runtime,
-                error=error,
-            )
+            entries[model_name] = ModelEvaluation(runtime, error)
             continue
 
         predictions = np.concatenate([r["predictions"] for r in results])
-        actuals = np.concatenate([test_fm.target[test_runs[k]] for k in keys])
-        stores = np.concatenate([test_fm.stores[test_runs[k]] for k in keys])
-        items = np.concatenate([test_fm.items[test_runs[k]] for k in keys])
-        dates = np.concatenate([test_fm.dates[test_runs[k]] for k in keys])
-        metrics = score(actuals, predictions)
-
         importance = None
         if model_name == "gbdt":
             totals: dict[str, float] = {}
@@ -379,31 +364,25 @@ def run_scenario(
             except NoSplitsError:
                 pass
 
-        per_series_std = {k: r["train_residual_std"] for k, r in zip(keys, results)}
+        per_series_std = {label: r["train_residual_std"] for label, r in zip(labels, results)}
         pooled_std = float(
             np.sqrt(np.mean([s * s for s in per_series_std.values()]))
         )
         entries[model_name] = ModelEvaluation(
-            model=model_name,
-            scenario=spec.id,
-            forecast_mode=results[0]["mode"] if results else "",
-            metrics=metrics,
-            stores=stores,
-            items=items,
-            dates=dates,
-            actuals=actuals,
+            runtime_s=runtime,
+            forecast_mode=results[0]["mode"],
+            metrics=score(test.target, predictions),
             predictions=predictions,
-            histogram=error_histogram(actuals - predictions, HISTOGRAM_BINS),
+            histogram=error_histogram(test.target - predictions, HISTOGRAM_BINS),
             importance=importance,
             train_residual_std=pooled_std,
             per_series_train_residual_std=per_series_std,
-            artifacts={k: r["artifact"] for k, r in zip(keys, results)},
-            runtime_s=runtime,
+            artifacts={label: r["artifact"] for label, r in zip(labels, results)},
         )
 
     return EvaluationReport(
         scenario=spec,
-        deviation_mode=spec.deviation_mode.value if spec.external else "",
+        test=test,
         entries=entries,
         config_fingerprint=config_fingerprint(spec.fingerprint_payload()),
         data_fingerprint=data_fingerprint(table),
@@ -414,13 +393,16 @@ def run_scenario(
 
 @dataclass
 class ComparisonTable:
+    """Side-by-side metrics, keyed as report.json keys them: "model|scenario",
+    and "metric|scenario" for the best model."""
+
     scenarios: list[str]
     models: list[str]
-    mae: dict[tuple[str, str], float | None]
-    rmse: dict[tuple[str, str], float | None]
-    r2: dict[tuple[str, str], float | None]
+    mae: dict[str, float | None]
+    rmse: dict[str, float | None]
+    r2: dict[str, float | None]
     improvement_pct: dict[str, float | None]
-    best_by_metric: dict[tuple[str, str], str]
+    best_by_metric: dict[str, str]
 
     def to_text(self) -> str:
         lines = []
@@ -431,7 +413,7 @@ class ComparisonTable:
         for m in self.models:
             row = [f"{m:>16}"]
             for s in self.scenarios:
-                v = self.mae.get((m, s))
+                v = self.mae.get(f"{m}|{s}")
                 row.append(f"{v:16.4f}" if v is not None else f"{'-':>16}")
             if len(self.scenarios) > 1:
                 imp = self.improvement_pct.get(m)
@@ -455,58 +437,39 @@ def compare(reports: Sequence[EvaluationReport]) -> ComparisonTable:
     """
     if not reports:
         raise ValueError("nothing to compare")
-    datas = {r.data_fingerprint for r in reports}
-    splits = {
-        (
-            r.scenario.split.train_end,
-            r.scenario.split.test_start,
-            r.scenario.split.test_end,
-            r.scenario.granularity,
-        )
-        for r in reports
-    }
-    if len(datas) > 1 or len(splits) > 1:
+    if len({(r.data_fingerprint, r.scenario.split, r.scenario.granularity) for r in reports}) > 1:
         raise FingerprintMismatchError(
             "reports span different data or splits and cannot be compared"
         )
     scenarios = [r.scenario.id for r in reports]
-    models: list[str] = []
-    for r in reports:
-        for m in r.entries:
-            if m not in models:
-                models.append(m)
-    mae: dict[tuple[str, str], float | None] = {}
-    rmse: dict[tuple[str, str], float | None] = {}
-    r2: dict[tuple[str, str], float | None] = {}
+    models = list(dict.fromkeys(m for r in reports for m in r.entries))
+    tables: dict[str, dict[str, float | None]] = {"mae": {}, "rmse": {}, "r2": {}}
     for r in reports:
         for m, entry in r.entries.items():
-            key = (m, r.scenario.id)
-            mae[key] = entry.metrics.mae if entry.metrics else None
-            rmse[key] = entry.metrics.rmse if entry.metrics else None
-            r2[key] = entry.metrics.r2 if entry.metrics else None
+            for metric, values in tables.items():
+                value = getattr(entry.metrics, metric) if entry.metrics else None
+                values[f"{m}|{r.scenario.id}"] = value
 
     # The paper's gain: from S1 to S2, whatever order the scenarios ran in.
     improvement: dict[str, float | None] = {}
     if set(SCENARIO_IDS) <= set(scenarios):
         for m in models:
-            a, b = mae.get((m, "S1")), mae.get((m, "S2"))
+            a, b = tables["mae"].get(f"{m}|S1"), tables["mae"].get(f"{m}|S2")
             improvement[m] = improvement_percent(a, b) if a is not None and b is not None else None
 
-    best: dict[tuple[str, str], str] = {}
+    # The lowest error wins, and the highest R^2.
+    best: dict[str, str] = {}
     for s in scenarios:
-        for metric_name, table_ in (("mae", mae), ("rmse", rmse)):
-            candidates = [(v, m) for (m, sc), v in table_.items() if sc == s and v is not None]
+        for metric, values in tables.items():
+            candidates = [
+                (values[f"{m}|{s}"], m) for m in models if values.get(f"{m}|{s}") is not None
+            ]
             if candidates:
-                best[(metric_name, s)] = min(candidates)[1]
-        candidates = [(v, m) for (m, sc), v in r2.items() if sc == s and v is not None]
-        if candidates:
-            best[("r2", s)] = max(candidates)[1]
+                best[f"{metric}|{s}"] = (max if metric == "r2" else min)(candidates)[1]
     return ComparisonTable(
         scenarios=scenarios,
         models=models,
-        mae=mae,
-        rmse=rmse,
-        r2=r2,
+        **tables,
         improvement_pct=improvement,
         best_by_metric=best,
     )

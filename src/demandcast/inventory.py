@@ -15,7 +15,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .evaluate import improvement_percent
+
 logger = logging.getLogger(__name__)
+
+# The four portfolio rates that impact tables report, each with whether a
+# lower value is better.
+IMPACT_METRICS = (
+    ("overstock_rate", True),
+    ("stockout_rate", True),
+    ("forecast_accuracy", False),
+    ("cost_index", True),
+)
 
 
 @dataclass(frozen=True)
@@ -200,14 +211,6 @@ class ImpactTable:
         return "\n".join(lines)
 
 
-def _pct_change(before: float, after: float, lower_is_better: bool) -> tuple[float, str]:
-    if before == 0.0:
-        return 0.0, "reduction" if lower_is_better else "increase"
-    if lower_is_better:
-        return 100.0 * (before - after) / before, "reduction"
-    return 100.0 * (after - before) / before, "increase"
-
-
 def impact_table(
     outcomes: Mapping[str, InventoryOutcome], baseline: InventoryOutcome, baseline_name: str = "naive"
 ) -> ImpactTable:
@@ -215,22 +218,18 @@ def impact_table(
     table = ImpactTable(baseline_name=baseline_name)
     for model, outcome in outcomes.items():
         rows = []
-        for metric, lower_better in (
-            ("overstock_rate", True),
-            ("stockout_rate", True),
-            ("forecast_accuracy", False),
-            ("cost_index", True),
-        ):
+        for metric, lower_better in IMPACT_METRICS:
             before = getattr(baseline, metric)
             after = getattr(outcome, metric)
-            pct, direction = _pct_change(before, after, lower_better)
+            reduction = improvement_percent(before, after)
             rows.append(
                 ImpactRow(
                     metric=metric,
                     before=float(before),
                     after=float(after),
-                    improvement_pct=float(pct),
-                    direction=direction,
+                    # 0.0 - x rather than -x, so that no change reads 0.0, not -0.0.
+                    improvement_pct=reduction if lower_better else 0.0 - reduction,
+                    direction="reduction" if lower_better else "increase",
                 )
             )
         table.rows[model] = rows

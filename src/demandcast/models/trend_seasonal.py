@@ -40,6 +40,8 @@ class TrendSeasonalConfig:
     interval_level: float = 0.95
 
     def __post_init__(self) -> None:
+        # A config file gives the mode as a string.
+        object.__setattr__(self, "seasonality_mode", SeasonalityMode(self.seasonality_mode))
         if self.n_changepoints < 0:
             raise ValueError("n_changepoints must be >= 0")
         if not (0.0 < self.changepoint_range <= 1.0):

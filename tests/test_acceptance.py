@@ -8,6 +8,7 @@ more full run.
 
 import csv
 import datetime as dt
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -488,3 +489,39 @@ def test_csv_artifacts_hold_plain_numbers(bundled_run):
                     for column in numeric:
                         if row[column]:  # an empty cell stands for an undefined value
                             float(row[column])
+
+
+# --- 13. the bundled run's bytes, pinned ---------------------------------------------
+
+# The default bundled run on numpy 2.4.  A change that moves any number
+# updates these pins and says why.
+BUNDLED_METRICS_SHA256 = "fb6612cd08c5bbff6737f73a0b1ab2e93981b287762739fffaa6f1fd86082a76"
+BUNDLED_REPORT_SHA256 = "ef0c18c91f1872b78968e1ba968d995a46a2c0e613776ad2845aa763592c103b"
+# One digest over the name and bytes of each of these files, in name order.
+BUNDLED_OTHERS_SHA256 = "f7a30556517b41b028527bec46ea878f31a17dea22dbb1d1159deaeefa99b91f"
+PINNED_OTHERS = (
+    "residuals_*.csv",
+    "histogram_*.csv",
+    "actual_vs_predicted_*.csv",
+    "importance.csv",
+    "ledger_*.csv",
+    "impact.json",
+    "impact_table.csv",
+    "report.md",
+)
+
+
+def test_bundled_bytes_pinned(bundled_run):
+    with criterion("bundled_bytes_pinned"):
+        cfg, out = bundled_run
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == BUNDLED_METRICS_SHA256
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == BUNDLED_REPORT_SHA256
+        paths = sorted({p for pattern in PINNED_OTHERS for p in out.glob(pattern)}, key=lambda p: p.name)
+        # Three per (model, scenario), importance.csv, five ledgers, two impact files, report.md.
+        assert len(paths) == 3 * 5 * 2 + 1 + 5 + 2 + 1
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == BUNDLED_OTHERS_SHA256

@@ -95,6 +95,14 @@ BAD_CONFIGS = [
     ("simulate", {"simulation": {"review_period": 0}}),
     ("simulate", {"simulation": {"lead_time": "1"}}),
     ("simulate", {"simulation": {"reorder_point": 3}}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"seasonality_mode": "bogus"}}}),
+    # Each top-level value must have its field's JSON type.
+    ("simulate", {"simulation": [1]}),
+    ("evaluate", {"model_overrides": ["gbdt"]}),
+    ("evaluate", {"schema": ["date"]}),
+    ("evaluate", {"extra_columns": 5}),
+    ("evaluate", {"holiday_calendar_path": 5}),
+    ("evaluate", {"save_models": "yes"}),
 ]
 
 
@@ -107,6 +115,14 @@ def test_bad_config_exits_2(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["code"] == "E_CONFIG", doc
         assert not (tmp_path / "out").exists(), doc
+
+
+def test_bad_date_error_names_its_field(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    for value in (20170731, "2017-07-32"):
+        cfg.write_text(json.dumps({"train_end": value, "output_dir": str(tmp_path / "out")}))
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "train_end" in last_error(capsys)["message"], value
 
 
 def test_unknown_config_key_exits_2(tmp_path):

@@ -206,6 +206,59 @@ def test_fill_gaps_interpolation_bounded_by_anchors():
         assert lo - 1e-9 <= quantity <= hi + 1e-9
 
 
+@st.composite
+def gappy_tables(draw):
+    """Up to five series in shuffled row order, each with its own first day,
+    length and missing days, an extra column, and some rows already flagged
+    imputed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for k in range(draw(st.integers(0, 5))):  # no series at all is a case too
+        first = draw(st.integers(0, 30))
+        length = draw(st.integers(1, 40))
+        kept = rng.random(length) < 0.6
+        kept[0] = kept[-1] = True
+        rows += [(first + int(j), str(k % 2), str(k // 2)) for j in np.flatnonzero(kept)]
+    order = rng.permutation(len(rows))
+    n = len(rows)
+    return sort_chronological(
+        SalesTable(
+            np.array([BASE.toordinal() + rows[i][0] for i in order], dtype=np.int64),
+            np.array([rows[i][1] for i in order]),
+            np.array([rows[i][2] for i in order]),
+            rng.poisson(20.0, n).astype(float),
+            rng.random(n) < 0.1,
+            {"promo": rng.random(n)},
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_tables(), st.sampled_from(FillMethod))
+def test_fill_gaps_property(table, method):
+    filled, report = fill_gaps(table, method)
+    assert list(filled.series_index) == list(table.series_index)
+    assert report.total_imputed == len(filled) - len(table)
+    for key, (lo, hi) in table.series_index.items():
+        observed = table.dates[lo:hi] - table.dates[lo]
+        q, promo = table.quantities[lo:hi], table.extras["promo"][lo:hi]
+        flo, fhi = filled.series_index[key]
+        # Daily-contiguous from the series' first to its last observed day.
+        assert np.array_equal(filled.dates[flo:fhi], np.arange(table.dates[lo], table.dates[hi - 1] + 1))
+        # Observed rows keep their values and flags.
+        assert np.array_equal(filled.quantities[flo:fhi][observed], q)
+        assert np.array_equal(filled.imputed[flo:fhi][observed], table.imputed[lo:hi])
+        assert np.array_equal(filled.extras["promo"][flo:fhi][observed], promo)
+        # Every gap day is counted, flagged, and filled from its own series.
+        gaps = np.setdiff1d(np.arange(fhi - flo), observed)
+        prev = np.searchsorted(observed, gaps) - 1
+        assert report.imputed_per_series[key] == len(gaps)
+        assert filled.imputed[flo:fhi][gaps].all()
+        expected = np.interp(gaps, observed, q) if method is FillMethod.LINEAR_INTERPOLATE else q[prev]
+        assert np.array_equal(filled.quantities[flo:fhi][gaps], expected)
+        assert np.array_equal(filled.extras["promo"][flo:fhi][gaps], promo[prev])
+
+
 def test_aggregate_sums_across_series():
     t = make_table(
         [

@@ -306,7 +306,7 @@ def test_compare_improvement_column():
     r2.entries["naive"].metrics = Metrics(mae=22.7, rmse=30.0, r2=0.7, n=70)
     table_ = compare([r1, r2])
     assert round(table_.improvement_pct["naive"], 1) == 50.8
-    assert table_.best_by_metric[("mae", "S2")] == "naive"
+    assert table_.best_by_metric["mae|S2"] == "naive"
     # The gain runs from S1 to S2 whatever order the scenarios ran in.
     assert compare([r2, r1]).improvement_pct == table_.improvement_pct
 

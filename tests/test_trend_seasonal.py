@@ -175,6 +175,24 @@ def test_additive_and_multiplicative_agree_on_constant_series():
     assert np.allclose(point_m, point_a, atol=1e-9)
 
 
+def test_mode_given_as_string_fits_as_the_enum():
+    # A config file gives the mode as a string.
+    rng = np.random.default_rng(4)
+    n = 200
+    y = 5.0 + rng.poisson(3.0, n).astype(float)
+    for mode in SeasonalityMode:
+        by_string = fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig(seasonality_mode=mode.value))
+        by_enum = fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig(seasonality_mode=mode))
+        assert np.array_equal(
+            forecast_trend_seasonal(by_string, ordinals(n))[0],
+            forecast_trend_seasonal(by_enum, ordinals(n))[0],
+        )
+        assert by_string.to_dict() == by_enum.to_dict()
+    assert TrendSeasonalConfig(seasonality_mode="multiplicative") == TrendSeasonalConfig()
+    with pytest.raises(ValueError):
+        TrendSeasonalConfig(seasonality_mode="bogus")
+
+
 def test_multiplicative_mode_rejects_non_positive_data():
     y = np.concatenate([np.full(50, 5.0), [-1.5]])
     with pytest.raises(NonPositiveDataError):
