@@ -8,32 +8,24 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import datetime as dt
 import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .data import iso_dates
 from .evaluate import ComparisonTable, EvaluationReport
 from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):  # np.float64 too, whose repr is np.float64(...)
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """csv writes None as an empty cell and a float as its repr()."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def slug(model: str, scenario: str) -> str:
@@ -79,7 +71,7 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     rows = zip(
         test.stores.tolist(),
         test.items.tolist(),
-        (dt.date.fromordinal(d).isoformat() for d in test.dates.tolist()),
+        iso_dates(test.dates),
         test.target.tolist(),
         predictions.tolist(),
         residuals.tolist(),
@@ -128,7 +120,7 @@ def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: 
     actual = np.bincount(slot, weights=test.target)
     predicted = np.bincount(slot, weights=predictions)
     rows = zip(
-        (dt.date.fromordinal(d).isoformat() for d in days.tolist()),
+        iso_dates(days),
         actual.tolist(),
         predicted.tolist(),
     )

@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .data import FillMethod, Granularity, SplitSpec
-from .evaluate import MODEL_NAMES, ScenarioSpec, config_fingerprint
+from .evaluate import MODEL_NAMES, SCENARIO_IDS, ScenarioSpec, config_fingerprint
 from .features import DeviationMode
 from .inventory import ReplenishmentPolicy
 from .models.arimax import ForecastMode
@@ -31,6 +31,30 @@ MODEL_CONFIGS = {"gbdt": GbdtConfig, "svr": SvrConfig, "trend_seasonal": TrendSe
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_types(cls, values: Mapping[str, Any], prefix: str = "") -> None:
+    """Raise ConfigError unless each value has the JSON type of its field's
+    default in the dataclass ``cls``.  A float field also takes an integer and
+    a str-enum field a string; a field whose default is null takes null, or a
+    number where it is annotated ``float | None`` and a string otherwise.
+    Keys ``cls`` lacks are left to its constructor.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key, value in values.items():
+        f = fields.get(key)
+        if f is None:
+            continue
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if default is None:
+            allowed = (float, int, type(None)) if "float" in str(f.type) else (str, type(None))
+        elif isinstance(default, float):
+            allowed = (float, int)
+        else:
+            allowed = (str,) if isinstance(default, str) else (type(default),)
+        if type(value) not in allowed:
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
 
 
 @dataclass
@@ -77,28 +101,39 @@ class RunConfig:
     def validate(self) -> None:
         """Check every value at load: any bad one raises ConfigError.
 
-        Every field must first have the JSON type of its default, or be a
-        string where the default is null.  Building the scenario specs and
-        the policy then runs their own checks.
+        Every value must first have the JSON type of its field's default,
+        and so must each setting of ``model_overrides`` and ``simulation``
+        against its model config or the policy.  Building the scenario specs
+        and the policy then runs their own checks.
         """
-        for f in dataclasses.fields(self):
-            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-            allowed = (str, type(None)) if default is None else (type(default),)
-            value = getattr(self, f.name)
-            if type(value) not in allowed:
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-                raise ConfigError(f"{f.name} must be {names}, got {value!r}")
-        for value, enum_cls, name in (
-            (self.granularity, Granularity, "granularity"),
-            (self.deviation_mode, DeviationMode, "deviation_mode"),
-            (self.arimax_forecast_mode, ForecastMode, "arimax_forecast_mode"),
-            (self.fill_method, FillMethod, "fill_method"),
+        _check_types(RunConfig, vars(self))
+        for name, values in (
+            ("scenarios", self.scenarios),
+            ("models", self.models),
+            ("extra_columns", self.extra_columns),
+            ("schema", list(self.schema.values())),
         ):
-            try:
-                enum_cls(value)
-            except ValueError:
-                choices = [e.value for e in enum_cls]
-                raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
+            if any(type(v) is not str for v in values):
+                raise ConfigError(f"{name} must hold strings, got {getattr(self, name)!r}")
+        unknown = set(self.model_overrides) - set(MODEL_CONFIGS)
+        if unknown:
+            raise ConfigError(
+                f"model_overrides accepts only {sorted(MODEL_CONFIGS)}, got {sorted(unknown)}"
+            )
+        for name, settings in self.model_overrides.items():
+            if type(settings) is not dict:
+                raise ConfigError(f"model_overrides.{name} must be dict, got {settings!r}")
+            _check_types(MODEL_CONFIGS[name], settings, f"model_overrides.{name}.")
+        _check_types(ReplenishmentPolicy, self.simulation, "simulation.")
+        for name, value, choices in (
+            ("granularity", self.granularity, [g.value for g in Granularity]),
+            ("deviation_mode", self.deviation_mode, [m.value for m in DeviationMode]),
+            ("arimax_forecast_mode", self.arimax_forecast_mode, [m.value for m in ForecastMode]),
+            ("fill_method", self.fill_method, [m.value for m in FillMethod]),
+            ("simulation.scenario", self.simulation_scenario(), list(SCENARIO_IDS)),
+        ):
+            if value not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
         bad_schema = set(self.schema) - {"date", "store", "item", "sales"}
         if bad_schema:
             raise ConfigError(f"schema may remap only date/store/item/sales, got {sorted(bad_schema)}")
@@ -116,11 +151,6 @@ class RunConfig:
         """The scenarios this config runs: its one translation for evaluate."""
         if not self.scenarios or len(set(self.scenarios)) != len(self.scenarios):
             raise ConfigError(f"scenarios must name each scenario once, got {self.scenarios!r}")
-        unknown = set(self.model_overrides) - set(MODEL_CONFIGS)
-        if unknown:
-            raise ConfigError(
-                f"model_overrides accepts only {sorted(MODEL_CONFIGS)}, got {sorted(unknown)}"
-            )
         configs = {
             f"{name}_config": MODEL_CONFIGS[name](**settings)
             for name, settings in self.model_overrides.items()

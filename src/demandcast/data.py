@@ -81,6 +81,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def as_datetime64(ordinals) -> np.ndarray:
+    """Day ordinals (``datetime.date.toordinal``) as ``datetime64[D]`` days."""
+    # Ordinal 719,163 is 1970-01-01, datetime64's day zero.
+    return (np.asarray(ordinals, dtype=np.int64) - 719_163).astype("datetime64[D]")
+
+
+def iso_dates(ordinals) -> list[str]:
+    """Each day ordinal as YYYY-MM-DD text."""
+    return np.datetime_as_string(as_datetime64(ordinals), unit="D").tolist()
+
+
 def series_runs(stores: np.ndarray, items: np.ndarray) -> dict[tuple[str, str], tuple[int, int]]:
     """(store, item) -> (start, stop) row range of each run of equal keys, in row order."""
     if not len(stores):
@@ -396,8 +407,7 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
     n_days = hi - lo + 1
     offsets = table.dates - lo
     sums = np.bincount(offsets, weights=table.quantities, minlength=n_days)
-    imputed_any = np.zeros(n_days, dtype=bool)
-    np.logical_or.at(imputed_any, offsets, table.imputed)
+    imputed_any = np.bincount(offsets, weights=table.imputed, minlength=n_days) > 0
     present = np.bincount(offsets, minlength=n_days) > 0
     if table.extras:
         logger.warning("aggregate drops extra columns: %s", sorted(table.extras))
@@ -414,17 +424,16 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
 
 def write_sales_csv(table: SalesTable, path: str | Path) -> None:
     """Export in the input schema plus an imputed (0/1) column."""
+    extra_names = sorted(table.extras)
+    columns = [
+        iso_dates(table.dates),
+        table.store_ids.tolist(),
+        table.item_ids.tolist(),
+        table.quantities.tolist(),
+        table.imputed.astype(np.int64).tolist(),
+        *(table.extras[name].tolist() for name in extra_names),
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        extra_names = sorted(table.extras)
         writer.writerow(["date", "store", "item", "sales", "imputed"] + extra_names)
-        for i in range(len(table)):
-            row = [
-                dt.date.fromordinal(int(table.dates[i])).isoformat(),
-                str(table.store_ids[i]),
-                str(table.item_ids[i]),
-                repr(float(table.quantities[i])),
-                int(table.imputed[i]),
-            ]
-            row.extend(repr(float(table.extras[name][i])) for name in extra_names)
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

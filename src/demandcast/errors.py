@@ -31,10 +31,6 @@ class EmptyPartitionError(DemandcastError):
     """A temporal split left no series with rows on both sides."""
 
 
-class LagExceedsSeriesError(DemandcastError):
-    """Every row of a series would be dropped because a lag is too long."""
-
-
 class CalendarGapError(DemandcastError):
     """Holiday calendar does not cover a year present in the data."""
 

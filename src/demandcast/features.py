@@ -1,8 +1,9 @@
 """Engineered feature columns and design-matrix assembly.
 
-Features are computed independently per (store, item) series over its full
-timeline, so every column value at a row depends only on that row's date and
-on quantities at or before it (strictly before it in the causal deviation
+Features are computed as whole columns over the sorted table, and a row's
+lags and deviation flag come from its own (store, item) series, so every
+column value at a row depends only on that row's date and on its series'
+quantities at or before it (strictly before it in the causal deviation
 mode).  Scaling statistics always come from the training partition.
 """
 
@@ -10,16 +11,20 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .data import SalesTable, SplitSpec
-from .errors import CalendarGapError, LagExceedsSeriesError
+from .data import SalesTable, SplitSpec, as_datetime64
+from .errors import CalendarGapError
+
+logger = logging.getLogger(__name__)
+
 
 def weekdays_of_ordinals(ordinals: np.ndarray) -> np.ndarray:
     """Weekday index with Monday = 0 through Sunday = 6."""
@@ -31,26 +36,6 @@ def cyclical_columns(values: np.ndarray, period: int) -> np.ndarray:
     """Map periodic values onto the unit circle as (sin, cos) columns."""
     angle = 2.0 * np.pi * values / period
     return np.column_stack([np.sin(angle), np.cos(angle)])
-
-
-def lag_features(series: np.ndarray, lags: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Shift a gapless series by each lag.
-
-    Returns (matrix, valid) where matrix[t, j] = series[t - lags[j]] and
-    valid marks rows whose every lag is defined.  Raises when the longest
-    lag leaves no valid row at all.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    n = len(series)
-    if n <= max(lags):
-        raise LagExceedsSeriesError(
-            f"series length {n} cannot support lag {max(lags)}"
-        )
-    out = np.full((n, len(lags)), np.nan)
-    for j, lag in enumerate(lags):
-        out[lag:, j] = series[:-lag]
-    valid = ~np.isnan(out).any(axis=1)
-    return out, valid
 
 
 def rolling_mean(series: np.ndarray, window: int, min_periods: int = 1) -> np.ndarray:
@@ -93,13 +78,10 @@ DEVIATION_RATIO = 0.30
 def deviation_flag(series: np.ndarray, mode: DeviationMode) -> np.ndarray:
     """Binary vector marking abnormal drops in sales."""
     series = np.asarray(series, dtype=np.float64)
-    n = len(series)
     rm = rolling_mean(series, DEVIATION_WINDOW, DEVIATION_MIN_PERIODS)
     trailing = np.concatenate([[np.nan], rm[:-1]])
-    defined = ~np.isnan(trailing)
-    flags = np.zeros(n, dtype=np.float64)
-    drop = defined & (series < DEVIATION_RATIO * trailing)
-    flags[drop] = 1.0
+    # Where the trailing mean is undefined (NaN) the comparison is False.
+    flags = (series < DEVIATION_RATIO * trailing).astype(np.float64)
     if mode is DeviationMode.LAGGED:
         flags = np.concatenate([[0.0], flags[:-1]])
     return flags
@@ -139,7 +121,12 @@ class HolidayCalendar:
             return cls.from_csv(path)
 
     def years(self) -> set[int]:
-        return {dt.date.fromordinal(o).year for o in self.entries}
+        return _years(list(self.entries))
+
+
+def _years(ordinals) -> set[int]:
+    years = as_datetime64(ordinals).astype("datetime64[Y]").astype(np.int64) + 1970
+    return set(years.tolist())
 
 
 def holiday_flag(ordinals: np.ndarray, calendar: HolidayCalendar) -> np.ndarray:
@@ -149,7 +136,7 @@ def holiday_flag(ordinals: np.ndarray, calendar: HolidayCalendar) -> np.ndarray:
     because an all-zero year would silently mean "no holidays" when it
     really means "calendar file too short".
     """
-    missing = {dt.date.fromordinal(int(o)).year for o in ordinals} - calendar.years()
+    missing = _years(ordinals) - calendar.years()
     if missing:
         raise CalendarGapError(
             f"calendar lacks entries for years {sorted(missing)}"
@@ -223,43 +210,45 @@ def _assemble_unscaled(
         raise ValueError("external features require a holiday calendar")
 
     columns = list(S1_COLUMNS + EXTERNAL_COLUMNS if external else S1_COLUMNS)
-    blocks: list[np.ndarray] = []
-    keep_targets: list[np.ndarray] = []
-    keep_dates: list[np.ndarray] = []
-    keep_stores: list[np.ndarray] = []
-    keep_items: list[np.ndarray] = []
+    runs = list(table.series_index.values())
+    starts = np.array([a for a, _ in runs], dtype=np.int64)
+    lengths = np.array([b - a for a, b in runs], dtype=np.int64)
+    # Each row's day within its series.  A row is kept only once every lag
+    # reaches back inside its own series, so no kept row reads np.roll's
+    # wrap-around or the series before it.
+    day = np.arange(len(table)) - np.repeat(starts, lengths)
+    keep = day >= max(LAGS)
+    short = [f"{s}|{i}" for (s, i), n in zip(table.series_index, lengths) if n <= max(LAGS)]
+    if short:
+        logger.warning("series of %d days or fewer have no rows with every lag: %s", max(LAGS), short)
 
-    for key, (lo, hi) in table.series_index.items():
-        ordinals = table.dates[lo:hi]
-        values = table.quantities[lo:hi]
-        lagged, valid = lag_features(values, LAGS)
-        months = np.array(
-            [dt.date.fromordinal(int(o)).month - 1 for o in ordinals], dtype=np.float64
-        )
-        parts = [lagged, cyclical_columns(months, 12)]
-        if external:
-            dows = weekdays_of_ordinals(ordinals).astype(np.float64)
-            parts += [
-                cyclical_columns(dows, 7),
-                dows[:, None],
-                holiday_flag(ordinals, calendar)[:, None],
-                deviation_flag(values, deviation_mode)[:, None],
-            ]
-
-        block = np.column_stack(parts)
-        blocks.append(block[valid])
-        keep_targets.append(values[valid])
-        keep_dates.append(ordinals[valid])
-        keep_stores.append(np.full(int(valid.sum()), key[0], dtype=table.store_ids.dtype))
-        keep_items.append(np.full(int(valid.sum()), key[1], dtype=table.item_ids.dtype))
+    quantities, ordinals = table.quantities, table.dates
+    months = as_datetime64(ordinals).astype("datetime64[M]").astype(np.int64) % 12
+    parts = [
+        np.column_stack([np.roll(quantities, lag) for lag in LAGS]),
+        cyclical_columns(months.astype(np.float64), 12),
+    ]
+    if external:
+        # Per series: rolling_mean differences a cumulative sum, and one over
+        # the whole table would round each series' means differently.
+        flags = np.empty(len(table))
+        for a, b in runs:
+            flags[a:b] = deviation_flag(quantities[a:b], deviation_mode)
+        dows = weekdays_of_ordinals(ordinals).astype(np.float64)
+        parts += [
+            cyclical_columns(dows, 7),
+            dows[:, None],
+            holiday_flag(ordinals, calendar)[:, None],
+            flags[:, None],
+        ]
 
     return FeatureMatrix(
         columns=columns,
-        rows=np.concatenate(blocks) if blocks else np.empty((0, len(columns))),
-        target=np.concatenate(keep_targets) if keep_targets else np.empty(0),
-        dates=np.concatenate(keep_dates) if keep_dates else np.empty(0, dtype=np.int64),
-        stores=np.concatenate(keep_stores) if keep_stores else np.array([], dtype=np.str_),
-        items=np.concatenate(keep_items) if keep_items else np.array([], dtype=np.str_),
+        rows=np.column_stack(parts)[keep],
+        target=quantities[keep],
+        dates=ordinals[keep],
+        stores=table.store_ids[keep],
+        items=table.item_ids[keep],
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evaluate import improvement_percent
 
@@ -129,10 +130,11 @@ def simulate(
         on_hand -= sold[t]
         closing[t] = on_hand
 
-    trailing = np.empty(n)
-    for t in range(n):
-        lo = max(0, t - 6)
-        trailing[t] = demand[lo : t + 1].mean()
+    # Mean demand over the up-to-7 days ending each day.  The leading zeros
+    # add nothing, and numpy sums fewer than 8 values in order, so each mean
+    # equals the mean of the day's slice bit for bit.
+    windows = sliding_window_view(np.concatenate([np.zeros(6), demand]), 7) if n else np.empty((0, 7))
+    trailing = windows.sum(axis=1) / np.minimum(np.arange(1, n + 1), 7)
     overstock_days = closing > policy.overstock_multiplier * trailing
 
     return InventoryOutcome(

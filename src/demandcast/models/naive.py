@@ -17,16 +17,9 @@ def seasonal_naive_forecast(train: np.ndarray, horizon: int, period: int = SEASO
     train = np.asarray(train, dtype=np.float64)
     if len(train) == 0:
         raise ValueError("training series is empty")
-    out = np.empty(horizon, dtype=np.float64)
-    for j in range(horizon):
-        back = j - period
-        if back >= 0:
-            out[j] = out[back]
-        elif len(train) + back >= 0:
-            out[j] = train[len(train) + back]
-        else:
-            out[j] = train[-1]
-    return out
+    back = len(train) - period + np.arange(period)
+    last_period = np.where(back >= 0, train[np.maximum(back, 0)], train[-1])
+    return np.resize(last_period, horizon)
 
 
 def seasonal_naive_insample(train: np.ndarray, period: int = SEASON_DAYS) -> np.ndarray:
@@ -36,7 +29,5 @@ def seasonal_naive_insample(train: np.ndarray, period: int = SEASON_DAYS) -> np.
     """
     train = np.asarray(train, dtype=np.float64)
     n = len(train)
-    out = np.empty(max(n - 1, 0), dtype=np.float64)
-    for t in range(1, n):
-        out[t - 1] = train[t - period] if t >= period else train[t - 1]
-    return out
+    # Days 1 .. period - 1 repeat the day before; later days repeat day t - period.
+    return np.concatenate([train[: min(period, n) - 1], train[: max(n - period, 0)]])

@@ -11,13 +11,13 @@ residual quantiles, constant width on the fitting scale.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..data import as_datetime64
 from ..errors import NonPositiveDataError, SingularBasisError
 from ..features import HolidayCalendar, weekdays_of_ordinals
 
@@ -52,13 +52,6 @@ class TrendSeasonalConfig:
             raise ValueError("changepoint_penalty must be >= 0")
 
 
-def _doy(ordinals: np.ndarray) -> np.ndarray:
-    return np.array(
-        [dt.date.fromordinal(int(o)).timetuple().tm_yday for o in ordinals],
-        dtype=np.float64,
-    )
-
-
 def basis_columns(cfg: TrendSeasonalConfig, holiday_names: Sequence[str]) -> list[str]:
     cols = ["trend"]
     cols += [f"cp_{j + 1:02d}" for j in range(cfg.n_changepoints)]
@@ -87,25 +80,19 @@ def build_basis(
     """
     ordinals = np.asarray(ordinals, dtype=np.int64)
     t = (ordinals - t_start) / t_span
-    parts = [t[:, None]]
-    if len(changepoints):
-        parts.append(np.maximum(0.0, t[:, None] - changepoints[None, :]))
-    if cfg.weekly_fourier_order:
-        dow = weekdays_of_ordinals(ordinals).astype(np.float64)
-        for k in range(1, cfg.weekly_fourier_order + 1):
-            angle = 2.0 * np.pi * k * dow / 7.0
-            parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
-    if cfg.yearly_fourier_order:
-        doy = _doy(ordinals)
-        for k in range(1, cfg.yearly_fourier_order + 1):
-            angle = 2.0 * np.pi * k * doy / YEAR_DAYS
-            parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
-    if holiday_names:
-        row_names = [calendar_entries.get(int(o)) for o in ordinals]
-        for name in holiday_names:
-            parts.append(
-                np.array([1.0 if rn == name else 0.0 for rn in row_names])[:, None]
-            )
+    parts = [t[:, None], np.maximum(0.0, t[:, None] - changepoints[None, :])]
+    dow = weekdays_of_ordinals(ordinals).astype(np.float64)
+    for k in range(1, cfg.weekly_fourier_order + 1):
+        angle = 2.0 * np.pi * k * dow / 7.0
+        parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+    days = as_datetime64(ordinals)
+    doy = (days - days.astype("datetime64[Y]")).astype(np.float64) + 1.0
+    for k in range(1, cfg.yearly_fourier_order + 1):
+        angle = 2.0 * np.pi * k * doy / YEAR_DAYS
+        parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+    for name in holiday_names:
+        days_named = [o for o, n in calendar_entries.items() if n == name]
+        parts.append(np.isin(ordinals, days_named).astype(np.float64)[:, None])
     return np.hstack(parts)
 
 
@@ -177,21 +164,13 @@ def fit_trend_seasonal(
 
     t_start = int(ordinals[0])
     t_span = float(max(int(ordinals[-1]) - t_start, 1))
-    if cfg.n_changepoints:
-        j = np.arange(1, cfg.n_changepoints + 1, dtype=np.float64)
-        changepoints = cfg.changepoint_range * j / cfg.n_changepoints
-    else:
-        changepoints = np.empty(0, dtype=np.float64)
+    j = np.arange(1, cfg.n_changepoints + 1, dtype=np.float64)
+    changepoints = cfg.changepoint_range * j / cfg.n_changepoints
 
-    holiday_names: list[str] = []
-    calendar_entries: dict[int, str] = {}
-    if calendar is not None and calendar.entries:
-        hi = int(ordinals[-1])
-        names_in_window = {n for o, n in calendar.entries.items() if t_start <= o <= hi}
-        holiday_names = sorted(names_in_window)
-        calendar_entries = {
-            o: n for o, n in calendar.entries.items() if n in names_in_window
-        }
+    entries = calendar.entries if calendar is not None else {}
+    names_in_window = {n for o, n in entries.items() if t_start <= o <= int(ordinals[-1])}
+    holiday_names = sorted(names_in_window)
+    calendar_entries = {o: n for o, n in entries.items() if n in names_in_window}
 
     basis = build_basis(
         ordinals, cfg, changepoints, t_start, t_span, calendar_entries, holiday_names
@@ -206,10 +185,9 @@ def fit_trend_seasonal(
             raise SingularBasisError("basis is rank-deficient and penalty is zero")
         coef, _, _, _ = np.linalg.lstsq(design, z, rcond=None)
     else:
+        # One row per hinge column, which follow the intercept and the trend.
         n_hinge = len(changepoints)
-        penalty_rows = np.zeros((n_hinge, design.shape[1]))
-        for idx in range(n_hinge):
-            penalty_rows[idx, 2 + idx] = np.sqrt(cfg.changepoint_penalty)
+        penalty_rows = np.sqrt(cfg.changepoint_penalty) * np.eye(n_hinge, design.shape[1], k=2)
         augmented = np.vstack([design, penalty_rows])
         rhs = np.concatenate([z, np.zeros(n_hinge)])
         coef, _, _, _ = np.linalg.lstsq(augmented, rhs, rcond=None)

@@ -14,12 +14,13 @@ regenerate it.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as dt
 from pathlib import Path
 
 import numpy as np
 
-from .data import SalesTable, sort_chronological
+from .data import SalesTable, iso_dates, sort_chronological
 from .features import HolidayCalendar, weekdays_of_ordinals
 
 DEFAULT_START = dt.date(2013, 1, 1)
@@ -58,7 +59,7 @@ def generate_series(
     growth = 1.0 + GROWTH_OVER_SPAN * t_frac
 
     holiday_factor = HOLIDAY_FACTORS[sidx % len(HOLIDAY_FACTORS)]
-    holiday = np.array([holiday_factor if int(o) in holiday_ordinals else 1.0 for o in ordinals])
+    holiday = np.where(np.isin(ordinals, list(holiday_ordinals)), holiday_factor, 1.0)
 
     outage = np.where(rng.random(n) < OUTAGE_PROBABILITY, OUTAGE_FACTOR, 1.0)
 
@@ -78,23 +79,12 @@ def generate_sales_table(
         calendar = HolidayCalendar.bundled()
     holiday_ordinals = set(calendar.entries)
     ordinals = np.arange(start.toordinal(), end.toordinal() + 1, dtype=np.int64)
-
-    dates = []
-    stores = []
-    items = []
-    quantities = []
-    for s in range(n_stores):
-        for i in range(n_items):
-            q = generate_series(s, i, ordinals, holiday_ordinals, seed)
-            dates.append(ordinals)
-            stores.append(np.full(len(ordinals), str(s + 1)))
-            items.append(np.full(len(ordinals), str(i + 1)))
-            quantities.append(q)
+    keys = [(s, i) for s in range(n_stores) for i in range(n_items)]
     table = SalesTable(
-        np.concatenate(dates),
-        np.concatenate(stores),
-        np.concatenate(items),
-        np.concatenate(quantities),
+        np.tile(ordinals, len(keys)),
+        np.repeat([str(s + 1) for s, _ in keys], len(ordinals)),
+        np.repeat([str(i + 1) for _, i in keys], len(ordinals)),
+        np.concatenate([generate_series(s, i, ordinals, holiday_ordinals, seed) for s, i in keys]),
     )
     return sort_chronological(table)
 
@@ -115,20 +105,16 @@ def main(argv=None) -> int:
 
 def write_sales_csv_plain(table: SalesTable, path: str | Path) -> None:
     """Input-schema export (no imputed column): what a raw extract looks like."""
-    import csv
-
+    rows = zip(
+        iso_dates(table.dates),
+        table.store_ids.tolist(),
+        table.item_ids.tolist(),
+        table.quantities.astype(np.int64).tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "store", "item", "sales"])
-        for i in range(len(table)):
-            writer.writerow(
-                [
-                    dt.date.fromordinal(int(table.dates[i])).isoformat(),
-                    str(table.store_ids[i]),
-                    str(table.item_ids[i]),
-                    int(table.quantities[i]),
-                ]
-            )
+        writer.writerows(rows)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from demandcast.models.trend_seasonal import (
     fit_trend_seasonal,
     forecast_trend_seasonal,
 )
+from demandcast.synthetic import generate_sales_table
 
 from conftest import make_matrix, make_table
 from test_gbdt import assert_same_tree, oracle_tree
@@ -525,3 +526,46 @@ def test_bundled_bytes_pinned(bundled_run):
         for path in paths:
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == BUNDLED_OTHERS_SHA256
+
+
+# --- 14. a gappy run's bytes, pinned -------------------------------------------------
+
+# The bundled run has integer demand, no gaps and no malformed lines.  This
+# run has shuffled rows, missing interior days filled with fractional values
+# and one corrupt line.  One digest over the name and bytes of every file the
+# four commands write except the two that hold timings, on numpy 2.4.
+GAPPY_SHA256 = "beea0ba2bcb19e8ae88a7f67100398749ffdda1500316288f706aaeea7f8aff4"
+
+
+def test_gappy_bytes_pinned(tmp_path):
+    with criterion("gappy_bytes_pinned"):
+        table = generate_sales_table(n_stores=1, n_items=3, start=dt.date(2017, 1, 1))
+        rng = np.random.default_rng(11)
+        interior = (table.dates > table.dates.min()) & (table.dates < table.dates.max())
+        kept = ~(interior & (rng.random(len(table)) < 0.04))
+        lines = [
+            f"{dt.date.fromordinal(d)},{s},{i},{int(q)}"
+            for d, s, i, q in zip(
+                table.dates[kept].tolist(),
+                table.store_ids[kept].tolist(),
+                table.item_ids[kept].tolist(),
+                table.quantities[kept].tolist(),
+            )
+        ]
+        rng.shuffle(lines)
+        lines.insert(100, "2017-13-01,1,2,5")
+        data = tmp_path / "sales.csv"
+        data.write_text("date,store,item,sales\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = tmp_path / "config.json"
+        models = ["arimax", "trend_seasonal", "naive"]
+        cfg.write_text(json.dumps({"data_path": str(data), "output_dir": str(out), "models": models}))
+        for command in ("ingest", "evaluate", "simulate", "report"):
+            assert main([command, "--config", str(cfg)]) == 0, command
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary["malformed_count"] == 1 and summary["total_imputed"] > 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            if path.name not in ("runtimes.csv", "manifest.json"):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == GAPPY_SHA256

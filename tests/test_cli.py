@@ -7,6 +7,7 @@ import pytest
 
 import demandcast.evaluate
 from demandcast.cli import main
+from demandcast.config import RunConfig
 from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
 
 
@@ -105,16 +106,43 @@ BAD_CONFIGS = [
     ("evaluate", {"save_models": "yes"}),
 ]
 
+# Values one level down, each with the field and key its message must name.
+NESTED_BAD_CONFIGS = [
+    ("simulate", {"simulation": {"lead_time": 1.5}}, "simulation.lead_time"),
+    ("simulate", {"simulation": {"review_period": 1.5}}, "simulation.review_period"),
+    ("simulate", {"simulation": {"scenario": 5}}, "simulation.scenario"),
+    ("simulate", {"simulation": {"scenario": "S3"}}, "simulation.scenario"),
+    ("evaluate", {"model_overrides": {"svr": {"max_train_rows": 2.5}}}, "model_overrides.svr.max_train_rows"),
+    ("evaluate", {"model_overrides": {"svr": {"rbf_gamma": "auto"}}}, "model_overrides.svr.rbf_gamma"),
+    ("evaluate", {"model_overrides": {"gbdt": {"n_trees": "5"}}}, "model_overrides.gbdt.n_trees"),
+    ("evaluate", {"model_overrides": {"gbdt": {"max_depth": True}}}, "model_overrides.gbdt.max_depth"),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"seasonality_mode": 1}}}, "seasonality_mode"),
+    ("evaluate", {"scenarios": [["S1"]]}, "scenarios"),
+    ("evaluate", {"models": ["naive", 5]}, "models"),
+    ("evaluate", {"schema": {"date": 5}}, "schema"),
+    ("evaluate", {"extra_columns": [5]}, "extra_columns"),
+]
+
 
 def test_bad_config_exits_2(tmp_path, capsys):
     # Each is caught when the config loads, before any output is written.
     cfg = tmp_path / "bad.json"
-    for command, doc in BAD_CONFIGS:
+    cases = [(command, doc, None) for command, doc in BAD_CONFIGS] + NESTED_BAD_CONFIGS
+    for command, doc, name in cases:
         cfg.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}))
         assert main([command, "--config", str(cfg)]) == 2, doc
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"]["code"] == "E_CONFIG", doc
+        assert name is None or name in err["error"]["message"], (doc, err)
         assert not (tmp_path / "out").exists(), doc
+
+
+def test_nested_numbers_follow_their_defaults():
+    # A float setting takes a JSON integer, and rbf_gamma a number or null.
+    for overrides in ({"safety_factor": 1}, {"initial_stock": 2.5, "scenario": "S1"}):
+        RunConfig(simulation=overrides).validate()
+    for gamma in (None, 1, 0.5):
+        RunConfig(model_overrides={"svr": {"rbf_gamma": gamma, "C": 2}}).validate()
 
 
 def test_bad_date_error_names_its_field(tmp_path, capsys):
@@ -237,6 +265,24 @@ def test_evaluate_aggregate_granularity(tmp_path, small_csv):
     residuals = (out / "residuals_naive_S1.csv").read_text().strip().splitlines()
     assert len(residuals) == 31 + 1  # one pooled series
     assert residuals[1].split(",")[0] == "ALL"
+
+
+def test_short_series_contributes_no_rows(tmp_path, caplog):
+    # A 20-day series beside a full year: the lags leave it no rows, and
+    # every model is scored on the full series' December alone.
+    path = tmp_path / "sales.csv"
+    table = generate_sales_table(
+        n_stores=1, n_items=1, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)
+    )
+    write_sales_csv_plain(table, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        for d in range(20):
+            fh.write(f"{dt.date(2015, 12, 12) + dt.timedelta(days=d)},1,2,5\n")
+    cfg, out = small_config(tmp_path, path, "short", models=["arimax", "naive"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    rows = read_metrics(out)
+    assert len(rows) == 4 and all(r["error"] == "" and r["n"] == "31" for r in rows)
+    assert "1|2" in caplog.text
 
 
 def test_simulate_requires_evaluation(tmp_path, small_csv, capsys):

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandcast.data import (
@@ -12,7 +12,9 @@ from demandcast.data import (
     SalesTable,
     SplitSpec,
     aggregate,
+    as_datetime64,
     fill_gaps,
+    iso_dates,
     parse_sales_csv,
     series_runs,
     sort_chronological,
@@ -384,3 +386,20 @@ def test_cleaned_csv_roundtrip(tmp_path):
     res = parse_sales_csv(path)
     assert len(res.table) == 3
     assert np.allclose(sort_chronological(res.table).quantities, filled.quantities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, dt.date.max.toordinal()), max_size=20))
+@example([1, 719_162, 719_163, dt.date(2016, 2, 29).toordinal(), dt.date.max.toordinal()])
+def test_day_ordinal_decoder_matches_datetime(ordinals):
+    days = as_datetime64(ordinals)
+    expected = [dt.date.fromordinal(o) for o in ordinals]
+    years = days.astype("datetime64[Y]")
+    assert (years.astype(np.int64) + 1970).tolist() == [d.year for d in expected]
+    assert (days.astype("datetime64[M]").astype(np.int64) % 12 + 1).tolist() == [
+        d.month for d in expected
+    ]
+    assert ((days - years).astype(np.int64) + 1).tolist() == [d.timetuple().tm_yday for d in expected]
+    assert iso_dates(ordinals) == [d.isoformat() for d in expected]
+    calendar = HolidayCalendar(entries=dict.fromkeys(ordinals, "h"))
+    assert calendar.years() == {d.year for d in expected}

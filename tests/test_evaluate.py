@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import demandcast.evaluate as ev
 from demandcast.data import Granularity, SplitSpec
@@ -17,7 +19,7 @@ from demandcast.evaluate import (
 )
 from demandcast.features import HolidayCalendar
 from demandcast.models.gbdt import GbdtConfig
-from demandcast.models.naive import seasonal_naive_forecast
+from demandcast.models.naive import seasonal_naive_forecast, seasonal_naive_insample
 
 from conftest import make_table, table_rows
 
@@ -136,6 +138,28 @@ def test_naive_short_series_falls_back_to_last_value():
     # the weekly lag is unavailable for the first days (fallback to the last
     # value) but reaches back into the 3-day history from day 4 on
     assert np.array_equal(out, [3.0, 3.0, 3.0, 3.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), max_size=30), st.integers(1, 10), st.integers(0, 40))
+def test_naive_matches_per_day_loops(values, period, horizon):
+    train = np.array(values, dtype=np.float64)
+    expected = np.empty(max(len(train) - 1, 0))
+    for t in range(1, len(train)):
+        expected[t - 1] = train[t - period] if t >= period else train[t - 1]
+    assert seasonal_naive_insample(train, period).tobytes() == expected.tobytes()
+    if not len(train):
+        return
+    expected = np.empty(horizon)
+    for j in range(horizon):
+        back = j - period
+        if back >= 0:
+            expected[j] = expected[back]
+        elif len(train) + back >= 0:
+            expected[j] = train[len(train) + back]
+        else:
+            expected[j] = train[-1]
+    assert seasonal_naive_forecast(train, horizon, period).tobytes() == expected.tobytes()
 
 
 def test_improvement_percent_fixture():

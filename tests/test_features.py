@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandcast.data import SalesTable, SplitSpec
-from demandcast.errors import CalendarGapError, LagExceedsSeriesError
+from demandcast.errors import CalendarGapError
 from demandcast.features import (
+    _assemble_unscaled,
     EXTERNAL_COLUMNS,
+    LAGS,
     S1_COLUMNS,
     DeviationMode,
     HolidayCalendar,
@@ -16,7 +19,6 @@ from demandcast.features import (
     cyclical_columns,
     deviation_flag,
     holiday_flag,
-    lag_features,
     rolling_mean,
     weekdays_of_ordinals,
 )
@@ -79,22 +81,45 @@ def test_cyclical_unit_circle_identity():
 
 # --- lags ------------------------------------------------------------------
 
+def two_level_table(lengths=(40, 35)):
+    """Two gapless series of very different levels, so a lag read across
+    series would show."""
+    rows = [(BASE + dt.timedelta(days=d), "1", "1", 10.0 + d) for d in range(lengths[0])]
+    rows += [(BASE + dt.timedelta(days=d), "1", "2", 1000.0 + 3 * d) for d in range(lengths[1])]
+    return make_table(rows)
+
+
+def unscaled_matrix(table):
+    return _assemble_unscaled(table, False, None, DeviationMode.SAME_DAY)
+
+
 def test_lag_single_shift():
-    mat, valid = lag_features(np.array([1.0, 2.0, 3.0, 4.0]), [1])
-    assert not valid[0] and valid[1:].all()
-    assert list(mat[1:, 0]) == [1.0, 2.0, 3.0]
+    m = unscaled_matrix(two_level_table())
+    # Each series keeps its rows from day 28 on, and lag_1 is the day before.
+    assert m.items.tolist() == ["1"] * 12 + ["2"] * 7
+    assert m.column("lag_1").tolist() == [10.0 + d for d in range(27, 39)] + [
+        1000.0 + 3 * d for d in range(27, 34)
+    ]
 
 
 def test_lag_two_offsets():
-    mat, valid = lag_features(np.array([1.0, 2.0, 3.0, 4.0]), [1, 2])
-    assert list(np.flatnonzero(valid)) == [2, 3]
-    assert mat[2].tolist() == [2.0, 1.0]
-    assert mat[3].tolist() == [3.0, 2.0]
+    table = two_level_table()
+    m = unscaled_matrix(table)
+    for (store, item), (lo, hi) in table.series_index.items():
+        values = table.quantities[lo:hi]
+        rows = m.rows[(m.stores == store) & (m.items == item)]
+        assert len(rows) == len(values) - max(LAGS)
+        for j, lag in enumerate(LAGS):
+            # Row t of the series reads its own value at t - lag.
+            assert rows[:, j].tolist() == values[max(LAGS) - lag : len(values) - lag].tolist()
 
 
-def test_lag_exceeding_series_raises():
-    with pytest.raises(LagExceedsSeriesError):
-        lag_features(np.arange(5.0), [7])
+def test_series_shorter_than_longest_lag_has_no_rows(caplog):
+    table = two_level_table(lengths=(40, 20))
+    with caplog.at_level(logging.WARNING, logger="demandcast.features"):
+        m = unscaled_matrix(table)
+    assert set(m.items.tolist()) == {"1"} and len(m) == 40 - max(LAGS)
+    assert "1|2" in caplog.text and "1|1" not in caplog.text
 
 
 # --- rolling mean ----------------------------------------------------------

@@ -54,6 +54,10 @@ def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
     assert np.array_equal(out.opening[1:], out.closing[:-1])
     assert out.opening[0] == initial
     assert out.negative_forecast_days == int((forecast < 0).sum())
+    # Overstock days compare closing stock with the mean of each day's slice
+    # of up to 7 days of (fractional) demand.
+    trailing = np.array([demand[max(0, t - 6) : t + 1].mean() for t in range(len(demand))])
+    assert out.overstock_rate == float((out.closing > policy.overstock_multiplier * trailing).mean())
 
 
 def test_perfect_forecast_zero_lead_never_stocks_out_or_holds():
