@@ -14,7 +14,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import iso_dates
+from .data import iso_dates, series_runs
+from .errors import MissingForecastsError
 from .evaluate import ComparisonTable, EvaluationReport
 from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
@@ -79,17 +80,17 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     _write_csv(path, ["store", "item", "date", "actual", "predicted", "residual"], rows)
 
 
-def read_residuals_csv(path: Path) -> dict[tuple[str, str], dict[str, list]]:
-    out: dict[tuple[str, str], dict[str, list]] = {}
+def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    """(store, item) -> (actual, predicted), in the file's (store, item, date) order."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (row["store"], row["item"])
-            bucket = out.setdefault(key, {"date": [], "actual": [], "predicted": []})
-            bucket["date"].append(row["date"])
-            bucket["actual"].append(float(row["actual"]))
-            bucket["predicted"].append(float(row["predicted"]))
-    return out
+        reader = csv.reader(fh)
+        cells = dict(zip(next(reader, []), zip(*reader)))
+    if not cells:
+        raise MissingForecastsError(f"forecast file {path} has no rows")
+    actual = np.array(cells["actual"], dtype=np.float64)
+    predicted = np.array(cells["predicted"], dtype=np.float64)
+    runs = series_runs(np.array(cells["store"]), np.array(cells["item"]))
+    return {key: (actual[a:b], predicted[a:b]) for key, (a, b) in runs.items()}
 
 
 def write_importance_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:

@@ -218,33 +218,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
         else:
             skipped[model] = error
 
-    def outcomes_for(model: str):
+    def replay(model: str):
+        """Pool the model's per-series replays and write its ledger."""
         path = out_dir / f"residuals_{slug(model, scenario_id)}.csv"
         if not path.exists():
             raise MissingForecastsError(f"evaluation lacks forecasts for model {model!r}")
-        per_series = read_residuals_csv(path)
         stds = scenario_doc["models"][model]["per_series_train_residual_std"]
-        out = {}
-        for key in sorted(per_series):
-            bucket = per_series[key]
-            sigma = stds.get(f"{key[0]}|{key[1]}", 0.0)
-            out[key] = simulate(
-                np.array(bucket["actual"]),
-                np.array(bucket["predicted"]),
-                policy,
-                sigma_hat=sigma,
-            )
-        return out
-
-    baseline_outcomes = outcomes_for("naive")
-    baseline = pool_outcomes(list(baseline_outcomes.values()))
-    write_ledger_csv(out_dir / f"ledger_naive_{scenario_id}.csv", baseline_outcomes)
-
-    pooled = {}
-    for model in models:
-        per_series = outcomes_for(model)
+        per_series = {
+            key: simulate(actual, predicted, policy, sigma_hat=stds.get(f"{key[0]}|{key[1]}", 0.0))
+            for key, (actual, predicted) in read_residuals_csv(path).items()
+        }
         write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", per_series)
-        pooled[model] = pool_outcomes(list(per_series.values()))
+        outcome = pool_outcomes(list(per_series.values()))
+        if outcome.negative_forecast_days:
+            clamped = outcome.negative_forecast_days
+            logger.warning("%s: clamped %d negative forecast values to zero", model, clamped)
+        return outcome
+
+    baseline = replay("naive")
+    pooled = {model: replay(model) for model in models}
 
     table = impact_table(pooled, baseline, baseline_name="naive")
     write_impact_csv(out_dir / "impact_table.csv", table)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import SalesTable, SplitSpec, as_datetime64
 from .errors import CalendarGapError
@@ -38,22 +39,20 @@ def cyclical_columns(values: np.ndarray, period: int) -> np.ndarray:
     return np.column_stack([np.sin(angle), np.cos(angle)])
 
 
-def rolling_mean(series: np.ndarray, window: int, min_periods: int = 1) -> np.ndarray:
-    """Trailing mean of the up-to-``window`` values ending at each position.
+def trailing_mean(values: np.ndarray, day: np.ndarray, window: int) -> np.ndarray:
+    """Mean of the up-to-``window`` values ending at each row, within its series.
 
-    Positions with fewer than ``min_periods`` values available are NaN.
+    ``day`` is each row's position within its own series, so a row's window
+    never reaches into the series before it.  The zeros in front and in the
+    slots before a series' first row add nothing, and numpy sums fewer than
+    8 values in order, so each mean equals the mean of the row's own slice
+    bit for bit.
     """
-    if not (window >= min_periods >= 1):
-        raise ValueError("need window >= min_periods >= 1")
-    series = np.asarray(series, dtype=np.float64)
-    n = len(series)
-    csum = np.concatenate([[0.0], np.cumsum(series)])
-    idx = np.arange(n)
-    start = np.maximum(0, idx - window + 1)
-    counts = idx - start + 1
-    out = (csum[idx + 1] - csum[start]) / counts
-    out[counts < min_periods] = np.nan
-    return out
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.minimum(np.asarray(day) + 1, window)
+    windows = sliding_window_view(np.concatenate([np.zeros(window), values]), window)[1:]
+    inside = np.arange(window) >= window - counts[:, None]
+    return np.where(inside, windows, 0.0).sum(axis=1) / counts
 
 
 class DeviationMode(str, Enum):
@@ -75,15 +74,19 @@ DEVIATION_MIN_PERIODS = 3
 DEVIATION_RATIO = 0.30
 
 
-def deviation_flag(series: np.ndarray, mode: DeviationMode) -> np.ndarray:
-    """Binary vector marking abnormal drops in sales."""
-    series = np.asarray(series, dtype=np.float64)
-    rm = rolling_mean(series, DEVIATION_WINDOW, DEVIATION_MIN_PERIODS)
-    trailing = np.concatenate([[np.nan], rm[:-1]])
-    # Where the trailing mean is undefined (NaN) the comparison is False.
-    flags = (series < DEVIATION_RATIO * trailing).astype(np.float64)
+def deviation_flag(quantities: np.ndarray, day: np.ndarray, mode: DeviationMode) -> np.ndarray:
+    """Binary vector marking abnormal drops in sales.
+
+    ``day`` is each row's position within its own (store, item) series, so
+    the whole sorted table is flagged at once.
+    """
+    quantities = np.asarray(quantities, dtype=np.float64)
+    # The mean ending the day before, defined once it covers enough days.
+    before = np.roll(trailing_mean(quantities, day, DEVIATION_WINDOW), 1)
+    defined = day >= DEVIATION_MIN_PERIODS
+    flags = (defined & (quantities < DEVIATION_RATIO * before)).astype(np.float64)
     if mode is DeviationMode.LAGGED:
-        flags = np.concatenate([[0.0], flags[:-1]])
+        flags = np.where(day > 0, np.roll(flags, 1), 0.0)
     return flags
 
 
@@ -229,17 +232,12 @@ def _assemble_unscaled(
         cyclical_columns(months.astype(np.float64), 12),
     ]
     if external:
-        # Per series: rolling_mean differences a cumulative sum, and one over
-        # the whole table would round each series' means differently.
-        flags = np.empty(len(table))
-        for a, b in runs:
-            flags[a:b] = deviation_flag(quantities[a:b], deviation_mode)
         dows = weekdays_of_ordinals(ordinals).astype(np.float64)
         parts += [
             cyclical_columns(dows, 7),
             dows[:, None],
             holiday_flag(ordinals, calendar)[:, None],
-            flags[:, None],
+            deviation_flag(quantities, day, deviation_mode)[:, None],
         ]
 
     return FeatureMatrix(
@@ -252,33 +250,21 @@ def _assemble_unscaled(
     )
 
 
-def _fit_scaling(matrix: FeatureMatrix) -> dict[str, tuple[float, float]]:
+def _scale(train: FeatureMatrix, test: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """Min-max scale both sides with the training rows' statistics."""
     scaling: dict[str, tuple[float, float]] = {}
-    for name in matrix.columns:
+    train_rows, test_rows = train.rows.copy(), test.rows.copy()
+    for j, name in enumerate(train.columns):
         if name in _FLAG_COLUMNS:
             continue
-        col = matrix.column(name)
-        scaling[name] = (float(col.min()), float(col.max())) if len(col) else (0.0, 1.0)
-    return scaling
-
-
-def _apply_scaling(matrix: FeatureMatrix, scaling: Mapping[str, tuple[float, float]]) -> FeatureMatrix:
-    rows = matrix.rows.copy()
-    for name, (lo, hi) in scaling.items():
-        j = matrix.columns.index(name)
-        span = hi - lo
-        if span > 0:
-            rows[:, j] = (rows[:, j] - lo) / span
-        else:
-            rows[:, j] = 0.0
-    return FeatureMatrix(
-        list(matrix.columns),
-        rows,
-        matrix.target,
-        matrix.dates,
-        matrix.stores,
-        matrix.items,
-        dict(scaling),
+        col = train.rows[:, j]
+        lo, hi = (float(col.min()), float(col.max())) if len(col) else (0.0, 1.0)
+        scaling[name] = (lo, hi)
+        for rows in (train_rows, test_rows):
+            rows[:, j] = (rows[:, j] - lo) / (hi - lo) if hi > lo else 0.0
+    return tuple(
+        FeatureMatrix(list(m.columns), rows, m.target, m.dates, m.stores, m.items, dict(scaling))
+        for m, rows in ((train, train_rows), (test, test_rows))
     )
 
 
@@ -303,5 +289,4 @@ def build_train_test_matrices(
     test_mask = ~train_mask & (unscaled.dates <= split.test_end.toordinal())
     train = unscaled.select_rows(train_mask)
     test = unscaled.select_rows(test_mask)
-    scaling = _fit_scaling(train)
-    return _apply_scaling(train, scaling), _apply_scaling(test, scaling)
+    return _scale(train, test)

@@ -9,16 +9,13 @@ closing = opening + received - sold and lost = demand - sold on every day.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .evaluate import improvement_percent
-
-logger = logging.getLogger(__name__)
+from .features import trailing_mean
 
 # The four portfolio rates that impact tables report, each with whether a
 # lower value is better.
@@ -95,8 +92,6 @@ def simulate(
         raise ValueError("demand and forecast must align on the test window")
     n = len(demand)
     negative_days = int((forecast < 0).sum())
-    if negative_days:
-        logger.warning("clamped %d negative forecast values to zero", negative_days)
     fc = np.maximum(forecast, 0.0)
 
     opening = np.zeros(n)
@@ -130,11 +125,7 @@ def simulate(
         on_hand -= sold[t]
         closing[t] = on_hand
 
-    # Mean demand over the up-to-7 days ending each day.  The leading zeros
-    # add nothing, and numpy sums fewer than 8 values in order, so each mean
-    # equals the mean of the day's slice bit for bit.
-    windows = sliding_window_view(np.concatenate([np.zeros(6), demand]), 7) if n else np.empty((0, 7))
-    trailing = windows.sum(axis=1) / np.minimum(np.arange(1, n + 1), 7)
+    trailing = trailing_mean(demand, np.arange(n), 7)
     overstock_days = closing > policy.overstock_multiplier * trailing
 
     return InventoryOutcome(

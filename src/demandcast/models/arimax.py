@@ -47,12 +47,11 @@ class ArimaxModel:
         }
 
 
-def fit_arimax(
-    y: np.ndarray,
-    X: np.ndarray | None = None,
-    exog_names: list[str] | None = None,
-) -> ArimaxModel:
+def fit_arimax(y: np.ndarray, X: np.ndarray, exog_names: list[str]) -> ArimaxModel:
     """Fit y_t = c + phi*y_{t-1} + beta'x_t + e_t on rows t >= 2.
+
+    ``X`` holds one column per name in ``exog_names``; with no regressors it
+    has zero columns.
 
     Raises :class:`SingularDesignError` when the intercept-plus-exogenous
     block is rank-deficient (e.g. a constant exogenous column duplicating
@@ -61,24 +60,17 @@ def fit_arimax(
     which reproduces the series exactly.
     """
     y = np.asarray(y, dtype=np.float64)
-    k_exog = 0 if X is None else X.shape[1]
-    if X is not None:
-        X = np.asarray(X, dtype=np.float64)
-        if len(X) != len(y):
-            raise ValueError("exogenous matrix must be row-aligned with y")
+    X = np.asarray(X, dtype=np.float64)
+    if len(X) != len(y):
+        raise ValueError("exogenous matrix must be row-aligned with y")
+    k_exog = X.shape[1]
     n_params = 2 + k_exog
     if len(y) < n_params + 2:
         raise ValueError(f"need at least {n_params + 2} observations, got {len(y)}")
-    names = list(exog_names) if exog_names is not None else [
-        f"x{j}" for j in range(k_exog)
-    ]
-    if len(names) != k_exog:
+    if len(exog_names) != k_exog:
         raise ValueError("exog_names length must match exogenous columns")
 
-    if k_exog:
-        design = np.column_stack([np.ones(len(y) - 1), y[:-1], X[1:]])
-    else:
-        design = np.column_stack([np.ones(len(y) - 1), y[:-1]])
+    design = np.column_stack([np.ones(len(y) - 1), y[:-1], X[1:]])
     target = y[1:]
 
     fixed_block = design[:, [0] + list(range(2, 2 + k_exog))]
@@ -99,7 +91,7 @@ def fit_arimax(
         intercept=float(coef[0]),
         phi=phi,
         beta=coef[2:].copy(),
-        exog_names=names,
+        exog_names=list(exog_names),
         sigma2=sigma2,
         last_train_value=float(y[-1]),
         n_obs=len(y),
@@ -108,7 +100,7 @@ def fit_arimax(
 
 def forecast_arimax(
     model: ArimaxModel,
-    X_future: np.ndarray | None,
+    X_future: np.ndarray,
     horizon: int,
     mode: ForecastMode = ForecastMode.RECURSIVE,
     actuals_for_onestep: np.ndarray | None = None,
@@ -119,12 +111,9 @@ def forecast_arimax(
     final training value.  ONE_STEP uses the actual previous observation as
     the lag at every step, which requires the realised test series.
     """
-    if X_future is not None:
-        X_future = np.asarray(X_future, dtype=np.float64)
-        if len(X_future) < horizon:
-            raise ValueError("X_future must provide one row per forecast step")
-    elif len(model.beta):
-        raise ValueError("model has exogenous coefficients but no X_future given")
+    X_future = np.asarray(X_future, dtype=np.float64)
+    if len(X_future) < horizon:
+        raise ValueError("X_future must provide one row per forecast step")
     if mode is ForecastMode.ONE_STEP:
         if actuals_for_onestep is None:
             raise MissingActualsError("one-step mode requires the actual test series")
@@ -135,8 +124,7 @@ def forecast_arimax(
     out = np.empty(horizon, dtype=np.float64)
     prev = model.last_train_value
     for t in range(horizon):
-        exog_term = float(X_future[t] @ model.beta) if len(model.beta) else 0.0
-        out[t] = model.intercept + model.phi * prev + exog_term
+        out[t] = model.intercept + model.phi * prev + float(X_future[t] @ model.beta)
         if mode is ForecastMode.ONE_STEP:
             prev = actuals[t]
         else:
@@ -144,10 +132,8 @@ def forecast_arimax(
     return out
 
 
-def in_sample_predictions(model: ArimaxModel, y: np.ndarray, X: np.ndarray | None) -> np.ndarray:
+def in_sample_predictions(model: ArimaxModel, y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """One-step fitted values on the training sample (rows t >= 2)."""
     y = np.asarray(y, dtype=np.float64)
-    exog = np.zeros(len(y) - 1)
-    if len(model.beta):
-        exog = np.asarray(X, dtype=np.float64)[1:] @ model.beta
+    exog = np.asarray(X, dtype=np.float64)[1:] @ model.beta
     return model.intercept + model.phi * y[:-1] + exog

@@ -142,19 +142,15 @@ def test_arimax_ols_equivalence():
             c = float(rng.uniform(-2, 2))
             phi = float(rng.uniform(-0.8, 0.8))
             beta = rng.uniform(-1, 1, size=k)
-            exog = rng.normal(size=(n, k)) if k else None
+            exog = rng.normal(size=(n, k))
             y = np.empty(n)
             y[0] = rng.normal()
             noise = rng.normal(scale=0.5, size=n)
             for t in range(1, n):
                 y[t] = c + phi * y[t - 1] + noise[t]
-                if k:
-                    y[t] += exog[t] @ beta
-            model = fit_arimax(y, exog)
-            if k:
-                design = np.column_stack([np.ones(n - 1), y[:-1], exog[1:]])
-            else:
-                design = np.column_stack([np.ones(n - 1), y[:-1]])
+                y[t] += exog[t] @ beta
+            model = fit_arimax(y, exog, [f"x{j}" for j in range(k)])
+            design = np.column_stack([np.ones(n - 1), y[:-1], exog[1:]])
             expected = np.linalg.solve(design.T @ design, design.T @ y[1:])
             got = np.concatenate([[model.intercept, model.phi], model.beta])
             assert np.abs(got - expected).max() <= 1e-8
@@ -164,7 +160,7 @@ def test_arimax_ols_equivalence():
         y[0] = 1.0
         for t in range(1, 80):
             y[t] = 2.0 + 0.5 * y[t - 1]
-        model = fit_arimax(y)
+        model = fit_arimax(y, np.empty((80, 0)), [])
         assert abs(model.intercept - 2.0) <= 1e-6
         assert abs(model.phi - 0.5) <= 1e-6
 
@@ -385,18 +381,10 @@ def test_inventory_directional_claim(bundled_run):
 
         def pooled_with_matched_sigma(model):
             per_series = read_residuals_csv(out / f"residuals_{model}_S2.csv")
-            outcomes = []
-            for key in sorted(per_series):
-                bucket = per_series[key]
-                sigma = naive_stds[f"{key[0]}|{key[1]}"]
-                outcomes.append(
-                    simulate(
-                        np.array(bucket["actual"]),
-                        np.array(bucket["predicted"]),
-                        policy,
-                        sigma_hat=sigma,
-                    )
-                )
+            outcomes = [
+                simulate(actual, predicted, policy, sigma_hat=naive_stds[f"{store}|{item}"])
+                for (store, item), (actual, predicted) in per_series.items()
+            ]
             return pool_outcomes(outcomes)
 
         tree = pooled_with_matched_sigma("gbdt")
@@ -533,39 +521,51 @@ def test_bundled_bytes_pinned(bundled_run):
 # The bundled run has integer demand, no gaps and no malformed lines.  This
 # run has shuffled rows, missing interior days filled with fractional values
 # and one corrupt line.  One digest over the name and bytes of every file the
-# four commands write except the two that hold timings, on numpy 2.4.
+# four commands write except the two that hold timings, on numpy 2.4, once
+# per deviation mode.
 GAPPY_SHA256 = "beea0ba2bcb19e8ae88a7f67100398749ffdda1500316288f706aaeea7f8aff4"
+GAPPY_LAGGED_SHA256 = "89310e1999d6e4ba4e14a96690a2d84d7523e0dc3429d5227dbc21a1b27a389f"
+
+
+def gappy_run_digest(tmp_path, deviation_mode):
+    table = generate_sales_table(n_stores=1, n_items=3, start=dt.date(2017, 1, 1))
+    rng = np.random.default_rng(11)
+    interior = (table.dates > table.dates.min()) & (table.dates < table.dates.max())
+    kept = ~(interior & (rng.random(len(table)) < 0.04))
+    lines = [
+        f"{dt.date.fromordinal(d)},{s},{i},{int(q)}"
+        for d, s, i, q in zip(
+            table.dates[kept].tolist(),
+            table.store_ids[kept].tolist(),
+            table.item_ids[kept].tolist(),
+            table.quantities[kept].tolist(),
+        )
+    ]
+    rng.shuffle(lines)
+    lines.insert(100, "2017-13-01,1,2,5")
+    data = tmp_path / "sales.csv"
+    data.write_text("date,store,item,sales\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    models = ["arimax", "trend_seasonal", "naive"]
+    doc = {"data_path": str(data), "output_dir": str(out), "models": models}
+    cfg.write_text(json.dumps({**doc, "deviation_mode": deviation_mode}))
+    for command in ("ingest", "evaluate", "simulate", "report"):
+        assert main([command, "--config", str(cfg)]) == 0, command
+    summary = json.loads((out / "ingest_summary.json").read_text())
+    assert summary["malformed_count"] == 1 and summary["total_imputed"] > 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name not in ("runtimes.csv", "manifest.json"):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def test_gappy_bytes_pinned(tmp_path):
     with criterion("gappy_bytes_pinned"):
-        table = generate_sales_table(n_stores=1, n_items=3, start=dt.date(2017, 1, 1))
-        rng = np.random.default_rng(11)
-        interior = (table.dates > table.dates.min()) & (table.dates < table.dates.max())
-        kept = ~(interior & (rng.random(len(table)) < 0.04))
-        lines = [
-            f"{dt.date.fromordinal(d)},{s},{i},{int(q)}"
-            for d, s, i, q in zip(
-                table.dates[kept].tolist(),
-                table.store_ids[kept].tolist(),
-                table.item_ids[kept].tolist(),
-                table.quantities[kept].tolist(),
-            )
-        ]
-        rng.shuffle(lines)
-        lines.insert(100, "2017-13-01,1,2,5")
-        data = tmp_path / "sales.csv"
-        data.write_text("date,store,item,sales\n" + "\n".join(lines) + "\n", encoding="utf-8")
-        out = tmp_path / "out"
-        cfg = tmp_path / "config.json"
-        models = ["arimax", "trend_seasonal", "naive"]
-        cfg.write_text(json.dumps({"data_path": str(data), "output_dir": str(out), "models": models}))
-        for command in ("ingest", "evaluate", "simulate", "report"):
-            assert main([command, "--config", str(cfg)]) == 0, command
-        summary = json.loads((out / "ingest_summary.json").read_text())
-        assert summary["malformed_count"] == 1 and summary["total_imputed"] > 0
-        digest = hashlib.sha256()
-        for path in sorted(out.iterdir()):
-            if path.name not in ("runtimes.csv", "manifest.json"):
-                digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        assert digest.hexdigest() == GAPPY_SHA256
+        assert gappy_run_digest(tmp_path, "same-day") == GAPPY_SHA256
+
+
+def test_gappy_lagged_bytes_pinned(tmp_path):
+    with criterion("gappy_lagged_bytes_pinned"):
+        assert gappy_run_digest(tmp_path, "lagged") == GAPPY_LAGGED_SHA256

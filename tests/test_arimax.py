@@ -25,13 +25,22 @@ def ar1_series(c, phi, n, y0=1.0, exog=None, beta=None, noise=None):
     return y
 
 
+def no_exog(n):
+    """The zero-column regressor matrix of a fit without exogenous inputs."""
+    return np.empty((n, 0))
+
+
+def names(X):
+    return [f"x{j}" for j in range(X.shape[1])]
+
+
 def normal_equations(design, target):
     return np.linalg.solve(design.T @ design, design.T @ target)
 
 
 def test_noiseless_ar1_recovery():
     y = ar1_series(2.0, 0.5, 60)
-    model = fit_arimax(y)
+    model = fit_arimax(y, no_exog(60), [])
     assert abs(model.intercept - 2.0) < 1e-8
     assert abs(model.phi - 0.5) < 1e-8
 
@@ -48,8 +57,8 @@ def test_noiseless_exogenous_recovery():
 
 def test_constant_series_fits_exactly():
     y = np.full(30, 7.5)
-    model = fit_arimax(y)
-    fitted = in_sample_predictions(model, y, None)
+    model = fit_arimax(y, no_exog(30), [])
+    fitted = in_sample_predictions(model, y, no_exog(30))
     assert np.allclose(fitted, 7.5, atol=1e-9)
 
 
@@ -61,14 +70,11 @@ def test_css_equals_normal_equations_on_random_series():
         phi = float(rng.uniform(-0.8, 0.8))
         c = float(rng.uniform(-2, 2))
         beta = rng.uniform(-1, 1, size=k)
-        exog = rng.normal(size=(n, k)) if k else None
+        exog = rng.normal(size=(n, k))
         noise = rng.normal(scale=0.5, size=n)
         y = ar1_series(c, phi, n, exog=exog, beta=beta, noise=noise)
-        model = fit_arimax(y, exog)
-        if k:
-            design = np.column_stack([np.ones(n - 1), y[:-1], exog[1:]])
-        else:
-            design = np.column_stack([np.ones(n - 1), y[:-1]])
+        model = fit_arimax(y, exog, names(exog))
+        design = np.column_stack([np.ones(n - 1), y[:-1], exog[1:]])
         expected = normal_equations(design, y[1:])
         got = np.concatenate([[model.intercept, model.phi], model.beta])
         assert np.allclose(got, expected, atol=1e-8)
@@ -80,7 +86,7 @@ def test_residuals_orthogonal_to_design():
     exog = rng.normal(size=(n, 2))
     y = ar1_series(1.0, 0.6, n, exog=exog, beta=np.array([0.5, -0.3]),
                    noise=rng.normal(scale=1.0, size=n))
-    model = fit_arimax(y, exog)
+    model = fit_arimax(y, exog, names(exog))
     design = np.column_stack([np.ones(n - 1), y[:-1], exog[1:]])
     residuals = y[1:] - design @ np.concatenate([[model.intercept, model.phi], model.beta])
     dots = design.T @ residuals / len(residuals)
@@ -92,7 +98,7 @@ def test_recursive_forecast_fixture():
         intercept=0.0, phi=0.5, beta=np.empty(0), exog_names=[],
         sigma2=0.0, last_train_value=8.0, n_obs=10,
     )
-    out = forecast_arimax(model, None, 3, ForecastMode.RECURSIVE)
+    out = forecast_arimax(model, no_exog(3), 3, ForecastMode.RECURSIVE)
     assert np.allclose(out, [4.0, 2.0, 1.0])
 
 
@@ -109,9 +115,9 @@ def test_phi_zero_forecast_is_pure_regression():
 def test_one_step_mode_on_noiseless_series_has_zero_error():
     y = ar1_series(1.0, 0.7, 100)
     train, test = y[:80], y[80:]
-    model = fit_arimax(train)
+    model = fit_arimax(train, no_exog(len(train)), [])
     out = forecast_arimax(
-        model, None, len(test), ForecastMode.ONE_STEP, actuals_for_onestep=test
+        model, no_exog(len(test)), len(test), ForecastMode.ONE_STEP, actuals_for_onestep=test
     )
     # each one-step forecast uses the previous actual; the first uses the
     # last training value
@@ -124,7 +130,7 @@ def test_one_step_without_actuals_raises():
         sigma2=0.0, last_train_value=1.0, n_obs=10,
     )
     with pytest.raises(MissingActualsError):
-        forecast_arimax(model, None, 3, ForecastMode.ONE_STEP)
+        forecast_arimax(model, no_exog(3), 3, ForecastMode.ONE_STEP)
 
 
 def test_singular_design_from_constant_exogenous_column():
@@ -132,7 +138,7 @@ def test_singular_design_from_constant_exogenous_column():
     y = rng.uniform(size=50)
     exog = np.ones((50, 1))
     with pytest.raises(SingularDesignError):
-        fit_arimax(y, exog)
+        fit_arimax(y, exog, ["one"])
 
 
 def test_recursive_forecast_bounded_for_stationary_phi():

@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,34 @@ def test_simulate_requires_naive_forecasts(tmp_path, small_csv, monkeypatch):
     assert main(["evaluate", "--config", str(cfg)]) == 0
     assert main(["simulate", "--config", str(cfg)]) == 3
     assert not (out / "impact.json").exists()
+
+
+def test_simulate_reports_one_clamp_tally_per_model(tmp_path, small_csv, monkeypatch, caplog):
+    # arimax forecasts pushed below zero in both series: one warning carries
+    # the model's pooled count, not one warning per series.
+    forecast_arimax = demandcast.evaluate.forecast_arimax
+    monkeypatch.setattr(
+        demandcast.evaluate, "forecast_arimax", lambda *a, **k: forecast_arimax(*a, **k) - 1e4
+    )
+    cfg, out = small_config(tmp_path, small_csv, "clamp", models=["arimax", "naive"], scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    with caplog.at_level(logging.WARNING):
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    lines = [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()]
+    clamped = json.loads((out / "impact.json").read_text())["models"]["arimax"]["negative_forecast_days"]
+    assert lines == [f"arimax: clamped {clamped} negative forecast values to zero"]
+    rows = [line.split(",") for line in (out / "residuals_arimax_S2.csv").read_text().splitlines()[1:]]
+    assert len({(store, item) for store, item, _, _, predicted, _ in rows if float(predicted) < 0}) == 2
+
+
+def test_simulate_rejects_forecast_file_without_rows(tmp_path, small_csv, capsys):
+    cfg, out = small_config(tmp_path, small_csv, "norows", models=["naive"], scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    path = out / "residuals_naive_S2.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    error = last_error(capsys)
+    assert error["code"] == "E_INPUT" and str(path) in error["message"]
 
 
 def test_report_renders_comparison_and_importance(evaluated, capsys):

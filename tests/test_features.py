@@ -10,6 +10,9 @@ from demandcast.data import SalesTable, SplitSpec
 from demandcast.errors import CalendarGapError
 from demandcast.features import (
     _assemble_unscaled,
+    DEVIATION_MIN_PERIODS,
+    DEVIATION_RATIO,
+    DEVIATION_WINDOW,
     EXTERNAL_COLUMNS,
     LAGS,
     S1_COLUMNS,
@@ -19,7 +22,7 @@ from demandcast.features import (
     cyclical_columns,
     deviation_flag,
     holiday_flag,
-    rolling_mean,
+    trailing_mean,
     weekdays_of_ordinals,
 )
 
@@ -122,59 +125,93 @@ def test_series_shorter_than_longest_lag_has_no_rows(caplog):
     assert "1|2" in caplog.text and "1|1" not in caplog.text
 
 
-# --- rolling mean ----------------------------------------------------------
+# --- trailing mean -----------------------------------------------------------
 
-def test_rolling_mean_example():
-    out = rolling_mean(np.array([10.0, 20.0, 30.0]), window=2, min_periods=1)
+def test_trailing_mean_example():
+    out = trailing_mean(np.array([10.0, 20.0, 30.0]), np.arange(3), window=2)
     assert np.allclose(out, [10.0, 15.0, 25.0])
 
 
-def test_rolling_mean_constant_series():
-    out = rolling_mean(np.full(10, 4.2), window=3, min_periods=1)
+def test_trailing_mean_constant_series():
+    out = trailing_mean(np.full(10, 4.2), np.arange(10), window=3)
     assert np.allclose(out, 4.2)
 
 
-def test_rolling_mean_window_one_is_identity():
+def test_trailing_mean_window_one_is_identity():
     x = np.array([3.0, 1.0, 7.0])
-    assert np.allclose(rolling_mean(x, window=1, min_periods=1), x)
+    assert np.allclose(trailing_mean(x, np.arange(3), window=1), x)
 
 
-def test_rolling_mean_min_periods_marks_undefined():
-    out = rolling_mean(np.arange(5.0), window=3, min_periods=3)
-    assert np.isnan(out[:2]).all() and not np.isnan(out[2:]).any()
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 20), min_size=1, max_size=5),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_trailing_mean_equals_slice_mean(lengths, window, seed):
+    # Fractional values, as gap filling makes them, so a sum taken in
+    # another order would show in the last bits.
+    values = np.random.default_rng(seed).uniform(0.0, 50.0, sum(lengths))
+    day = np.concatenate([np.arange(n) for n in lengths])
+    expected = [values[t - min(d, window - 1) : t + 1].mean() for t, d in enumerate(day.tolist())]
+    assert trailing_mean(values, day, window).tobytes() == np.array(expected).tobytes()
 
 
 # --- deviation flag ----------------------------------------------------------
 
+def flags_of(values, mode):
+    return deviation_flag(np.array(values), np.arange(len(values)), mode)
+
+
 def test_deviation_flag_same_day_example():
     # Three days make the first defined trailing mean; 20 < 0.30 * 100.
-    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), DeviationMode.SAME_DAY)
+    flags = flags_of([100.0, 100.0, 100.0, 20.0], DeviationMode.SAME_DAY)
     assert flags.tolist() == [0.0, 0.0, 0.0, 1.0]
-    flags = deviation_flag(np.array([100.0, 100.0, 20.0]), DeviationMode.SAME_DAY)
+    flags = flags_of([100.0, 100.0, 20.0], DeviationMode.SAME_DAY)
     assert flags.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_deviation_flag_constant_series_all_zero():
     for mode in DeviationMode:
-        assert deviation_flag(np.full(10, 55.0), mode).sum() == 0.0
+        assert flags_of(np.full(10, 55.0), mode).sum() == 0.0
 
 
 def test_deviation_flag_lagged_shifts_trigger():
     lagged = DeviationMode.LAGGED
-    flags = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0]), lagged)
+    flags = flags_of([100.0, 100.0, 100.0, 20.0], lagged)
     assert flags.tolist() == [0.0, 0.0, 0.0, 0.0]
-    flags5 = deviation_flag(np.array([100.0, 100.0, 100.0, 20.0, 100.0]), lagged)
+    flags5 = flags_of([100.0, 100.0, 100.0, 20.0, 100.0], lagged)
     assert flags5.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_deviation_flag_lagged_is_causal():
     rng = np.random.default_rng(5)
     base = rng.uniform(50, 100, size=30)
-    flags = deviation_flag(base, DeviationMode.LAGGED)
+    flags = flags_of(base, DeviationMode.LAGGED)
     for t in range(len(base)):
         mutated = base.copy()
         mutated[t] = 1.0
-        assert deviation_flag(mutated, DeviationMode.LAGGED)[t] == flags[t]
+        assert flags_of(mutated, DeviationMode.LAGGED)[t] == flags[t]
+
+
+def same_day_flag(q, t, d):
+    """The rule at one row: sales below the ratio of the mean of the up-to-7
+    days before it in its series, once that mean covers enough days."""
+    if d < DEVIATION_MIN_PERIODS:
+        return 0.0
+    before = q[t - min(d, DEVIATION_WINDOW) : t].mean()
+    return float(q[t] < DEVIATION_RATIO * before)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gap_filled_tables())
+def test_whole_table_deviation_flag_matches_per_row_rule(table):
+    q = table.quantities
+    day = np.concatenate([np.arange(b - a) for a, b in table.series_index.values()])
+    same_day = [same_day_flag(q, t, d) for t, d in enumerate(day.tolist())]
+    lagged = [same_day[t - 1] if d > 0 else 0.0 for t, d in enumerate(day.tolist())]
+    assert deviation_flag(q, day, DeviationMode.SAME_DAY).tolist() == same_day
+    assert deviation_flag(q, day, DeviationMode.LAGGED).tolist() == lagged
 
 
 # --- holiday flag ------------------------------------------------------------
