@@ -170,13 +170,12 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
             fit, predict, cfg = fit_svr, predict_svr, spec.svr_config
         model = fit(train, cfg)
         predictions = predict(model, test)
-        train_pred = model.train_prediction if model_name == "gbdt" else predict(model, train)
-        return predictions, train_pred, model.to_dict(), "one-step-features"
+        return predictions, model.train_prediction, model.to_dict(), "one-step-features"
     if model_name == "arimax":
         exog_names = _exog_columns(train)
         cols = [train.columns.index(c) for c in exog_names]
         # take() returns row-major arrays; rows[:, cols] would be column-major,
-        # and BLAS sums products over that layout in another order.
+        # and einsum sums products over that layout in another order.
         X_train, X_test = train.rows.take(cols, axis=1), test.rows.take(cols, axis=1)
         model = fit_arimax(train.target, X_train, exog_names=exog_names)
         predictions = forecast_arimax(
@@ -193,8 +192,7 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         calendar = payload["calendar"]
         model = fit_trend_seasonal(train.target, train.dates, spec.trend_seasonal_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
-        train_pred, _, _ = forecast_trend_seasonal(model, train.dates)
-        return predictions, train_pred, model.to_dict(), "multi-step"
+        return predictions, model.train_prediction, model.to_dict(), "multi-step"
     if model_name == "naive":
         predictions = seasonal_naive_forecast(train.target, len(test))
         insample = seasonal_naive_insample(train.target)

@@ -2,8 +2,8 @@
 
 With order (1,0,0) there is no differencing and no moving-average recursion,
 so conditional least squares is exactly ordinary least squares of y_t on
-[1, y_{t-1}, x_t] for t >= 2.  The solver uses a QR-based least-squares
-routine; tests check it against a direct normal-equations solve.
+[1, y_{t-1}, x_t] for t >= 2.  The solver is the Householder QR of
+:mod:`.lsq`; tests check it against a direct normal-equations solve.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import MissingActualsError, SingularDesignError
+from .lsq import apply_qt, back_substitute, dependent_columns, householder_qr
 
 logger = logging.getLogger(__name__)
 
@@ -70,27 +71,38 @@ def fit_arimax(y: np.ndarray, X: np.ndarray, exog_names: list[str]) -> ArimaxMod
     if len(exog_names) != k_exog:
         raise ValueError("exog_names length must match exogenous columns")
 
-    design = np.column_stack([np.ones(len(y) - 1), y[:-1], X[1:]])
+    # The lagged target goes last, so R's diagonal tests the intercept and
+    # exogenous block on its own before the lag column is considered.
+    design = np.column_stack([np.ones(len(y) - 1), X[1:], y[:-1]])
     target = y[1:]
-
-    fixed_block = design[:, [0] + list(range(2, 2 + k_exog))]
-    if np.linalg.matrix_rank(fixed_block) < 1 + k_exog:
+    qr = householder_qr(design)
+    dependent = dependent_columns(qr)
+    if dependent[:-1].any():
         raise SingularDesignError(
             "intercept and exogenous columns are linearly dependent"
         )
 
-    coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    residuals = target - design @ coef
+    rhs = apply_qt(qr, target)[:n_params]
+    if dependent[-1]:
+        # Every solution is one particular solution plus a multiple of R's
+        # null vector; the minimum-norm one is orthogonal to that vector.
+        r11, r12 = qr.r[:-1, :-1], qr.r[:-1, -1]
+        coef = np.append(back_substitute(r11, rhs[:-1]), 0.0)
+        null = np.append(-back_substitute(r11, r12), 1.0)
+        coef -= (np.einsum("i,i->", coef, null) / np.einsum("i,i->", null, null)) * null
+    else:
+        coef = back_substitute(qr.r, rhs)
+    residuals = target - np.einsum("ij,j->i", design, coef)
     dof = max(len(target) - n_params, 1)
-    sigma2 = float(residuals @ residuals) / dof
+    sigma2 = float(np.einsum("i,i->", residuals, residuals)) / dof
 
-    phi = float(coef[1])
+    phi = float(coef[-1])
     if abs(phi) >= 1.0:
         logger.warning("fitted AR coefficient %.4f is non-stationary", phi)
     return ArimaxModel(
         intercept=float(coef[0]),
         phi=phi,
-        beta=coef[2:].copy(),
+        beta=coef[1:-1].copy(),
         exog_names=list(exog_names),
         sigma2=sigma2,
         last_train_value=float(y[-1]),
@@ -121,10 +133,11 @@ def forecast_arimax(
         if len(actuals) < horizon:
             raise ValueError("actuals must cover the forecast horizon")
 
+    exog = np.einsum("ij,j->i", X_future[:horizon], model.beta)
     out = np.empty(horizon, dtype=np.float64)
     prev = model.last_train_value
     for t in range(horizon):
-        out[t] = model.intercept + model.phi * prev + float(X_future[t] @ model.beta)
+        out[t] = model.intercept + model.phi * prev + exog[t]
         if mode is ForecastMode.ONE_STEP:
             prev = actuals[t]
         else:
@@ -135,5 +148,5 @@ def forecast_arimax(
 def in_sample_predictions(model: ArimaxModel, y: np.ndarray, X: np.ndarray) -> np.ndarray:
     """One-step fitted values on the training sample (rows t >= 2)."""
     y = np.asarray(y, dtype=np.float64)
-    exog = np.asarray(X, dtype=np.float64)[1:] @ model.beta
+    exog = np.einsum("ij,j->i", np.asarray(X, dtype=np.float64)[1:], model.beta)
     return model.intercept + model.phi * y[:-1] + exog

@@ -67,6 +67,10 @@ class SvrModel:
     kkt_violation_achieved: float
     sweeps: int
     dual_objective_trace: list[float] = field(default_factory=list)
+    # The decision value of each training row, in original units, from the
+    # solver's final gradient; within rounding of predict_svr on the
+    # training matrix.  Not serialized.
+    train_prediction: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -104,12 +108,12 @@ def dual_objective(beta: np.ndarray, theta: np.ndarray, K: np.ndarray, y: np.nda
     return float(np.einsum("i,i->", y, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, Kb))
 
 
-def _cap_rows(matrix: FeatureMatrix, cfg: SvrConfig) -> tuple[np.ndarray, np.ndarray]:
-    X, y = matrix.rows, matrix.target
-    if len(X) > cfg.max_train_rows:
-        order = np.sort(np.argsort(matrix.dates, kind="stable")[-cfg.max_train_rows :])
-        X, y = X[order], y[order]
-    return X, y
+def _kept_rows(matrix: FeatureMatrix, cfg: SvrConfig) -> slice | np.ndarray:
+    """The training rows a fit keeps: all of them, or the most recent
+    ``max_train_rows`` in row order."""
+    if len(matrix) > cfg.max_train_rows:
+        return np.sort(np.argsort(matrix.dates, kind="stable")[-cfg.max_train_rows :])
+    return slice(None)
 
 
 def _penalties(t: float, plus: bool, C: float) -> tuple[float, float]:
@@ -140,7 +144,8 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     """
     if not len(matrix):
         raise ValueError("cannot fit on an empty matrix")
-    X, y = _cap_rows(matrix, cfg)
+    kept = _kept_rows(matrix, cfg)
+    X, y = matrix.rows[kept], matrix.target[kept]
     if len(X) < len(matrix):
         logger.info(
             "capped SVR training to the most recent %d of %d rows",
@@ -174,6 +179,7 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             kkt_violation_achieved=0.0,
             sweeps=0,
             dual_objective_trace=[0.0],
+            train_prediction=np.full(len(matrix), y_mean),
         )
     yz = (y - y_mean) / y_std
 
@@ -258,7 +264,7 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
 
     beta = theta[:n] - theta[n:]
     sv = np.abs(beta) > _TINY
-    return SvrModel(
+    model = SvrModel(
         config=cfg,
         support_vectors=Xz[sv].copy(),
         support_indices=np.flatnonzero(sv).astype(np.int64),
@@ -269,12 +275,21 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
         feature_means=mu,
         feature_stds=sd,
         target_mean=y_mean,
-        target_std=y_std if cfg.standardize_target else 1.0,
+        target_std=y_std,
         converged=converged,
         kkt_violation_achieved=max(violation, 0.0),
         sweeps=sweeps_done,
         dual_objective_trace=trace,
     )
+    # For a trained row k, q_k = (K beta)_k + eps - yz_k, so its decision
+    # value needs no kernel pass.  Only rows the cap dropped are predicted.
+    model.train_prediction = np.empty(len(matrix))
+    model.train_prediction[kept] = y_mean + y_std * (q[:n] - eps + yz + bias)
+    if n < len(matrix):
+        dropped = np.ones(len(matrix), dtype=bool)
+        dropped[kept] = False
+        model.train_prediction[dropped] = predict_svr(model, matrix.select_rows(dropped))
+    return model
 
 
 def _decision_standardized(model: SvrModel, Xz: np.ndarray) -> np.ndarray:
@@ -294,43 +309,3 @@ def predict_svr(model: SvrModel, matrix: FeatureMatrix) -> np.ndarray:
     Xz = (matrix.rows - model.feature_means) / model.feature_stds
     fz = _decision_standardized(model, Xz)
     return model.target_mean + model.target_std * fz
-
-
-def kkt_violation(model: SvrModel, matrix: FeatureMatrix) -> float:
-    """Maximum complementarity violation of the fitted model on its training rows.
-
-    For each row the epsilon-insensitive optimality conditions constrain the
-    standardized residual r = y - f(x) according to the row's dual
-    coefficient: free coefficients pin r to +-epsilon, coefficients at the
-    box bound allow it past, and zero coefficients keep |r| inside the tube.
-    The check evaluates the stored bias, so a perturbed bias shows up
-    immediately.
-    """
-    if list(matrix.columns) != list(model.feature_names):
-        raise SchemaMismatchError("matrix columns differ from model features")
-    X, y = _cap_rows(matrix, model.config)
-    Xz = (X - model.feature_means) / model.feature_stds
-    yz = (y - model.target_mean) / model.target_std
-    fz = _decision_standardized(model, Xz)
-    r = yz - fz
-    eps = model.config.epsilon
-    C = model.config.C
-    bnd = 1e-8 * max(C, 1.0)
-
-    beta_full = np.zeros(len(yz))
-    if len(model.support_indices):
-        beta_full[model.support_indices] = model.dual_coeffs
-
-    below = np.maximum(0.0, np.abs(r) - eps)  # applies where beta == 0
-    violations = below.copy()
-    pos = beta_full > bnd
-    neg = beta_full < -bnd
-    free_pos = pos & (beta_full < C - bnd)
-    free_neg = neg & (beta_full > -C + bnd)
-    at_upper = pos & ~free_pos
-    at_lower = neg & ~free_neg
-    violations[free_pos] = np.abs(r[free_pos] - eps)
-    violations[free_neg] = np.abs(r[free_neg] + eps)
-    violations[at_upper] = np.maximum(0.0, eps - r[at_upper])
-    violations[at_lower] = np.maximum(0.0, r[at_lower] + eps)
-    return float(violations.max()) if len(violations) else 0.0

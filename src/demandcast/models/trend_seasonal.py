@@ -5,13 +5,16 @@ terms at fixed changepoints), weekly and yearly Fourier pairs, and one
 binary column per holiday name.  Multiplicative seasonality is realised as
 an additive fit on log(1+y), which keeps the estimator a deterministic
 ridge solve; the ridge penalty applies to the changepoint hinge
-coefficients only.  Prediction intervals come from empirical training
+coefficients only.  The solve is a Householder QR (:mod:`.lsq`) of the
+design with the ridge rows stacked under it, factored once per distinct
+training window and reused for every series that shares it.  Prediction intervals come from empirical training
 residual quantiles, constant width on the fitting scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import functools
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -20,6 +23,7 @@ import numpy as np
 from ..data import as_datetime64
 from ..errors import NonPositiveDataError, SingularBasisError
 from ..features import HolidayCalendar, weekdays_of_ordinals
+from .lsq import dependent_columns, householder_qr, pseudo_inverse
 
 YEAR_DAYS = 365.25
 
@@ -109,14 +113,9 @@ class TrendSeasonalModel:
     calendar_entries: dict[int, str]
     residual_quantiles: tuple[float, float]
     fit_on_log: bool
-
-    @property
-    def base_slope(self) -> float:
-        return float(self.basis_coef[0])
-
-    @property
-    def changepoint_deltas(self) -> np.ndarray:
-        return self.basis_coef[1 : 1 + len(self.changepoints)]
+    # The point forecast of each training day: bit for bit what
+    # forecast_trend_seasonal gives on the training dates.  Not serialized.
+    train_prediction: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -134,6 +133,56 @@ class TrendSeasonalModel:
         }
 
 
+@dataclass(frozen=True)
+class _FactoredDesign:
+    """One training window's basis and its least-squares solver."""
+
+    changepoints: np.ndarray
+    t_start: int
+    t_span: float
+    holiday_names: tuple[str, ...]
+    basis: np.ndarray  # n x k, the training days' basis rows
+    solver: np.ndarray  # p x n: coef = solver @ z, the intercept first
+
+
+# Every series with the same training days shares one design, so within a
+# scenario it is factored once; two entries keep a run's S1 and S2 designs.
+# A hit and a miss run the same solve, so the cache never changes a result.
+@functools.lru_cache(maxsize=2)
+def _factored_design(
+    ordinal_bytes: bytes, cfg: TrendSeasonalConfig, window_entries: tuple[tuple[int, str], ...]
+) -> _FactoredDesign:
+    ordinals = np.frombuffer(ordinal_bytes, dtype=np.int64)
+    t_start = int(ordinals[0])
+    t_span = float(max(int(ordinals[-1]) - t_start, 1))
+    j = np.arange(1, cfg.n_changepoints + 1, dtype=np.float64)
+    changepoints = cfg.changepoint_range * j / cfg.n_changepoints
+    holiday_names = tuple(sorted({name for _, name in window_entries}))
+    basis = build_basis(
+        ordinals, cfg, changepoints, t_start, t_span, dict(window_entries), holiday_names
+    )
+    n, k = basis.shape
+    if n < k + 1:
+        raise ValueError(f"need more than {k} observations to fit {k} basis columns")
+    # Ridge rows under the design, one per hinge column; the hinge columns
+    # follow the intercept and the trend.
+    penalty_rows = np.sqrt(cfg.changepoint_penalty) * np.eye(len(changepoints), k + 1, k=2)
+    qr = householder_qr(np.vstack([np.column_stack([np.ones(n), basis]), penalty_rows]))
+    dependent = dependent_columns(qr)
+    if dependent.any():
+        name = (["offset"] + basis_columns(cfg, holiday_names))[int(np.argmax(dependent))]
+        raise SingularBasisError(
+            f"basis column {name} is linearly dependent on the columns before it "
+            f"(changepoint_penalty {cfg.changepoint_penalty})"
+        )
+    # The ridge rows' right-hand side is zero, so only the data rows'
+    # columns of the pseudo-inverse reach the coefficients.
+    solver = np.ascontiguousarray(pseudo_inverse(qr)[:, :n])
+    for array in (changepoints, basis, solver):
+        array.flags.writeable = False
+    return _FactoredDesign(changepoints, t_start, t_span, holiday_names, basis, solver)
+
+
 def fit_trend_seasonal(
     y: np.ndarray,
     dates: np.ndarray,
@@ -145,7 +194,9 @@ def fit_trend_seasonal(
     Multiplicative mode fits z = log(1+y), so the target must stay above -1.
     Changepoints sit at c_j = changepoint_range * j / n_changepoints over
     normalised training time.  Holiday columns cover names observed inside
-    the training window; unseen future names carry no effect.
+    the training window; unseen future names carry no effect.  Raises
+    :class:`SingularBasisError` when a basis column is linearly dependent
+    on the columns before it (the rank test of :mod:`.lsq`).
     """
     y = np.asarray(y, dtype=np.float64)
     ordinals = np.asarray(dates, dtype=np.int64)
@@ -162,53 +213,29 @@ def fit_trend_seasonal(
     else:
         z = y
 
-    t_start = int(ordinals[0])
-    t_span = float(max(int(ordinals[-1]) - t_start, 1))
-    j = np.arange(1, cfg.n_changepoints + 1, dtype=np.float64)
-    changepoints = cfg.changepoint_range * j / cfg.n_changepoints
-
     entries = calendar.entries if calendar is not None else {}
-    names_in_window = {n for o, n in entries.items() if t_start <= o <= int(ordinals[-1])}
-    holiday_names = sorted(names_in_window)
-    calendar_entries = {o: n for o, n in entries.items() if n in names_in_window}
-
-    basis = build_basis(
-        ordinals, cfg, changepoints, t_start, t_span, calendar_entries, holiday_names
-    )
-    n, k = basis.shape
-    if n < k + 1:
-        raise ValueError(f"need more than {k} observations to fit {k} basis columns")
-    design = np.column_stack([np.ones(n), basis])
-
-    if cfg.changepoint_penalty == 0.0:
-        if np.linalg.matrix_rank(design) < design.shape[1]:
-            raise SingularBasisError("basis is rank-deficient and penalty is zero")
-        coef, _, _, _ = np.linalg.lstsq(design, z, rcond=None)
-    else:
-        # One row per hinge column, which follow the intercept and the trend.
-        n_hinge = len(changepoints)
-        penalty_rows = np.sqrt(cfg.changepoint_penalty) * np.eye(n_hinge, design.shape[1], k=2)
-        augmented = np.vstack([design, penalty_rows])
-        rhs = np.concatenate([z, np.zeros(n_hinge)])
-        coef, _, _, _ = np.linalg.lstsq(augmented, rhs, rcond=None)
-
-    fitted = design @ coef
-    residuals = z - fitted
+    t_start, t_end = int(ordinals[0]), int(ordinals[-1])
+    window = tuple(sorted((o, n) for o, n in entries.items() if t_start <= o <= t_end))
+    design = _factored_design(ordinals.tobytes(), cfg, window)
+    coef = np.einsum("ij,j->i", design.solver, z)
+    fitted = coef[0] + np.einsum("ij,j->i", design.basis, coef[1:])
     alpha = 1.0 - cfg.interval_level
-    q_lo, q_hi = np.quantile(residuals, [alpha / 2.0, 1.0 - alpha / 2.0])
+    q_lo, q_hi = np.quantile(z - fitted, [alpha / 2.0, 1.0 - alpha / 2.0])
 
+    names = set(design.holiday_names)
     return TrendSeasonalModel(
         config=cfg,
         offset=float(coef[0]),
         basis_coef=coef[1:].copy(),
-        basis_names=basis_columns(cfg, holiday_names),
-        changepoints=changepoints,
-        t_start=t_start,
-        t_span=t_span,
-        holiday_names=holiday_names,
-        calendar_entries=calendar_entries,
+        basis_names=basis_columns(cfg, design.holiday_names),
+        changepoints=design.changepoints,
+        t_start=design.t_start,
+        t_span=design.t_span,
+        holiday_names=list(design.holiday_names),
+        calendar_entries={o: n for o, n in entries.items() if n in names},
         residual_quantiles=(float(q_lo), float(q_hi)),
         fit_on_log=multiplicative,
+        train_prediction=np.expm1(fitted) if multiplicative else fitted,
     )
 
 
@@ -226,7 +253,7 @@ def forecast_trend_seasonal(
         model.calendar_entries,
         model.holiday_names,
     )
-    linear = model.offset + basis @ model.basis_coef
+    linear = model.offset + np.einsum("ij,j->i", basis, model.basis_coef)
     q_lo, q_hi = model.residual_quantiles
     if model.fit_on_log:
         return np.expm1(linear), np.expm1(linear + q_lo), np.expm1(linear + q_hi)

@@ -1,6 +1,9 @@
 import datetime as dt
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +259,39 @@ def test_evaluate_rerun_is_byte_identical(tmp_path, small_csv):
     first = (out / "metrics.csv").read_bytes()
     assert main(["evaluate", "--config", str(cfg)]) == 0
     assert (out / "metrics.csv").read_bytes() == first
+
+
+def test_evaluate_does_not_depend_on_blas_threads(tmp_path):
+    # Every model on four series, evaluated in two processes that differ only
+    # in the BLAS thread count; no deterministic artifact may differ.
+    data = tmp_path / "sales.csv"
+    table = generate_sales_table(
+        n_stores=2, n_items=2, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31), seed=5
+    )
+    write_sales_csv_plain(table, data)
+    src = str(Path(demandcast.evaluate.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        cfg, out = small_config(
+            tmp_path, data, f"threads{threads}", models=list(demandcast.evaluate.MODEL_NAMES),
+            save_models=True,
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "demandcast.cli", "evaluate", "--config", str(cfg)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(
+            {
+                path.name: path.read_bytes()
+                for path in sorted(out.iterdir())
+                if path.name not in ("runtimes.csv", "manifest.json")
+            }
+        )
+    assert {"metrics.csv", "residuals_svr_S2.csv", "models_trend_seasonal_S2.json"} <= set(outputs[0])
+    assert all(row["error"] == "" for row in read_metrics(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_evaluate_aggregate_granularity(tmp_path, small_csv):

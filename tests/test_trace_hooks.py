@@ -36,9 +36,9 @@ def test_every_layer_call_exists():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} ({span}) is gone"
 
 
-# Calls per series at workers=1; the rest are once per series.  svr and
-# trend_seasonal also predict their training rows for the residual std.
-PER_SERIES = {"predict_svr": 2, "forecast_trend_seasonal": 2}
+# Called once per scenario; every other hooked call runs once per series at
+# workers=1.  No model predicts its training rows again: each fit returns
+# its in-sample values.
 PER_SCENARIO = {"aggregate", "build_train_test_matrices"}
 
 
@@ -67,8 +67,6 @@ def test_run_scenario_calls_each_patched_model_function(monkeypatch):
     split = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 1, 1), dt.date(2016, 3, 10))
     report = run_scenario(table, ScenarioSpec("S2", split), HolidayCalendar.bundled(), workers=1)
     assert all(entry.error is None for entry in report.entries.values())
-    expected = {
-        attr: 1 if attr in PER_SCENARIO else 3 * PER_SERIES.get(attr, 1) for attr in patched
-    }
+    expected = {attr: 1 if attr in PER_SCENARIO else 3 for attr in patched}
     assert calls == expected
 
