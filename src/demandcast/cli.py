@@ -31,14 +31,7 @@ from .artifacts import (
     write_runtimes_csv,
 )
 from .config import ConfigError, RunConfig, bundled_sample_stream, file_sha256
-from .data import (
-    FillMethod,
-    Granularity,
-    fill_gaps,
-    parse_sales_csv,
-    sort_chronological,
-    write_sales_csv,
-)
+from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological, write_sales_csv
 from .errors import DemandcastError, MissingForecastsError
 from .evaluate import compare, data_fingerprint, run_scenario
 from .features import DeviationMode, HolidayCalendar
@@ -89,7 +82,7 @@ def _load_clean_table(cfg: RunConfig):
     else:
         result = parse_sales_csv(cfg.data_path, schema=schema, extra_columns=extras)
     table = sort_chronological(result.table)
-    filled, gaps = fill_gaps(table, FillMethod(cfg.fill_method))
+    filled, gaps = fill_gaps(table)
     return result, filled, gaps
 
 

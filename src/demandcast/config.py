@@ -16,11 +16,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import FillMethod, Granularity, SplitSpec
+from .data import Granularity, SplitSpec
 from .evaluate import MODEL_NAMES, SCENARIO_IDS, ScenarioSpec, config_fingerprint
 from .features import DeviationMode
 from .inventory import ReplenishmentPolicy
-from .models.arimax import ForecastMode
 from .models.gbdt import GbdtConfig
 from .models.svr import SvrConfig
 from .models.trend_seasonal import TrendSeasonalConfig
@@ -64,14 +63,11 @@ class RunConfig:
     schema: dict[str, str] = field(default_factory=dict)  # logical -> header name
     extra_columns: list[str] = field(default_factory=list)
     granularity: str = "per-series"
-    train_end: str = "2017-07-31"
-    test_start: str = "2017-08-01"
+    train_end: str = "2017-07-31"  # the test window starts the day after
     test_end: str = "2017-12-31"
     scenarios: list[str] = field(default_factory=lambda: ["S1", "S2"])
     models: list[str] = field(default_factory=lambda: list(MODEL_NAMES))
     deviation_mode: str = "same-day"
-    arimax_forecast_mode: str = "recursive"
-    fill_method: str = "linear-interpolate"
     model_overrides: dict[str, dict[str, Any]] = field(default_factory=dict)
     output_dir: str = "out"
     workers: int = 1
@@ -128,8 +124,6 @@ class RunConfig:
         for name, value, choices in (
             ("granularity", self.granularity, [g.value for g in Granularity]),
             ("deviation_mode", self.deviation_mode, [m.value for m in DeviationMode]),
-            ("arimax_forecast_mode", self.arimax_forecast_mode, [m.value for m in ForecastMode]),
-            ("fill_method", self.fill_method, [m.value for m in FillMethod]),
             ("simulation.scenario", self.simulation_scenario(), list(SCENARIO_IDS)),
         ):
             if value not in choices:
@@ -162,7 +156,6 @@ class RunConfig:
                 granularity=Granularity(self.granularity),
                 deviation_mode=DeviationMode(self.deviation_mode),
                 models=tuple(self.models),
-                arimax_mode=ForecastMode(self.arimax_forecast_mode),
                 **configs,
             )
             for scenario_id in self.scenarios
@@ -170,7 +163,7 @@ class RunConfig:
 
     def split(self) -> SplitSpec:
         dates = []
-        for name in ("train_end", "test_start", "test_end"):
+        for name in ("train_end", "test_end"):
             value = getattr(self, name)
             try:
                 dates.append(dt.date.fromisoformat(value))

@@ -45,11 +45,6 @@ class Granularity(str, Enum):
     AGGREGATE = "aggregate"
 
 
-class FillMethod(str, Enum):
-    LINEAR_INTERPOLATE = "linear-interpolate"
-    FORWARD_FILL = "forward-fill"
-
-
 @dataclass(frozen=True)
 class MalformedRow:
     line: int
@@ -58,22 +53,23 @@ class MalformedRow:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological split boundaries, all inclusive.
+    """Chronological split boundaries, both inclusive.
 
-    The test window starts the day after train_end: a gap would leave days
-    that neither side sees, and naive and arimax forecast from the last
-    training day onwards.
+    The test window starts the day after train_end, so no day falls between
+    the two sides and naive and arimax forecast from the last training day
+    onwards.
     """
 
     train_end: dt.date
-    test_start: dt.date
     test_end: dt.date
 
     def __post_init__(self) -> None:
-        if self.test_start != self.train_end + dt.timedelta(days=1):
-            raise ValueError("test_start must be the day after train_end")
-        if self.test_end < self.test_start:
-            raise ValueError("test_end must not precede test_start")
+        if self.test_end <= self.train_end:
+            raise ValueError("test_end must fall after train_end")
+
+    @property
+    def test_start(self) -> dt.date:
+        return self.train_end + dt.timedelta(days=1)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -336,16 +332,13 @@ def sort_chronological(table: SalesTable) -> SalesTable:
     return out
 
 
-def fill_gaps(
-    table: SalesTable,
-    method: FillMethod = FillMethod.LINEAR_INTERPOLATE,
-) -> tuple[SalesTable, GapReport]:
+def fill_gaps(table: SalesTable) -> tuple[SalesTable, GapReport]:
     """Fill missing calendar days inside each series.
 
-    A run of k missing days between observed values a and b is filled with
-    a + j*(b-a)/(k+1) for j=1..k under LINEAR_INTERPOLATE, or with a under
-    FORWARD_FILL.  Filled rows are flagged imputed.  Each series keeps its
-    own first and last observed day.
+    A run of k missing days between observed quantities a and b is filled
+    with a + j*(b-a)/(k+1) for j=1..k; extra columns carry the value of the
+    observation before the gap.  Filled rows are flagged imputed.  Each
+    series keeps its own first and last observed day.
     """
     table._require_sorted()
     if not len(table):
@@ -371,15 +364,11 @@ def fill_gaps(
         return col
 
     q = table.quantities
-    if method is FillMethod.LINEAR_INTERPOLATE:
-        gap_qty = np.interp(gaps, pos, q)
-    else:
-        gap_qty = q[prev]
     filled = SalesTable(
         np.repeat(first - start, lengths) + np.arange(n_out),
         np.repeat(table.store_ids[lo], lengths),
         np.repeat(table.item_ids[lo], lengths),
-        spread(q, gap_qty),
+        spread(q, np.interp(gaps, pos, q)),
         spread(table.imputed, True),
         {name: spread(col, col[prev]) for name, col in table.extras.items()},
         is_sorted=True,

@@ -55,10 +55,6 @@ class NoSplitsError(DemandcastError):
     """Feature importance requested from a tree ensemble with no splits."""
 
 
-class MissingActualsError(DemandcastError):
-    """One-step-ahead forecasting requires the actual test series."""
-
-
 class FingerprintMismatchError(DemandcastError):
     """Reports being compared come from different data or splits."""
 

@@ -28,12 +28,7 @@ from .features import (
     HolidayCalendar,
     build_train_test_matrices,
 )
-from .models.arimax import (
-    ForecastMode,
-    fit_arimax,
-    forecast_arimax,
-    in_sample_predictions,
-)
+from .models.arimax import fit_arimax, forecast_arimax, in_sample_predictions
 from .models.gbdt import GbdtConfig, feature_importance, fit_gbdt, predict_gbdt
 from .models.naive import seasonal_naive_forecast, seasonal_naive_insample
 from .models.svr import SvrConfig, fit_svr, predict_svr
@@ -45,7 +40,17 @@ from .models.trend_seasonal import (
 
 logger = logging.getLogger(__name__)
 
-MODEL_NAMES = ("gbdt", "arimax", "trend_seasonal", "svr", "naive")
+# Each model and how it forecasts the test window: from the test rows'
+# features, feeding its own forecasts back in, from the dates alone, or by
+# repeating the last training week.
+FORECAST_MODES = {
+    "gbdt": "one-step-features",
+    "arimax": "recursive",
+    "trend_seasonal": "multi-step",
+    "svr": "one-step-features",
+    "naive": "seasonal-naive",
+}
+MODEL_NAMES = tuple(FORECAST_MODES)
 SCENARIO_IDS = ("S1", "S2")
 
 HISTOGRAM_BINS = 30
@@ -106,7 +111,6 @@ class ScenarioSpec:
     granularity: Granularity = Granularity.PER_SERIES
     deviation_mode: DeviationMode = DeviationMode.SAME_DAY
     models: tuple[str, ...] = MODEL_NAMES
-    arimax_mode: ForecastMode = ForecastMode.RECURSIVE
     gbdt_config: GbdtConfig = field(default_factory=GbdtConfig)
     svr_config: SvrConfig = field(default_factory=SvrConfig)
     trend_seasonal_config: TrendSeasonalConfig = field(default_factory=TrendSeasonalConfig)
@@ -152,11 +156,11 @@ def _exog_columns(train: FeatureMatrix) -> list[str]:
     ]
 
 
-def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]:
+def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict]:
     """Fit one model on one series and forecast its test window.
 
-    Returns the test predictions, the in-sample predictions, the serialized
-    model artifact and the forecast mode.
+    Returns the test predictions, one in-sample prediction per training row
+    and the serialized model artifact.  The test rows' targets are never read.
     """
     model_name = payload["model"]
     train: FeatureMatrix = payload["train"]
@@ -169,8 +173,7 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         else:
             fit, predict, cfg = fit_svr, predict_svr, spec.svr_config
         model = fit(train, cfg)
-        predictions = predict(model, test)
-        return predictions, model.train_prediction, model.to_dict(), "one-step-features"
+        return predict(model, test), model.train_prediction, model.to_dict()
     if model_name == "arimax":
         exog_names = _exog_columns(train)
         cols = [train.columns.index(c) for c in exog_names]
@@ -178,26 +181,16 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict, str]
         # and einsum sums products over that layout in another order.
         X_train, X_test = train.rows.take(cols, axis=1), test.rows.take(cols, axis=1)
         model = fit_arimax(train.target, X_train, exog_names=exog_names)
-        predictions = forecast_arimax(
-            model,
-            X_test,
-            len(test),
-            spec.arimax_mode,
-            actuals_for_onestep=test.target if spec.arimax_mode is ForecastMode.ONE_STEP else None,
-        )
-        fitted = in_sample_predictions(model, train.target, X_train)
-        train_pred = np.concatenate([[train.target[0]], fitted])
-        return predictions, train_pred, model.to_dict(), spec.arimax_mode.value
+        predictions = forecast_arimax(model, X_test)
+        return predictions, in_sample_predictions(model, train.target, X_train), model.to_dict()
     if model_name == "trend_seasonal":
         calendar = payload["calendar"]
         model = fit_trend_seasonal(train.target, train.dates, spec.trend_seasonal_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
-        return predictions, model.train_prediction, model.to_dict(), "multi-step"
+        return predictions, model.train_prediction, model.to_dict()
     if model_name == "naive":
         predictions = seasonal_naive_forecast(train.target, len(test))
-        insample = seasonal_naive_insample(train.target)
-        train_pred = np.concatenate([[train.target[0]], insample])
-        return predictions, train_pred, {"kind": "naive", "period": 7}, "seasonal-naive"
+        return predictions, seasonal_naive_insample(train.target), {"kind": "naive", "period": 7}
     raise ValueError(f"unknown model {model_name!r}")
 
 
@@ -211,7 +204,7 @@ def _run_series_task(payload: dict) -> dict:
     """
     started = time.perf_counter()
     try:
-        predictions, train_pred, artifact, mode = _fit_and_forecast(payload)
+        predictions, train_pred, artifact = _fit_and_forecast(payload)
     except Exception as exc:
         logger.exception("model %s failed on series %s", payload["model"], payload["key"])
         result = {"error": f"{type(exc).__name__}: {exc}"}
@@ -221,7 +214,6 @@ def _run_series_task(payload: dict) -> dict:
             "predictions": predictions,
             "train_residual_std": float(train_residuals.std()),
             "artifact": artifact,
-            "mode": mode,
         }
     result["task_seconds"] = time.perf_counter() - started
     return result
@@ -239,11 +231,11 @@ def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
 @dataclass
 class ModelEvaluation:
     """One model's results on its scenario's test rows; a failed model keeps
-    only its runtime and error."""
+    only its runtime, forecast mode and error."""
 
     runtime_s: float
+    forecast_mode: str
     error: str | None = None
-    forecast_mode: str = ""
     metrics: Metrics | None = None
     predictions: np.ndarray = field(default_factory=lambda: np.empty(0))
     histogram: list[tuple[float, float, int]] = field(default_factory=list)
@@ -347,7 +339,7 @@ def run_scenario(
         # The first failing series, in series order, fails the whole model.
         error = next((r["error"] for r in results if "error" in r), None)
         if error is not None:
-            entries[model_name] = ModelEvaluation(runtime, error)
+            entries[model_name] = ModelEvaluation(runtime, FORECAST_MODES[model_name], error)
             continue
 
         predictions = np.concatenate([r["predictions"] for r in results])
@@ -368,7 +360,7 @@ def run_scenario(
         )
         entries[model_name] = ModelEvaluation(
             runtime_s=runtime,
-            forecast_mode=results[0]["mode"],
+            forecast_mode=FORECAST_MODES[model_name],
             metrics=score(test.target, predictions),
             predictions=predictions,
             histogram=error_histogram(test.target - predictions, HISTOGRAM_BINS),

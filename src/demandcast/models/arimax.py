@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ..errors import MissingActualsError, SingularDesignError
+from ..errors import SingularDesignError
 from .lsq import apply_qt, back_substitute, dependent_columns, householder_qr
 
 logger = logging.getLogger(__name__)
-
-
-class ForecastMode(str, Enum):
-    RECURSIVE = "recursive"
-    ONE_STEP = "one-step-with-actuals"
 
 
 @dataclass
@@ -110,43 +104,25 @@ def fit_arimax(y: np.ndarray, X: np.ndarray, exog_names: list[str]) -> ArimaxMod
     )
 
 
-def forecast_arimax(
-    model: ArimaxModel,
-    X_future: np.ndarray,
-    horizon: int,
-    mode: ForecastMode = ForecastMode.RECURSIVE,
-    actuals_for_onestep: np.ndarray | None = None,
-) -> np.ndarray:
-    """Forecast ``horizon`` steps past the training window.
+def forecast_arimax(model: ArimaxModel, X_future: np.ndarray) -> np.ndarray:
+    """Forecast one step per row of ``X_future`` past the training window.
 
-    RECURSIVE feeds each forecast back in as the next lag, seeded with the
-    final training value.  ONE_STEP uses the actual previous observation as
-    the lag at every step, which requires the realised test series.
+    Each forecast is fed back in as the next lag, seeded with the final
+    training value.
     """
-    X_future = np.asarray(X_future, dtype=np.float64)
-    if len(X_future) < horizon:
-        raise ValueError("X_future must provide one row per forecast step")
-    if mode is ForecastMode.ONE_STEP:
-        if actuals_for_onestep is None:
-            raise MissingActualsError("one-step mode requires the actual test series")
-        actuals = np.asarray(actuals_for_onestep, dtype=np.float64)
-        if len(actuals) < horizon:
-            raise ValueError("actuals must cover the forecast horizon")
-
-    exog = np.einsum("ij,j->i", X_future[:horizon], model.beta)
-    out = np.empty(horizon, dtype=np.float64)
+    exog = np.einsum("ij,j->i", np.asarray(X_future, dtype=np.float64), model.beta)
+    out = np.empty(len(exog), dtype=np.float64)
     prev = model.last_train_value
-    for t in range(horizon):
-        out[t] = model.intercept + model.phi * prev + exog[t]
-        if mode is ForecastMode.ONE_STEP:
-            prev = actuals[t]
-        else:
-            prev = out[t]
+    for t in range(len(exog)):
+        out[t] = prev = model.intercept + model.phi * prev + exog[t]
     return out
 
 
 def in_sample_predictions(model: ArimaxModel, y: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """One-step fitted values on the training sample (rows t >= 2)."""
+    """One-step fitted values, one per training row.
+
+    Day 0 has no lag, so its value is the observation itself.
+    """
     y = np.asarray(y, dtype=np.float64)
     exog = np.einsum("ij,j->i", np.asarray(X, dtype=np.float64)[1:], model.beta)
-    return model.intercept + model.phi * y[:-1] + exog
+    return np.concatenate([y[:1], model.intercept + model.phi * y[:-1] + exog])

@@ -23,11 +23,13 @@ def seasonal_naive_forecast(train: np.ndarray, horizon: int, period: int = SEASO
 
 
 def seasonal_naive_insample(train: np.ndarray, period: int = SEASON_DAYS) -> np.ndarray:
-    """One-step in-sample predictions from day 1 on (day 0 has no history).
+    """One-step in-sample predictions, one per training day.
 
-    Days without a full seasonal lag fall back to the previous value.
+    Day 0 has no history, so its value is the observation itself; days
+    without a full seasonal lag fall back to the previous value.
     """
     train = np.asarray(train, dtype=np.float64)
     n = len(train)
-    # Days 1 .. period - 1 repeat the day before; later days repeat day t - period.
-    return np.concatenate([train[: min(period, n) - 1], train[: max(n - period, 0)]])
+    # Day 0 repeats itself, days 1 .. period - 1 the day before, and later
+    # days day t - period.
+    return np.concatenate([train[:1], train[: min(period, n) - 1], train[: max(n - period, 0)]])

@@ -274,11 +274,7 @@ def test_leakage_sentinel_perturbation():
                     (start + dt.timedelta(days=i), store, item, float(rng.poisson(40)))
                 )
         base_table = make_table(rows)
-        split = SplitSpec(
-            start + dt.timedelta(days=n - 51),
-            start + dt.timedelta(days=n - 50),
-            start + dt.timedelta(days=n - 1),
-        )
+        split = SplitSpec(start + dt.timedelta(days=n - 51), start + dt.timedelta(days=n - 1))
         cal = HolidayCalendar.bundled()
         lagged = DeviationMode.LAGGED
         train0, test0 = build_train_test_matrices(base_table, split, True, cal, lagged)
@@ -449,7 +445,7 @@ def test_split_count_check():
         # column leaves undefined.
         with bundled_sample_stream() as stream:
             table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
-        split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 8, 1), dt.date(2017, 12, 31))
+        split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 12, 31))
         cal = HolidayCalendar.bundled()
         for external in (False, True):
             train, test = build_train_test_matrices(table, split, external, cal)

@@ -3,14 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from demandcast.errors import MissingActualsError, SingularDesignError
-from demandcast.models.arimax import (
-    ArimaxModel,
-    ForecastMode,
-    fit_arimax,
-    forecast_arimax,
-    in_sample_predictions,
-)
+from demandcast.errors import SingularDesignError
+from demandcast.models.arimax import ArimaxModel, fit_arimax, forecast_arimax, in_sample_predictions
 
 
 def ar1_series(c, phi, n, y0=1.0, exog=None, beta=None, noise=None):
@@ -60,6 +54,9 @@ def test_constant_series_fits_exactly():
     model = fit_arimax(y, no_exog(30), [])
     fitted = in_sample_predictions(model, y, no_exog(30))
     assert np.allclose(fitted, 7.5, atol=1e-9)
+    # One value per training row; day 0 has no lag and is the row's own value.
+    assert len(fitted) == len(y)
+    assert fitted[0] == y[0]
 
 
 def test_css_equals_normal_equations_on_random_series():
@@ -98,7 +95,7 @@ def test_recursive_forecast_fixture():
         intercept=0.0, phi=0.5, beta=np.empty(0), exog_names=[],
         sigma2=0.0, last_train_value=8.0, n_obs=10,
     )
-    out = forecast_arimax(model, no_exog(3), 3, ForecastMode.RECURSIVE)
+    out = forecast_arimax(model, no_exog(3))
     assert np.allclose(out, [4.0, 2.0, 1.0])
 
 
@@ -108,29 +105,8 @@ def test_phi_zero_forecast_is_pure_regression():
         sigma2=0.0, last_train_value=100.0, n_obs=10,
     )
     X = np.array([[0.0], [1.0], [0.0], [1.0]])
-    out = forecast_arimax(model, X, 4, ForecastMode.RECURSIVE)
+    out = forecast_arimax(model, X)
     assert np.allclose(out, [2.0, 5.0, 2.0, 5.0])
-
-
-def test_one_step_mode_on_noiseless_series_has_zero_error():
-    y = ar1_series(1.0, 0.7, 100)
-    train, test = y[:80], y[80:]
-    model = fit_arimax(train, no_exog(len(train)), [])
-    out = forecast_arimax(
-        model, no_exog(len(test)), len(test), ForecastMode.ONE_STEP, actuals_for_onestep=test
-    )
-    # each one-step forecast uses the previous actual; the first uses the
-    # last training value
-    assert np.abs(out - test).max() < 1e-8
-
-
-def test_one_step_without_actuals_raises():
-    model = ArimaxModel(
-        intercept=0.0, phi=0.5, beta=np.empty(0), exog_names=[],
-        sigma2=0.0, last_train_value=1.0, n_obs=10,
-    )
-    with pytest.raises(MissingActualsError):
-        forecast_arimax(model, no_exog(3), 3, ForecastMode.ONE_STEP)
 
 
 def test_singular_design_from_constant_exogenous_column():
@@ -148,7 +124,7 @@ def test_recursive_forecast_bounded_for_stationary_phi():
         intercept=0.5, phi=0.9, beta=np.array([2.0]), exog_names=["x"],
         sigma2=0.0, last_train_value=10.0, n_obs=50,
     )
-    out = forecast_arimax(model, exog, 400, ForecastMode.RECURSIVE)
+    out = forecast_arimax(model, exog)
     bound = (abs(model.intercept) + 2.0) / (1 - 0.9) + abs(model.last_train_value)
     assert np.abs(out).max() <= bound
 

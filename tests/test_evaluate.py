@@ -144,10 +144,14 @@ def test_naive_short_series_falls_back_to_last_value():
 @given(st.lists(st.floats(-1e6, 1e6), max_size=30), st.integers(1, 10), st.integers(0, 40))
 def test_naive_matches_per_day_loops(values, period, horizon):
     train = np.array(values, dtype=np.float64)
-    expected = np.empty(max(len(train) - 1, 0))
-    for t in range(1, len(train)):
-        expected[t - 1] = train[t - period] if t >= period else train[t - 1]
-    assert seasonal_naive_insample(train, period).tobytes() == expected.tobytes()
+    expected = np.empty(len(train))
+    for t in range(len(train)):
+        expected[t] = train[t - period] if t >= period else train[max(t - 1, 0)]
+    insample = seasonal_naive_insample(train, period)
+    assert insample.tobytes() == expected.tobytes()
+    # One value per training day; day 0 has no history and is its own value.
+    assert len(insample) == len(train)
+    assert insample[:1].tobytes() == train[:1].tobytes()
     if not len(train):
         return
     expected = np.empty(horizon)
@@ -167,7 +171,7 @@ def test_improvement_percent_fixture():
     assert improvement_percent(10.0, 10.0) == 0.0
 
 
-SPLIT = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 1, 1), dt.date(2016, 3, 10))
+SPLIT = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 3, 10))
 
 
 def toy_table(n_days=435, start=dt.date(2015, 1, 1), scale=1.0):
@@ -224,6 +228,7 @@ def test_run_scenario_records_per_model_failure(monkeypatch):
         assert failed.error.startswith("RuntimeError: synthetic failure at mean")
         assert failed.error == serial.entries["arimax"].error
         assert failed.metrics is None
+        assert failed.forecast_mode == "recursive"  # a fixed label, failed or not
         for name in ("gbdt", "trend_seasonal", "svr", "naive"):
             entry = report.entries[name]
             assert entry.error is None and entry.metrics.n == 2 * 70
@@ -292,11 +297,7 @@ def test_s2_beats_s1_for_tree_model_on_planted_exogenous_structure():
             mu *= 0.1
         rows.append((day, "1", "1", float(rng.poisson(mu))))
     table = make_table(rows)
-    split = SplitSpec(
-        start + dt.timedelta(days=n - 101),
-        start + dt.timedelta(days=n - 100),
-        start + dt.timedelta(days=n - 1),
-    )
+    split = SplitSpec(start + dt.timedelta(days=n - 101), start + dt.timedelta(days=n - 1))
     cal = HolidayCalendar.bundled()
     cfg = GbdtConfig(n_trees=60, max_depth=4)
     r1 = run_scenario(table, ScenarioSpec("S1", split, models=("gbdt",), gbdt_config=cfg), cal)

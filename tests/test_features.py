@@ -39,7 +39,7 @@ def train_matrix(table, external=False, calendar=None):
     """Training side of a split whose training window holds every row."""
     last = table.coverage[1]
     day = dt.timedelta(days=1)
-    split = SplitSpec(last, last + day, last + day)
+    split = SplitSpec(last, last + day)
     return build_train_test_matrices(table, split, external, calendar)[0]
 
 
@@ -278,11 +278,7 @@ def test_dropped_rows_equal_series_times_max_lag():
 
 def test_test_matrix_uses_training_scaling_stats():
     table = series_table(np.concatenate([np.linspace(10, 20, 40), np.linspace(40, 60, 10)]))
-    split = SplitSpec(
-        dt.date(2015, 1, 1) + dt.timedelta(days=39),
-        dt.date(2015, 1, 1) + dt.timedelta(days=40),
-        dt.date(2015, 1, 1) + dt.timedelta(days=49),
-    )
+    split = SplitSpec(dt.date(2015, 1, 1) + dt.timedelta(days=39), dt.date(2015, 1, 1) + dt.timedelta(days=49))
     train, test = build_train_test_matrices(table, split)
     assert train.scaling == test.scaling
     assert train.column("lag_1").max() <= 1.0
@@ -304,7 +300,7 @@ def test_calendar_features_ignore_quantities():
 def random_split(train_days, test_days):
     train_end = BASE + dt.timedelta(days=train_days)
     day = dt.timedelta(days=1)
-    return SplitSpec(train_end, train_end + day, train_end + day + dt.timedelta(days=test_days))
+    return SplitSpec(train_end, train_end + day + dt.timedelta(days=test_days))
 
 
 @settings(max_examples=100, deadline=None)
