@@ -1,8 +1,9 @@
 """Decomposable trend + seasonality + holiday model fit by penalised least squares.
 
 The regression basis is a piecewise-linear trend (base slope plus hinge
-terms at fixed changepoints), weekly and yearly Fourier pairs, and one
-binary column per holiday name.  Multiplicative seasonality is realised as
+terms at fixed changepoints), weekly and yearly Fourier pairs (yearly
+ones only on a training window of a year or more), and one binary column
+per holiday name.  Multiplicative seasonality is realised as
 an additive fit on log(1+y), which keeps the estimator a deterministic
 ridge solve; the ridge penalty applies to the changepoint hinge
 coefficients only.  The solve is a Householder QR (:mod:`.lsq`) of the
@@ -14,7 +15,7 @@ residual quantiles, constant width on the fitting scale.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -26,6 +27,9 @@ from ..features import HolidayCalendar, weekdays_of_ordinals
 from .lsq import dependent_columns, householder_qr, pseudo_inverse
 
 YEAR_DAYS = 365.25
+# A training window covering fewer days than this fits no yearly Fourier
+# terms: one cycle cannot be estimated from less than one cycle.
+MIN_YEARLY_DAYS = 365
 
 
 class SeasonalityMode(str, Enum):
@@ -193,8 +197,10 @@ def fit_trend_seasonal(
 
     Multiplicative mode fits z = log(1+y), so the target must stay above -1.
     Changepoints sit at c_j = changepoint_range * j / n_changepoints over
-    normalised training time.  Holiday columns cover names observed inside
-    the training window; unseen future names carry no effect.  Raises
+    normalised training time.  A window covering fewer than
+    ``MIN_YEARLY_DAYS`` days fits no yearly terms, and the model's config
+    records that order.  Holiday columns cover names observed inside the
+    training window; unseen future names carry no effect.  Raises
     :class:`SingularBasisError` when a basis column is linearly dependent
     on the columns before it (the rank test of :mod:`.lsq`).
     """
@@ -215,6 +221,8 @@ def fit_trend_seasonal(
 
     entries = calendar.entries if calendar is not None else {}
     t_start, t_end = int(ordinals[0]), int(ordinals[-1])
+    if t_end - t_start + 1 < MIN_YEARLY_DAYS:
+        cfg = replace(cfg, yearly_fourier_order=0)
     window = tuple(sorted((o, n) for o, n in entries.items() if t_start <= o <= t_end))
     design = _factored_design(ordinals.tobytes(), cfg, window)
     coef = np.einsum("ij,j->i", design.solver, z)

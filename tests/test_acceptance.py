@@ -520,8 +520,8 @@ def test_bundled_bytes_pinned(bundled_run):
 # and one corrupt line.  One digest over the name and bytes of every file the
 # four commands write except the two that hold timings, on numpy 2.4, once
 # per deviation mode.
-GAPPY_SHA256 = "5d5507e26c02f058ca81f7c866828a23040fc0c5cf20ddc22014a3a210649cac"
-GAPPY_LAGGED_SHA256 = "525604360f31a50e564b9767350ed576c8af23426b1985c3180821774bd0d6b9"
+GAPPY_SHA256 = "a7b376ef8ec2fe6ace2e699c6623c6e5626aa8f52e35b4c07be2092c54380478"
+GAPPY_LAGGED_SHA256 = "af417d9c8d567f716fd4a4cb135f79a7ecf131305738e72824925b21d2de3f44"
 
 
 def gappy_run_digest(tmp_path, deviation_mode):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from demandcast.data import sort_chronological
 from demandcast.errors import NonPositiveDataError, SingularBasisError
 from demandcast.features import HolidayCalendar
 from demandcast.models.trend_seasonal import (
@@ -14,6 +15,7 @@ from demandcast.models.trend_seasonal import (
     fit_trend_seasonal,
     forecast_trend_seasonal,
 )
+from demandcast.synthetic import generate_sales_table
 
 START = dt.date(2015, 1, 1).toordinal()
 
@@ -244,3 +246,31 @@ def test_serialization_roundtrip():
     doc = model.to_dict()
     assert json.loads(json.dumps(doc)) == doc
     assert list(doc["coef"]) == model.basis_names
+
+
+def test_short_window_fits_no_yearly_terms_and_stays_bounded():
+    # Item 3 of the synthetic store from 2017-01-01, less the 28 days the
+    # lags take: 184 training days up to 2017-07-31.  Yearly terms fit on
+    # half a cycle sent its forecasts past 1e8 (1e23 with holidays).
+    table = sort_chronological(generate_sales_table(n_stores=1, n_items=3, start=dt.date(2017, 1, 1)))
+    lo, hi = table.series_index[("1", "3")]
+    days, y = table.dates[lo + 28 : hi], table.quantities[lo + 28 : hi]
+    train_y = y[:184]
+    for calendar in (None, HolidayCalendar.bundled()):
+        model = fit_trend_seasonal(train_y, days[:184], TrendSeasonalConfig(), calendar)
+        assert model.config.yearly_fourier_order == 0
+        assert not any(name.startswith("yearly_") for name in model.basis_names)
+        assert model.to_dict()["config"]["yearly_fourier_order"] == 0
+        point, lo_band, hi_band = forecast_trend_seasonal(model, days[184 : 184 + 150])
+        assert all(np.isfinite(v).all() for v in (point, lo_band, hi_band))
+        # Within [0, twice the largest training value] over the whole horizon.
+        assert 0.0 <= point.min() and point.max() <= 2.0 * train_y.max()
+
+
+def test_yearly_terms_start_at_a_full_year():
+    rng = np.random.default_rng(6)
+    y = rng.poisson(30.0, 365).astype(float)
+    for n, order in ((364, 0), (365, TrendSeasonalConfig().yearly_fourier_order)):
+        model = fit_trend_seasonal(y[:n], ordinals(n))
+        assert model.config.yearly_fourier_order == order
+        assert len(model.basis_names) == len(basis_columns(model.config, []))
