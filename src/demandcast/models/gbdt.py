@@ -1,4 +1,4 @@
-"""Gradient-boosted regression trees with presorted exact greedy split search.
+"""Gradient-boosted regression trees grown level by level from histograms.
 
 Squared-error boosting: each round fits a depth-limited binary tree to the
 current residuals.  With squared loss the per-row hessian is 1, so leaf
@@ -6,25 +6,29 @@ weights reduce to sum(residuals) / (rows + l2_lambda) and the split gain to
 
     0.5 * (GL^2/(nL+lam) + GR^2/(nR+lam) - G^2/(n+lam))
 
-over every feature and every midpoint between consecutive distinct sorted
-values.  Candidate rows are canonically ordered by (feature value,
-residual), so fits are invariant to row permutation.
+over every feature and every pair of consecutive distinct values at a node.
 
-The residuals are fixed while a tree grows, so each feature column is
-sorted once per tree, at the root (the column blocks of Chen & Guestrin,
-KDD 2016).  A split partitions every sorted list with a boolean mask, which
-is stable: each child's lists are exactly the (value, residual) order that
-sorting the child's rows would give, and every running sum adds the same
-numbers in the same order.  The search therefore picks the same splits,
-bit for bit, as a sort at every node.  There is no subsampling and no
-randomness anywhere: two fits on identical input are bit-identical.
+Values become ranks within their column, offset into one bin space, so the
+histogram search of XGBoost ``hist`` (Chen & Guestrin, KDD 2016, 3.3)
+scores the exact candidates.  Trees grow a level at a time: one
+``bincount`` sums residuals per (node, bin) for the smaller child of each
+split, the larger is its parent minus that (Ke et al., NeurIPS 2017), prefix
+sums score every candidate of the level, and rows move by bin rank.
+
+The split choice must not depend on summation order: candidates within
+TIE_RTOL of their node's best gain, relative, tie, the lowest (feature,
+threshold) among them wins, and it splits only when it beats
+gamma_split_threshold by TIE_RTOL times the node's sum of squared residuals.  A
+threshold is the midpoint of two values, or the lower one when the midpoint
+rounds onto the upper, so ``x <= threshold`` applies the scored partition.
+Rows take one canonical order per fit, so any row order fits bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -34,6 +38,8 @@ from ..features import FeatureMatrix
 logger = logging.getLogger(__name__)
 
 _LEAF = -1
+# Relative tolerance under which gains tie (see the module docstring).
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,14 +69,6 @@ class RegressionTree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
-
-    def add_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         feature = np.asarray(self.feature)
@@ -121,104 +119,125 @@ class GbdtModel:
         }
 
 
-def _best_split(
-    XT: np.ndarray,
-    residual: np.ndarray,
-    rows: np.ndarray,
-    idx: np.ndarray,
-    cfg: GbdtConfig,
-) -> tuple[float, int, float] | None:
-    """Highest-gain (feature, threshold) over all exact candidates of a node.
+def _histograms(
+    bins: np.ndarray, residual: np.ndarray, node: np.ndarray, n_nodes: int, n_bins: int
+) -> np.ndarray:
+    """Residual sums ([0]) and row counts ([1]) per (node, bin) of the given rows."""
+    keys = (node[:, None] * n_bins + bins).ravel()
+    hist = np.empty((2, n_nodes * n_bins))
+    hist[0] = np.bincount(keys, np.repeat(residual, bins.shape[1]), hist.shape[1])
+    hist[1] = np.bincount(keys, minlength=hist.shape[1])
+    return hist.reshape(2, n_nodes, n_bins)
 
-    ``idx`` holds the node's rows once per feature, each row of it in
-    (feature value, residual, row) order, so every feature is scored at once
-    from running residual sums.  Ties break toward the lowest feature index,
-    then the lowest threshold: the first maximum in row-major order.
+
+def _best_splits(
+    hist: np.ndarray, edges: np.ndarray, start: np.ndarray, floor: np.ndarray, cfg: GbdtConfig
+) -> tuple[np.ndarray, ...]:
+    """The nodes whose best gain exceeds their ``floor``, each with its last
+    left bin, next non-empty bin, left and right row counts and gain.
+
+    ``start`` holds the first bin of each bin's feature.
     """
-    m = len(rows)
-    g_total = float(residual[rows].sum())
-    n_total = float(m)
+    n_nodes, n_bins = hist.shape[1:]
+    nonempty = hist[1] > 0
+    # Prefix sums along each node's bins after a zero column: splitting after
+    # bin b sends the rows in its feature's bins up to b left.
+    prefix = np.zeros((2, n_nodes, n_bins + 1))
+    np.cumsum(np.where(nonempty, hist, 0.0), axis=2, out=prefix[:, :, 1:])
+    g_left, n_left = prefix[:, :, 1:] - prefix.take(start, axis=2)
+    # Node totals are the sums over the first feature's bins.
+    g_total, n_total = prefix[:, :, edges[1], None]
+    g_right, n_right = g_total - g_left, n_total - n_left
     lam = cfg.l2_lambda
-    parent = g_total * g_total / (n_total + lam)
-    # Position i splits off the first i + 1 sorted rows.  Candidates lie
-    # between distinct values and leave min_child_rows on each side.
-    lo, hi = cfg.min_child_rows - 1, m - cfg.min_child_rows
-    xs = XT[np.arange(len(XT))[:, None], idx]
-    f, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
-    i += lo
-    g_left = np.cumsum(residual[idx], axis=1)[f, i]
-    n_left = i + 1.0
-    g_right = g_total - g_left
-    gains = 0.5 * (
-        g_left * g_left / (n_left + lam)
-        + g_right * g_right / (n_total - n_left + lam)
-        - parent
-    )
-    if not len(gains):
-        return None
-    k = int(np.argmax(gains))
-    if not gains[k] > cfg.gamma_split_threshold:
-        return None
-    f, i = int(f[k]), int(i[k])
-    return float(gains[k]), f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty sides are discarded
+        gain = 0.5 * (
+            g_left * g_left / (n_left + lam)
+            + g_right * g_right / (n_right + lam)
+            - g_total * g_total / (n_total + lam)
+        )
+    # A candidate closes a non-empty bin and leaves min_child_rows on each side.
+    gain = np.where(nonempty & (np.minimum(n_left, n_right) >= cfg.min_child_rows), gain, -np.inf)
+    best = gain.max(axis=1, keepdims=True)
+    # Bins run in (feature, value) order, so a node's first tied bin is its
+    # lowest (feature, threshold).
+    b = np.argmax(gain >= best - TIE_RTOL * np.abs(best), axis=1)
+    gain = gain[np.arange(n_nodes), b]
+    node = np.flatnonzero(gain > floor)
+    b = b[node]
+    # Bins after b up to the next non-empty one add no rows, so counting the
+    # bins whose prefix count is at most b's gives that bin's index.
+    count = prefix[1, node]
+    b_next = np.count_nonzero(count[:, 1:] <= count[np.arange(len(node)), b + 1, None], axis=1)
+    return node, b, b_next, n_left[node, b], n_right[node, b], gain[node]
 
 
 def _build_tree(
-    XT: np.ndarray,
-    ranks: np.ndarray,
+    bins: np.ndarray,
+    bin_value: np.ndarray,
+    edges: np.ndarray,
     residual: np.ndarray,
     cfg: GbdtConfig,
-    gain_totals: dict[str, float],
-    feature_names: Sequence[str],
+    gain_totals: np.ndarray,
 ) -> tuple[RegressionTree, np.ndarray]:
-    """Grow one tree on the residuals; also return each row's leaf value.
+    """Grow one tree, one level at a time; also return each row's leaf value.
 
-    ``ranks`` holds each value's rank within its column of ``XT``.
+    ``bins`` holds each row's bin per feature; feature f owns bins
+    ``edges[f]`` up to ``edges[f + 1]``, in value order.  Nodes are numbered
+    breadth first.  Each split's gain is added to its feature's total.
     """
-    tree = RegressionTree()
-    n_features, n_rows = XT.shape
-    leaf_value = np.empty(n_rows)
-    goes_left = np.zeros(n_rows, dtype=bool)
-
-    def splittable(rows: np.ndarray, depth: int) -> bool:
-        return depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows
-
-    def grow(rows: np.ndarray, idx: np.ndarray | None, depth: int) -> int:
-        node = tree.add_node()
-        split = None if idx is None else _best_split(XT, residual, rows, idx, cfg)
-        if split is None:
-            value = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
-            tree.value[node] = value
-            leaf_value[rows] = value
-            return node
-        gain, f, threshold = split
-        gain_totals[feature_names[f]] = gain_totals.get(feature_names[f], 0.0) + gain
-        side = XT[f, rows] <= threshold
-        goes_left[rows] = side
-        left_rows = rows[side]
-        right_rows = rows[~side]
-        # Masking each sorted list keeps both children's lists sorted.
-        mask = goes_left[idx]
-        left_idx = right_idx = None
-        if splittable(left_rows, depth + 1):
-            left_idx = idx[mask].reshape(n_features, len(left_rows))
-        if splittable(right_rows, depth + 1):
-            right_idx = idx[~mask].reshape(n_features, len(right_rows))
-        tree.feature[node] = f
-        tree.threshold[node] = threshold
-        tree.left[node] = grow(left_rows, left_idx, depth + 1)
-        tree.right[node] = grow(right_rows, right_idx, depth + 1)
-        return node
-
-    rows = np.arange(n_rows)
-    idx = None
-    if splittable(rows, 0):
-        # (value, residual, row) order: a stable sort by value rank of the
-        # rows already in (residual, row) order.
-        by_residual = np.argsort(residual, kind="stable")
-        idx = by_residual[np.argsort(ranks[:, by_residual], axis=1, kind="stable")]
-    grow(rows, idx, 0)
-    return tree, leaf_value
+    n_rows, n_bins = len(bins), len(bin_value)
+    start = np.repeat(edges[:-1], np.diff(edges))
+    capacity = min(2 ** (cfg.max_depth + 1), 2 * n_rows) - 1
+    feature, left, split_bin = (np.full(capacity, _LEAF) for _ in range(3))
+    threshold = np.zeros(capacity)
+    row_node = np.zeros(n_rows, dtype=np.intp)
+    every_row = np.arange(n_rows)
+    squared = residual * residual
+    open_nodes = np.zeros(int(n_rows >= 2 * cfg.min_child_rows), dtype=np.intp)
+    hist = _histograms(bins, residual, row_node, 1, n_bins)
+    n_nodes = 1
+    for depth in range(1, cfg.max_depth + 1):
+        if not len(open_nodes):
+            break
+        # A split must beat gamma by more than rounding of its node's sums can.
+        floor = cfg.gamma_split_threshold + TIE_RTOL * np.bincount(row_node, squared)[open_nodes]
+        s, b, b_next, n_left, n_right, gain = _best_splits(hist, edges, start, floor, cfg)
+        parents = open_nodes[s]
+        f = np.searchsorted(edges, b, side="right") - 1
+        np.add.at(gain_totals, f, gain)
+        children = np.arange(n_nodes, n_nodes + 2 * len(s), 2)
+        feature[parents], split_bin[parents], left[parents] = f, b, children
+        lo, hi = bin_value[b], bin_value[b_next]
+        mid = (lo + hi) / 2.0
+        threshold[parents] = np.where(mid < hi, mid, lo)
+        # The split nodes' rows move to the right child when past the split bin.
+        f_row = feature[row_node]
+        right = bins[every_row, f_row] > split_bin[row_node]
+        row_node = np.where(f_row == _LEAF, row_node, left[row_node] + right)
+        is_open = np.array([n_left, n_right]).T.ravel() >= 2 * cfg.min_child_rows
+        open_nodes = n_nodes + np.flatnonzero(is_open & (depth < cfg.max_depth))
+        n_nodes += 2 * len(s)
+        if not len(open_nodes):
+            break
+        # Histograms of the smaller child of each split with an open child;
+        # an open larger child is its parent's minus that one.
+        smaller = children + (n_right < n_left)
+        needed = smaller[is_open[::2] | is_open[1::2]]
+        built = np.full(n_nodes, -1)
+        built[needed] = np.arange(len(needed))
+        k = built[row_node]
+        mine = np.flatnonzero(k >= 0)
+        small = _histograms(bins[mine], residual[mine], k[mine], len(needed), n_bins)
+        j = (open_nodes - children[0]) // 2
+        k = built[smaller[j]]
+        is_small = (open_nodes == smaller[j])[:, None]
+        hist = np.where(is_small, small[:, k], hist[:, s[j]] - small[:, k])
+    # Internal nodes hold no rows, so their value is 0.
+    count = np.maximum(np.bincount(row_node, minlength=n_nodes), 1)
+    value = np.bincount(row_node, residual, n_nodes) / (count + cfg.l2_lambda)
+    right = np.where(feature == _LEAF, _LEAF, left + 1)
+    arrays = (feature, threshold, left, right, value)
+    return RegressionTree(*(a[:n_nodes].tolist() for a in arrays)), value[row_node]
 
 
 def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
@@ -230,28 +249,31 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
     """
     if not len(matrix):
         raise ValueError("cannot fit on an empty matrix")
-    XT = np.ascontiguousarray(matrix.rows.T)
-    y = matrix.target
-    # Sorting small integer ranks orders rows as sorting the values does,
-    # and numpy radix-sorts them when they fit in 16 bits.
-    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in XT])
-    ranks = ranks.astype(np.min_scalar_type(len(y)))
+    # One canonical row order, by every column and then the target, fixes
+    # the order in which every sum below adds rows.
+    order = np.lexsort((matrix.target, *matrix.rows.T[::-1]))
+    X, y = matrix.rows[order], matrix.target[order]
+    values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+    edges = np.cumsum([0, *map(len, values)])
+    bins = np.column_stack(ranks) + edges[:-1]
+    bin_value = np.concatenate(values)
     base = float(y.mean())
-    gain_totals = {name: 0.0 for name in matrix.columns}
+    gain_totals = np.zeros(len(edges) - 1)
     trees: list[RegressionTree] = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
-        residual = y - prediction
-        tree, leaf_value = _build_tree(XT, ranks, residual, cfg, gain_totals, matrix.columns)
+        tree, leaf_value = _build_tree(bins, bin_value, edges, y - prediction, cfg, gain_totals)
         trees.append(tree)
         prediction = prediction + cfg.learning_rate * leaf_value
+    train_prediction = np.empty(len(y))
+    train_prediction[order] = prediction
     return GbdtModel(
         config=cfg,
         base_score=base,
         trees=trees,
         feature_names=list(matrix.columns),
-        gain_totals=gain_totals,
-        train_prediction=prediction,
+        gain_totals=dict(zip(matrix.columns, gain_totals.tolist())),
+        train_prediction=train_prediction,
     )
 
 

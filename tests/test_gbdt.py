@@ -1,15 +1,20 @@
+import datetime as dt
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from demandcast.config import bundled_sample_stream
+from demandcast.data import SplitSpec, fill_gaps, parse_sales_csv, sort_chronological
 from demandcast.errors import NoSplitsError, SchemaMismatchError
+from demandcast.features import HolidayCalendar, build_train_test_matrices
 from demandcast.models.gbdt import (
     GbdtConfig,
     GbdtModel,
+    TIE_RTOL,
     RegressionTree,
     feature_importance,
     fit_gbdt,
@@ -19,9 +24,10 @@ from demandcast.models.gbdt import (
 from conftest import make_matrix
 
 
-# Independent greedy-tree oracle: evaluates every (feature, midpoint)
-# candidate by direct recomputation over row masks, same tie rule (lowest
-# feature index, then lowest threshold, strictly-greater comparison).
+# Independent greedy-tree oracle: evaluates every (feature, threshold)
+# candidate by direct recomputation over row masks, with fit_gbdt's tie rule
+# (the lowest feature index, then the lowest threshold, among candidates
+# within TIE_RTOL of the best gain) and threshold rule (split_threshold).
 def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
     def score(rows):
         g = residual[rows].sum()
@@ -30,7 +36,7 @@ def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
     def grow(rows, depth):
         if depth >= max_depth or len(rows) < 2 * min_child:
             return {"leaf": residual[rows].sum() / (len(rows) + lam)}
-        best = None
+        candidates = []
         parent = score(rows)
         for f in range(X.shape[1]):
             for thr in candidate_thresholds(X[rows, f]):
@@ -38,12 +44,12 @@ def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
                 right = rows[X[rows, f] > thr]
                 if len(left) < min_child or len(right) < min_child:
                     continue
-                gain = 0.5 * (score(left) + score(right) - parent)
-                if gain > gamma and (best is None or gain > best[0]):
-                    best = (gain, f, thr)
-        if best is None:
+                candidates.append((0.5 * (score(left) + score(right) - parent), f, thr))
+        best = max((c[0] for c in candidates), default=None)
+        tied = [c for c in candidates if c[0] >= best - TIE_RTOL * abs(best)]
+        if not tied or not tied[0][0] > gamma + TIE_RTOL * (residual[rows] ** 2).sum():
             return {"leaf": residual[rows].sum() / (len(rows) + lam)}
-        gain, f, thr = best
+        gain, f, thr = tied[0]
         return {
             "feature": f,
             "threshold": thr,
@@ -56,13 +62,13 @@ def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
 
 def candidate_thresholds(col):
     vals = np.unique(col)
-    return [(a + b) / 2.0 for a, b in zip(vals[:-1], vals[1:])]
+    return [split_threshold(a, b) for a, b in zip(vals[:-1], vals[1:])]
 
 
 def assert_same_tree(tree, node, oracle_node):
     if "leaf" in oracle_node:
         assert tree.feature[node] == -1
-        assert tree.value[node] == oracle_node["leaf"]
+        assert tree.value[node] == pytest.approx(oracle_node["leaf"], rel=1e-12, abs=1e-12)
         return
     assert tree.feature[node] == oracle_node["feature"]
     assert tree.threshold[node] == oracle_node["threshold"]
@@ -70,89 +76,171 @@ def assert_same_tree(tree, node, oracle_node):
     assert_same_tree(tree, tree.right[node], oracle_node["right"])
 
 
-# Reference fit: exact greedy search that re-sorts every feature by
-# (value, residual) at every node and scans the boundaries one feature at a
-# time, then updates predictions through RegressionTree.predict.  fit_gbdt
-# sorts once per tree instead; it must reproduce this fit bit for bit.
-def reference_best_split(X, residual, rows, cfg):
-    Xn = X[rows]
-    rf = residual[rows]
-    g_total = float(rf.sum())
-    n_total = float(len(rows))
-    parent = g_total * g_total / (n_total + cfg.l2_lambda)
-    best_gain = cfg.gamma_split_threshold
-    best = None
-    min_rows = cfg.min_child_rows
-    for f in range(X.shape[1]):
-        xf = Xn[:, f]
-        order = np.lexsort((rf, xf))
-        xs = xf[order]
-        rs = rf[order]
-        if xs[0] == xs[-1]:
-            continue
-        csum = np.cumsum(rs)
-        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-        n_left = boundaries + 1.0
-        ok = (n_left >= min_rows) & (n_total - n_left >= min_rows)
-        boundaries = boundaries[ok]
-        if not len(boundaries):
-            continue
-        n_left = boundaries + 1.0
-        g_left = csum[boundaries]
-        g_right = g_total - g_left
-        gains = 0.5 * (
-            g_left * g_left / (n_left + cfg.l2_lambda)
-            + g_right * g_right / (n_total - n_left + cfg.l2_lambda)
-            - parent
-        )
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            i = boundaries[k]
-            best = (best_gain, f, float((xs[i] + xs[i + 1]) / 2.0))
-    return best
+# Reference fit: the presorted exact greedy builder.  Each feature column is
+# sorted once per tree, at the root, by (value, residual); a split partitions
+# every sorted list with a stable boolean mask, so each child's lists stay
+# sorted, and each node scans all features' running sums at once.  Trees grow
+# depth first.  It shares fit_gbdt's candidates, gain formula, tie rule and
+# threshold rule but adds residuals in another order, so fit_gbdt must match
+# its splits exactly and its sums to rounding.
+def reference_best_split(XT, residual, rows, idx, cfg):
+    m = len(rows)
+    g_total = float(residual[rows].sum())
+    n_total = float(m)
+    lam = cfg.l2_lambda
+    parent = g_total * g_total / (n_total + lam)
+    # Position i splits off the first i + 1 sorted rows.
+    lo, hi = cfg.min_child_rows - 1, m - cfg.min_child_rows
+    xs = XT[np.arange(len(XT))[:, None], idx]
+    f, i = np.divmod(np.flatnonzero(xs[:, lo:hi] != xs[:, lo + 1 : hi + 1]), hi - lo)
+    i += lo
+    g_left = np.cumsum(residual[idx], axis=1)[f, i]
+    n_left = i + 1.0
+    g_right = g_total - g_left
+    gains = 0.5 * (
+        g_left * g_left / (n_left + lam)
+        + g_right * g_right / (n_total - n_left + lam)
+        - parent
+    )
+    if not len(gains):
+        return None
+    best = gains.max()
+    # Candidates are in (feature, threshold) order: the first tied one wins.
+    k = int(np.flatnonzero(gains >= best - TIE_RTOL * abs(best))[0])
+    if not gains[k] > cfg.gamma_split_threshold + TIE_RTOL * float((residual[rows] ** 2).sum()):
+        return None
+    f, i = int(f[k]), int(i[k])
+    return float(gains[k]), f, split_threshold(xs[f, i], xs[f, i + 1])
+
+
+def split_threshold(lo, hi):
+    """The midpoint, unless it rounds onto ``hi`` (values one ulp apart)."""
+    mid = (lo + hi) / 2.0
+    return float(mid if mid < hi else lo)
+
+
+def add_node(tree):
+    """Append a leaf to a RegressionTree and return its index."""
+    tree.feature.append(-1)
+    tree.threshold.append(0.0)
+    tree.left.append(-1)
+    tree.right.append(-1)
+    tree.value.append(0.0)
+    return len(tree.feature) - 1
+
+
+def reference_tree(XT, ranks, residual, cfg, gain_totals, feature_names):
+    tree = RegressionTree()
+    n_features, n_rows = XT.shape
+    leaf_value = np.empty(n_rows)
+    goes_left = np.zeros(n_rows, dtype=bool)
+
+    def splittable(rows, depth):
+        return depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows
+
+    def grow(rows, idx, depth):
+        node = add_node(tree)
+        split = None if idx is None else reference_best_split(XT, residual, rows, idx, cfg)
+        if split is None:
+            value = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
+            tree.value[node] = value
+            leaf_value[rows] = value
+            return node
+        gain, f, threshold = split
+        gain_totals[feature_names[f]] += gain
+        side = XT[f, rows] <= threshold
+        goes_left[rows] = side
+        left_rows, right_rows = rows[side], rows[~side]
+        mask = goes_left[idx]
+        left_idx = right_idx = None
+        if splittable(left_rows, depth + 1):
+            left_idx = idx[mask].reshape(n_features, len(left_rows))
+        if splittable(right_rows, depth + 1):
+            right_idx = idx[~mask].reshape(n_features, len(right_rows))
+        tree.feature[node] = f
+        tree.threshold[node] = threshold
+        tree.left[node] = grow(left_rows, left_idx, depth + 1)
+        tree.right[node] = grow(right_rows, right_idx, depth + 1)
+        return node
+
+    rows = np.arange(n_rows)
+    idx = None
+    if splittable(rows, 0):
+        by_residual = np.argsort(residual, kind="stable")
+        idx = by_residual[np.argsort(ranks[:, by_residual], axis=1, kind="stable")]
+    grow(rows, idx, 0)
+    return tree, leaf_value
 
 
 def reference_fit(matrix, cfg):
-    X = np.ascontiguousarray(matrix.rows)
+    XT = np.ascontiguousarray(matrix.rows.T)
     y = matrix.target
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in XT])
     base = float(y.mean())
     gain_totals = {name: 0.0 for name in matrix.columns}
     trees = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
-        residual = y - prediction
-        tree = RegressionTree()
-
-        def grow(rows, depth):
-            node = tree.add_node()
-            split = None
-            if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_child_rows:
-                split = reference_best_split(X, residual, rows, cfg)
-            if split is None:
-                tree.value[node] = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
-                return node
-            gain, f, threshold = split
-            name = matrix.columns[f]
-            gain_totals[name] = gain_totals.get(name, 0.0) + gain
-            goes_left = X[rows, f] <= threshold
-            tree.feature[node] = f
-            tree.threshold[node] = threshold
-            tree.left[node] = grow(rows[goes_left], depth + 1)
-            tree.right[node] = grow(rows[~goes_left], depth + 1)
-            return node
-
-        grow(np.arange(len(y)), 0)
+        tree, leaf_value = reference_tree(XT, ranks, y - prediction, cfg, gain_totals, matrix.columns)
         trees.append(tree)
-        prediction = prediction + cfg.learning_rate * tree.predict(X)
-    return GbdtModel(cfg, base, trees, list(matrix.columns), gain_totals)
+        prediction = prediction + cfg.learning_rate * leaf_value
+    return GbdtModel(cfg, base, trees, list(matrix.columns), gain_totals, prediction)
+
+
+def walk(tree, node=0):
+    """A tree's splits and leaf values from the root, whatever its node numbering."""
+    if tree.feature[node] == -1:
+        return tree.value[node]
+    return (
+        tree.feature[node],
+        tree.threshold[node],
+        walk(tree, tree.left[node]),
+        walk(tree, tree.right[node]),
+    )
+
+
+def assert_matches_reference(model, reference, rtol=1e-12):
+    """Same splits exactly; leaf values, base score and gains to rounding."""
+
+    def same(a, b):
+        if isinstance(b, float):
+            assert isinstance(a, float) and a == pytest.approx(b, rel=rtol, abs=rtol)
+            return
+        assert a[:2] == b[:2]
+        same(a[2], b[2])
+        same(a[3], b[3])
+
+    assert len(model.trees) == len(reference.trees)
+    for tree, ref in zip(model.trees, reference.trees):
+        same(walk(tree), walk(ref))
+    assert model.base_score == pytest.approx(reference.base_score, rel=rtol)
+    assert model.gain_totals.keys() == reference.gain_totals.keys()
+    for name, gain in reference.gain_totals.items():
+        assert model.gain_totals[name] == pytest.approx(gain, rel=rtol, abs=rtol)
+
+
+def assert_children_hold_min_rows(model, matrix):
+    """Every split sends at least min_child_rows training rows each way."""
+
+    def check(tree, node, rows):
+        f = tree.feature[node]
+        if f == -1:
+            return
+        goes_left = matrix.rows[rows, f] <= tree.threshold[node]
+        assert min(goes_left.sum(), (~goes_left).sum()) >= model.config.min_child_rows
+        check(tree, tree.left[node], rows[goes_left])
+        check(tree, tree.right[node], rows[~goes_left])
+
+    for tree in model.trees:
+        check(tree, 0, np.arange(len(matrix)))
 
 
 @st.composite
 def tied_problems(draw):
     """Small matrices built to tie: few distinct values, repeated rows, a
-    constant column, and columns that induce the same partitions as x0 (a
-    monotone copy, and a weekday-like code next to its sine)."""
+    constant column, columns that induce the same partitions as x0 (a
+    monotone copy, and a weekday-like code next to its sine), and a column
+    of three consecutive doubles, whose midpoints can round onto a value."""
     n = draw(st.integers(2, 24))
     k = draw(st.integers(1, 3))
     levels = draw(st.integers(1, 6))
@@ -167,6 +255,7 @@ def tied_problems(draw):
         np.full(len(x0), 1.5),
         2.0 * x0 + 1.0,
         np.sin(2.0 * np.pi * (2.0 * x0 % 7) / 7.0),
+        0.5 + np.spacing(0.5) * (2.0 * x0 % 3),
     ]
     perm = draw(st.permutations(range(len(columns))))
     X = np.column_stack([columns[j] for j in perm])
@@ -186,8 +275,48 @@ def tied_problems(draw):
 def test_presorted_fit_matches_per_node_sort_reference(problem):
     matrix, cfg = problem
     model = fit_gbdt(matrix, cfg)
-    assert model.to_dict() == reference_fit(matrix, cfg).to_dict()
+    assert_matches_reference(model, reference_fit(matrix, cfg))
+    assert_children_hold_min_rows(model, matrix)
     assert np.array_equal(model.train_prediction, predict_gbdt(model, matrix))
+
+
+def test_ulp_adjacent_values_split_apart():
+    # (a + b) / 2 rounds onto b for these two doubles; the split must still
+    # send a left and b right.
+    a = np.nextafter(0.5, 1.0)
+    b = np.nextafter(a, 1.0)
+    assert (a + b) / 2.0 == b
+    m = make_matrix(np.array([a, a, b, b]), np.array([0.0, 0.0, 1.0, 1.0]))
+    model = fit_gbdt(m, GbdtConfig(n_trees=1, learning_rate=1.0, l2_lambda=0.0, max_depth=1))
+    assert model.trees[0].threshold[0] == a
+    assert np.array_equal(predict_gbdt(model, m), m.target)
+
+
+# Strictly increasing maps; one of them is exact on every double.
+MONOTONE = (lambda x: 2.0 * x, lambda x: np.exp(x / 4.0), lambda x: x * x * x + x - 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_problems(), st.data())
+def test_fit_sees_only_each_columns_order(problem, data):
+    """A column replaced by a strictly increasing copy, or a copy appended and
+    then swapped with its original, leaves every split feature and every
+    training prediction bit for bit the same."""
+    matrix, cfg = problem
+    X = matrix.rows
+    j = data.draw(st.integers(0, X.shape[1] - 1))
+    copy = data.draw(st.sampled_from(MONOTONE))(X[:, j])
+    assume(len(np.unique(copy)) == len(np.unique(X[:, j])))
+    replaced = X.copy()
+    replaced[:, j] = copy
+    widened = np.column_stack([X, copy])
+    swapped = widened.copy()
+    swapped[:, [j, -1]] = widened[:, [-1, j]]
+    expected = fit_gbdt(matrix, cfg)
+    for variant in (replaced, widened, swapped):
+        model = fit_gbdt(make_matrix(variant, matrix.target), cfg)
+        assert [t.feature for t in model.trees] == [t.feature for t in expected.trees]
+        assert np.array_equal(model.train_prediction, expected.train_prediction)
 
 
 def test_presorted_fit_matches_reference_on_continuous_features():
@@ -197,7 +326,37 @@ def test_presorted_fit_matches_reference_on_continuous_features():
     y = np.sin(X[:, 0]) + X[:, 3] + 0.3 * rng.normal(size=300)
     m = make_matrix(X, y)
     cfg = GbdtConfig(n_trees=15, max_depth=6, min_child_rows=2)
-    assert fit_gbdt(m, cfg).to_dict() == reference_fit(m, cfg).to_dict()
+    assert_matches_reference(fit_gbdt(m, cfg), reference_fit(m, cfg))
+
+
+def bundled_series(external, store, item):
+    """One series' train and test matrices of the default bundled run."""
+    with bundled_sample_stream() as stream:
+        table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
+    split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 12, 31))
+    calendar = HolidayCalendar.bundled() if external else None
+    train, test = build_train_test_matrices(table, split, external, calendar)
+    return tuple(
+        m.select_rows(np.flatnonzero((m.stores == store) & (m.items == item)))
+        for m in (train, test)
+    )
+
+
+@pytest.mark.parametrize("external, store, item", [(False, "2", "9"), (True, "1", "10")])
+def test_bundled_series_match_presorted_reference(external, store, item):
+    # S1 (2, 9) has the most distinct lag values of the sample; S2 (1, 10)
+    # holds weekday codes whose partitions tie with their sine and cosine.
+    train, test = bundled_series(external, store, item)
+    cfg = GbdtConfig()
+    model = fit_gbdt(train, cfg)
+    assert_matches_reference(model, reference_fit(train, cfg))
+    assert_children_hold_min_rows(model, train)
+    # The rows are summed in one canonical order, so a permuted training
+    # matrix fits bit for bit the same.
+    perm = np.random.default_rng(7).permutation(len(train))
+    shuffled = fit_gbdt(train.select_rows(perm), cfg)
+    assert np.array_equal(shuffled.train_prediction, model.train_prediction[perm])
+    assert np.array_equal(predict_gbdt(shuffled, test), predict_gbdt(model, test))
 
 
 EIGHT_ROWS = make_matrix(
