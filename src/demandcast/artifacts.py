@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import iso_dates, series_runs
 from .errors import MissingForecastsError
-from .evaluate import ComparisonTable, EvaluationReport
+from .evaluate import FORECAST_MODES, ComparisonTable, EvaluationReport
 from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
 
@@ -43,7 +43,7 @@ def write_metrics_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
                     model,
                     report.scenario.id,
                     report.deviation_mode,
-                    entry.forecast_mode,
+                    FORECAST_MODES[model],
                     m.mae if m else None,
                     m.rmse if m else None,
                     m.r2 if m else None,
@@ -141,7 +141,7 @@ def report_document(reports: Sequence[EvaluationReport], comparison: ComparisonT
         for model, entry in report.entries.items():
             m = entry.metrics
             scenario_doc["models"][model] = {
-                "forecast_mode": entry.forecast_mode,
+                "forecast_mode": FORECAST_MODES[model],
                 "error": entry.error,
                 "metrics": None if m is None else dataclasses.asdict(m),
                 "train_residual_std": entry.train_residual_std,

@@ -154,7 +154,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             )
             if cfg.save_models:
                 write_json(out_dir / f"models_{name}.json", entry.artifacts)
-    write_json(out_dir / "report.json", report_document(reports, comparison))
+    report_doc = report_document(reports, comparison)
+    write_json(out_dir / "report.json", report_doc)
     stage_times["artifacts"] = time.perf_counter() - started
 
     manifest = {
@@ -176,7 +177,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if entry.error is not None
     ]
     total = sum(len(r.entries) for r in reports)
-    print(comparison.to_text())
+    print("\n".join(_comparison_section(report_doc["comparison"])))
     if failed:
         print(f"failed models: {failed}", file=sys.stderr)
     if failed and len(failed) == total:
@@ -231,7 +232,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     baseline = replay("naive")
     pooled = {model: replay(model) for model in models}
 
-    table = impact_table(pooled, baseline, baseline_name="naive")
+    table = impact_table(pooled, baseline)
     write_impact_csv(out_dir / "impact_table.csv", table)
     impact_doc = {
         "scenario": scenario_id,
@@ -254,13 +255,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _render_report(out_dir: Path) -> str:
-    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    comparison = report["comparison"]
-    lines = ["# Demand forecasting backtest report", ""]
+def _comparison_section(comparison: dict) -> list[str]:
+    """The lines of report.md's model comparison, which evaluate also prints.
+
+    ``comparison`` is the "comparison" entry of report.json.
+    """
     scenarios = comparison["scenarios"]
-    lines.append("## Model comparison (pooled test-window MAE)")
-    lines.append("")
+    lines = ["## Model comparison (pooled test-window MAE)", ""]
     header = "| model | " + " | ".join(f"{s} MAE" for s in scenarios)
     if len(scenarios) > 1:
         header += " | improvement % |"
@@ -283,8 +284,14 @@ def _render_report(out_dir: Path) -> str:
             best = comparison["best_by_metric"].get(f"{metric}|{s}")
             if best:
                 lines.append(f"- best {metric.upper()} in {s}: {best}")
-    lines.append("")
+    return lines
 
+
+def _render_report(out_dir: Path) -> str:
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    scenarios = report["comparison"]["scenarios"]
+    lines = ["# Demand forecasting backtest report", ""]
+    lines += [*_comparison_section(report["comparison"]), ""]
     for s in scenarios:
         doc = report["scenarios"][s]
         gbdt = doc["models"].get("gbdt")

@@ -34,9 +34,9 @@ class ConfigError(ValueError):
 
 def _check_types(cls, values: Mapping[str, Any], prefix: str = "") -> None:
     """Raise ConfigError unless each value has the JSON type of its field's
-    default in the dataclass ``cls``.  A float field also takes an integer and
-    a str-enum field a string; a field whose default is null takes null, or a
-    number where it is annotated ``float | None`` and a string otherwise.
+    default in the dataclass ``cls``.  A float field also takes an integer; a
+    field whose default is null takes null, or a number where it is annotated
+    ``float | None`` and a string otherwise.
     Keys ``cls`` lacks are left to its constructor.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -50,7 +50,7 @@ def _check_types(cls, values: Mapping[str, Any], prefix: str = "") -> None:
         elif isinstance(default, float):
             allowed = (float, int)
         else:
-            allowed = (str,) if isinstance(default, str) else (type(default),)
+            allowed = (type(default),)
         if type(value) not in allowed:
             names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")

@@ -44,7 +44,7 @@ class SingularDesignError(DemandcastError):
 
 
 class NonPositiveDataError(DemandcastError):
-    """Multiplicative seasonality requires the target to stay above -1."""
+    """trend_seasonal fits log(1+y), so the target must stay above -1."""
 
 
 class SingularBasisError(DemandcastError):

@@ -231,10 +231,9 @@ def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
 @dataclass
 class ModelEvaluation:
     """One model's results on its scenario's test rows; a failed model keeps
-    only its runtime, forecast mode and error."""
+    only its runtime and error."""
 
     runtime_s: float
-    forecast_mode: str
     error: str | None = None
     metrics: Metrics | None = None
     predictions: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -339,7 +338,7 @@ def run_scenario(
         # The first failing series, in series order, fails the whole model.
         error = next((r["error"] for r in results if "error" in r), None)
         if error is not None:
-            entries[model_name] = ModelEvaluation(runtime, FORECAST_MODES[model_name], error)
+            entries[model_name] = ModelEvaluation(runtime, error)
             continue
 
         predictions = np.concatenate([r["predictions"] for r in results])
@@ -360,7 +359,6 @@ def run_scenario(
         )
         entries[model_name] = ModelEvaluation(
             runtime_s=runtime,
-            forecast_mode=FORECAST_MODES[model_name],
             metrics=score(test.target, predictions),
             predictions=predictions,
             histogram=error_histogram(test.target - predictions, HISTOGRAM_BINS),
@@ -393,23 +391,6 @@ class ComparisonTable:
     r2: dict[str, float | None]
     improvement_pct: dict[str, float | None]
     best_by_metric: dict[str, str]
-
-    def to_text(self) -> str:
-        lines = []
-        header = ["model"] + [f"mae[{s}]" for s in self.scenarios]
-        if len(self.scenarios) > 1:
-            header.append("improvement%")
-        lines.append("  ".join(f"{h:>16}" for h in header))
-        for m in self.models:
-            row = [f"{m:>16}"]
-            for s in self.scenarios:
-                v = self.mae.get(f"{m}|{s}")
-                row.append(f"{v:16.4f}" if v is not None else f"{'-':>16}")
-            if len(self.scenarios) > 1:
-                imp = self.improvement_pct.get(m)
-                row.append(f"{imp:16.1f}" if imp is not None else f"{'-':>16}")
-            lines.append("  ".join(row))
-        return "\n".join(lines)
 
 
 def improvement_percent(before: float, after: float) -> float:

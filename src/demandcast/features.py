@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -165,7 +165,6 @@ class FeatureMatrix:
     dates: np.ndarray
     stores: np.ndarray
     items: np.ndarray
-    scaling: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.target)
@@ -193,7 +192,6 @@ class FeatureMatrix:
             self.dates[rows],
             self.stores[rows],
             self.items[rows],
-            dict(self.scaling),
         )
 
 
@@ -252,18 +250,16 @@ def _assemble_unscaled(
 
 def _scale(train: FeatureMatrix, test: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Min-max scale both sides with the training rows' statistics."""
-    scaling: dict[str, tuple[float, float]] = {}
     train_rows, test_rows = train.rows.copy(), test.rows.copy()
     for j, name in enumerate(train.columns):
         if name in _FLAG_COLUMNS:
             continue
         col = train.rows[:, j]
         lo, hi = (float(col.min()), float(col.max())) if len(col) else (0.0, 1.0)
-        scaling[name] = (lo, hi)
         for rows in (train_rows, test_rows):
             rows[:, j] = (rows[:, j] - lo) / (hi - lo) if hi > lo else 0.0
     return tuple(
-        FeatureMatrix(list(m.columns), rows, m.target, m.dates, m.stores, m.items, dict(scaling))
+        FeatureMatrix(list(m.columns), rows, m.target, m.dates, m.stores, m.items)
         for m, rows in ((train, train_rows), (test, test_rows))
     )
 

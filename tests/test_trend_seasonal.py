@@ -8,9 +8,7 @@ from demandcast.data import sort_chronological
 from demandcast.errors import NonPositiveDataError, SingularBasisError
 from demandcast.features import HolidayCalendar
 from demandcast.models.trend_seasonal import (
-    SeasonalityMode,
     TrendSeasonalConfig,
-    basis_columns,
     build_basis,
     fit_trend_seasonal,
     forecast_trend_seasonal,
@@ -38,22 +36,25 @@ def test_basis_degenerate_single_column():
     cfg = TrendSeasonalConfig(
         n_changepoints=0, weekly_fourier_order=0, yearly_fourier_order=0
     )
-    basis = build_basis(ordinals(10), cfg, np.empty(0), START, 9.0, {}, [])
+    basis, names = build_basis(ordinals(10), cfg, np.empty(0), START, 9.0, {}, [])
     assert basis.shape == (10, 1)
-    assert basis_columns(cfg, []) == ["trend"]
+    assert names == ("trend",)
 
 
 def test_basis_default_column_count():
     cfg = TrendSeasonalConfig()
     cps = 0.8 * np.arange(1, 26) / 25.0
-    basis = build_basis(ordinals(100), cfg, cps, START, 99.0, {}, [])
+    basis, names = build_basis(ordinals(100), cfg, cps, START, 99.0, {}, [])
     assert basis.shape[1] == 1 + 25 + 6 + 20
-    assert len(basis_columns(cfg, [])) == 52
+    assert len(names) == 52
+    assert (names[0], names[25], names[26], names[-1]) == (
+        "trend", "cp_25", "weekly_sin_1", "yearly_cos_10"
+    )
 
 
 def test_weekly_columns_repeat_after_seven_days():
     cfg = TrendSeasonalConfig(n_changepoints=0, yearly_fourier_order=0)
-    basis = build_basis(ordinals(15), cfg, np.empty(0), START, 14.0, {}, [])
+    basis, _ = build_basis(ordinals(15), cfg, np.empty(0), START, 14.0, {}, [])
     weekly = basis[:, 1:7]
     assert np.allclose(weekly[0], weekly[7])
     assert np.allclose(weekly[3], weekly[10])
@@ -172,39 +173,6 @@ def test_hinge_shrinkage_monotone_in_penalty():
     assert norms[2] < 0.1 * norms[0]
 
 
-def test_additive_and_multiplicative_agree_on_constant_series():
-    n = 200
-    y = np.full(n, 4.5)
-    point_m, _, _ = forecast_trend_seasonal(
-        fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig()), ordinals(n)
-    )
-    point_a, _, _ = forecast_trend_seasonal(
-        fit_trend_seasonal(
-            y, ordinals(n), TrendSeasonalConfig(seasonality_mode=SeasonalityMode.ADDITIVE)
-        ),
-        ordinals(n),
-    )
-    assert np.allclose(point_m, point_a, atol=1e-9)
-
-
-def test_mode_given_as_string_fits_as_the_enum():
-    # A config file gives the mode as a string.
-    rng = np.random.default_rng(4)
-    n = 200
-    y = 5.0 + rng.poisson(3.0, n).astype(float)
-    for mode in SeasonalityMode:
-        by_string = fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig(seasonality_mode=mode.value))
-        by_enum = fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig(seasonality_mode=mode))
-        assert np.array_equal(
-            forecast_trend_seasonal(by_string, ordinals(n))[0],
-            forecast_trend_seasonal(by_enum, ordinals(n))[0],
-        )
-        assert by_string.to_dict() == by_enum.to_dict()
-    assert TrendSeasonalConfig(seasonality_mode="multiplicative") == TrendSeasonalConfig()
-    with pytest.raises(ValueError):
-        TrendSeasonalConfig(seasonality_mode="bogus")
-
-
 def test_multiplicative_mode_rejects_non_positive_data():
     y = np.concatenate([np.full(50, 5.0), [-1.5]])
     with pytest.raises(NonPositiveDataError):
@@ -273,4 +241,4 @@ def test_yearly_terms_start_at_a_full_year():
     for n, order in ((364, 0), (365, TrendSeasonalConfig().yearly_fourier_order)):
         model = fit_trend_seasonal(y[:n], ordinals(n))
         assert model.config.yearly_fourier_order == order
-        assert len(model.basis_names) == len(basis_columns(model.config, []))
+        assert sum(name.startswith("yearly_") for name in model.basis_names) == 2 * order
