@@ -40,8 +40,10 @@ class ReplenishmentPolicy:
     def __post_init__(self) -> None:
         if self.review_period < 1 or self.lead_time < 0:
             raise ValueError("need review_period >= 1 and lead_time >= 0")
-        if self.safety_factor < 0.0 or self.initial_stock < 0.0:
-            raise ValueError("safety_factor and initial_stock must be >= 0")
+        if min(self.safety_factor, self.initial_stock, self.overstock_multiplier) < 0.0:
+            raise ValueError("safety_factor, initial_stock and overstock_multiplier must be >= 0")
+        if min(self.holding_cost, self.emergency_cost) < 0.0:
+            raise ValueError("holding_cost and emergency_cost must be >= 0")
 
 
 @dataclass

@@ -54,8 +54,8 @@ class GbdtConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must lie in (0, 1]")
-        if self.l2_lambda < 0.0:
-            raise ValueError("l2_lambda must be >= 0")
+        if self.l2_lambda < 0.0 or self.gamma_split_threshold < 0.0:
+            raise ValueError("l2_lambda and gamma_split_threshold must be >= 0")
         if self.n_trees < 0 or self.max_depth < 1 or self.min_child_rows < 1:
             raise ValueError("n_trees, max_depth, min_child_rows must be positive")
 

@@ -2,12 +2,12 @@
 
 The dual is solved over 2n box-constrained variables theta = [alpha; alpha*]
 with sign vector s = [+1...; -1...] and the single equality constraint
-s'theta = 0.  Each iteration picks the maximal-violating pair, solves the
-two-variable subproblem in closed form, clips to the box, and updates the
-gradient with two kernel columns.  Work is organised in sweeps of up to n
-pair updates; the dual objective is recorded after every sweep and is
-non-decreasing because every pair update maximises the dual along its
-feasible direction.
+s'theta = 0.  Each iteration picks a pair by second-order working-set
+selection (WSS2; Fan, Chen & Lin, JMLR 2005), solves the two-variable
+subproblem in closed form, clips to the box, and updates the gradient with
+two kernel columns.  Work is organised in sweeps of up to n pair updates;
+the dual objective is recorded after every sweep and is non-decreasing
+because every pair update maximises the dual along its feasible direction.
 
 Features and target are z-scored with training statistics before fitting so
 the epsilon tube has the same meaning across series of different volume;
@@ -27,6 +27,8 @@ from ..features import FeatureMatrix
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-12
+# Rows of the training Gram matrix per kernel call (see gram_matrix).
+_GRAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class SvrConfig:
     def __post_init__(self) -> None:
         if self.C <= 0.0:
             raise ValueError("C must be positive")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if self.epsilon < 0.0 or self.smo_tolerance < 0.0:
+            raise ValueError("epsilon and smo_tolerance must be >= 0")
         if self.rbf_gamma is not None and self.rbf_gamma <= 0.0:
             raise ValueError("rbf_gamma must be positive")
         if self.max_passes < 1 or self.max_train_rows < 1:
@@ -66,6 +68,7 @@ class SvrModel:
     converged: bool
     kkt_violation_achieved: float
     sweeps: int
+    pair_updates: int
     dual_objective_trace: list[float] = field(default_factory=list)
     # The decision value of each training row, in original units, from the
     # solver's final gradient; within rounding of predict_svr on the
@@ -89,6 +92,7 @@ class SvrModel:
             "converged": self.converged,
             "kkt_violation_achieved": self.kkt_violation_achieved,
             "sweeps": self.sweeps,
+            "pair_updates": self.pair_updates,
         }
 
 
@@ -103,9 +107,21 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * d2)
 
 
-def dual_objective(beta: np.ndarray, theta: np.ndarray, K: np.ndarray, y: np.ndarray, eps: float) -> float:
-    Kb = np.einsum("ij,j->i", K, beta)
-    return float(np.einsum("i,i->", y, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, Kb))
+def gram_matrix(X: np.ndarray, gamma: float) -> np.ndarray:
+    """``rbf_kernel(X, X, gamma)`` bit for bit, from its upper triangle.
+
+    Each block of rows is computed from the diagonal rightward and mirrored
+    below it.  An entry depends only on its two rows and equals its mirror,
+    so this halves the kernel work and holds temporaries of one block, not
+    of the whole matrix.
+    """
+    n = len(X)
+    K = np.empty((n, n))
+    for r0 in range(0, n, _GRAM_BLOCK):
+        r1 = min(r0 + _GRAM_BLOCK, n)
+        K[r0:r1, r0:] = rbf_kernel(X[r0:r1], X[r0:], gamma)
+        K[r1:, r0:r1] = K[r0:r1, r1:].T
+    return K
 
 
 def _kept_rows(matrix: FeatureMatrix, cfg: SvrConfig) -> slice | np.ndarray:
@@ -122,8 +138,7 @@ def _penalties(t: float, plus: bool, C: float) -> tuple[float, float]:
     Every index bounds the equality-constraint multiplier from below (lo
     set), above (hi set), or both (interior).  The penalty is 0 on a set and
     -inf (lo) or +inf (hi) off it, so the lo-set maximum of q is the
-    maximum of q + lo penalty; a positive lo-hi overlap is the KKT violation
-    and the two extremes form the maximal violating pair.
+    maximum of q + lo penalty; a positive lo-hi overlap is the KKT violation.
     """
     at_lower = t <= _TINY
     at_upper = t >= C - _TINY
@@ -178,13 +193,15 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             converged=True,
             kkt_violation_achieved=0.0,
             sweeps=0,
+            pair_updates=0,
             dual_objective_trace=[0.0],
             train_prediction=np.full(len(matrix), y_mean),
         )
     yz = (y - y_mean) / y_std
 
     n = len(yz)
-    K = rbf_kernel(Xz, Xz, gamma)
+    K = gram_matrix(Xz, gamma)
+    diag = K.diagonal().copy()
     C, eps = cfg.C, cfg.epsilon
 
     theta = np.zeros(2 * n)
@@ -199,28 +216,49 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     pen_lo[:n], pen_hi[:n] = _penalties(0.0, True, C)
     pen_lo[n:], pen_hi[n:] = _penalties(0.0, False, C)
     q_lo = np.empty(2 * n)
-    q_hi = np.empty(2 * n)
+    gap = np.empty(2 * n)
+    gain = np.empty(2 * n)
+    gain2 = gain.reshape(2, n)
+    curv = np.empty(n)
     h = np.empty(n)
 
     trace: list[float] = []
     violation = 0.0
     sweeps_done = 0
+    pair_updates = 0
     converged = False
 
     for sweep in range(cfg.max_passes):
         progressed = False
         for _ in range(n):
             np.add(q, pen_lo, out=q_lo)
-            np.add(q, pen_hi, out=q_hi)
             i = int(np.argmax(q_lo))
-            j = int(np.argmin(q_hi))
-            violation = float(q_lo[i]) - float(q_hi[j])
+            # gap_t = q_i - q_t on the hi set and -inf off it; its maximum
+            # is q_i minus the hi-set minimum of q, the KKT violation.
+            np.subtract(q_lo[i], q, out=gap)
+            gap -= pen_hi
+            violation = float(gap.max())
             if violation <= cfg.smo_tolerance:
                 converged = True
                 break
-            bi, bj = i % n, j % n
-            kappa = max(K[bi, bi] + K[bj, bj] - 2.0 * K[bi, bj], _TINY)
-            step = -(q[i] - q[j]) / kappa
+            # WSS2: j maximises the dual gain gap_t^2 / a_t of the pair (i, t)
+            # over the candidates, hi-set t with q_t < q_i, where
+            # a_t = K_ii + K_tt - 2 K_it is floored at _TINY; ties go to the
+            # lowest index.  Clipping gap at 0 gives every other index a
+            # gain of 0, below any candidate's unless all of those underflow.
+            bi = i % n
+            np.multiply(K[bi], 2.0, out=h)
+            np.add(diag, K[bi, bi], out=curv)
+            curv -= h
+            np.maximum(curv, _TINY, out=curv)
+            np.maximum(gap, 0.0, out=gap)
+            np.multiply(gap, gap, out=gain)
+            gain2 /= curv
+            j = int(np.argmax(gain))
+            if gain[j] == 0.0:
+                j = int(np.argmax(gap > 0.0))
+            bj = j % n
+            step = -(q[i] - q[j]) / curv[bj]
             # theta_i moves by s_i*step and theta_j by -s_j*step; clip the
             # step so both stay inside [0, C].
             s_i = 1.0 if i < n else -1.0
@@ -243,9 +281,16 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             np.subtract(K[bi], K[bj], out=h)
             h *= step
             q2 += h
+            pair_updates += 1
             progressed = True
+        # On the plus half q_k = (K beta)_k + eps - yz_k, so the dual
+        # objective yz'beta - eps*sum(theta) - beta'K beta / 2 needs no
+        # kernel pass.
         beta = theta[:n] - theta[n:]
-        trace.append(dual_objective(beta, theta, K, yz, eps))
+        K_beta = q[:n] - eps + yz
+        trace.append(
+            float(np.einsum("i,i->", yz, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, K_beta))
+        )
         sweeps_done = sweep + 1
         if converged or not progressed:
             break
@@ -258,9 +303,7 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             cfg.smo_tolerance,
         )
 
-    np.add(q, pen_lo, out=q_lo)
-    np.add(q, pen_hi, out=q_hi)
-    bias = -(float(q_lo.max()) + float(q_hi.min())) / 2.0
+    bias = -(float((q + pen_lo).max()) + float((q + pen_hi).min())) / 2.0
 
     beta = theta[:n] - theta[n:]
     sv = np.abs(beta) > _TINY
@@ -279,6 +322,7 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
         converged=converged,
         kkt_violation_achieved=max(violation, 0.0),
         sweeps=sweeps_done,
+        pair_updates=pair_updates,
         dual_objective_trace=trace,
     )
     # For a trained row k, q_k = (K beta)_k + eps - yz_k, so its decision

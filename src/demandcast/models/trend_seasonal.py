@@ -44,8 +44,8 @@ class TrendSeasonalConfig:
     changepoint_penalty: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.n_changepoints < 0:
-            raise ValueError("n_changepoints must be >= 0")
+        if self.n_changepoints < 0 or self.weekly_fourier_order < 0 or self.yearly_fourier_order < 0:
+            raise ValueError("n_changepoints and the Fourier orders must be >= 0")
         if self.changepoint_penalty < 0.0:
             raise ValueError("changepoint_penalty must be >= 0")
 

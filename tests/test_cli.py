@@ -115,6 +115,14 @@ BAD_CONFIGS = [
     ("evaluate", {"model_overrides": {"trend_seasonal": {"seasonality_mode": "bogus"}}}),
     ("evaluate", {"model_overrides": {"trend_seasonal": {"interval_level": 0.9}}}),
     ("evaluate", {"model_overrides": {"trend_seasonal": {"changepoint_range": 0.9}}}),
+    # Out-of-range numbers.
+    ("evaluate", {"model_overrides": {"svr": {"smo_tolerance": -1.0}}}),
+    ("evaluate", {"model_overrides": {"gbdt": {"gamma_split_threshold": -1.0}}}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"weekly_fourier_order": -3}}}),
+    ("evaluate", {"model_overrides": {"trend_seasonal": {"yearly_fourier_order": -1}}}),
+    ("simulate", {"simulation": {"holding_cost": -1.0}}),
+    ("simulate", {"simulation": {"emergency_cost": -5.0}}),
+    ("simulate", {"simulation": {"overstock_multiplier": -2.0}}),
 ]
 
 # Values one level down, each with the field and key its message must name.

@@ -13,10 +13,11 @@ from demandcast.models.svr import (
     _TINY,
     SvrConfig,
     SvrModel,
+    _GRAM_BLOCK,
     _decision_standardized,
     _kept_rows,
-    dual_objective,
     fit_svr,
+    gram_matrix,
     predict_svr,
     rbf_kernel,
 )
@@ -24,9 +25,16 @@ from demandcast.models.svr import (
 from conftest import make_matrix
 
 
+def dual_objective(beta, theta, K, y, eps):
+    """y'beta - eps*sum(theta) - beta'K beta / 2, with a kernel pass."""
+    Kb = np.einsum("ij,j->i", K, beta)
+    return float(np.einsum("i,i->", y, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, Kb))
+
+
 def _multiplier_bounds(q, theta, C, n):
     """(max lower bound, min upper bound) on the equality-constraint
-    multiplier, rebuilt from theta on every call, with their indices."""
+    multiplier, the index of the first and the hi-set mask, rebuilt from
+    theta on every call."""
     at_lower = theta <= _TINY
     at_upper = theta >= C - _TINY
     interior = ~at_lower & ~at_upper
@@ -35,14 +43,17 @@ def _multiplier_bounds(q, theta, C, n):
     lo_mask = interior | (at_lower & ~plus) | (at_upper & plus)
     hi_mask = interior | (at_lower & plus) | (at_upper & ~plus)
     q_lo = np.where(lo_mask, q, -np.inf)
-    q_hi = np.where(hi_mask, q, np.inf)
     i = int(np.argmax(q_lo))
-    j = int(np.argmin(q_hi))
-    return float(q_lo[i]), float(q_hi[j]), i, j
+    return float(q_lo[i]), float(np.where(hi_mask, q, np.inf).min()), i, hi_mask
 
 
 def reference_fit(matrix, cfg):
-    """fit_svr with the working set rebuilt from theta at every pair update."""
+    """fit_svr as a plain WSS2 loop: the working sets rebuilt from theta and
+    the pair chosen from scratch at every update, on the one-shot kernel.
+
+    Returns the model and the dual objective after each sweep by a kernel
+    pass, which the model's trace (taken from the gradient) must match.
+    """
     kept = _kept_rows(matrix, cfg)
     X, y = matrix.rows[kept], matrix.target[kept]
     mu = X.mean(axis=0)
@@ -56,7 +67,7 @@ def reference_fit(matrix, cfg):
         config=cfg, gamma=gamma, feature_names=list(matrix.columns), feature_means=mu, feature_stds=sd
     )
     if cfg.standardize_target and y_std < _TINY:
-        return SvrModel(
+        model = SvrModel(
             support_vectors=np.empty((0, X.shape[1])),
             support_indices=np.empty(0, dtype=np.int64),
             dual_coeffs=np.empty(0),
@@ -66,28 +77,36 @@ def reference_fit(matrix, cfg):
             converged=True,
             kkt_violation_achieved=0.0,
             sweeps=0,
+            pair_updates=0,
             dual_objective_trace=[0.0],
             **common,
         )
+        return model, [0.0]
     yz = (y - y_mean) / y_std
     n = len(yz)
     K = rbf_kernel(Xz, Xz, gamma)
     C, eps = cfg.C, cfg.epsilon
     theta = np.zeros(2 * n)
     q = np.concatenate([eps - yz, -eps - yz])
-    trace = []
+    trace, oracle = [], []
     violation = 0.0
     sweeps_done = 0
+    pair_updates = 0
     converged = False
     for sweep in range(cfg.max_passes):
         progressed = False
         for _ in range(n):
-            lo, hi, i, j = _multiplier_bounds(q, theta, C, n)
+            lo, hi, i, hi_mask = _multiplier_bounds(q, theta, C, n)
             violation = lo - hi
             if violation <= cfg.smo_tolerance:
                 converged = True
                 break
-            bi, bj = i % n, j % n
+            bi = i % n
+            a = np.maximum(K[bi, bi] + np.diag(K) - 2.0 * K[bi], _TINY)
+            a = np.concatenate([a, a])
+            gap = q[i] - q
+            j = int(np.argmax(np.where(hi_mask & (q < q[i]), gap * gap / a, -np.inf)))
+            bj = j % n
             kappa = max(K[bi, bi] + K[bj, bj] - 2.0 * K[bi, bj], _TINY)
             step = -(q[i] - q[j]) / kappa
             s_i = 1.0 if i < n else -1.0
@@ -108,16 +127,21 @@ def reference_fit(matrix, cfg):
             h = step * (K[bi] - K[bj])
             q[:n] += h
             q[n:] += h
+            pair_updates += 1
             progressed = True
         beta = theta[:n] - theta[n:]
-        trace.append(dual_objective(beta, theta, K, yz, eps))
+        K_beta = q[:n] - eps + yz
+        trace.append(
+            float(np.einsum("i,i->", yz, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, K_beta))
+        )
+        oracle.append(dual_objective(beta, theta, K, yz, eps))
         sweeps_done = sweep + 1
         if converged or not progressed:
             break
     lo, hi, _, _ = _multiplier_bounds(q, theta, C, n)
     beta = theta[:n] - theta[n:]
     sv = np.abs(beta) > _TINY
-    return SvrModel(
+    model = SvrModel(
         support_vectors=Xz[sv].copy(),
         support_indices=np.flatnonzero(sv).astype(np.int64),
         dual_coeffs=beta[sv].copy(),
@@ -127,9 +151,11 @@ def reference_fit(matrix, cfg):
         converged=converged,
         kkt_violation_achieved=max(violation, 0.0),
         sweeps=sweeps_done,
+        pair_updates=pair_updates,
         dual_objective_trace=trace,
         **common,
     )
+    return model, oracle
 
 
 def kkt_violation(model, matrix):
@@ -176,7 +202,9 @@ def smo_problems(draw):
     """Small SMO problems built to tie and to bind: few distinct feature
     values, repeated rows, a constant column, tight and loose boxes, targets
     too large for the box, and one to three sweeps so that unconverged
-    exits run.  C = 1e5 is large enough that C - 1e-12 rounds to C."""
+    exits run.  C = 1e5 is large enough that C - 1e-12 rounds to C.
+    Targets of order 1e-170, unstandardized with epsilon 0, make every
+    pair's gain underflow to 0."""
     n = draw(st.integers(2, 30))
     k = draw(st.integers(1, 3))
     levels = draw(st.integers(1, 5))
@@ -184,7 +212,7 @@ def smo_problems(draw):
     target = draw(arrays(np.int64, n, elements=st.integers(-6, 6)))
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=10))
     base = np.vstack([base, base[repeats]]) / 2.0
-    target = np.concatenate([target, target[repeats]]) * draw(st.sampled_from([0.25, 3e5]))
+    target = np.concatenate([target, target[repeats]]) * draw(st.sampled_from([0.25, 3e5, 1e-170]))
     columns = [*base.T, np.full(len(base), 1.5)]
     perm = draw(st.permutations(range(len(columns))))
     X = np.column_stack([columns[j] for j in perm])
@@ -205,9 +233,12 @@ def smo_problems(draw):
 def test_in_place_working_set_matches_rebuilt_reference(problem):
     matrix, cfg = problem
     model = fit_svr(matrix, cfg)
-    expected = reference_fit(matrix, cfg)
+    expected, oracle = reference_fit(matrix, cfg)
     assert model.to_dict() == expected.to_dict()
     assert model.dual_objective_trace == expected.dual_objective_trace
+    # The trace comes from the solver's gradient; a kernel pass agrees.
+    for got, want in zip(model.dual_objective_trace, oracle, strict=True):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     # The in-sample values come from the solver's gradient, not a kernel pass.
     predicted = predict_svr(model, matrix)
     scale = max(1.0, float(np.abs(matrix.target).max()))
@@ -501,3 +532,23 @@ def test_rbf_kernel_is_row_order_invariant_and_exact():
     assert np.array_equal(K[5], K[20])
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     assert np.abs(K - np.exp(-gamma * d2)).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 40),
+        st.sampled_from([_GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1, 2 * _GRAM_BLOCK + 17]),
+    ),
+    k=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([0, 3]),
+    gamma=st.sampled_from([0.05, 1.0 / 13, 2.0]),
+)
+def test_gram_matrix_is_the_one_shot_kernel(n, k, seed, levels, gamma):
+    # levels > 0 draws few distinct values, so rows repeat across blocks.
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, levels + 1, size=(n, k)) / 2.0 if levels else rng.normal(size=(n, k))
+    K = gram_matrix(A, gamma)
+    assert np.array_equal(K, rbf_kernel(A, A, gamma))
+    assert np.array_equal(K, K.T)
