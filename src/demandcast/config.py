@@ -56,6 +56,12 @@ def _check_types(cls, values: Mapping[str, Any], prefix: str = "") -> None:
             raise ConfigError(f"{prefix}{key} must be {names}, got {value!r}")
 
 
+def _not_a_number(constant: str) -> None:
+    """Reject the ``NaN``, ``Infinity`` and ``-Infinity`` that Python's JSON
+    reader takes but JSON does not have."""
+    raise ConfigError(f"config file holds {constant}, which is not a JSON number")
+
+
 @dataclass
 class RunConfig:
     data_path: str | None = None  # None -> bundled sample data
@@ -77,7 +83,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_not_a_number)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:

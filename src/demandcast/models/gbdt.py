@@ -40,6 +40,9 @@ logger = logging.getLogger(__name__)
 _LEAF = -1
 # Relative tolerance under which gains tie (see the module docstring).
 TIE_RTOL = 1e-9
+# Rows predict_gbdt walks at a time, which bounds its arrays of one entry
+# per (tree, row).
+_PREDICT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,23 +72,6 @@ class RegressionTree:
     left: list[int] = field(default_factory=list)
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            internal = feature[node] != _LEAF
-            if not internal.any():
-                break
-            idx = np.flatnonzero(internal)
-            f = feature[node[idx]]
-            goes_left = X[idx, f] <= threshold[node[idx]]
-            node[idx] = np.where(goes_left, left[node[idx]], right[node[idx]])
-        return value[node]
 
 
 @dataclass
@@ -119,123 +105,156 @@ class GbdtModel:
         }
 
 
+class _Bins:
+    """A fit's rows as bins: the constants of every tree and level.
+
+    Values become ranks within their column, offset so that feature f owns
+    bins ``edges[f]`` up to ``edges[f + 1]``, in value order.  A histogram
+    row has ``width`` columns: column 0 holds no bin, and bin b is column
+    b + 1, so the row's prefix sums start from zero.  A histogram cell is
+    complex: the residual sum is its real part and the row count its
+    imaginary part.  Complex arithmetic adds and subtracts the two parts
+    apart, so each is summed as it would be on its own.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+        self.edges = np.cumsum([0, *map(len, values)])
+        self.value = np.concatenate(values)
+        self.width = len(self.value) + 1
+        self.n_features = X.shape[1]
+        self.feature = np.repeat(np.arange(self.n_features), np.diff(self.edges))
+        self.start = self.edges[self.feature]
+        # Row r's histogram column of feature f is columns[r, f], which is
+        # flat[row_start[r] + f].
+        self.columns = np.column_stack(ranks) + self.edges[:-1] + 1
+        self.flat = self.columns.ravel()
+        self.row_start = np.arange(0, len(self.flat), self.n_features)
+        self.root_count = 1j * np.bincount(self.flat, minlength=self.width)
+
+
 def _histograms(
-    bins: np.ndarray, residual: np.ndarray, node: np.ndarray, n_nodes: int, n_bins: int
+    bins: _Bins, rows: np.ndarray, residual: np.ndarray, slot: np.ndarray, n_slots: int
 ) -> np.ndarray:
-    """Residual sums ([0]) and row counts ([1]) per (node, bin) of the given rows."""
-    keys = (node[:, None] * n_bins + bins).ravel()
-    hist = np.empty((2, n_nodes * n_bins))
-    hist[0] = np.bincount(keys, np.repeat(residual, bins.shape[1]), hist.shape[1])
-    hist[1] = np.bincount(keys, minlength=hist.shape[1])
-    return hist.reshape(2, n_nodes, n_bins)
+    """The histogram of the given rows per slot."""
+    keys = ((slot * bins.width)[:, None] + bins.columns.take(rows, axis=0)).ravel()
+    hist = np.empty((n_slots * bins.width, 2))
+    hist[:, 0] = np.bincount(keys, residual[rows].repeat(bins.n_features), len(hist))
+    hist[:, 1] = np.bincount(keys, minlength=len(hist))
+    return hist.view(complex).reshape(n_slots, bins.width)
 
 
 def _best_splits(
-    hist: np.ndarray, edges: np.ndarray, start: np.ndarray, floor: np.ndarray, cfg: GbdtConfig
+    hist: np.ndarray, bins: _Bins, floor: np.ndarray, cfg: GbdtConfig
 ) -> tuple[np.ndarray, ...]:
     """The nodes whose best gain exceeds their ``floor``, each with its last
     left bin, next non-empty bin, left and right row counts and gain.
 
-    ``start`` holds the first bin of each bin's feature.
+    An empty bin's residual sum in ``hist`` is exactly 0.
     """
-    n_nodes, n_bins = hist.shape[1:]
-    nonempty = hist[1] > 0
-    # Prefix sums along each node's bins after a zero column: splitting after
-    # bin b sends the rows in its feature's bins up to b left.
-    prefix = np.zeros((2, n_nodes, n_bins + 1))
-    np.cumsum(np.where(nonempty, hist, 0.0), axis=2, out=prefix[:, :, 1:])
-    g_left, n_left = prefix[:, :, 1:] - prefix.take(start, axis=2)
+    n_nodes, width = hist.shape
+    # Prefix sums along each node's columns: splitting after bin b sends
+    # the rows in its feature's bins up to b left.
+    prefix = hist.cumsum(axis=1)
+    # The candidates close a non-empty bin; one after an empty bin would
+    # repeat the split of the bin before it.  They run node by node, each
+    # node's in (feature, value) order.
+    node_of, b_of = (hist.imag[:, 1:] > 0.0).nonzero()
+    row = node_of * width
+    flat = prefix.ravel()
+    # [left, right] sums and counts of every candidate.
+    sides = np.empty((2, len(b_of)), dtype=complex)
+    np.subtract(flat[row + b_of + 1], flat[row + bins.start[b_of]], out=sides[0])
     # Node totals are the sums over the first feature's bins.
-    g_total, n_total = prefix[:, :, edges[1], None]
-    g_right, n_right = g_total - g_left, n_total - n_left
-    lam = cfg.l2_lambda
+    total = prefix[:, bins.edges[1]]
+    np.subtract(total[node_of], sides[0], out=sides[1])
+    n = sides.imag
     with np.errstate(divide="ignore", invalid="ignore"):  # empty sides are discarded
-        gain = 0.5 * (
-            g_left * g_left / (n_left + lam)
-            + g_right * g_right / (n_right + lam)
-            - g_total * g_total / (n_total + lam)
-        )
-    # A candidate closes a non-empty bin and leaves min_child_rows on each side.
-    gain = np.where(nonempty & (np.minimum(n_left, n_right) >= cfg.min_child_rows), gain, -np.inf)
-    best = gain.max(axis=1, keepdims=True)
-    # Bins run in (feature, value) order, so a node's first tied bin is its
-    # lowest (feature, threshold).
-    b = np.argmax(gain >= best - TIE_RTOL * np.abs(best), axis=1)
-    gain = gain[np.arange(n_nodes), b]
-    node = np.flatnonzero(gain > floor)
-    b = b[node]
-    # Bins after b up to the next non-empty one add no rows, so counting the
-    # bins whose prefix count is at most b's gives that bin's index.
-    count = prefix[1, node]
-    b_next = np.count_nonzero(count[:, 1:] <= count[np.arange(len(node)), b + 1, None], axis=1)
-    return node, b, b_next, n_left[node, b], n_right[node, b], gain[node]
+        score = sides.real * sides.real
+        score /= n + cfg.l2_lambda
+        gain = score[0] + score[1]
+        gain -= (total.real * total.real / (total.imag + cfg.l2_lambda))[node_of]
+        gain *= 0.5
+    # A candidate leaves min_child_rows on each side.
+    gain = np.where(np.minimum(n[0], n[1]) >= cfg.min_child_rows, gain, -np.inf)
+    first = node_of.searchsorted(np.arange(n_nodes))
+    best = np.maximum.reduceat(gain, first)
+    # A node's first tied candidate is its lowest (feature, threshold).
+    tied = (gain >= (best - TIE_RTOL * np.abs(best))[node_of]).nonzero()[0]
+    pick = tied[tied.searchsorted(first)]
+    gain = gain[pick]
+    node = (gain > floor).nonzero()[0]
+    pick = pick[node]
+    # A split leaves rows on its right in its own feature, so the next
+    # candidate holds the next non-empty bin.
+    return node, b_of[pick], b_of[pick + 1], n[0, pick], n[1, pick], gain[node]
 
 
 def _build_tree(
-    bins: np.ndarray,
-    bin_value: np.ndarray,
-    edges: np.ndarray,
-    residual: np.ndarray,
-    cfg: GbdtConfig,
-    gain_totals: np.ndarray,
+    bins: _Bins, residual: np.ndarray, cfg: GbdtConfig, gain_totals: np.ndarray
 ) -> tuple[RegressionTree, np.ndarray]:
     """Grow one tree, one level at a time; also return each row's leaf value.
 
-    ``bins`` holds each row's bin per feature; feature f owns bins
-    ``edges[f]`` up to ``edges[f + 1]``, in value order.  Nodes are numbered
-    breadth first.  Each split's gain is added to its feature's total.
+    Nodes are numbered breadth first.  Each split's gain is added to its
+    feature's total.
     """
-    n_rows, n_bins = len(bins), len(bin_value)
-    start = np.repeat(edges[:-1], np.diff(edges))
+    n_rows = len(bins.row_start)
     capacity = min(2 ** (cfg.max_depth + 1), 2 * n_rows) - 1
-    feature, left, split_bin = (np.full(capacity, _LEAF) for _ in range(3))
+    feature = np.full(capacity, _LEAF)
+    # Rows route by one rule at every level: to left[node], plus one when
+    # their column is past split_col[node].  Until a node splits it is its
+    # own left child and no column is past its split_col, so its rows stay
+    # (whatever column they read).
+    left = np.arange(capacity)
+    split_col = np.full(capacity, bins.width)
     threshold = np.zeros(capacity)
     row_node = np.zeros(n_rows, dtype=np.intp)
-    every_row = np.arange(n_rows)
     squared = residual * residual
     open_nodes = np.zeros(int(n_rows >= 2 * cfg.min_child_rows), dtype=np.intp)
-    hist = _histograms(bins, residual, row_node, 1, n_bins)
+    residual_sums = np.bincount(bins.flat, residual.repeat(bins.n_features), bins.width)
+    hist = (residual_sums + bins.root_count)[None]
     n_nodes = 1
     for depth in range(1, cfg.max_depth + 1):
         if not len(open_nodes):
             break
         # A split must beat gamma by more than rounding of its node's sums can.
         floor = cfg.gamma_split_threshold + TIE_RTOL * np.bincount(row_node, squared)[open_nodes]
-        s, b, b_next, n_left, n_right, gain = _best_splits(hist, edges, start, floor, cfg)
+        s, b, b_next, n_left, n_right, gain = _best_splits(hist, bins, floor, cfg)
         parents = open_nodes[s]
-        f = np.searchsorted(edges, b, side="right") - 1
+        f = bins.feature[b]
         np.add.at(gain_totals, f, gain)
-        children = np.arange(n_nodes, n_nodes + 2 * len(s), 2)
-        feature[parents], split_bin[parents], left[parents] = f, b, children
-        lo, hi = bin_value[b], bin_value[b_next]
+        first = n_nodes
+        n_nodes += 2 * len(s)
+        feature[parents], split_col[parents], left[parents] = f, b + 1, np.arange(first, n_nodes, 2)
+        lo, hi = bins.value[b], bins.value[b_next]
         mid = (lo + hi) / 2.0
         threshold[parents] = np.where(mid < hi, mid, lo)
-        # The split nodes' rows move to the right child when past the split bin.
-        f_row = feature[row_node]
-        right = bins[every_row, f_row] > split_bin[row_node]
-        row_node = np.where(f_row == _LEAF, row_node, left[row_node] + right)
+        row_col = bins.flat[bins.row_start + feature[row_node]]
+        row_node = left[row_node] + (row_col > split_col[row_node])
+        # Children, as node - first: split k's are 2k (left) and 2k + 1.
         is_open = np.array([n_left, n_right]).T.ravel() >= 2 * cfg.min_child_rows
-        open_nodes = n_nodes + np.flatnonzero(is_open & (depth < cfg.max_depth))
-        n_nodes += 2 * len(s)
-        if not len(open_nodes):
+        if depth == cfg.max_depth or not is_open.any():
             break
-        # Histograms of the smaller child of each split with an open child;
-        # an open larger child is its parent's minus that one.
-        smaller = children + (n_right < n_left)
-        needed = smaller[is_open[::2] | is_open[1::2]]
-        built = np.full(n_nodes, -1)
-        built[needed] = np.arange(len(needed))
-        k = built[row_node]
-        mine = np.flatnonzero(k >= 0)
-        small = _histograms(bins[mine], residual[mine], k[mine], len(needed), n_bins)
-        j = (open_nodes - children[0]) // 2
-        k = built[smaller[j]]
-        is_small = (open_nodes == smaller[j])[:, None]
-        hist = np.where(is_small, small[:, k], hist[:, s[j]] - small[:, k])
+        open_nodes = first + is_open.nonzero()[0]
+        # Histograms of the smaller child of each split; the larger is its
+        # parent's minus that one.
+        smaller = np.arange(0, n_nodes - first, 2) + (n_right < n_left)
+        is_small = np.zeros(n_nodes, dtype=bool)
+        is_small[first + smaller] = True
+        mine = is_small[row_node].nonzero()[0]
+        child = _histograms(bins, mine, residual, row_node[mine] - first, n_nodes - first)
+        larger = hist[s] - child[smaller]
+        # A bin the larger child has no rows in holds rounding of the
+        # subtraction; its sum is 0.
+        larger.real *= larger.imag != 0.0
+        child[smaller ^ 1] = larger
+        hist = child[open_nodes - first]
     # Internal nodes hold no rows, so their value is 0.
     count = np.maximum(np.bincount(row_node, minlength=n_nodes), 1)
     value = np.bincount(row_node, residual, n_nodes) / (count + cfg.l2_lambda)
-    right = np.where(feature == _LEAF, _LEAF, left + 1)
+    is_leaf = feature == _LEAF
+    left[is_leaf] = _LEAF
+    right = np.where(is_leaf, _LEAF, left + 1)
     arrays = (feature, threshold, left, right, value)
     return RegressionTree(*(a[:n_nodes].tolist() for a in arrays)), value[row_node]
 
@@ -253,16 +272,13 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
     # the order in which every sum below adds rows.
     order = np.lexsort((matrix.target, *matrix.rows.T[::-1]))
     X, y = matrix.rows[order], matrix.target[order]
-    values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.T))
-    edges = np.cumsum([0, *map(len, values)])
-    bins = np.column_stack(ranks) + edges[:-1]
-    bin_value = np.concatenate(values)
+    bins = _Bins(X)
     base = float(y.mean())
-    gain_totals = np.zeros(len(edges) - 1)
+    gain_totals = np.zeros(bins.n_features)
     trees: list[RegressionTree] = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
-        tree, leaf_value = _build_tree(bins, bin_value, edges, y - prediction, cfg, gain_totals)
+        tree, leaf_value = _build_tree(bins, y - prediction, cfg, gain_totals)
         trees.append(tree)
         prediction = prediction + cfg.learning_rate * leaf_value
     train_prediction = np.empty(len(y))
@@ -278,14 +294,40 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
 
 
 def predict_gbdt(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
+    """The base score plus each tree's leaf value times the learning rate,
+    added tree by tree in order.
+
+    The trees' nodes are stacked into one set of arrays and all trees are
+    walked at once, a level per step.  A leaf is its own child, so rows that
+    reached one stay (whatever column they read).
+    """
     if list(matrix.columns) != list(model.feature_names):
         raise SchemaMismatchError(
             f"matrix columns {matrix.columns} != model features {model.feature_names}"
         )
     out = np.full(len(matrix), model.base_score)
+    if not model.trees:
+        return out
+    feature, threshold, left, right, value = (
+        np.array([v for tree in model.trees for v in getattr(tree, name)])
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+    sizes = [len(tree.feature) for tree in model.trees]
+    root = np.cumsum([0, *sizes[:-1]])
+    is_leaf, own, offset = feature == _LEAF, np.arange(len(feature)), np.repeat(root, sizes)
+    left, right = (np.where(is_leaf, own, child + offset) for child in (left, right))
     X = np.ascontiguousarray(matrix.rows)
-    for tree in model.trees:
-        out += model.config.learning_rate * tree.predict(X)
+    for r0 in range(0, len(X), _PREDICT_ROWS):
+        rows = slice(r0, r0 + _PREDICT_ROWS)
+        flat = X[rows].ravel()
+        row_start = np.arange(0, flat.size, X.shape[1])
+        # node[t, r]: where row r stands in tree t.
+        node = np.repeat(root[:, None], len(row_start), axis=1)
+        while not is_leaf[node].all():
+            goes_left = flat[row_start + feature[node]] <= threshold[node]
+            node = np.where(goes_left, left[node], right[node])
+        for leaf_value in model.config.learning_rate * value[node]:
+            out[rows] += leaf_value
     return out
 
 

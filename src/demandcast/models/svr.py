@@ -204,18 +204,20 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     diag = K.diagonal().copy()
     C, eps = cfg.C, cfg.epsilon
 
-    theta = np.zeros(2 * n)
+    theta = [0.0] * (2 * n)
     # q_u = s_u * grad_u of the minimisation form; at theta = 0 the gradient
-    # is [eps - y; eps + y], so q starts at [eps - y; -eps - y].
-    q = np.concatenate([eps - yz, -eps - yz])
-    q2 = q.reshape(2, n)  # view: a gradient step adds the same h to both halves
-    # Working-set penalties (see _penalties), kept in place: a pair update
-    # moves only theta_i and theta_j, so only their entries change.
-    pen_lo = np.empty(2 * n)
-    pen_hi = np.empty(2 * n)
-    pen_lo[:n], pen_hi[:n] = _penalties(0.0, True, C)
-    pen_lo[n:], pen_hi[n:] = _penalties(0.0, False, C)
-    q_lo = np.empty(2 * n)
+    # is [eps - y; eps + y], so q starts at [eps - y; -eps - y].  It is kept
+    # as two copies with the working-set penalties (see _penalties) added:
+    # q_lo = q + lo penalty and q_hi = q + hi penalty.  A penalty is 0 or
+    # infinite, so adding a gradient step to a copy gives the bits of
+    # adding it to q first, and a pair update rewrites only the entries of
+    # theta_i and theta_j.
+    q_pen = np.empty((2, 2 * n))
+    q_lo, q_hi = q_pen
+    for half, plus, start in ((slice(None, n), True, eps - yz), (slice(n, None), False, -eps - yz)):
+        pen_lo, pen_hi = _penalties(0.0, plus, C)
+        q_lo[half], q_hi[half] = start + pen_lo, start + pen_hi
+    q_step = q_pen.reshape(4, n)  # view: a gradient step adds the same h to each quarter
     gap = np.empty(2 * n)
     gain = np.empty(2 * n)
     gain2 = gain.reshape(2, n)
@@ -231,12 +233,11 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     for sweep in range(cfg.max_passes):
         progressed = False
         for _ in range(n):
-            np.add(q, pen_lo, out=q_lo)
-            i = int(np.argmax(q_lo))
+            i = int(q_lo.argmax())
+            q_i = float(q_lo[i])
             # gap_t = q_i - q_t on the hi set and -inf off it; its maximum
             # is q_i minus the hi-set minimum of q, the KKT violation.
-            np.subtract(q_lo[i], q, out=gap)
-            gap -= pen_hi
+            np.subtract(q_i, q_hi, out=gap)
             violation = float(gap.max())
             if violation <= cfg.smo_tolerance:
                 converged = True
@@ -247,49 +248,54 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             # lowest index.  Clipping gap at 0 gives every other index a
             # gain of 0, below any candidate's unless all of those underflow.
             bi = i % n
-            np.multiply(K[bi], 2.0, out=h)
-            np.add(diag, K[bi, bi], out=curv)
+            K_i = K[bi]
+            np.multiply(K_i, 2.0, out=h)
+            np.add(diag, K_i[bi], out=curv)
             curv -= h
             np.maximum(curv, _TINY, out=curv)
             np.maximum(gap, 0.0, out=gap)
             np.multiply(gap, gap, out=gain)
             gain2 /= curv
-            j = int(np.argmax(gain))
+            j = int(gain.argmax())
             if gain[j] == 0.0:
-                j = int(np.argmax(gap > 0.0))
+                j = int((gap > 0.0).argmax())
             bj = j % n
-            step = -(q[i] - q[j]) / curv[bj]
+            q_j = float(q_hi[j])
+            step = -(q_i - q_j) / float(curv[bj])
             # theta_i moves by s_i*step and theta_j by -s_j*step; clip the
             # step so both stay inside [0, C].
-            s_i = 1.0 if i < n else -1.0
-            s_j = 1.0 if j < n else -1.0
-            if s_i > 0:
-                lo_i, hi_i = -theta[i], C - theta[i]
+            t_i, t_j = theta[i], theta[j]
+            if i < n:
+                s_i, lo_i, hi_i = 1.0, -t_i, C - t_i
             else:
-                lo_i, hi_i = theta[i] - C, theta[i]
-            if s_j > 0:
-                lo_j, hi_j = theta[j] - C, theta[j]
+                s_i, lo_i, hi_i = -1.0, t_i - C, t_i
+            if j < n:
+                s_j, lo_j, hi_j = 1.0, t_j - C, t_j
             else:
-                lo_j, hi_j = -theta[j], C - theta[j]
+                s_j, lo_j, hi_j = -1.0, -t_j, C - t_j
             step = min(max(step, lo_i, lo_j), hi_i, hi_j)
             if step == 0.0:
                 break
-            theta[i] = min(max(theta[i] + s_i * step, 0.0), C)
-            theta[j] = min(max(theta[j] - s_j * step, 0.0), C)
-            pen_lo[i], pen_hi[i] = _penalties(theta[i], i < n, C)
-            pen_lo[j], pen_hi[j] = _penalties(theta[j], j < n, C)
-            np.subtract(K[bi], K[bj], out=h)
+            theta[i] = t_i = min(max(t_i + s_i * step, 0.0), C)
+            theta[j] = t_j = min(max(t_j - s_j * step, 0.0), C)
+            pen_lo, pen_hi = _penalties(t_i, i < n, C)
+            q_lo[i], q_hi[i] = q_i + pen_lo, q_i + pen_hi
+            pen_lo, pen_hi = _penalties(t_j, j < n, C)
+            q_lo[j], q_hi[j] = q_j + pen_lo, q_j + pen_hi
+            np.subtract(K_i, K[bj], out=h)
             h *= step
-            q2 += h
+            q_step += h
             pair_updates += 1
             progressed = True
         # On the plus half q_k = (K beta)_k + eps - yz_k, so the dual
         # objective yz'beta - eps*sum(theta) - beta'K beta / 2 needs no
-        # kernel pass.
-        beta = theta[:n] - theta[n:]
-        K_beta = q[:n] - eps + yz
+        # kernel pass.  An index is in the lo set or the hi set, where its
+        # copy of q carries no penalty.
+        theta_a = np.array(theta)
+        beta = theta_a[:n] - theta_a[n:]
+        K_beta = np.where(q_lo[:n] == -np.inf, q_hi[:n], q_lo[:n]) - eps + yz
         trace.append(
-            float(np.einsum("i,i->", yz, beta) - eps * theta.sum() - 0.5 * np.einsum("i,i->", beta, K_beta))
+            float(np.einsum("i,i->", yz, beta) - eps * theta_a.sum() - 0.5 * np.einsum("i,i->", beta, K_beta))
         )
         sweeps_done = sweep + 1
         if converged or not progressed:
@@ -303,9 +309,8 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
             cfg.smo_tolerance,
         )
 
-    bias = -(float((q + pen_lo).max()) + float((q + pen_hi).min())) / 2.0
-
-    beta = theta[:n] - theta[n:]
+    bias = -(float(q_lo.max()) + float(q_hi.min())) / 2.0
+    # beta and K_beta are the last sweep's, which left theta as it is.
     sv = np.abs(beta) > _TINY
     model = SvrModel(
         config=cfg,
@@ -328,7 +333,7 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     # For a trained row k, q_k = (K beta)_k + eps - yz_k, so its decision
     # value needs no kernel pass.  Only rows the cap dropped are predicted.
     model.train_prediction = np.empty(len(matrix))
-    model.train_prediction[kept] = y_mean + y_std * (q[:n] - eps + yz + bias)
+    model.train_prediction[kept] = y_mean + y_std * (K_beta + bias)
     if n < len(matrix):
         dropped = np.ones(len(matrix), dtype=bool)
         dropped[kept] = False

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from demandcast.data import SalesTable, fill_gaps, sort_chronological
-from demandcast.features import LAGS, FeatureMatrix
+from demandcast.config import bundled_sample_stream
+from demandcast.data import SalesTable, SplitSpec, fill_gaps, parse_sales_csv, sort_chronological
+from demandcast.features import LAGS, FeatureMatrix, HolidayCalendar, build_train_test_matrices
 
 
 def make_matrix(X, y, dates=None, store="1", item="1", columns=None) -> FeatureMatrix:
@@ -23,6 +24,19 @@ def make_matrix(X, y, dates=None, store="1", item="1", columns=None) -> FeatureM
         dates=np.asarray(dates, dtype=np.int64),
         stores=np.full(n, store, dtype=np.str_),
         items=np.full(n, item, dtype=np.str_),
+    )
+
+
+def bundled_series(external, store, item):
+    """One series' train and test matrices of the default bundled run."""
+    with bundled_sample_stream() as stream:
+        table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
+    split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 12, 31))
+    calendar = HolidayCalendar.bundled() if external else None
+    train, test = build_train_test_matrices(table, split, external, calendar)
+    return tuple(
+        m.select_rows(np.flatnonzero((m.stores == store) & (m.items == item)))
+        for m in (train, test)
     )
 
 

@@ -32,7 +32,7 @@ from demandcast.models.trend_seasonal import (
 )
 from demandcast.synthetic import generate_sales_table
 
-from conftest import make_matrix, make_table
+from conftest import bundled_series, make_matrix, make_table
 from test_gbdt import assert_same_tree, oracle_tree
 from test_svr import brute_force_dual, kkt_violation
 from test_trend_seasonal import base_slope
@@ -510,6 +510,31 @@ def test_bundled_bytes_pinned(bundled_run):
         for path in paths:
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == BUNDLED_OTHERS_SHA256
+
+
+# The default run saves no models, so the pins above see a model's internals
+# only through its forecasts.  These pin the saved artifact of one S1 and
+# one S2 series of the bundled sample: a change to any tree, leaf value or
+# support vector fails here at once.  On numpy 2.4.
+MODEL_SHA256 = {
+    # (external features, store, item): (gbdt, svr)
+    (False, "2", "5"): (
+        "62340bb89d79523ef58d6b75aeb8141c4684436b22c703932f5bcea96d0d1d9f",
+        "3dcf72127eaeb905b8a18eacb0a85bbfe4fbb718b14188ceadf0a3c7ea956c79",
+    ),
+    (True, "1", "1"): (
+        "d402688481498b0a260a2ec2b1c98cce5e754877236e61bd3fdd4fd0f1032b07",
+        "5e022c08b7c34e80ff3815566c97fe1c7211e3a29fd64a601c782b6f7f761b94",
+    ),
+}
+
+
+def test_model_artifacts_pinned():
+    with criterion("model_artifacts_pinned"):
+        for series, expected in MODEL_SHA256.items():
+            train, _ = bundled_series(*series)
+            docs = (json.dumps(fit(train).to_dict()) for fit in (fit_gbdt, fit_svr))
+            assert tuple(hashlib.sha256(d.encode()).hexdigest() for d in docs) == expected, series
 
 
 # --- 14. a gappy run's bytes, pinned -------------------------------------------------

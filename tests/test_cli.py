@@ -123,6 +123,11 @@ BAD_CONFIGS = [
     ("simulate", {"simulation": {"holding_cost": -1.0}}),
     ("simulate", {"simulation": {"emergency_cost": -5.0}}),
     ("simulate", {"simulation": {"overstock_multiplier": -2.0}}),
+    # NaN and the infinities, which json.dumps writes but JSON has not.
+    ("evaluate", {"model_overrides": {"svr": {"C": float("nan")}}}),
+    ("evaluate", {"model_overrides": {"svr": {"smo_tolerance": float("nan")}}}),
+    ("simulate", {"simulation": {"holding_cost": float("inf")}}),
+    ("simulate", {"simulation": {"emergency_cost": float("-inf")}}),
 ]
 
 # Values one level down, each with the field and key its message must name.

@@ -1,4 +1,3 @@
-import datetime as dt
 import json
 
 import numpy as np
@@ -7,10 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from demandcast.config import bundled_sample_stream
-from demandcast.data import SplitSpec, fill_gaps, parse_sales_csv, sort_chronological
 from demandcast.errors import NoSplitsError, SchemaMismatchError
-from demandcast.features import HolidayCalendar, build_train_test_matrices
 from demandcast.models.gbdt import (
     GbdtConfig,
     GbdtModel,
@@ -21,7 +17,7 @@ from demandcast.models.gbdt import (
     predict_gbdt,
 )
 
-from conftest import make_matrix
+from conftest import bundled_series, make_matrix
 
 
 # Independent greedy-tree oracle: evaluates every (feature, threshold)
@@ -187,6 +183,33 @@ def reference_fit(matrix, cfg):
     return GbdtModel(cfg, base, trees, list(matrix.columns), gain_totals, prediction)
 
 
+# Prediction oracle: each tree walked on its own, all rows a level at a
+# time, and the trees' leaf values added in order.
+def tree_predict(tree, X):
+    feature = np.asarray(tree.feature)
+    threshold = np.asarray(tree.threshold)
+    left = np.asarray(tree.left)
+    right = np.asarray(tree.right)
+    value = np.asarray(tree.value)
+    node = np.zeros(len(X), dtype=np.int64)
+    while True:
+        internal = feature[node] != -1
+        if not internal.any():
+            break
+        idx = np.flatnonzero(internal)
+        f = feature[node[idx]]
+        goes_left = X[idx, f] <= threshold[node[idx]]
+        node[idx] = np.where(goes_left, left[node[idx]], right[node[idx]])
+    return value[node]
+
+
+def oracle_predict(model, matrix):
+    out = np.full(len(matrix), model.base_score)
+    for tree in model.trees:
+        out += model.config.learning_rate * tree_predict(tree, matrix.rows)
+    return out
+
+
 def walk(tree, node=0):
     """A tree's splits and leaf values from the root, whatever its node numbering."""
     if tree.feature[node] == -1:
@@ -280,6 +303,55 @@ def test_presorted_fit_matches_per_node_sort_reference(problem):
     assert np.array_equal(model.train_prediction, predict_gbdt(model, matrix))
 
 
+# Thresholds the drawn trees split at; rows take these values too, so some
+# lie exactly on a threshold.
+CUTS = (-1.0, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def hand_built_models(draw):
+    """Models of trees of any shape: single leaves, unequal depths, nodes
+    numbered depth first, and matrices of one row or more."""
+    n_features = draw(st.integers(1, 3))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+    def tree(max_depth):
+        tree = RegressionTree()
+
+        def grow(depth):
+            node = add_node(tree)
+            if depth < max_depth and draw(st.booleans()):
+                tree.feature[node] = draw(st.integers(0, n_features - 1))
+                tree.threshold[node] = draw(st.sampled_from(CUTS))
+                tree.left[node] = grow(depth + 1)
+                tree.right[node] = grow(depth + 1)
+            else:
+                tree.value[node] = draw(values)
+            return node
+
+        grow(0)
+        return tree
+
+    trees = [tree(draw(st.integers(0, 4))) for _ in range(draw(st.integers(0, 6)))]
+    cfg = GbdtConfig(n_trees=len(trees), learning_rate=draw(st.sampled_from([0.1, 0.3, 1.0])))
+    columns = [f"f{j}" for j in range(n_features)]
+    model = GbdtModel(cfg, draw(values), trees, columns, dict.fromkeys(columns, 0.0))
+    n_rows = draw(st.integers(1, 8))
+    cells = st.sampled_from(CUTS + (-3.0, 0.25, 1.0, 7.5))
+    X = draw(arrays(np.float64, (n_rows, n_features), elements=cells))
+    return model, make_matrix(X, np.zeros(n_rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_models())
+def test_batched_predict_matches_tree_by_tree_oracle(problem):
+    model, matrix = problem
+    assert np.array_equal(predict_gbdt(model, matrix), oracle_predict(model, matrix))
+    for r in range(len(matrix)):
+        row = matrix.select_rows(np.array([r]))
+        assert np.array_equal(predict_gbdt(model, row), oracle_predict(model, row))
+
+
 def test_ulp_adjacent_values_split_apart():
     # (a + b) / 2 rounds onto b for these two doubles; the split must still
     # send a left and b right.
@@ -329,19 +401,6 @@ def test_presorted_fit_matches_reference_on_continuous_features():
     assert_matches_reference(fit_gbdt(m, cfg), reference_fit(m, cfg))
 
 
-def bundled_series(external, store, item):
-    """One series' train and test matrices of the default bundled run."""
-    with bundled_sample_stream() as stream:
-        table, _ = fill_gaps(sort_chronological(parse_sales_csv(stream).table))
-    split = SplitSpec(dt.date(2017, 7, 31), dt.date(2017, 12, 31))
-    calendar = HolidayCalendar.bundled() if external else None
-    train, test = build_train_test_matrices(table, split, external, calendar)
-    return tuple(
-        m.select_rows(np.flatnonzero((m.stores == store) & (m.items == item)))
-        for m in (train, test)
-    )
-
-
 @pytest.mark.parametrize("external, store, item", [(False, "2", "9"), (True, "1", "10")])
 def test_bundled_series_match_presorted_reference(external, store, item):
     # S1 (2, 9) has the most distinct lag values of the sample; S2 (1, 10)
@@ -353,6 +412,8 @@ def test_bundled_series_match_presorted_reference(external, store, item):
     assert_children_hold_min_rows(model, train)
     # The rows are summed in one canonical order, so a permuted training
     # matrix fits bit for bit the same.
+    # More rows than predict_gbdt walks at a time.
+    assert np.array_equal(predict_gbdt(model, train), model.train_prediction)
     perm = np.random.default_rng(7).permutation(len(train))
     shuffled = fit_gbdt(train.select_rows(perm), cfg)
     assert np.array_equal(shuffled.train_prediction, model.train_prediction[perm])
@@ -423,7 +484,7 @@ def test_training_mse_non_increasing_in_trees():
     pred = np.full(len(y), model.base_score)
     last = np.mean((y - pred) ** 2)
     for tree in model.trees:
-        pred = pred + model.config.learning_rate * tree.predict(m.rows)
+        pred = pred + model.config.learning_rate * tree_predict(tree, m.rows)
         mse = np.mean((y - pred) ** 2)
         assert mse <= last + 1e-12
         last = mse

@@ -22,7 +22,7 @@ from demandcast.models.svr import (
     rbf_kernel,
 )
 
-from conftest import make_matrix
+from conftest import bundled_series, make_matrix
 
 
 def dual_objective(beta, theta, K, y, eps):
@@ -243,6 +243,18 @@ def test_in_place_working_set_matches_rebuilt_reference(problem):
     predicted = predict_svr(model, matrix)
     scale = max(1.0, float(np.abs(matrix.target).max()))
     assert np.abs(model.train_prediction - predicted).max() <= 1e-9 * scale
+
+
+def test_bundled_series_matches_rebuilt_reference():
+    # S2, store 1, item 10: the 1,645 rows of a real fit, beyond what the
+    # drawn problems reach.
+    train, _ = bundled_series(True, "1", "10")
+    assert len(train) == 1645
+    model = fit_svr(train)
+    expected, _ = reference_fit(train, SvrConfig())
+    assert model.to_dict() == expected.to_dict()
+    assert model.dual_objective_trace == expected.dual_objective_trace
+    assert model.pair_updates == expected.pair_updates > 1000
 
 
 def exact_dual(Xz, y, C, eps, gamma):
