@@ -40,9 +40,9 @@ logger = logging.getLogger(__name__)
 _LEAF = -1
 # Relative tolerance under which gains tie (see the module docstring).
 TIE_RTOL = 1e-9
-# Rows predict_gbdt walks at a time, which bounds its arrays of one entry
-# per (tree, row).
-_PREDICT_ROWS = 1024
+# (tree, row) entries predict_gbdt walks at a time, which bounds its arrays
+# of one entry per (tree, row) whatever the number of trees.
+_PREDICT_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -236,14 +236,15 @@ def _build_tree(
         if depth == cfg.max_depth or not is_open.any():
             break
         open_nodes = first + is_open.nonzero()[0]
-        # Histograms of the smaller child of each split; the larger is its
-        # parent's minus that one.
-        smaller = np.arange(0, n_nodes - first, 2) + (n_right < n_left)
+        # Histograms of the smaller child of each split with an open child;
+        # the larger is its parent's minus that one.
+        needed = (is_open[::2] | is_open[1::2]).nonzero()[0]
+        smaller = 2 * needed + (n_right[needed] < n_left[needed])
         is_small = np.zeros(n_nodes, dtype=bool)
         is_small[first + smaller] = True
         mine = is_small[row_node].nonzero()[0]
         child = _histograms(bins, mine, residual, row_node[mine] - first, n_nodes - first)
-        larger = hist[s] - child[smaller]
+        larger = hist[s[needed]] - child[smaller]
         # A bin the larger child has no rows in holds rounding of the
         # subtraction; its sum is 0.
         larger.real *= larger.imag != 0.0
@@ -317,8 +318,9 @@ def predict_gbdt(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
     is_leaf, own, offset = feature == _LEAF, np.arange(len(feature)), np.repeat(root, sizes)
     left, right = (np.where(is_leaf, own, child + offset) for child in (left, right))
     X = np.ascontiguousarray(matrix.rows)
-    for r0 in range(0, len(X), _PREDICT_ROWS):
-        rows = slice(r0, r0 + _PREDICT_ROWS)
+    block = max(1, _PREDICT_ENTRIES // len(model.trees))
+    for r0 in range(0, len(X), block):
+        rows = slice(r0, r0 + block)
         flat = X[rows].ravel()
         row_start = np.arange(0, flat.size, X.shape[1])
         # node[t, r]: where row r stands in tree t.

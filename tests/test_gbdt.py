@@ -11,6 +11,7 @@ from demandcast.models.gbdt import (
     GbdtConfig,
     GbdtModel,
     TIE_RTOL,
+    _PREDICT_ENTRIES,
     RegressionTree,
     feature_importance,
     fit_gbdt,
@@ -352,6 +353,27 @@ def test_batched_predict_matches_tree_by_tree_oracle(problem):
         assert np.array_equal(predict_gbdt(model, row), oracle_predict(model, row))
 
 
+def test_batched_predict_of_many_trees_matches_oracle_across_blocks():
+    # Stumps and single leaves; values and thresholds on a 0.1 grid, so some
+    # rows lie on a threshold.
+    rng = np.random.default_rng(5)
+    n_trees, n_rows = 2000, 300
+    trees = []
+    for t in range(n_trees):
+        if t % 7 == 0:
+            trees.append(RegressionTree([-1], [0.0], [-1], [-1], [float(rng.normal())]))
+        else:
+            trees.append(RegressionTree(
+                [int(rng.integers(3)), -1, -1], [float(np.round(rng.normal(), 1)), 0.0, 0.0],
+                [1, -1, -1], [2, -1, -1], [0.0, *rng.normal(size=2).tolist()],
+            ))
+    columns = ["f0", "f1", "f2"]
+    model = GbdtModel(GbdtConfig(n_trees=n_trees), 0.5, trees, columns, dict.fromkeys(columns, 0.0))
+    matrix = make_matrix(np.round(rng.normal(size=(n_rows, 3)), 1), np.zeros(n_rows))
+    assert n_rows > 4 * (_PREDICT_ENTRIES // n_trees)
+    assert np.array_equal(predict_gbdt(model, matrix), oracle_predict(model, matrix))
+
+
 def test_ulp_adjacent_values_split_apart():
     # (a + b) / 2 rounds onto b for these two doubles; the split must still
     # send a left and b right.
@@ -410,10 +432,10 @@ def test_bundled_series_match_presorted_reference(external, store, item):
     model = fit_gbdt(train, cfg)
     assert_matches_reference(model, reference_fit(train, cfg))
     assert_children_hold_min_rows(model, train)
-    # The rows are summed in one canonical order, so a permuted training
-    # matrix fits bit for bit the same.
     # More rows than predict_gbdt walks at a time.
     assert np.array_equal(predict_gbdt(model, train), model.train_prediction)
+    # The rows are summed in one canonical order, so a permuted training
+    # matrix fits bit for bit the same.
     perm = np.random.default_rng(7).permutation(len(train))
     shuffled = fit_gbdt(train.select_rows(perm), cfg)
     assert np.array_equal(shuffled.train_prediction, model.train_prediction[perm])
