@@ -7,6 +7,7 @@ failed.  Fatal errors also emit a machine-readable JSON document on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -60,14 +61,14 @@ def _emit_error(exit_code: int, message: str) -> None:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "data_path": getattr(args, "data", None),
-        "output_dir": getattr(args, "out", None),
-        "granularity": getattr(args, "granularity", None),
-        "deviation_mode": getattr(args, "deviation_mode", None),
-        "workers": getattr(args, "workers", None),
+    flags = {
+        "data_path": args.data,
+        "output_dir": args.out,
+        "granularity": args.granularity,
+        "deviation_mode": args.deviation_mode,
+        "workers": args.workers,
     }
-    cfg = cfg.apply_overrides(**overrides)
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     cfg.validate()
     return cfg
 
@@ -75,12 +76,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def _load_clean_table(cfg: RunConfig):
     """Parse, order, and gap-fill the configured dataset."""
     schema = cfg.schema or None
-    extras = tuple(cfg.extra_columns)
     if cfg.data_path is None:
         with bundled_sample_stream() as stream:
-            result = parse_sales_csv(stream, schema=schema, extra_columns=extras)
+            result = parse_sales_csv(stream, schema=schema)
     else:
-        result = parse_sales_csv(cfg.data_path, schema=schema, extra_columns=extras)
+        result = parse_sales_csv(cfg.data_path, schema=schema)
     table = sort_chronological(result.table)
     filled, gaps = fill_gaps(table)
     return result, filled, gaps

@@ -67,7 +67,6 @@ class RunConfig:
     data_path: str | None = None  # None -> bundled sample data
     holiday_calendar_path: str | None = None  # None -> bundled calendar
     schema: dict[str, str] = field(default_factory=dict)  # logical -> header name
-    extra_columns: list[str] = field(default_factory=list)
     granularity: str = "per-series"
     train_end: str = "2017-07-31"  # the test window starts the day after
     test_end: str = "2017-12-31"
@@ -96,10 +95,6 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    def apply_overrides(self, **flags: Any) -> "RunConfig":
-        updates = {k: v for k, v in flags.items() if v is not None}
-        return dataclasses.replace(self, **updates)
-
     def validate(self) -> None:
         """Check every value at load: any bad one raises ConfigError.
 
@@ -112,7 +107,6 @@ class RunConfig:
         for name, values in (
             ("scenarios", self.scenarios),
             ("models", self.models),
-            ("extra_columns", self.extra_columns),
             ("schema", list(self.schema.values())),
         ):
             if any(type(v) is not str for v in values):

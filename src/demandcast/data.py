@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class SalesTable:
         "item_ids",
         "quantities",
         "imputed",
-        "extras",
         "series_index",
         "coverage",
         "is_sorted",
@@ -125,7 +124,6 @@ class SalesTable:
         item_ids: np.ndarray,
         quantities: np.ndarray,
         imputed: np.ndarray | None = None,
-        extras: Mapping[str, np.ndarray] | None = None,
         is_sorted: bool = False,
     ):
         n = len(dates)
@@ -138,10 +136,6 @@ class SalesTable:
         if imputed is None:
             imputed = np.zeros(n, dtype=bool)
         self.imputed = _freeze(np.asarray(imputed, dtype=bool))
-        self.extras = {
-            name: _freeze(np.asarray(col, dtype=np.float64))
-            for name, col in (extras or {}).items()
-        }
         self.is_sorted = is_sorted
         if n:
             lo = int(self.dates.min())
@@ -184,7 +178,6 @@ def _parse_date(text: str) -> int:
 def parse_sales_csv(
     source,
     schema: Mapping[str, str] | None = None,
-    extra_columns: Sequence[str] = (),
 ) -> IngestResult:
     """Parse a UTF-8 sales CSV, given as a path or a binary stream, into a :class:`SalesTable`.
 
@@ -192,10 +185,8 @@ def parse_sales_csv(
     the header names actually present.  Rows that fail to parse, or that
     violate the quantity invariant (finite, non-negative), are collected as
     :class:`MalformedRow` and skipped; ingestion aborts when more than 1% of
-    data rows are malformed.
-
-    ``extra_columns`` names additional numeric columns (e.g. locally recorded
-    promotion or weather indices) to carry through unchanged.
+    data rows are malformed.  Header names the schema does not map to are
+    ignored.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -218,22 +209,14 @@ def parse_sales_csv(
             if name not in header:
                 raise MalformedInputError(f"missing required column {name!r} in header")
             positions[logical] = header.index(name)
-        extra_pos = {}
-        for name in extra_columns:
-            if name not in header:
-                raise MalformedInputError(f"missing extra column {name!r} in header")
-            extra_pos[name] = header.index(name)
 
         dates: list[int] = []
         stores: list[str] = []
         items: list[str] = []
         quantities: list[float] = []
-        extras: dict[str, list[float]] = {name: [] for name in extra_columns}
         malformed: list[MalformedRow] = []
         rows_read = 0
         needed = max(positions.values(), default=0)
-        if extra_pos:
-            needed = max(needed, max(extra_pos.values()))
 
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -263,23 +246,10 @@ def parse_sales_csv(
             if qty < 0:
                 malformed.append(MalformedRow(lineno, "negative quantity"))
                 continue
-            extra_vals = {}
-            bad_extra = None
-            for name, pos in extra_pos.items():
-                try:
-                    extra_vals[name] = float(row[pos])
-                except ValueError:
-                    bad_extra = name
-                    break
-            if bad_extra is not None:
-                malformed.append(MalformedRow(lineno, f"unparseable {bad_extra}"))
-                continue
             dates.append(ordinal)
             stores.append(store)
             items.append(item)
             quantities.append(qty)
-            for name, val in extra_vals.items():
-                extras[name].append(val)
 
     if rows_read == 0:
         raise EmptyInputError("input has a header but zero data rows")
@@ -297,7 +267,6 @@ def parse_sales_csv(
         np.array(stores, dtype=np.str_),
         np.array(items, dtype=np.str_),
         np.array(quantities, dtype=np.float64),
-        extras={name: np.array(vals, dtype=np.float64) for name, vals in extras.items()},
     )
     return IngestResult(table=table, malformed=malformed, rows_read=rows_read)
 
@@ -315,7 +284,6 @@ def sort_chronological(table: SalesTable) -> SalesTable:
         table.item_ids[order],
         table.quantities[order],
         table.imputed[order],
-        {name: col[order] for name, col in table.extras.items()},
         is_sorted=True,
     )
     same_series = (out.store_ids[1:] == out.store_ids[:-1]) & (
@@ -336,9 +304,8 @@ def fill_gaps(table: SalesTable) -> tuple[SalesTable, GapReport]:
     """Fill missing calendar days inside each series.
 
     A run of k missing days between observed quantities a and b is filled
-    with a + j*(b-a)/(k+1) for j=1..k; extra columns carry the value of the
-    observation before the gap.  Filled rows are flagged imputed.  Each
-    series keeps its own first and last observed day.
+    with a + j*(b-a)/(k+1) for j=1..k, and flagged imputed.  Each series
+    keeps its own first and last observed day.
     """
     table._require_sorted()
     if not len(table):
@@ -354,8 +321,7 @@ def fill_gaps(table: SalesTable) -> tuple[SalesTable, GapReport]:
     missing[pos] = False
     gaps = np.flatnonzero(missing)
     # Every gap lies between two observations of its own series, so the
-    # observation before it, and the interpolation, never cross series.
-    prev = np.searchsorted(pos, gaps, side="right") - 1
+    # interpolation never crosses series.
 
     def spread(observed: np.ndarray, gap_values) -> np.ndarray:
         col = np.empty(n_out, dtype=observed.dtype)
@@ -370,7 +336,6 @@ def fill_gaps(table: SalesTable) -> tuple[SalesTable, GapReport]:
         np.repeat(table.item_ids[lo], lengths),
         spread(q, np.interp(gaps, pos, q)),
         spread(table.imputed, True),
-        {name: spread(col, col[prev]) for name, col in table.extras.items()},
         is_sorted=True,
     )
     imputed = lengths - (hi - lo)
@@ -382,9 +347,7 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
 
     AGGREGATE sums quantities across all series per date into one synthetic
     series with store and item ids "ALL"; a date is flagged imputed when any
-    contributing row was.  Extra passthrough columns have no meaningful sum
-    across items and are dropped with a warning.  PER_SERIES returns the
-    table unchanged.
+    contributing row was.  PER_SERIES returns the table unchanged.
     """
     if mode is Granularity.PER_SERIES:
         return table
@@ -398,8 +361,6 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
     sums = np.bincount(offsets, weights=table.quantities, minlength=n_days)
     imputed_any = np.bincount(offsets, weights=table.imputed, minlength=n_days) > 0
     present = np.bincount(offsets, minlength=n_days) > 0
-    if table.extras:
-        logger.warning("aggregate drops extra columns: %s", sorted(table.extras))
     dates = np.arange(lo, hi + 1, dtype=np.int64)[present]
     return SalesTable(
         dates,
@@ -413,16 +374,14 @@ def aggregate(table: SalesTable, mode: Granularity) -> SalesTable:
 
 def write_sales_csv(table: SalesTable, path: str | Path) -> None:
     """Export in the input schema plus an imputed (0/1) column."""
-    extra_names = sorted(table.extras)
     columns = [
         iso_dates(table.dates),
         table.store_ids.tolist(),
         table.item_ids.tolist(),
         table.quantities.tolist(),
         table.imputed.astype(np.int64).tolist(),
-        *(table.extras[name].tolist() for name in extra_names),
     ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "store", "item", "sales", "imputed"] + extra_names)
+        writer.writerow(["date", "store", "item", "sales", "imputed"])
         writer.writerows(zip(*columns))

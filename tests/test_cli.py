@@ -145,6 +145,7 @@ NESTED_BAD_CONFIGS = [
     ("evaluate", {"models": ["naive", 5]}, "models"),
     ("evaluate", {"schema": {"date": 5}}, "schema"),
     ("evaluate", {"extra_columns": [5]}, "extra_columns"),
+    ("evaluate", {"extra_columns": ["promo"]}, "extra_columns"),
 ]
 
 

@@ -79,14 +79,13 @@ def test_parse_missing_column():
         parse_bytes(b"date,shop,item,sales\n2013-01-01,1,1,5\n")
 
 
-def test_parse_schema_remap_and_extras():
+def test_parse_schema_remap_ignores_unnamed_columns():
     res = parse_bytes(
         b"day,s,i,qty,promo\n2013-01-01,1,1,5,0.5\n",
         schema={"date": "day", "store": "s", "item": "i", "sales": "qty"},
-        extra_columns=("promo",),
     )
     assert len(res.table) == 1
-    assert res.table.extras["promo"][0] == 0.5
+    assert res.table.quantities[0] == 5.0
 
 
 def test_sort_orders_by_date():
@@ -193,8 +192,7 @@ def test_fill_gaps_interpolation_bounded_by_anchors():
 @st.composite
 def gappy_tables(draw):
     """Up to five series in shuffled row order, each with its own first day,
-    length and missing days, an extra column, and some rows already flagged
-    imputed."""
+    length and missing days, and some rows already flagged imputed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for k in range(draw(st.integers(0, 5))):  # no series at all is a case too
@@ -212,7 +210,6 @@ def gappy_tables(draw):
             np.array([rows[i][2] for i in order]),
             rng.poisson(20.0, n).astype(float),
             rng.random(n) < 0.1,
-            {"promo": rng.random(n)},
         )
     )
 
@@ -225,21 +222,18 @@ def test_fill_gaps_property(table):
     assert report.total_imputed == len(filled) - len(table)
     for key, (lo, hi) in table.series_index.items():
         observed = table.dates[lo:hi] - table.dates[lo]
-        q, promo = table.quantities[lo:hi], table.extras["promo"][lo:hi]
+        q = table.quantities[lo:hi]
         flo, fhi = filled.series_index[key]
         # Daily-contiguous from the series' first to its last observed day.
         assert np.array_equal(filled.dates[flo:fhi], np.arange(table.dates[lo], table.dates[hi - 1] + 1))
         # Observed rows keep their values and flags.
         assert np.array_equal(filled.quantities[flo:fhi][observed], q)
         assert np.array_equal(filled.imputed[flo:fhi][observed], table.imputed[lo:hi])
-        assert np.array_equal(filled.extras["promo"][flo:fhi][observed], promo)
         # Every gap day is counted, flagged, and filled from its own series.
         gaps = np.setdiff1d(np.arange(fhi - flo), observed)
-        prev = np.searchsorted(observed, gaps) - 1
         assert report.imputed_per_series[key] == len(gaps)
         assert filled.imputed[flo:fhi][gaps].all()
         assert np.array_equal(filled.quantities[flo:fhi][gaps], np.interp(gaps, observed, q))
-        assert np.array_equal(filled.extras["promo"][flo:fhi][gaps], promo[prev])
 
 
 def test_aggregate_sums_across_series():
