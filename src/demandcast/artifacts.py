@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
+import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,12 +23,73 @@ from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """csv writes None as an empty cell and a float as its repr()."""
+# Rows formatted and written at a time, which bounds the text held in memory.
+BLOCK_ROWS = 8192
+
+
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write equal-length columns under ``header``, as csv.writer writes rows.
+
+    A float64 array's cells are the repr() of its values, formatted once per
+    distinct bit pattern in a block.  Every other cell is the text csv.writer
+    gives its value (an empty cell for None), formatted once per distinct
+    value, so that quoting follows csv.
+    """
+    csv_text = _csv_formatter(one_column=len(columns) == 1)
+    rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, rows, BLOCK_ROWS):
+            block = [_cells(column[start : start + BLOCK_ROWS], csv_text) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _cells(values: Sequence, csv_text) -> list[str]:
+    """The text of each value, formatted once per distinct value."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        # Keyed on the bits, so that 0.0 and -0.0 keep their own texts.
+        bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+        texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    elif isinstance(values, np.ndarray) and values.dtype.kind in "biuU":
+        # Values of these dtypes that compare equal print alike.
+        distinct, codes = np.unique(values, return_inverse=True)
+        texts = [csv_text(v) for v in distinct.tolist()]
+    else:
+        by_value: dict = {}
+        cells = []
+        for value in values.tolist() if isinstance(values, np.ndarray) else values:
+            # The type keeps 0, 0.0 and False apart, the sign 0.0 and -0.0.
+            if isinstance(value, float):
+                key = (type(value), value, math.copysign(1.0, value))
+            else:
+                key = (type(value), value)
+            text = by_value.get(key)
+            if text is None:
+                text = by_value[key] = csv_text(value)
+            cells.append(text)
+        return cells
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _csv_formatter(one_column: bool):
+    """A function giving the text csv.writer writes for a value as a cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def csv_text(value) -> str:
+        # csv quotes a row's only cell when it is empty, and leaves it bare
+        # beside a second cell, which is then cut off with its comma.
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([value] if one_column else [value, None])
+        return buffer.getvalue()[: -1 if one_column else -2]
+
+    return csv_text
+
+
+def _columns(rows: Sequence[Sequence], width: int) -> list:
+    """The columns of equal-length ``rows``; ``width`` empty ones without rows."""
+    return list(zip(*rows)) or [()] * width
 
 
 def slug(model: str, scenario: str) -> str:
@@ -51,11 +114,8 @@ def write_metrics_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
                     entry.error or "",
                 ]
             )
-    _write_csv(
-        path,
-        ["model", "scenario", "deviation_mode", "forecast_mode", "mae", "rmse", "r2", "n", "error"],
-        rows,
-    )
+    header = ["model", "scenario", "deviation_mode", "forecast_mode", "mae", "rmse", "r2", "n", "error"]
+    _write_csv(path, header, _columns(rows, len(header)))
 
 
 def write_runtimes_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
@@ -64,20 +124,15 @@ def write_runtimes_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
         for report in reports
         for model, entry in report.entries.items()
     ]
-    _write_csv(path, ["model", "scenario", "runtime_s"], rows)
+    _write_csv(path, ["model", "scenario", "runtime_s"], _columns(rows, 3))
 
 
 def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray) -> None:
-    residuals = test.target - predictions
-    rows = zip(
-        test.stores.tolist(),
-        test.items.tolist(),
-        iso_dates(test.dates),
-        test.target.tolist(),
-        predictions.tolist(),
-        residuals.tolist(),
+    _write_csv(
+        path,
+        ["store", "item", "date", "actual", "predicted", "residual"],
+        [test.stores, test.items, iso_dates(test.dates), test.target, predictions, test.target - predictions],
     )
-    _write_csv(path, ["store", "item", "date", "actual", "predicted", "residual"], rows)
 
 
 def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
@@ -101,15 +156,11 @@ def write_importance_csv(path: Path, reports: Sequence[EvaluationReport]) -> Non
             continue
         for rank, (feature, gain) in enumerate(entry.importance, start=1):
             rows.append([report.scenario.id, rank, feature, gain])
-    _write_csv(path, ["scenario", "rank", "feature", "normalized_gain"], rows)
+    _write_csv(path, ["scenario", "rank", "feature", "normalized_gain"], _columns(rows, 4))
 
 
 def write_histogram_csv(path: Path, entry) -> None:
-    _write_csv(
-        path,
-        ["bin_lo", "bin_hi", "count"],
-        [[lo, hi, count] for lo, hi, count in entry.histogram],
-    )
+    _write_csv(path, ["bin_lo", "bin_hi", "count"], _columns(entry.histogram, 3))
 
 
 def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray) -> None:
@@ -120,12 +171,7 @@ def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: 
     days, slot = np.unique(test.dates, return_inverse=True)
     actual = np.bincount(slot, weights=test.target)
     predicted = np.bincount(slot, weights=predictions)
-    rows = zip(
-        iso_dates(days),
-        actual.tolist(),
-        predicted.tolist(),
-    )
-    _write_csv(path, ["date", "actual", "predicted"], rows)
+    _write_csv(path, ["date", "actual", "predicted"], [iso_dates(days), actual, predicted])
 
 
 def report_document(reports: Sequence[EvaluationReport], comparison: ComparisonTable) -> dict:
@@ -160,11 +206,16 @@ LEDGER_COLUMNS = ("opening", "ordered", "received", "demand", "sold", "lost_sale
 
 
 def write_ledger_csv(path: Path, outcomes: Mapping[tuple[str, str], "InventoryOutcome"]) -> None:
-    rows = []
-    for (store, item), outcome in outcomes.items():
-        days = zip(*(getattr(outcome, name).tolist() for name in LEDGER_COLUMNS))
-        rows.extend([store, item, t, *values] for t, values in enumerate(days))
-    _write_csv(path, ["store", "item", "day", *LEDGER_COLUMNS], rows)
+    series = list(outcomes.values())
+    lengths = np.array([outcome.days for outcome in series], dtype=np.int64)
+    stores = np.repeat(np.array([store for store, _ in outcomes], dtype=np.str_), lengths)
+    items = np.repeat(np.array([item for _, item in outcomes], dtype=np.str_), lengths)
+    days = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ledger = [
+        np.concatenate([np.empty(0), *(getattr(outcome, name) for outcome in series)])
+        for name in LEDGER_COLUMNS
+    ]
+    _write_csv(path, ["store", "item", "day", *LEDGER_COLUMNS], [stores, items, days, *ledger])
 
 
 def write_impact_csv(path: Path, table: ImpactTable) -> None:
@@ -175,5 +226,5 @@ def write_impact_csv(path: Path, table: ImpactTable) -> None:
     _write_csv(
         path,
         ["model", "metric", "before", "after", "improvement_pct", "direction"],
-        rows,
+        _columns(rows, 6),
     )

@@ -206,7 +206,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     for model in cfg.models:
         if model == "naive":
             continue
-        error = scenario_doc["models"].get(model, {}).get("error")
+        # Checked before any file is read: a residual file left by an earlier
+        # evaluate in the same directory does not make the model evaluated.
+        if model not in scenario_doc["models"]:
+            raise MissingForecastsError(f"evaluation lacks forecasts for model {model!r}")
+        error = scenario_doc["models"][model]["error"]
         if error is None:
             models.append(model)
         else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evaluate import improvement_percent
 from .features import trailing_mean
@@ -74,6 +75,21 @@ class InventoryOutcome:
         return 100.0 * (1.0 - self.forecast_mae / self.mean_demand)
 
 
+def _window_sums(fc: np.ndarray, review_period: int, protection: int) -> np.ndarray:
+    """``fc[t : t + protection].sum()`` for every review day t, bit for bit.
+
+    Picking the review days' rows of the sliding windows copies them into a
+    contiguous block, whose row sums add each row as the slice's own sum
+    does.  The windows that run past the last day keep their slice sums:
+    ``sliding_window_view`` has no such rows, and padding them with zeros
+    changes the sums' pairwise order once protection reaches 8.
+    """
+    days = np.arange(0, len(fc), review_period)
+    full = days[days + protection <= len(fc)]
+    head = sliding_window_view(fc, protection)[full].sum(axis=1) if len(full) else np.empty(0)
+    return np.concatenate([head, [fc[t:].sum() for t in days[len(full) :].tolist()]])
+
+
 def simulate(
     demand: np.ndarray,
     forecast: np.ndarray,
@@ -95,38 +111,43 @@ def simulate(
     n = len(demand)
     negative_days = int((forecast < 0).sum())
     fc = np.maximum(forecast, 0.0)
+    review, lead = policy.review_period, policy.lead_time
+    targets = iter(
+        (_window_sums(fc, review, lead + review) + policy.safety_factor * sigma_hat).tolist()
+    )
 
-    opening = np.zeros(n)
-    ordered = np.zeros(n)
-    received = np.zeros(n)
-    sold = np.zeros(n)
-    lost = np.zeros(n)
-    closing = np.zeros(n)
-
+    opening, ordered, received, sold, closing = [], [], [], [], []
     on_hand = float(policy.initial_stock)
     pipeline: dict[int, float] = {}
-    protection = policy.lead_time + policy.review_period
 
-    for t in range(n):
-        opening[t] = on_hand
+    for t, wanted in enumerate(demand.tolist()):
+        opening.append(on_hand)
         arrived = pipeline.pop(t, 0.0)
-        if t % policy.review_period == 0:
-            target = fc[t : t + protection].sum() + policy.safety_factor * sigma_hat
-            position = on_hand + arrived + sum(pipeline.values())
-            qty = max(0.0, target - position)
-            ordered[t] = qty
+        qty = 0.0
+        if t % review == 0:
+            # A plain left fold, as sum() over numpy scalars adds; sum() over
+            # Python floats compensates its rounding from Python 3.12 on.
+            pending = 0.0
+            for q in pipeline.values():
+                pending += q
+            qty = max(0.0, next(targets) - (on_hand + arrived + pending))
             if qty > 0.0:
-                if policy.lead_time == 0:
+                if lead == 0:
                     arrived += qty
                 else:
-                    pipeline[t + policy.lead_time] = pipeline.get(t + policy.lead_time, 0.0) + qty
-        received[t] = arrived
+                    pipeline[t + lead] = qty
+        ordered.append(qty)
+        received.append(arrived)
         on_hand += arrived
-        sold[t] = min(demand[t], on_hand)
-        lost[t] = demand[t] - sold[t]
-        on_hand -= sold[t]
-        closing[t] = on_hand
+        sale = min(wanted, on_hand)
+        sold.append(sale)
+        on_hand -= sale
+        closing.append(on_hand)
 
+    opening, ordered, received, sold, closing = (
+        np.array(column, dtype=np.float64) for column in (opening, ordered, received, sold, closing)
+    )
+    lost = demand - sold
     trailing = trailing_mean(demand, np.arange(n), 7)
     overstock_days = closing > policy.overstock_multiplier * trailing
 

@@ -1,10 +1,11 @@
 import csv
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandcast.artifacts import _write_csv
+from demandcast import artifacts
 
 
 def fmt(value) -> str:
@@ -26,14 +27,60 @@ CELLS = st.one_of(
 )
 
 
+FLOAT64 = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(),
+)
+# Values that compare equal but print apart.
+ZEROS = st.sampled_from([0, 0.0, -0.0, False, np.float64(-0.0), np.float64(0.0), None, ""])
+QUOTED = st.text(alphabet=st.sampled_from(list('ab ,"\n\r')), max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """Tables of 1-5 columns and 0-5 rows.
+
+    A column is a list of CELLS, of ZEROS or of QUOTED text, or a float64,
+    str or int64 array; the small pools make repeats, which the writer
+    formats once.
+    """
+    height = draw(st.integers(0, 5))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["cells", "zeros", "float64", "quoted", "str_array", "int_array"]))
+        values = st.lists(
+            {"cells": CELLS, "zeros": ZEROS, "float64": FLOAT64, "int_array": st.integers(-3, 3)}.get(kind, QUOTED),
+            min_size=height,
+            max_size=height,
+        )
+        dtype = {"float64": np.float64, "str_array": np.str_, "int_array": np.int64}.get(kind)
+        columns.append(draw(values) if dtype is None else np.array(draw(values), dtype=dtype))
+    return columns
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(CELLS, min_size=1, max_size=5), max_size=5))
-def test_csv_formats_cells_as_fmt_did(tmp_path_factory, rows):
+@given(tables(), st.integers(1, 6))
+def test_csv_formats_cells_as_fmt_did(tmp_path_factory, columns, block_rows):
     path = tmp_path_factory.getbasetemp() / "cells.csv"
-    _write_csv(path, ["a", "b"], rows)
+    header = [f"c{j}" for j in range(len(columns))]
+    with mock.patch.object(artifacts, "BLOCK_ROWS", block_rows):
+        artifacts._write_csv(path, header, columns)
     with open(path.with_suffix(".expected"), "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["a", "b"])
-        for row in rows:
+        writer.writerow(header)
+        for row in zip(*columns):
             writer.writerow([fmt(v) for v in row])
     assert path.read_bytes() == path.with_suffix(".expected").read_bytes()
+
+
+def test_csv_quotes_the_only_cell_when_empty(tmp_path):
+    path = tmp_path / "one.csv"
+    artifacts._write_csv(path, ["a"], [["", None, "x", ","]])
+    assert path.read_text(encoding="utf-8") == 'a\n""\n""\nx\n","\n'
+
+
+def test_csv_keeps_equal_values_apart(tmp_path):
+    path = tmp_path / "zeros.csv"
+    floats = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+    artifacts._write_csv(path, ["a", "b"], [[0, 0.0, -0.0, False, np.float64(-0.0), 0], floats])
+    assert path.read_text(encoding="utf-8") == "a,b\n0,0.0\n0.0,-0.0\n-0.0,0.0\nFalse,-0.0\n-0.0,0.0\n0,-0.0\n"

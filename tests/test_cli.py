@@ -375,6 +375,22 @@ def test_simulate_missing_model_forecasts(tmp_path, small_csv, capsys):
     assert code == 3
 
 
+def test_simulate_rejects_model_missing_from_report_despite_leftover_file(tmp_path, small_csv, capsys):
+    cfg, out = small_config(tmp_path, small_csv, "leftover", scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    cfg2, _ = small_config(
+        tmp_path, small_csv, "partial", models=["naive", "arimax"], scenarios=["S2"], output_dir=str(out)
+    )
+    assert main(["evaluate", "--config", str(cfg2)]) == 0
+    assert (out / "residuals_gbdt_S2.csv").exists()
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["code"] == "E_INPUT"
+    assert "'gbdt'" in error["message"]
+    assert not (out / "impact.json").exists()
+
+
 def fail_in_evaluate(monkeypatch, name):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")

@@ -9,14 +9,17 @@ silently empty; these tests fail first.
 import datetime as dt
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
+import demandcast.cli as cli
 import demandcast.evaluate as ev
 from demandcast.data import SplitSpec
 from demandcast.evaluate import ScenarioSpec, run_scenario
 from demandcast.features import HolidayCalendar
+from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
 
 from conftest import make_table
 
@@ -70,3 +73,53 @@ def test_run_scenario_calls_each_patched_model_function(monkeypatch):
     expected = {attr: 1 if attr in PER_SCENARIO else 3 for attr in patched}
     assert calls == expected
 
+
+
+def test_simulate_calls_each_patched_cli_function(tmp_path, monkeypatch):
+    data = tmp_path / "sales.csv"
+    write_sales_csv_plain(
+        generate_sales_table(n_stores=3, n_items=1, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)),
+        data,
+    )
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "data_path": str(data),
+                "train_end": "2015-11-30",
+                "test_end": "2015-12-31",
+                "models": ["arimax", "naive"],
+                "scenarios": ["S2"],
+                "output_dir": str(out),
+            }
+        )
+    )
+    assert cli.main(["evaluate", "--config", str(config)]) == 0
+    calls, first_args = {}, {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            first_args.setdefault(attr, []).append(args[0])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patched = [attr for module, attr, _ in load_tracing().LAYER_CALLS if module == "demandcast.cli"]
+    for attr in patched:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    assert cli.main(["simulate", "--config", str(config)]) == 0
+    # naive, the baseline, is replayed first, then arimax; each over 3 series.
+    assert calls == {
+        "read_residuals_csv": 2,
+        "simulate": 6,
+        "write_ledger_csv": 2,
+        "pool_outcomes": 2,
+        "impact_table": 1,
+        "write_impact_csv": 1,
+        "write_json": 1,
+    }
+    # The read and write spans size the file named by the first argument.
+    assert first_args["read_residuals_csv"] == [out / "residuals_naive_S2.csv", out / "residuals_arimax_S2.csv"]
+    assert first_args["write_ledger_csv"] == [out / "ledger_naive_S2.csv", out / "ledger_arimax_S2.csv"]
