@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import iso_dates, series_runs
+from .data import SalesTable, as_datetime64, iso_dates, series_runs
 from .errors import MissingForecastsError
 from .evaluate import FORECAST_MODES, ComparisonTable, EvaluationReport
 from .features import FeatureMatrix
@@ -27,21 +27,24 @@ from .inventory import ImpactTable, InventoryOutcome
 BLOCK_ROWS = 8192
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def _write_csv(
+    path: Path, header: Sequence[str], columns: Sequence[Sequence], lineterminator: str = "\n"
+) -> None:
     """Write equal-length columns under ``header``, as csv.writer writes rows.
 
     A float64 array's cells are the repr() of its values, formatted once per
     distinct bit pattern in a block.  Every other cell is the text csv.writer
     gives its value (an empty cell for None), formatted once per distinct
-    value, so that quoting follows csv.
+    value, so that quoting follows csv; a datetime64[D] array's are its ISO
+    dates.
     """
     csv_text = _csv_formatter(one_column=len(columns) == 1)
     rows = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator=lineterminator).writerow(header)
         for start in range(0, rows, BLOCK_ROWS):
             block = [_cells(column[start : start + BLOCK_ROWS], csv_text) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+            fh.write(lineterminator.join(map(",".join, zip(*block))) + lineterminator)
 
 
 def _cells(values: Sequence, csv_text) -> list[str]:
@@ -50,6 +53,10 @@ def _cells(values: Sequence, csv_text) -> list[str]:
         # Keyed on the bits, so that 0.0 and -0.0 keep their own texts.
         bits, codes = np.unique(values.view(np.int64), return_inverse=True)
         texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    elif isinstance(values, np.ndarray) and values.dtype.kind == "M":
+        # ISO dates need no quoting.
+        distinct, codes = np.unique(values, return_inverse=True)
+        texts = np.datetime_as_string(distinct, unit="D").tolist()
     elif isinstance(values, np.ndarray) and values.dtype.kind in "biuU":
         # Values of these dtypes that compare equal print alike.
         distinct, codes = np.unique(values, return_inverse=True)
@@ -90,6 +97,23 @@ def _csv_formatter(one_column: bool):
 def _columns(rows: Sequence[Sequence], width: int) -> list:
     """The columns of equal-length ``rows``; ``width`` empty ones without rows."""
     return list(zip(*rows)) or [()] * width
+
+
+def write_sales_csv(table: SalesTable, path: str | Path, raw: bool = False) -> None:
+    """Export a sales table with csv.writer's CRLF line ends.
+
+    The cleaned form has the input schema plus an imputed (0/1) column, with
+    float quantities.  The raw form is the input schema with integer
+    quantities, as an extract looks.
+    """
+    header = ["date", "store", "item", "sales"]
+    columns = [as_datetime64(table.dates), table.store_ids, table.item_ids]
+    if raw:
+        columns.append(table.quantities.astype(np.int64))
+    else:
+        header.append("imputed")
+        columns += [table.quantities, table.imputed.astype(np.int64)]
+    _write_csv(Path(path), header, columns, lineterminator="\r\n")
 
 
 def slug(model: str, scenario: str) -> str:

@@ -30,9 +30,10 @@ from .artifacts import (
     write_metrics_csv,
     write_residuals_csv,
     write_runtimes_csv,
+    write_sales_csv,
 )
 from .config import ConfigError, RunConfig, bundled_sample_stream, file_sha256
-from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological, write_sales_csv
+from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological
 from .errors import DemandcastError, MissingForecastsError
 from .evaluate import compare, data_fingerprint, run_scenario
 from .features import DeviationMode, HolidayCalendar
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         _emit_error(exc.exit_code, str(exc))
         return exc.exit_code
-    except (FileNotFoundError, DemandcastError) as exc:
+    except (FileNotFoundError, IsADirectoryError, DemandcastError) as exc:
         _emit_error(EXIT_INPUT, str(exc))
         return EXIT_INPUT
 

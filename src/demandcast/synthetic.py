@@ -14,13 +14,13 @@ regenerate it.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime as dt
 from pathlib import Path
 
 import numpy as np
 
-from .data import SalesTable, iso_dates, sort_chronological
+from .artifacts import write_sales_csv
+from .data import SalesTable, sort_chronological
 from .features import HolidayCalendar, weekdays_of_ordinals
 
 DEFAULT_START = dt.date(2013, 1, 1)
@@ -98,23 +98,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     table = generate_sales_table(args.stores, args.items, seed=args.seed)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_sales_csv_plain(table, args.out)
+    write_sales_csv(table, args.out, raw=True)
     print(f"wrote {len(table)} rows to {args.out}")
     return 0
-
-
-def write_sales_csv_plain(table: SalesTable, path: str | Path) -> None:
-    """Input-schema export (no imputed column): what a raw extract looks like."""
-    rows = zip(
-        iso_dates(table.dates),
-        table.store_ids.tolist(),
-        table.item_ids.tolist(),
-        table.quantities.astype(np.int64).tolist(),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "store", "item", "sales"])
-        writer.writerows(rows)
 
 
 if __name__ == "__main__":

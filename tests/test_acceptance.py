@@ -548,7 +548,7 @@ GAPPY_SHA256 = "a7b376ef8ec2fe6ace2e699c6623c6e5626aa8f52e35b4c07be2092c54380478
 GAPPY_LAGGED_SHA256 = "af417d9c8d567f716fd4a4cb135f79a7ecf131305738e72824925b21d2de3f44"
 
 
-def gappy_run_digest(tmp_path, deviation_mode):
+def write_gappy_csv(tmp_path):
     table = generate_sales_table(n_stores=1, n_items=3, start=dt.date(2017, 1, 1))
     rng = np.random.default_rng(11)
     interior = (table.dates > table.dates.min()) & (table.dates < table.dates.max())
@@ -566,6 +566,11 @@ def gappy_run_digest(tmp_path, deviation_mode):
     lines.insert(100, "2017-13-01,1,2,5")
     data = tmp_path / "sales.csv"
     data.write_text("date,store,item,sales\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+def gappy_run_digest(tmp_path, deviation_mode):
+    data = write_gappy_csv(tmp_path)
     out = tmp_path / "out"
     cfg = tmp_path / "config.json"
     models = ["arimax", "trend_seasonal", "naive"]
@@ -590,3 +595,31 @@ def test_gappy_bytes_pinned(tmp_path):
 def test_gappy_lagged_bytes_pinned(tmp_path):
     with criterion("gappy_lagged_bytes_pinned"):
         assert gappy_run_digest(tmp_path, "lagged") == GAPPY_LAGGED_SHA256
+
+
+# --- 15. ingest's bytes, pinned ----------------------------------------------------
+
+# cleaned_sales.csv and ingest_summary.json on the bundled sample (CRLF, no
+# gaps) and on the gappy CSV above (LF, shuffled, one corrupt line).
+INGEST_SHA256 = {
+    "bundled": (
+        "b3fa9d7f952a92962cb57bd275a6b6cc525b686ec6ead9d27d2e6ba3a1dd2d57",
+        "e6e5f221d3519c9ef2fb7f0abfbe12286efdd7e80f2c5184cbf51d250e6e605d",
+    ),
+    "gappy": (
+        "fc667f5d2df5ad011c93059960b83d48a118339288d39dae02c4ec5f46a3806f",
+        "47a6cf181ceff3fbbca34160527d5141020917dbcb7146af362198de2620078d",
+    ),
+}
+
+
+def test_ingest_bytes_pinned(tmp_path):
+    with criterion("ingest_bytes_pinned"):
+        for name, data_args in (("bundled", []), ("gappy", ["--data", str(write_gappy_csv(tmp_path))])):
+            out = tmp_path / name
+            assert main(["ingest", "--out", str(out), *data_args]) == 0
+            digests = tuple(
+                hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in ("cleaned_sales.csv", "ingest_summary.json")
+            )
+            assert digests == INGEST_SHA256[name], name

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import demandcast.evaluate
+from demandcast.artifacts import write_sales_csv
 from demandcast.cli import main
 from demandcast.config import MODEL_CONFIGS, RunConfig
 from demandcast.inventory import ReplenishmentPolicy
-from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
+from demandcast.synthetic import generate_sales_table
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def small_csv(tmp_path_factory):
     table = generate_sales_table(
         n_stores=1, n_items=2, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)
     )
-    write_sales_csv_plain(table, path)
+    write_sales_csv(table, path, raw=True)
     return path
 
 
@@ -81,6 +82,32 @@ def test_missing_data_file_exits_3_with_error_document(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["code"] == "E_INPUT"
+
+
+def test_data_path_naming_a_directory_exits_3(tmp_path, capsys):
+    for command in ("ingest", "evaluate"):
+        assert main([command, "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 3
+        error = last_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert "Is a directory" in error["message"]
+
+
+def test_data_that_is_not_utf8_exits_3_naming_the_byte(tmp_path, capsys):
+    data = tmp_path / "sales.csv"
+    data.write_bytes(b"date,store,item,sales\n2015-01-01,1,1,5\n2015-01-02,1,1,\xff\n")
+    assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    error = last_error(capsys)
+    assert error["code"] == "E_INPUT"
+    assert error["message"] == "input is not UTF-8: invalid start byte at byte offset 54 (line 3)"
+
+
+def test_ingest_accepts_a_leading_byte_order_mark(tmp_path, small_csv):
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + small_csv.read_bytes())
+    for name, path in (("plain", small_csv), ("bom", data)):
+        assert main(["ingest", "--data", str(path), "--out", str(tmp_path / name)]) == 0
+    for output in ("cleaned_sales.csv", "ingest_summary.json"):
+        assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
 
 
 BAD_CONFIGS = [
@@ -291,7 +318,7 @@ def test_evaluate_does_not_depend_on_blas_threads(tmp_path):
     table = generate_sales_table(
         n_stores=2, n_items=2, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31), seed=5
     )
-    write_sales_csv_plain(table, data)
+    write_sales_csv(table, data, raw=True)
     src = str(Path(demandcast.evaluate.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -334,7 +361,7 @@ def test_short_series_contributes_no_rows(tmp_path, caplog):
     table = generate_sales_table(
         n_stores=1, n_items=1, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)
     )
-    write_sales_csv_plain(table, path)
+    write_sales_csv(table, path, raw=True)
     with open(path, "a", encoding="utf-8") as fh:
         for d in range(20):
             fh.write(f"{dt.date(2015, 12, 12) + dt.timedelta(days=d)},1,2,5\n")

@@ -1,13 +1,21 @@
+import codecs
+import csv
 import datetime as dt
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demandcast.artifacts import write_sales_csv
 from demandcast.data import (
+    DEFAULT_SCHEMA,
+    MALFORMED_ABORT_FRACTION,
     Granularity,
+    IngestResult,
+    MalformedRow,
     SalesTable,
     SplitSpec,
     aggregate,
@@ -17,7 +25,6 @@ from demandcast.data import (
     parse_sales_csv,
     series_runs,
     sort_chronological,
-    write_sales_csv,
 )
 from demandcast.errors import (
     DuplicateDateError,
@@ -86,6 +93,241 @@ def test_parse_schema_remap_ignores_unnamed_columns():
     )
     assert len(res.table) == 1
     assert res.table.quantities[0] == 5.0
+
+
+# --- the columnar parser against the per-row loop it replaced ----------------
+
+
+def reference_parse(source, schema=None) -> IngestResult:
+    """The per-row loop parse_sales_csv replaced, kept as its reference."""
+    colmap = dict(DEFAULT_SCHEMA)
+    if schema:
+        colmap.update(schema)
+
+    if isinstance(source, (str, Path)):
+        stream = open(source, "r", encoding="utf-8", newline="")
+    else:
+        stream = io.TextIOWrapper(source, encoding="utf-8", newline="")
+
+    with stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError("input has no header row") from None
+        header = [h.strip() for h in header]
+        positions: dict[str, int] = {}
+        for logical, name in colmap.items():
+            if name not in header:
+                raise MalformedInputError(f"missing required column {name!r} in header")
+            positions[logical] = header.index(name)
+
+        dates: list[int] = []
+        stores: list[str] = []
+        items: list[str] = []
+        quantities: list[float] = []
+        malformed: list[MalformedRow] = []
+        rows_read = 0
+        needed = max(positions.values(), default=0)
+
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            rows_read += 1
+            if len(row) <= needed:
+                malformed.append(MalformedRow(lineno, "too few fields"))
+                continue
+            try:
+                ordinal = dt.date.fromisoformat(row[positions["date"]].strip()).toordinal()
+            except ValueError:
+                malformed.append(MalformedRow(lineno, "unparseable date"))
+                continue
+            store = row[positions["store"]].strip()
+            item = row[positions["item"]].strip()
+            if not store or not item:
+                malformed.append(MalformedRow(lineno, "empty store or item id"))
+                continue
+            try:
+                qty = float(row[positions["sales"]])
+            except ValueError:
+                malformed.append(MalformedRow(lineno, "unparseable quantity"))
+                continue
+            if not np.isfinite(qty):
+                malformed.append(MalformedRow(lineno, "non-finite quantity"))
+                continue
+            if qty < 0:
+                malformed.append(MalformedRow(lineno, "negative quantity"))
+                continue
+            dates.append(ordinal)
+            stores.append(store)
+            items.append(item)
+            quantities.append(qty)
+
+    if rows_read == 0:
+        raise EmptyInputError("input has a header but zero data rows")
+    if len(malformed) > MALFORMED_ABORT_FRACTION * rows_read:
+        raise MalformedInputError(
+            f"{len(malformed)} of {rows_read} rows malformed "
+            f"(> {MALFORMED_ABORT_FRACTION:.0%} threshold)",
+            malformed,
+        )
+
+    table = SalesTable(
+        np.array(dates, dtype=np.int64),
+        np.array(stores, dtype=np.str_),
+        np.array(items, dtype=np.str_),
+        np.array(quantities, dtype=np.float64),
+    )
+    return IngestResult(table=table, malformed=malformed, rows_read=rows_read)
+
+
+def parse_outcome(parse, data: bytes, schema=None):
+    """What a parser makes of ``data``: the table's bytes, malformed rows and count, or its exception."""
+    try:
+        res = parse(io.BytesIO(data), schema=schema)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "malformed", None)
+    t = res.table
+    columns = [(a.dtype.str, a.tobytes()) for a in (t.dates, t.store_ids, t.item_ids, t.quantities)]
+    return columns, res.malformed, res.rows_read
+
+
+# Cells that float, date.fromisoformat and str.strip accept or reject in
+# ways a shortcut could get wrong.
+DATE_CELLS = [
+    "2016-01-05", "2016-02-29", "2000-02-29", "0001-01-01", "9999-12-31", " 2016-01-05",
+    "2016-01-05\t", "20160520", "2016-W01-1", "0000-01-01", "2016-02-30", "1900-02-29",
+    "2015-02-29", "2016-13-01", "2016-00-10", "2016-01-00", "2016-1-05", "2016/01/05",
+    "2016-01-05T00", "", "x", "٢٠١٦-٠١-٠٥", "2016-01-0５",
+]
+QUANTITY_CELLS = [
+    "5", "0", "007", "123456789012345", "1234567890123456", "99999999999999999999", "1_000",
+    " 5", "5 ", "+3", "-0", "-3", "1e3", "1.5", ".5", "5.", "nan", "NaN", "inf", "-inf",
+    "1e400", "١٢", "0x10", "", "n/a", "\x0b5",
+]
+ID_CELLS = [
+    "1", "12", "A7", "store-100", " 1", "1 ", "\t2\t", " ", "", "\x0b", "\x1c", "\xa0",
+    "　", "é", "商店", "ab,c", 'a"b', "a\nb", "a\rb", "long-store-identifier-0001",
+]
+EXTRA_CELLS = ["", "0.5", "x,y", 'q"', "promo", " "]
+GOOD_ROW = ["2016-01-05", "1", "1", "5"]
+
+
+def csv_line(cells: list[str], quote_all: bool) -> str:
+    """The cells as csv.writer would write them, or with every cell quoted."""
+    quoted = (
+        '"' + c.replace('"', '""') + '"'
+        if quote_all or any(ch in c for ch in ',"\r\n') else c
+        for c in cells
+    )
+    return ",".join(quoted)
+
+
+@st.composite
+def sales_files(draw):
+    """A sales CSV as bytes, with the schema to read it by.
+
+    A plain file (ASCII, no quotes, LF or CRLF) takes the byte tokenizer;
+    the rest take csv.reader.
+    """
+    plain = draw(st.booleans())
+
+    def one_in(n):
+        return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+    def pool(cells):
+        if plain:
+            cells = [c for c in cells if c.isascii() and not any(ch in c for ch in ',"\r\n')]
+        return st.sampled_from(cells)
+
+    logical = ["date", "store", "item", "sales"]
+    names = draw(st.sampled_from([logical, ["day", "s", "i", "qty"]]))
+    schema = dict(zip(logical, names)) if names != logical else None
+    extras = draw(st.lists(st.sampled_from(["promo", "price", "s", " note"]), max_size=2))
+    header = draw(st.permutations(names + extras))
+    if one_in(10):  # a missing column
+        header = [h for h in header if h != draw(st.sampled_from(names))]
+    padded = [draw(st.sampled_from(["", " ", "\t"])) + h for h in header]
+    pools = dict(zip(names, map(pool, (DATE_CELLS, ID_CELLS, ID_CELLS, QUANTITY_CELLS))))
+    text = st.text(
+        alphabet=st.characters(
+            codec="ascii" if plain else "utf-8", exclude_characters='",\r\n' if plain else ""
+        ),
+        max_size=6,
+    )
+
+    def cell(name):
+        return draw(text if one_in(4) else pools.get(name, pool(EXTRA_CELLS)))
+
+    good = dict(zip(names, GOOD_ROW))
+    good_row = [good.get(h, "0") for h in header]
+
+    def row():
+        # A good row with one or two cells drawn, so each rule is met alone.
+        cells = list(good_row)
+        for _ in range(draw(st.integers(1, 2))):
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = cell(header[k])
+        if one_in(8):
+            cells = cells[: draw(st.integers(0, len(cells)))]
+        return cells
+
+    # Enough good rows, now and then, that a few malformed rows stay under 1%.
+    rows = [good_row] * draw(st.sampled_from([0, 1, 600]))
+    for _ in range(draw(st.integers(1, 6))):
+        rows.insert(draw(st.integers(0, len(rows))), [] if one_in(5) else row())
+    quote_all = not plain and draw(st.booleans())
+    lines = [csv_line(padded, quote_all)] + [csv_line(r, quote_all) if r else "" for r in rows]
+    # One line end for the file, and a few lines that end otherwise.
+    ends = st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])
+    line_ends = [draw(ends)] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        line_ends[draw(st.integers(0, len(lines) - 1))] = draw(ends)
+    body = "".join(map(str.__add__, lines, line_ends))
+    if draw(st.booleans()):
+        body = body.rstrip("\r\n")  # no final line end
+    return body.encode("utf-8"), schema
+
+
+@settings(max_examples=300, deadline=None)
+@given(sales_files())
+@example((b"", None))
+@example((b"date,store,item,sales", None))
+@example((b"date,store,item,sales\n\n\r\n", None))
+@example((b"\n2016-01-05,1,1,5\n", None))
+@example((b"date,store,item,sales\r\n\r\n2016-01-05,1,1,5", None))
+@example((b"date,store,item,sales\r2016-01-05,1,1,5\r", None))
+def test_parse_matches_reference(drawn):
+    data, schema = drawn
+    assert parse_outcome(parse_sales_csv, data, schema) == parse_outcome(reference_parse, data, schema)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize(
+    "column, cell",
+    [(3, c) for c in QUANTITY_CELLS] + [(0, c) for c in DATE_CELLS] + [(1, c) for c in ID_CELLS],
+)
+def test_each_listed_cell_reads_as_the_reference_reads_it(column, cell, end):
+    row = list(GOOD_ROW)
+    row[column] = cell
+    lines = ["date,store,item,sales", *[",".join(GOOD_ROW)] * 120, csv_line(row, False)]
+    data = end.join(lines).encode("utf-8") + end.encode()
+    assert parse_outcome(parse_sales_csv, data) == parse_outcome(reference_parse, data)
+
+
+def test_parse_skips_one_leading_byte_order_mark():
+    plain = b"date,store,item,sales\r\n2013-01-01,1,1,5\r\n"
+    quoted = b'date,store,item,sales\n"2013-01-01",1,1,5\n'
+    for data in (plain, quoted):
+        with_bom = parse_outcome(parse_sales_csv, codecs.BOM_UTF8 + data)
+        assert with_bom == parse_outcome(reference_parse, data)
+    with pytest.raises(MalformedInputError, match="missing required column 'date'"):
+        parse_bytes(codecs.BOM_UTF8 * 2 + b"date,store,item,sales\n2013-01-01,1,1,5\n")
+
+
+def test_parse_names_the_first_byte_that_is_not_utf8():
+    with pytest.raises(MalformedInputError, match=r"not UTF-8: .* byte offset 54 \(line 3\)"):
+        parse_bytes(b"date,store,item,sales\n2013-01-01,1,1,5\n2013-01-02,1,1,\xff\n")
 
 
 def test_sort_orders_by_date():

@@ -16,10 +16,11 @@ import numpy as np
 
 import demandcast.cli as cli
 import demandcast.evaluate as ev
+from demandcast.artifacts import write_sales_csv
 from demandcast.data import SplitSpec
 from demandcast.evaluate import ScenarioSpec, run_scenario
 from demandcast.features import HolidayCalendar
-from demandcast.synthetic import generate_sales_table, write_sales_csv_plain
+from demandcast.synthetic import generate_sales_table
 
 from conftest import make_table
 
@@ -75,11 +76,36 @@ def test_run_scenario_calls_each_patched_model_function(monkeypatch):
 
 
 
+def test_ingest_calls_each_patched_cli_function(tmp_path, monkeypatch):
+    calls = {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patched = [attr for module, attr, _ in load_tracing().LAYER_CALLS if module == "demandcast.cli"]
+    for attr in patched:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    assert cli.main(["ingest", "--out", str(tmp_path)]) == 0
+    # The summary goes through write_json, which the trace counts as an artifact write.
+    assert calls == {
+        "parse_sales_csv": 1,
+        "sort_chronological": 1,
+        "fill_gaps": 1,
+        "write_sales_csv": 1,
+        "write_json": 1,
+    }
+
+
 def test_simulate_calls_each_patched_cli_function(tmp_path, monkeypatch):
     data = tmp_path / "sales.csv"
-    write_sales_csv_plain(
+    write_sales_csv(
         generate_sales_table(n_stores=3, n_items=1, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)),
         data,
+        raw=True,
     )
     out = tmp_path / "out"
     config = tmp_path / "config.json"
