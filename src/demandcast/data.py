@@ -238,15 +238,17 @@ def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
     return positions
 
 
-def _is_plain(arr: np.ndarray) -> bool:
+def _is_plain(data: bytes) -> bool:
     """ASCII without quotes or NUL, each CR part of a CRLF.
 
     csv.reader splits such a file on its commas and line ends alone.
     """
-    if arr.max(initial=0) > 127 or not arr.all() or (arr == ord('"')).any():
-        return False
-    cr = np.flatnonzero(arr == ord("\r"))
-    return not len(cr) or (cr[-1] + 1 < len(arr) and (arr[cr + 1] == ord("\n")).all())
+    return (
+        data.isascii()
+        and b"\0" not in data
+        and b'"' not in data
+        and data.count(b"\r") == data.count(b"\r\n")
+    )
 
 
 def _byte_records(arr: np.ndarray, colmap: Mapping[str, str]) -> _Records:
@@ -390,7 +392,9 @@ def _stripped_ids(col: _Column, rows: np.ndarray) -> tuple[list[str], np.ndarray
 
 def _id_array(texts: list[str], index: np.ndarray) -> np.ndarray:
     """``texts[index]`` as a str array as wide as its longest entry."""
-    width = max((len(texts[k]) for k in np.unique(index).tolist()), default=1)
+    used = np.zeros(len(texts), dtype=bool)
+    used[index] = True
+    width = max((len(texts[k]) for k in np.flatnonzero(used).tolist()), default=1)
     return np.array(texts, dtype=f"<U{width}")[index]
 
 
@@ -418,8 +422,11 @@ def parse_sales_csv(
     if schema:
         colmap.update(schema)
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    arr = np.frombuffer(data.removeprefix(codecs.BOM_UTF8), dtype=np.uint8)
-    records = _byte_records(arr, colmap) if _is_plain(arr) else _text_records(_decode(data), colmap)
+    body = data.removeprefix(codecs.BOM_UTF8)
+    if _is_plain(body):
+        records = _byte_records(np.frombuffer(body, dtype=np.uint8), colmap)
+    else:
+        records = _text_records(_decode(data), colmap)
 
     rows_read = len(records.linenos)
     reason = np.where(records.nfields > records.needed, 0, _TOO_FEW).astype(np.int8)
