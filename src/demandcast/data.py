@@ -206,7 +206,7 @@ class _Column(NamedTuple):
     ends: np.ndarray
 
     @classmethod
-    def of_texts(cls, texts: list[str]) -> "_Column":
+    def of_texts(cls, texts: list[str]) -> _Column:
         lengths = np.fromiter(map(len, texts), np.int64, len(texts))
         ends = np.cumsum(lengths)
         codes = np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32)
