@@ -38,7 +38,7 @@ def _write_csv(
     value, so that quoting follows csv; a datetime64[D] array's are its ISO
     dates.
     """
-    csv_text = _csv_formatter(one_column=len(columns) == 1)
+    csv_text = _csv_formatter(len(columns) == 1, lineterminator)
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator=lineterminator).writerow(header)
@@ -78,18 +78,23 @@ def _cells(values: Sequence, csv_text) -> list[str]:
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _csv_formatter(one_column: bool):
-    """A function giving the text csv.writer writes for a value as a cell."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _csv_formatter(one_column: bool, lineterminator: str):
+    """A function giving the text csv.writer writes for a value as a cell.
+
+    csv quotes a cell that holds a character of the line terminator, so the
+    writer ends its rows as the file does.
+    """
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    # csv quotes a row's only cell when it is empty, and leaves it bare
+    # beside a second cell, which is then cut off with its comma.
+    cut = len(lineterminator) + (0 if one_column else 1)
 
     def csv_text(value) -> str:
-        # csv quotes a row's only cell when it is empty, and leaves it bare
-        # beside a second cell, which is then cut off with its comma.
         buffer.seek(0)
         buffer.truncate()
         writer.writerow([value] if one_column else [value, None])
-        return buffer.getvalue()[: -1 if one_column else -2]
+        return buffer.getvalue()[:-cut]
 
     return csv_text
 

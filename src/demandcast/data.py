@@ -12,11 +12,13 @@ import codecs
 import csv
 import datetime as dt
 import io
+import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -187,45 +189,24 @@ _REASONS = {
     _NEGATIVE: "negative quantity",
 }
 
-_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-# Plain-digit quantities up to this length are exact in float64 (< 2**53).
-_MAX_PLAIN_DIGITS = 15
+# Records read and converted at a time, which bounds the cell text held.
+_BLOCK_RECORDS = 8192
 
 
-class _Column(NamedTuple):
-    """One column's cells: cell i is ``codes[starts[i]:ends[i]]``.
+class _Distinct(dict):
+    """Each distinct text -> its number, in order of first appearance."""
 
-    ``codes`` holds the bytes of an ASCII file (uint8) or the code points of
-    decoded text (uint32).
-    """
-
-    codes: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-
-    @classmethod
-    def of_texts(cls, texts: list[str]) -> _Column:
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        ends = np.cumsum(lengths)
-        codes = np.frombuffer("".join(texts).encode("utf-32-le"), np.uint32)
-        return cls(codes, ends - lengths, ends)
-
-    def text(self, i: int) -> str:
-        cell = self.codes[self.starts[i] : self.ends[i]].tobytes()
-        return cell.decode("ascii" if self.codes.itemsize == 1 else "utf-32-le")
+    def __missing__(self, text: str) -> int:
+        self[text] = number = len(self)
+        return number
 
 
-class _Records(NamedTuple):
-    """The non-empty records after the header, as ``csv.reader`` yields them."""
-
-    linenos: np.ndarray  # csv.reader's record number, the header being 1
-    nfields: np.ndarray
-    needed: int  # a record needs more fields than this
-    # The cells of a logical column, built on each call, so that only the
-    # column being converted is held.
-    column: Callable[[str], _Column]
+def _distinct(block: list[list[str]], p: int) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of field ``p`` in ``block``, and each record's index into them."""
+    numbering = _Distinct()
+    cells = map(numbering.__getitem__, map(itemgetter(p), block))
+    number = np.fromiter(cells, np.intp, len(block))
+    return list(numbering), number
 
 
 def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
@@ -238,156 +219,32 @@ def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
     return positions
 
 
-def _is_plain(data: bytes) -> bool:
-    """ASCII without quotes or NUL, each CR part of a CRLF.
-
-    csv.reader splits such a file on its commas and line ends alone.
-    """
-    return (
-        data.isascii()
-        and b"\0" not in data
-        and b'"' not in data
-        and data.count(b"\r") == data.count(b"\r\n")
-    )
-
-
-def _byte_records(arr: np.ndarray, colmap: Mapping[str, str]) -> _Records:
-    """Tokenize a plain file (see :func:`_is_plain`) by finding every line end and comma at once."""
-    # Offsets are int32 where they fit: the parse runs inside evaluate,
-    # whose peak memory it should not raise.
-    offset = np.int32 if len(arr) < 2**31 else np.int64
-    newlines = np.flatnonzero(arr == 10).astype(offset)
-    line_ends = newlines - (arr[np.maximum(newlines - 1, 0)] == 13)
-    starts = np.concatenate((np.zeros(1, offset), newlines + 1))
-    ends = np.append(line_ends, offset(len(arr)))
-    if starts[-1] == len(arr):  # the last line is terminated, or there is no input
-        starts, ends = starts[:-1], ends[:-1]
-    if not len(starts):
-        raise EmptyInputError("input has no header row")
-    header = arr[starts[0] : ends[0]].tobytes().decode("ascii")
-    positions = _positions(header.split(",") if header else [], colmap)
-    linenos = np.arange(2, len(starts) + 1, dtype=offset)
-    keep = ends[1:] > starts[1:]
-    starts, ends, linenos = starts[1:][keep], ends[1:][keep], linenos[keep]
-    commas = np.flatnonzero(arr == ord(",")).astype(offset)
-    first = np.searchsorted(commas, starts).astype(offset)
-    nfields = np.searchsorted(commas, ends).astype(offset) - first + 1
-    # Field p of a record ends at its (p+1)-th comma or at the line end.  The
-    # bounds of a field past a record's last are unused, but in range.
-    commas = np.append(commas, offset(len(arr)))
-    last = len(commas) - 1
-
-    def column(p: int) -> _Column:
-        lo = starts if p == 0 else commas[np.minimum(first + p - 1, last)] + 1
-        hi = np.where(nfields > p + 1, commas[np.minimum(first + p, last)], ends)
-        return _Column(arr, lo, hi)
-
-    return _Records(
-        linenos, nfields, max(positions.values(), default=0), lambda name: column(positions[name])
-    )
-
-
-def _text_records(text: str, colmap: Mapping[str, str]) -> _Records:
-    """Tokenize any other file with csv.reader."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise EmptyInputError("input has no header row")
-    positions = _positions(header, colmap)
-    cells: dict[int, list[str]] = {p: [] for p in positions.values()}
-    linenos, nfields = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        linenos.append(lineno)
-        nfields.append(len(row))
-        for p, column in cells.items():
-            column.append(row[p] if p < len(row) else "")
-    columns = {p: _Column.of_texts(texts) for p, texts in cells.items()}
-    return _Records(
-        np.array(linenos, dtype=np.int64),
-        np.array(nfields, dtype=np.int64),
-        max(positions.values(), default=0),
-        lambda name: columns[positions[name]],
-    )
-
-
-def _decode(data: bytes) -> str:
+def _check_utf8(data: bytes) -> None:
+    """Raise, naming the first bad byte, unless ``data`` after one leading BOM is UTF-8."""
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        return data.decode("utf-8-sig")
+        str(memoryview(data)[skip:], "utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        offset = skip + exc.start
+        line = data.count(b"\n", 0, offset) + 1
         raise MalformedInputError(
-            f"input is not UTF-8: {exc.reason} at byte offset {exc.start} (line {line})"
+            f"input is not UTF-8: {exc.reason} at byte offset {offset} (line {line})"
         ) from None
 
 
-def _canonical_dates(col: _Column, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Set ``out`` at ``rows`` whose cell is a valid YYYY-MM-DD date; return the other rows."""
-    lo = col.starts[rows]
-    sel = np.flatnonzero(col.ends[rows] - lo == 10)
-    lo = lo[sel]
-    ok = (col.codes[lo + 4] == ord("-")) & (col.codes[lo + 7] == ord("-"))
-    year, month, day = (np.zeros(len(lo), dtype=np.int32) for _ in range(3))
-    for value, digits in ((year, range(0, 4)), (month, range(5, 7)), (day, range(8, 10))):
-        for j in digits:
-            digit = col.codes[lo + j].astype(np.int32) - ord("0")
-            ok &= (digit >= 0) & (digit <= 9)
-            value *= 10
-            value += digit
-    ok &= (year >= 1) & (month >= 1) & (month <= 12)
-    month = np.where(ok, month, 1)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    ok &= (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
-    y = year - 1
-    days_before = _DAYS_BEFORE_MONTH[month] + (leap & (month > 2))
-    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + days_before + day
-    out[rows[sel[ok]]] = ordinal[ok]
-    done = np.zeros(len(rows), dtype=bool)
-    done[sel[ok]] = True
-    return rows[~done]
+def _ordinal(text: str) -> int:
+    """The cell's day ordinal, or 0 (no day has it) when it is no date."""
+    try:
+        return _parse_date(text)
+    except ValueError:
+        return 0
 
 
-def _plain_quantities(col: _Column, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Set ``out`` at ``rows`` whose cell is 1 to 15 ASCII digits; return the other rows."""
-    lo = col.starts[rows]
-    length = col.ends[rows] - lo
-    ok = (length >= 1) & (length <= _MAX_PLAIN_DIGITS)
-    value = np.zeros(len(rows), dtype=np.int64)
-    for j in range(int(length[ok].max(initial=0))):
-        on = ok & (length > j)
-        digit = col.codes[lo[on] + j].astype(np.int64) - ord("0")
-        ok[on] &= (digit >= 0) & (digit <= 9)
-        value[on] = value[on] * 10 + digit
-    out[rows[ok]] = value[ok]
-    return rows[~ok]
-
-
-def _stripped_ids(col: _Column, rows: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Each of ``rows``' cells stripped, as distinct texts and each row's index into them.
-
-    A cell of up to 64 // bits code points is keyed by them, each stored
-    plus one so that lengths differ, and each distinct key is decoded and
-    stripped once.  Longer cells are stripped one by one.
-    """
-    # A code plus one fits: ASCII in 8 bits, any code point (< 0x110000) in 21.
-    bits = 8 if col.codes.itemsize == 1 else 21
-    lo = col.starts[rows]
-    length = col.ends[rows] - lo
-    short = np.flatnonzero(length <= 64 // bits)
-    key = np.zeros(len(short), dtype=np.uint64)
-    for j in range(int(length[short].max(initial=0))):
-        on = np.flatnonzero(length[short] > j)
-        code = col.codes[lo[short[on]] + j].astype(np.uint64) + np.uint64(1)
-        key[on] |= code << np.uint64(bits * j)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    texts = [col.text(i).strip() for i in rows[short[first]].tolist()]
-    index = np.empty(len(rows), dtype=np.int64)
-    index[short] = inverse
-    for k in np.flatnonzero(length > 64 // bits).tolist():
-        index[k] = len(texts)
-        texts.append(col.text(rows[k]).strip())
-    return texts, index
+def _quantity(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def _id_array(texts: list[str], index: np.ndarray) -> np.ndarray:
@@ -411,55 +268,69 @@ def parse_sales_csv(
     data rows are malformed.  Header names the schema does not map to are
     ignored.  One leading UTF-8 byte order mark is skipped.
 
-    A file that is ASCII, holds no quote or NUL and ends its lines with LF
-    or CRLF is tokenized in bulk; any other goes through ``csv.reader``.
-    Either way, each cell is read as the per-row rules read it: dates by
+    Each cell is read as the per-row rules read it: dates by
     ``date.fromisoformat`` after ``strip``, ids by ``strip``, quantities by
-    ``float``.  Canonical YYYY-MM-DD dates and plain-digit quantities are
-    converted by integer arithmetic, which gives the same values.
+    ``float``.  Records are read in blocks, and the rules run once per
+    distinct text of a column in a block.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
         colmap.update(schema)
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    body = data.removeprefix(codecs.BOM_UTF8)
-    if _is_plain(body):
-        records = _byte_records(np.frombuffer(body, dtype=np.uint8), colmap)
-    else:
-        records = _text_records(_decode(data), colmap)
+    _check_utf8(data)
+    # Decoded a block at a time, which holds no second copy of the file.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyInputError("input has no header row")
+    positions = _positions(header, colmap)
+    needed = max(positions.values(), default=0)  # a record needs more fields than this
+    ids = {"store": _Distinct(), "item": _Distinct()}  # each stripped id -> its number
+    blocks: dict[str, list[np.ndarray]] = {
+        name: [] for name in ("width", "date", "store", "item", "unparsed", "sales")
+    }
+    filler = [""] * (needed + 1)
+    for block in iter(lambda: list(itertools.islice(reader, _BLOCK_RECORDS)), []):
+        width = np.fromiter(map(len, block), np.int32, len(block))
+        for k in np.flatnonzero(width <= needed).tolist():
+            block[k] = filler  # a blank or short record, whose cells are not read
+        blocks["width"].append(width)
+        texts, number = _distinct(block, positions["date"])
+        blocks["date"].append(np.array([_ordinal(t) for t in texts], dtype=np.int64)[number])
+        for name, numbering in ids.items():
+            texts, number = _distinct(block, positions[name])
+            numbers = np.array([numbering[t.strip()] for t in texts], dtype=np.int32)
+            blocks[name].append(numbers[number])
+        texts, number = _distinct(block, positions["sales"])
+        parsed = [_quantity(t) for t in texts]
+        blocks["unparsed"].append(np.array([q is None for q in parsed], dtype=bool)[number])
+        blocks["sales"].append(np.array([0.0 if q is None else q for q in parsed])[number])
 
-    rows_read = len(records.linenos)
-    reason = np.where(records.nfields > records.needed, 0, _TOO_FEW).astype(np.int8)
-    dates = np.zeros(rows_read, dtype=np.int64)
-    col = records.column("date")
-    for i in _canonical_dates(col, np.flatnonzero(reason == 0), dates).tolist():
-        try:
-            dates[i] = _parse_date(col.text(i))
-        except ValueError:
-            reason[i] = _BAD_DATE
-    rows = np.flatnonzero(reason == 0)
-    ids = [_stripped_ids(records.column(name), rows) for name in ("store", "item")]
-    for texts, index in ids:
-        reason[rows[np.array([not t for t in texts], dtype=bool)[index]]] = _EMPTY_ID
-    quantities = np.zeros(rows_read, dtype=np.float64)
-    col = records.column("sales")
-    for i in _plain_quantities(col, np.flatnonzero(reason == 0), quantities).tolist():
-        try:
-            quantities[i] = float(col.text(i))
-        except ValueError:
-            reason[i] = _BAD_QUANTITY
-    parsed = np.flatnonzero(reason == 0)
-    finite = np.isfinite(quantities[parsed])
-    reason[parsed[~finite]] = _NON_FINITE
-    reason[parsed[finite & (quantities[parsed] < 0)]] = _NEGATIVE
-
-    bad = np.flatnonzero(reason)
-    malformed = [
-        MalformedRow(line, _REASONS[code])
-        for line, code in zip(records.linenos[bad].tolist(), reason[bad].tolist())
-    ]
+    # csv.reader yields a blank line as a record of no fields, which is skipped.
+    records = np.flatnonzero(np.concatenate([np.zeros(0, np.int32), *blocks["width"]]))
+    rows_read = len(records)
     if rows_read == 0:
         raise EmptyInputError("input has a header but zero data rows")
+    width, dates, stores, items, unparsed, quantities = (
+        np.concatenate(arrays)[records] for arrays in blocks.values()
+    )
+    empty_id = [np.array([not t for t in numbering], dtype=bool) for numbering in ids.values()]
+    reason = np.where(width > needed, 0, _TOO_FEW).astype(np.int8)
+    for code, bad in (
+        (_BAD_DATE, dates == 0),
+        (_EMPTY_ID, empty_id[0][stores] | empty_id[1][items]),
+        (_BAD_QUANTITY, unparsed),
+        (_NON_FINITE, ~np.isfinite(quantities)),
+        (_NEGATIVE, quantities < 0),
+    ):
+        reason[(reason == 0) & bad] = code
+
+    bad = np.flatnonzero(reason)
+    linenos = records[bad] + 2  # csv.reader's record number, the header being 1
+    malformed = [
+        MalformedRow(line, _REASONS[code])
+        for line, code in zip(linenos.tolist(), reason[bad].tolist())
+    ]
     if len(malformed) > MALFORMED_ABORT_FRACTION * rows_read:
         raise MalformedInputError(
             f"{len(malformed)} of {rows_read} rows malformed "
@@ -470,10 +341,10 @@ def parse_sales_csv(
         logger.warning("skipped %d malformed rows of %d", len(malformed), rows_read)
 
     kept = np.flatnonzero(reason == 0)
-    at = np.searchsorted(rows, kept)  # the kept rows among those whose ids were read
     table = SalesTable(
         dates[kept],
-        *(_id_array(texts, index[at]) for texts, index in ids),
+        _id_array(list(ids["store"]), stores[kept]),
+        _id_array(list(ids["item"]), items[kept]),
         quantities[kept],
     )
     return IngestResult(table=table, malformed=malformed, rows_read=rows_read)

@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandcast import artifacts
+from demandcast.data import SalesTable, iso_dates, parse_sales_csv
 
 
 def fmt(value) -> str:
@@ -59,14 +61,14 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.integers(1, 6))
-def test_csv_formats_cells_as_fmt_did(tmp_path_factory, columns, block_rows):
+@given(tables(), st.integers(1, 6), st.sampled_from(["\n", "\r\n"]))
+def test_csv_formats_cells_as_fmt_did(tmp_path_factory, columns, block_rows, lineterminator):
     path = tmp_path_factory.getbasetemp() / "cells.csv"
     header = [f"c{j}" for j in range(len(columns))]
     with mock.patch.object(artifacts, "BLOCK_ROWS", block_rows):
-        artifacts._write_csv(path, header, columns)
-    with open(path.with_suffix(".expected"), "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        artifacts._write_csv(path, header, columns, lineterminator)
+    with open(path.with_suffix(".expected"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([fmt(v) for v in row])
@@ -84,3 +86,32 @@ def test_csv_keeps_equal_values_apart(tmp_path):
     floats = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
     artifacts._write_csv(path, ["a", "b"], [[0, 0.0, -0.0, False, np.float64(-0.0), 0], floats])
     assert path.read_text(encoding="utf-8") == "a,b\n0,0.0\n0.0,-0.0\n-0.0,0.0\nFalse,-0.0\n-0.0,0.0\n0,-0.0\n"
+
+
+def test_sales_csv_quotes_ids_as_csv_writer_does(tmp_path):
+    # csv.writer's default line end is CRLF, so it quotes a lone CR as well as LF.
+    ids = ["1", "a,b", 'a"b', "a\rb", "a\nb", "a\r\nb", " 7 "]
+    n = len(ids)
+    table = SalesTable(
+        np.arange(n) + dt.date(2016, 1, 1).toordinal(),
+        np.array(ids),
+        np.array(ids[::-1]),
+        np.arange(n, dtype=np.float64),
+        np.arange(n) % 2 == 0,
+    )
+    for raw in (False, True):
+        path = tmp_path / f"sales_{raw}.csv"
+        artifacts.write_sales_csv(table, path, raw=raw)
+        rows = [
+            [day, store, item, int(q) if raw else repr(q), *([] if raw else [int(imputed)])]
+            for day, store, item, q, imputed in zip(
+                iso_dates(table.dates), ids, ids[::-1], table.quantities.tolist(), table.imputed
+            )
+        ]
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            header = ["date", "store", "item", "sales", *([] if raw else ["imputed"])]
+            csv.writer(fh).writerows([header, *rows])
+        assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        parsed = parse_sales_csv(path).table
+        assert parsed.store_ids.tolist() == [i.strip() for i in ids]
+        assert parsed.item_ids.tolist() == [i.strip() for i in ids[::-1]]

@@ -227,8 +227,8 @@ def csv_line(cells: list[str], quote_all: bool) -> str:
 def sales_files(draw):
     """A sales CSV as bytes, with the schema to read it by.
 
-    A plain file (ASCII, no quotes, LF or CRLF) takes the byte tokenizer;
-    the rest take csv.reader.
+    About half are plain (ASCII, no quotes, LF or CRLF), as the program's own
+    cleaned_sales.csv is; the rest hold quotes, non-ASCII text and lone CRs.
     """
     plain = draw(st.booleans())
 
@@ -297,6 +297,12 @@ def sales_files(draw):
 @example((b"\n2016-01-05,1,1,5\n", None))
 @example((b"date,store,item,sales\r\n\r\n2016-01-05,1,1,5", None))
 @example((b"date,store,item,sales\r2016-01-05,1,1,5\r", None))
+# Rows that break two rules each, which the first rule checked must name.
+@example((
+    b"date,store,item,sales\n" + b"2016-01-05,1,1,5\n" * 600
+    + b"x, ,1,5\nx,1,1,y\n2016-01-05,1, ,y\n2016-01-05, ,1,nan\n2016-01-05,1,,-3\n",
+    None,
+))
 def test_parse_matches_reference(drawn):
     data, schema = drawn
     assert parse_outcome(parse_sales_csv, data, schema) == parse_outcome(reference_parse, data, schema)
@@ -326,8 +332,12 @@ def test_parse_skips_one_leading_byte_order_mark():
 
 
 def test_parse_names_the_first_byte_that_is_not_utf8():
+    data = b"date,store,item,sales\n2013-01-01,1,1,5\n2013-01-02,1,1,\xff\n"
     with pytest.raises(MalformedInputError, match=r"not UTF-8: .* byte offset 54 \(line 3\)"):
-        parse_bytes(b"date,store,item,sales\n2013-01-01,1,1,5\n2013-01-02,1,1,\xff\n")
+        parse_bytes(data)
+    # The offset counts the byte order mark's three bytes.
+    with pytest.raises(MalformedInputError, match=r"not UTF-8: .* byte offset 57 \(line 3\)"):
+        parse_bytes(codecs.BOM_UTF8 + data)
 
 
 def test_sort_orders_by_date():
