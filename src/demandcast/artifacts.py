@@ -10,15 +10,14 @@ import csv
 import dataclasses
 import io
 import json
-import math
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import SalesTable, as_datetime64, iso_dates, series_runs
+from .data import SalesTable, as_datetime64, series_runs
 from .errors import MissingForecastsError
-from .evaluate import FORECAST_MODES, ComparisonTable, EvaluationReport
+from .evaluate import FORECAST_MODES, EvaluationReport
 from .features import FeatureMatrix
 from .inventory import ImpactTable, InventoryOutcome
 
@@ -33,10 +32,10 @@ def _write_csv(
     """Write equal-length columns under ``header``, as csv.writer writes rows.
 
     A float64 array's cells are the repr() of its values, formatted once per
-    distinct bit pattern in a block.  Every other cell is the text csv.writer
-    gives its value (an empty cell for None), formatted once per distinct
-    value, so that quoting follows csv; a datetime64[D] array's are its ISO
-    dates.
+    distinct bit pattern in a block, and a datetime64[D] array's are its ISO
+    dates.  Every other cell is the text csv.writer gives its value (an empty
+    cell for None), so that quoting follows csv; an integer, bool or str
+    array's are formatted once per distinct value.
     """
     csv_text = _csv_formatter(len(columns) == 1, lineterminator)
     rows = len(columns[0])
@@ -48,7 +47,7 @@ def _write_csv(
 
 
 def _cells(values: Sequence, csv_text) -> list[str]:
-    """The text of each value, formatted once per distinct value."""
+    """The text of each value; an array's formatted once per distinct value."""
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         # Keyed on the bits, so that 0.0 and -0.0 keep their own texts.
         bits, codes = np.unique(values.view(np.int64), return_inverse=True)
@@ -62,19 +61,8 @@ def _cells(values: Sequence, csv_text) -> list[str]:
         distinct, codes = np.unique(values, return_inverse=True)
         texts = [csv_text(v) for v in distinct.tolist()]
     else:
-        by_value: dict = {}
-        cells = []
-        for value in values.tolist() if isinstance(values, np.ndarray) else values:
-            # The type keeps 0, 0.0 and False apart, the sign 0.0 and -0.0.
-            if isinstance(value, float):
-                key = (type(value), value, math.copysign(1.0, value))
-            else:
-                key = (type(value), value)
-            text = by_value.get(key)
-            if text is None:
-                text = by_value[key] = csv_text(value)
-            cells.append(text)
-        return cells
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        return [csv_text(value) for value in values]
     return np.array(texts, dtype=object)[codes].tolist()
 
 
@@ -160,7 +148,7 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     _write_csv(
         path,
         ["store", "item", "date", "actual", "predicted", "residual"],
-        [test.stores, test.items, iso_dates(test.dates), test.target, predictions, test.target - predictions],
+        [test.stores, test.items, as_datetime64(test.dates), test.target, predictions, test.target - predictions],
     )
 
 
@@ -200,11 +188,11 @@ def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: 
     days, slot = np.unique(test.dates, return_inverse=True)
     actual = np.bincount(slot, weights=test.target)
     predicted = np.bincount(slot, weights=predictions)
-    _write_csv(path, ["date", "actual", "predicted"], [iso_dates(days), actual, predicted])
+    _write_csv(path, ["date", "actual", "predicted"], [as_datetime64(days), actual, predicted])
 
 
-def report_document(reports: Sequence[EvaluationReport], comparison: ComparisonTable) -> dict:
-    doc: dict = {"scenarios": {}, "comparison": dataclasses.asdict(comparison)}
+def report_document(reports: Sequence[EvaluationReport], comparison: dict) -> dict:
+    doc: dict = {"scenarios": {}, "comparison": comparison}
     for report in reports:
         scenario_doc: dict = {
             "id": report.scenario.id,

@@ -49,12 +49,6 @@ EXIT_ALL_MODELS_FAILED = 4
 _ERROR_CODES = {EXIT_CONFIG: "E_CONFIG", EXIT_INPUT: "E_INPUT", EXIT_ALL_MODELS_FAILED: "E_ALL_MODELS_FAILED"}
 
 
-class CliError(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _emit_error(exit_code: int, message: str) -> None:
     doc = {"error": {"code": _ERROR_CODES.get(exit_code, "E_UNKNOWN"), "message": message}}
     print(json.dumps(doc), file=sys.stderr)
@@ -191,11 +185,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     report_path = out_dir / "report.json"
     if not report_path.exists():
-        raise CliError(EXIT_INPUT, f"no evaluation artifacts in {out_dir}; run evaluate first")
+        raise MissingForecastsError(f"no evaluation artifacts in {out_dir}; run evaluate first")
     report = json.loads(report_path.read_text(encoding="utf-8"))
     scenario_id = cfg.simulation_scenario()
     if scenario_id not in report["scenarios"]:
-        raise CliError(EXIT_INPUT, f"evaluation lacks scenario {scenario_id}")
+        raise MissingForecastsError(f"evaluation lacks scenario {scenario_id}")
     scenario_doc = report["scenarios"][scenario_id]
     policy = cfg.policy()
 
@@ -359,7 +353,7 @@ def _render_report(out_dir: Path) -> str:
 def cmd_report(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     if not (out_dir / "report.json").exists():
-        raise CliError(EXIT_INPUT, f"no evaluation artifacts in {out_dir}; run evaluate first")
+        raise MissingForecastsError(f"no evaluation artifacts in {out_dir}; run evaluate first")
     text = _render_report(out_dir)
     (out_dir / "report.md").write_text(text, encoding="utf-8")
     print(text)
@@ -415,9 +409,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg)
-    except CliError as exc:
-        _emit_error(exc.exit_code, str(exc))
-        return exc.exit_code
     except (FileNotFoundError, IsADirectoryError, DemandcastError) as exc:
         _emit_error(EXIT_INPUT, str(exc))
         return EXIT_INPUT

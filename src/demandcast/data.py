@@ -86,11 +86,6 @@ def as_datetime64(ordinals) -> np.ndarray:
     return (np.asarray(ordinals, dtype=np.int64) - 719_163).astype("datetime64[D]")
 
 
-def iso_dates(ordinals) -> list[str]:
-    """Each day ordinal as YYYY-MM-DD text."""
-    return np.datetime_as_string(as_datetime64(ordinals), unit="D").tolist()
-
-
 def series_runs(stores: np.ndarray, items: np.ndarray) -> dict[tuple[str, str], tuple[int, int]]:
     """(store, item) -> (start, stop) row range of each run of equal keys, in row order."""
     if not len(stores):
@@ -219,7 +214,7 @@ def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
     return positions
 
 
-def _check_utf8(data: bytes) -> None:
+def check_utf8(data: bytes) -> None:
     """Raise, naming the first bad byte, unless ``data`` after one leading BOM is UTF-8."""
     skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
@@ -277,7 +272,7 @@ def parse_sales_csv(
     if schema:
         colmap.update(schema)
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    _check_utf8(data)
+    check_utf8(data)
     # Decoded a block at a time, which holds no second copy of the file.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     header = next(reader, None)

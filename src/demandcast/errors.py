@@ -60,4 +60,4 @@ class FingerprintMismatchError(DemandcastError):
 
 
 class MissingForecastsError(DemandcastError):
-    """Simulation referenced a model absent from the evaluation artifacts."""
+    """Simulate or report found no evaluation artifacts, or none for a model or scenario."""

@@ -239,7 +239,7 @@ class ModelEvaluation:
     predictions: np.ndarray = field(default_factory=lambda: np.empty(0))
     histogram: list[tuple[float, float, int]] = field(default_factory=list)
     importance: list[tuple[str, float]] | None = None
-    train_residual_std: float = float("nan")
+    train_residual_std: float | None = None  # null in report.json, as NaN is not JSON
     # Keyed "store|item", as report.json and the saved models key series.
     per_series_train_residual_std: dict[str, float] = field(default_factory=dict)
     artifacts: dict[str, dict] = field(default_factory=dict)
@@ -379,20 +379,6 @@ def run_scenario(
 
 # --- comparison -----------------------------------------------------------------
 
-@dataclass
-class ComparisonTable:
-    """Side-by-side metrics, keyed as report.json keys them: "model|scenario",
-    and "metric|scenario" for the best model."""
-
-    scenarios: list[str]
-    models: list[str]
-    mae: dict[str, float | None]
-    rmse: dict[str, float | None]
-    r2: dict[str, float | None]
-    improvement_pct: dict[str, float | None]
-    best_by_metric: dict[str, str]
-
-
 def improvement_percent(before: float, after: float) -> float:
     """Percent reduction from before to after (positive = improvement)."""
     if before == 0.0:
@@ -400,8 +386,9 @@ def improvement_percent(before: float, after: float) -> float:
     return 100.0 * (before - after) / before
 
 
-def compare(reports: Sequence[EvaluationReport]) -> ComparisonTable:
-    """Side-by-side metric matrix across scenario reports.
+def compare(reports: Sequence[EvaluationReport]) -> dict:
+    """Side-by-side metrics across scenario reports, as report.json stores them:
+    keyed "model|scenario", and "metric|scenario" for the best model.
 
     All reports must come from the same data, split, and granularity;
     comparing numbers from different runs would be meaningless.
@@ -437,10 +424,10 @@ def compare(reports: Sequence[EvaluationReport]) -> ComparisonTable:
             ]
             if candidates:
                 best[f"{metric}|{s}"] = (max if metric == "r2" else min)(candidates)[1]
-    return ComparisonTable(
-        scenarios=scenarios,
-        models=models,
+    return {
+        "scenarios": scenarios,
+        "models": models,
         **tables,
-        improvement_pct=improvement,
-        best_by_metric=best,
-    )
+        "improvement_pct": improvement,
+        "best_by_metric": best,
+    }

@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import SalesTable, SplitSpec, as_datetime64
-from .errors import CalendarGapError
+from .data import SalesTable, SplitSpec, as_datetime64, check_utf8
+from .errors import CalendarGapError, MalformedInputError
 
 logger = logging.getLogger(__name__)
 
@@ -102,19 +102,35 @@ class HolidayCalendar:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "HolidayCalendar":
+        """Read a ``date,name`` CSV of ISO dates, one holiday a row.
+
+        A file that is not UTF-8 or lacks that header, or a row without a
+        name, with a bad date or with a date seen before, raises
+        :class:`MalformedInputError` naming the file and the line.
+        """
+        try:
+            check_utf8(Path(path).read_bytes())
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"holiday calendar {path}: {exc}") from None
         entries: dict[int, str] = {}
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header[:2]] != ["date", "name"]:
-                raise ValueError(f"holiday calendar {path} must have header date,name")
-            for row in reader:
-                if not row:
-                    continue
-                day = dt.date.fromisoformat(row[0].strip())
-                if day.toordinal() in entries:
-                    raise ValueError(f"duplicate holiday date {day} in {path}")
-                entries[day.toordinal()] = row[1].strip()
+            try:
+                header = next(reader, [])
+                if [h.strip() for h in header[:2]] != ["date", "name"]:
+                    raise ValueError("header must be date,name")
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < 2:
+                        raise ValueError("a row needs a date and a name")
+                    day = dt.date.fromisoformat(row[0].strip())
+                    if day.toordinal() in entries:
+                        raise ValueError(f"duplicate holiday date {day}")
+                    entries[day.toordinal()] = row[1].strip()
+            except (ValueError, csv.Error) as exc:
+                line = max(reader.line_num, 1)
+                raise MalformedInputError(f"holiday calendar {path}, line {line}: {exc}") from None
         return cls(entries=entries)
 
     @classmethod
@@ -223,45 +239,42 @@ def _assemble_unscaled(
     if short:
         logger.warning("series of %d days or fewer have no rows with every lag: %s", max(LAGS), short)
 
+    # Each part holds only the kept rows, so no full-length matrix is built.
     quantities, ordinals = table.quantities, table.dates
-    months = as_datetime64(ordinals).astype("datetime64[M]").astype(np.int64) % 12
+    dates = ordinals[keep]
+    months = as_datetime64(dates).astype("datetime64[M]").astype(np.int64) % 12
     parts = [
-        np.column_stack([np.roll(quantities, lag) for lag in LAGS]),
+        np.column_stack([np.roll(quantities, lag)[keep] for lag in LAGS]),
         cyclical_columns(months.astype(np.float64), 12),
     ]
     if external:
-        dows = weekdays_of_ordinals(ordinals).astype(np.float64)
+        dows = weekdays_of_ordinals(dates).astype(np.float64)
         parts += [
             cyclical_columns(dows, 7),
             dows[:, None],
-            holiday_flag(ordinals, calendar)[:, None],
-            deviation_flag(quantities, day, deviation_mode)[:, None],
+            holiday_flag(ordinals, calendar)[keep, None],
+            deviation_flag(quantities, day, deviation_mode)[keep, None],
         ]
 
     return FeatureMatrix(
         columns=columns,
-        rows=np.column_stack(parts)[keep],
+        rows=np.column_stack(parts),
         target=quantities[keep],
-        dates=ordinals[keep],
+        dates=dates,
         stores=table.store_ids[keep],
         items=table.item_ids[keep],
     )
 
 
-def _scale(train: FeatureMatrix, test: FeatureMatrix) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Min-max scale both sides with the training rows' statistics."""
-    train_rows, test_rows = train.rows.copy(), test.rows.copy()
+def _scale(train: FeatureMatrix, test: FeatureMatrix) -> None:
+    """Min-max scale both sides in place with the training rows' statistics."""
     for j, name in enumerate(train.columns):
         if name in _FLAG_COLUMNS:
             continue
         col = train.rows[:, j]
         lo, hi = (float(col.min()), float(col.max())) if len(col) else (0.0, 1.0)
-        for rows in (train_rows, test_rows):
+        for rows in (train.rows, test.rows):
             rows[:, j] = (rows[:, j] - lo) / (hi - lo) if hi > lo else 0.0
-    return tuple(
-        FeatureMatrix(list(m.columns), rows, m.target, m.dates, m.stores, m.items)
-        for m, rows in ((train, train_rows), (test, test_rows))
-    )
 
 
 def build_train_test_matrices(
@@ -283,6 +296,8 @@ def build_train_test_matrices(
     unscaled = _assemble_unscaled(table, external, calendar, deviation_mode)
     train_mask = unscaled.dates <= split.train_end.toordinal()
     test_mask = ~train_mask & (unscaled.dates <= split.test_end.toordinal())
+    # Boolean masks copy the rows, which are then scaled in place.
     train = unscaled.select_rows(train_mask)
     test = unscaled.select_rows(test_mask)
-    return _scale(train, test)
+    _scale(train, test)
+    return train, test

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandcast import artifacts
-from demandcast.data import SalesTable, iso_dates, parse_sales_csv
+from demandcast.data import SalesTable, parse_sales_csv
 
 
 def fmt(value) -> str:
@@ -16,6 +16,8 @@ def fmt(value) -> str:
         return ""
     if isinstance(value, float):  # np.float64 too, whose repr is np.float64(...)
         return repr(float(value))
+    if isinstance(value, np.datetime64):
+        return value.item().isoformat()
     return str(value)
 
 
@@ -36,6 +38,21 @@ FLOAT64 = st.one_of(
 # Values that compare equal but print apart.
 ZEROS = st.sampled_from([0, 0.0, -0.0, False, np.float64(-0.0), np.float64(0.0), None, ""])
 QUOTED = st.text(alphabet=st.sampled_from(list('ab ,"\n\r')), max_size=4)
+DATES = st.one_of(
+    st.sampled_from([dt.date.min, dt.date(1969, 12, 31), dt.date(1970, 1, 1), dt.date(2016, 2, 29), dt.date.max]),
+    st.dates(),
+)
+
+# (elements, dtype): lists of cells where the dtype is None, else arrays.
+COLUMN_KINDS = [
+    (CELLS, None),
+    (ZEROS, None),
+    (QUOTED, None),
+    (FLOAT64, np.float64),
+    (QUOTED, np.str_),
+    (st.integers(-3, 3), np.int64),
+    (DATES, "datetime64[D]"),
+]
 
 
 @st.composite
@@ -43,19 +60,14 @@ def tables(draw):
     """Tables of 1-5 columns and 0-5 rows.
 
     A column is a list of CELLS, of ZEROS or of QUOTED text, or a float64,
-    str or int64 array; the small pools make repeats, which the writer
-    formats once.
+    str, int64 or datetime64[D] array; the small pools make repeats, which
+    the writer formats once.
     """
     height = draw(st.integers(0, 5))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["cells", "zeros", "float64", "quoted", "str_array", "int_array"]))
-        values = st.lists(
-            {"cells": CELLS, "zeros": ZEROS, "float64": FLOAT64, "int_array": st.integers(-3, 3)}.get(kind, QUOTED),
-            min_size=height,
-            max_size=height,
-        )
-        dtype = {"float64": np.float64, "str_array": np.str_, "int_array": np.int64}.get(kind)
+        elements, dtype = draw(st.sampled_from(COLUMN_KINDS))
+        values = st.lists(elements, min_size=height, max_size=height)
         columns.append(draw(values) if dtype is None else np.array(draw(values), dtype=dtype))
     return columns
 
@@ -105,7 +117,11 @@ def test_sales_csv_quotes_ids_as_csv_writer_does(tmp_path):
         rows = [
             [day, store, item, int(q) if raw else repr(q), *([] if raw else [int(imputed)])]
             for day, store, item, q, imputed in zip(
-                iso_dates(table.dates), ids, ids[::-1], table.quantities.tolist(), table.imputed
+                [dt.date.fromordinal(o).isoformat() for o in table.dates.tolist()],
+                ids,
+                ids[::-1],
+                table.quantities.tolist(),
+                table.imputed,
             )
         ]
         with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:

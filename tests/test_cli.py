@@ -247,6 +247,28 @@ def test_test_window_without_data_exits_3(tmp_path, capsys):
     assert "no series has rows" in error["message"]
 
 
+BAD_CALENDARS = [
+    ("header", b"date,label\n2015-01-26,Republic Day\n", 1),
+    ("date", b"date,name\n2015-01-26,Republic Day\n2015-13-01,Bad\n", 3),
+    ("duplicate", b"date,name\n2015-01-26,Republic Day\n2015-01-26,Again\n", 3),
+    ("one_field", b"date,name\n2015-01-26\n", 2),
+    ("empty", b"", 1),
+    ("not_utf8", b"date,name\n2015-01-26,R\xe9publique\n", 2),
+]
+
+
+@pytest.mark.parametrize("name, content, line", BAD_CALENDARS, ids=[case[0] for case in BAD_CALENDARS])
+def test_malformed_holiday_calendar_exits_3_naming_the_line(tmp_path, small_csv, capsys, name, content, line):
+    calendar = tmp_path / f"{name}.csv"
+    calendar.write_bytes(content)
+    cfg, _ = small_config(tmp_path, small_csv, models=["naive"], holiday_calendar_path=str(calendar))
+    assert main(["evaluate", "--config", str(cfg)]) == 3
+    error = last_error(capsys)
+    assert error["code"] == "E_INPUT"
+    assert error["message"].startswith(f"holiday calendar {calendar}")
+    assert f"line {line}" in error["message"]
+
+
 @pytest.fixture(scope="module")
 def evaluated(tmp_path_factory, small_csv):
     tmp_path = tmp_path_factory.mktemp("run")
@@ -436,6 +458,28 @@ def test_simulate_skips_models_that_failed_in_evaluate(tmp_path, small_csv, monk
     assert (out / "ledger_arimax_S2.csv").exists()
     assert not (out / "ledger_gbdt_S2.csv").exists()
     assert "gbdt" in capsys.readouterr().err
+
+
+def test_failed_model_report_is_strict_json(tmp_path, small_csv):
+    # More changepoints than training days fails trend_seasonal on every series.
+    cfg, out = small_config(
+        tmp_path,
+        small_csv,
+        "strict",
+        models=["trend_seasonal", "naive"],
+        model_overrides={"trend_seasonal": {"n_changepoints": 5000}},
+    )
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    for scenario in report["scenarios"].values():
+        failed = scenario["models"]["trend_seasonal"]
+        assert failed["error"] is not None
+        assert failed["train_residual_std"] is None
+        assert scenario["models"]["naive"]["train_residual_std"] > 0
 
 
 def test_simulate_requires_naive_forecasts(tmp_path, small_csv, monkeypatch):

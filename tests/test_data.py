@@ -21,7 +21,6 @@ from demandcast.data import (
     aggregate,
     as_datetime64,
     fill_gaps,
-    iso_dates,
     parse_sales_csv,
     series_runs,
     sort_chronological,
@@ -622,6 +621,6 @@ def test_day_ordinal_decoder_matches_datetime(ordinals):
         d.month for d in expected
     ]
     assert ((days - years).astype(np.int64) + 1).tolist() == [d.timetuple().tm_yday for d in expected]
-    assert iso_dates(ordinals) == [d.isoformat() for d in expected]
+    assert np.datetime_as_string(days, unit="D").tolist() == [d.isoformat() for d in expected]
     calendar = HolidayCalendar(entries=dict.fromkeys(ordinals, "h"))
     assert calendar.years() == {d.year for d in expected}

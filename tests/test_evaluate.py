@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -339,10 +338,10 @@ def test_compare_improvement_column():
     r1.entries["naive"].metrics = Metrics(mae=46.13, rmse=50.0, r2=0.5, n=70)
     r2.entries["naive"].metrics = Metrics(mae=22.7, rmse=30.0, r2=0.7, n=70)
     table_ = compare([r1, r2])
-    assert round(table_.improvement_pct["naive"], 1) == 50.8
-    assert table_.best_by_metric["mae|S2"] == "naive"
+    assert round(table_["improvement_pct"]["naive"], 1) == 50.8
+    assert table_["best_by_metric"]["mae|S2"] == "naive"
     # The gain runs from S1 to S2 whatever order the scenarios ran in.
-    assert compare([r2, r1]).improvement_pct == table_.improvement_pct
+    assert compare([r2, r1])["improvement_pct"] == table_["improvement_pct"]
 
 
 def test_compare_identical_reports_zero_improvement():
@@ -351,7 +350,7 @@ def test_compare_identical_reports_zero_improvement():
     r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
     r2 = run_scenario(table, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
     table_ = compare([r1, r2])
-    assert table_.improvement_pct["naive"] == 0.0
+    assert table_["improvement_pct"]["naive"] == 0.0
 
 
 def test_compare_single_report_degenerate():
@@ -359,10 +358,10 @@ def test_compare_single_report_degenerate():
     cal = HolidayCalendar.bundled()
     r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
     table_ = compare([r1])
-    assert table_.scenarios == ["S1"]
-    assert table_.improvement_pct == {}
+    assert table_["scenarios"] == ["S1"]
+    assert table_["improvement_pct"] == {}
     # One scenario: the printed table has no improvement column.
-    lines = _comparison_section(dataclasses.asdict(table_))
+    lines = _comparison_section(table_)
     assert lines[2:4] == ["| model | S1 MAE |", "|---|---|"]
     assert lines[4].startswith("| naive | ")
 

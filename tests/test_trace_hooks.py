@@ -100,6 +100,57 @@ def test_ingest_calls_each_patched_cli_function(tmp_path, monkeypatch):
     }
 
 
+def test_evaluate_calls_each_patched_cli_function(tmp_path, monkeypatch):
+    data = tmp_path / "sales.csv"
+    write_sales_csv(
+        generate_sales_table(n_stores=3, n_items=1, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31)),
+        data,
+        raw=True,
+    )
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train_end": "2015-11-30", "test_end": "2015-12-31", "models": ["arimax", "naive"]}))
+    calls, first_args = {}, {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            first_args.setdefault(attr, []).append(args[0])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    patched = [attr for module, attr, _ in load_tracing().LAYER_CALLS if module == "demandcast.cli"]
+    for attr in patched:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    assert cli.main(["evaluate", "--data", str(data), "--out", str(out), "--config", str(config)]) == 0
+    # Two scenarios of two models: one residual, histogram and totals file each.
+    assert calls == {
+        "parse_sales_csv": 1,
+        "sort_chronological": 1,
+        "fill_gaps": 1,
+        "run_scenario": 2,
+        "write_metrics_csv": 1,
+        "write_runtimes_csv": 1,
+        "write_importance_csv": 1,
+        "write_residuals_csv": 4,
+        "write_histogram_csv": 4,
+        "write_actual_vs_predicted_csv": 4,
+        "write_json": 2,
+    }
+    # Each write span sizes the file named by the writer's first argument.
+    names = [f"{model}_{scenario}" for scenario in ("S1", "S2") for model in ("arimax", "naive")]
+    assert {attr: paths for attr, paths in first_args.items() if attr.startswith("write_")} == {
+        "write_metrics_csv": [out / "metrics.csv"],
+        "write_runtimes_csv": [out / "runtimes.csv"],
+        "write_importance_csv": [out / "importance.csv"],
+        "write_residuals_csv": [out / f"residuals_{name}.csv" for name in names],
+        "write_histogram_csv": [out / f"histogram_{name}.csv" for name in names],
+        "write_actual_vs_predicted_csv": [out / f"actual_vs_predicted_{name}.csv" for name in names],
+        "write_json": [out / "report.json", out / "manifest.json"],
+    }
+
+
 def test_simulate_calls_each_patched_cli_function(tmp_path, monkeypatch):
     data = tmp_path / "sales.csv"
     write_sales_csv(
