@@ -129,7 +129,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     reports = []
     for spec in cfg.scenario_specs():
         started = time.perf_counter()
-        reports.append(run_scenario(table, spec, calendar, workers=cfg.workers))
+        reports.append(
+            run_scenario(table, spec, calendar, workers=cfg.workers, save_models=cfg.save_models)
+        )
         stage_times[f"scenario_{spec.id}"] = time.perf_counter() - started
 
     started = time.perf_counter()

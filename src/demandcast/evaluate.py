@@ -156,11 +156,12 @@ def _exog_columns(train: FeatureMatrix) -> list[str]:
     ]
 
 
-def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict]:
+def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, object]:
     """Fit one model on one series and forecast its test window.
 
     Returns the test predictions, one in-sample prediction per training row
-    and the serialized model artifact.  The test rows' targets are never read.
+    and the fitted model (None for naive, which keeps no state).  The test
+    rows' targets are never read.
     """
     model_name = payload["model"]
     train: FeatureMatrix = payload["train"]
@@ -173,7 +174,7 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict]:
         else:
             fit, predict, cfg = fit_svr, predict_svr, spec.svr_config
         model = fit(train, cfg)
-        return predict(model, test), model.train_prediction, model.to_dict()
+        return predict(model, test), model.train_prediction, model
     if model_name == "arimax":
         exog_names = _exog_columns(train)
         cols = [train.columns.index(c) for c in exog_names]
@@ -182,15 +183,15 @@ def _fit_and_forecast(payload: dict) -> tuple[np.ndarray, np.ndarray, dict]:
         X_train, X_test = train.rows.take(cols, axis=1), test.rows.take(cols, axis=1)
         model = fit_arimax(train.target, X_train, exog_names=exog_names)
         predictions = forecast_arimax(model, X_test)
-        return predictions, in_sample_predictions(model, train.target, X_train), model.to_dict()
+        return predictions, in_sample_predictions(model, train.target, X_train), model
     if model_name == "trend_seasonal":
         calendar = payload["calendar"]
         model = fit_trend_seasonal(train.target, train.dates, spec.trend_seasonal_config, calendar)
         predictions, _, _ = forecast_trend_seasonal(model, test.dates)
-        return predictions, model.train_prediction, model.to_dict()
+        return predictions, model.train_prediction, model
     if model_name == "naive":
         predictions = seasonal_naive_forecast(train.target, len(test))
-        return predictions, seasonal_naive_insample(train.target), {"kind": "naive", "period": 7}
+        return predictions, seasonal_naive_insample(train.target), None
     raise ValueError(f"unknown model {model_name!r}")
 
 
@@ -198,13 +199,16 @@ def _run_series_task(payload: dict) -> dict:
     """Run one (model, series) task and time it.
 
     Top-level function so worker processes can unpickle it.  Returns the
-    test predictions, in-sample training residual std, serialized model
-    artifact and task seconds; a failure returns its error text instead, so
-    the other tasks in the pool keep running.
+    test predictions, in-sample training residual std and task seconds, the
+    gain totals of a gbdt model, and the serialized model document only when
+    ``payload["save_models"]`` asks for it: a tree or support-vector document
+    runs to hundreds of KB that the parent would otherwise unpickle and keep.
+    A failure returns its error text instead, so the other tasks in the pool
+    keep running.
     """
     started = time.perf_counter()
     try:
-        predictions, train_pred, artifact = _fit_and_forecast(payload)
+        predictions, train_pred, model = _fit_and_forecast(payload)
     except Exception as exc:
         logger.exception("model %s failed on series %s", payload["model"], payload["key"])
         result = {"error": f"{type(exc).__name__}: {exc}"}
@@ -213,8 +217,11 @@ def _run_series_task(payload: dict) -> dict:
         result = {
             "predictions": predictions,
             "train_residual_std": float(train_residuals.std()),
-            "artifact": artifact,
         }
+        if payload["model"] == "gbdt":
+            result["gain_totals"] = model.gain_totals
+        if payload["save_models"]:
+            result["artifact"] = {"kind": "naive", "period": 7} if model is None else model.to_dict()
     result["task_seconds"] = time.perf_counter() - started
     return result
 
@@ -242,6 +249,7 @@ class ModelEvaluation:
     train_residual_std: float | None = None  # null in report.json, as NaN is not JSON
     # Keyed "store|item", as report.json and the saved models key series.
     per_series_train_residual_std: dict[str, float] = field(default_factory=dict)
+    # Each series' model document, filled only when the run saves models.
     artifacts: dict[str, dict] = field(default_factory=dict)
 
 
@@ -282,12 +290,15 @@ def run_scenario(
     spec: ScenarioSpec,
     calendar: HolidayCalendar,
     workers: int = 1,
+    save_models: bool = False,
 ) -> EvaluationReport:
     """Fit every model of the scenario and evaluate on the test window.
 
     The holiday calendar reaches the design matrix and the trend model only
-    in S2; S1 is history only.  Raises :class:`EmptyPartitionError` when no
-    series has rows on both sides of the split.
+    in S2; S1 is history only.  Each entry's ``artifacts`` holds the model
+    documents only when ``save_models`` is set.  Raises
+    :class:`EmptyPartitionError` when no series has rows on both sides of
+    the split.
     """
     calendar = calendar if spec.external else None
     working = aggregate(table, spec.granularity)
@@ -321,6 +332,7 @@ def run_scenario(
             "test": series[key][1],
             "spec": spec,
             "calendar": calendar,
+            "save_models": save_models,
         }
         for model_name in spec.models
         for key in keys
@@ -346,7 +358,7 @@ def run_scenario(
         if model_name == "gbdt":
             totals: dict[str, float] = {}
             for r in results:
-                for feat, gain in r["artifact"]["gain_totals"].items():
+                for feat, gain in r["gain_totals"].items():
                     totals[feat] = totals.get(feat, 0.0) + gain
             try:
                 importance = feature_importance(totals)
@@ -365,7 +377,7 @@ def run_scenario(
             importance=importance,
             train_residual_std=pooled_std,
             per_series_train_residual_std=per_series_std,
-            artifacts={label: r["artifact"] for label, r in zip(labels, results)},
+            artifacts={label: r["artifact"] for label, r in zip(labels, results) if "artifact" in r},
         )
 
     return EvaluationReport(

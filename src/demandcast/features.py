@@ -104,6 +104,7 @@ class HolidayCalendar:
     def from_csv(cls, path: str | Path) -> "HolidayCalendar":
         """Read a ``date,name`` CSV of ISO dates, one holiday a row.
 
+        One leading UTF-8 byte order mark is skipped, as the sales CSV's is.
         A file that is not UTF-8 or lacks that header, or a row without a
         name, with a bad date or with a date seen before, raises
         :class:`MalformedInputError` naming the file and the line.
@@ -113,7 +114,7 @@ class HolidayCalendar:
         except MalformedInputError as exc:
             raise MalformedInputError(f"holiday calendar {path}: {exc}") from None
         entries: dict[int, str] = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader, [])
@@ -221,7 +222,11 @@ def _assemble_unscaled(
     external: bool,
     calendar: HolidayCalendar | None,
     deviation_mode: DeviationMode,
-) -> FeatureMatrix:
+    ends: tuple[int, ...],
+) -> list[FeatureMatrix]:
+    """Unscaled matrices of consecutive date ranges, one per ascending day
+    ordinal in ``ends``: the first holds the rows dated up to ``ends[0]``,
+    the next those after it up to ``ends[1]``.  Later rows are dropped."""
     table._require_sorted()
     if external and calendar is None:
         raise ValueError("external features require a holiday calendar")
@@ -239,31 +244,45 @@ def _assemble_unscaled(
     if short:
         logger.warning("series of %d days or fewer have no rows with every lag: %s", max(LAGS), short)
 
-    # Each part holds only the kept rows, so no full-length matrix is built.
     quantities, ordinals = table.quantities, table.dates
     dates = ordinals[keep]
-    months = as_datetime64(dates).astype("datetime64[M]").astype(np.int64) % 12
-    parts = [
-        np.column_stack([np.roll(quantities, lag)[keep] for lag in LAGS]),
-        cyclical_columns(months.astype(np.float64), 12),
-    ]
-    if external:
-        dows = weekdays_of_ordinals(dates).astype(np.float64)
-        parts += [
-            cyclical_columns(dows, 7),
-            dows[:, None],
-            holiday_flag(ordinals, calendar)[keep, None],
-            deviation_flag(quantities, day, deviation_mode)[keep, None],
-        ]
-
-    return FeatureMatrix(
-        columns=columns,
-        rows=np.column_stack(parts),
-        target=quantities[keep],
-        dates=dates,
-        stores=table.store_ids[keep],
-        items=table.item_ids[keep],
+    # Row j of masks marks the kept rows of range j; side="left" puts a row
+    # dated ends[j] in range j.
+    masks = np.arange(len(ends))[:, None] == np.searchsorted(
+        np.asarray(ends, dtype=np.int64), dates
     )
+
+    if external:
+        # The flags' full-table transients peak before the output exists.
+        holidays = holiday_flag(ordinals, calendar)[keep, None]
+        flags = deviation_flag(quantities, day, deviation_mode)[keep, None]
+
+    def blocks():
+        # Each block of columns covers the kept rows only, and exists alone
+        # beside the output matrices while its rows are copied into them.
+        for lag in LAGS:
+            yield np.roll(quantities, lag)[keep, None]
+        months = as_datetime64(dates).astype("datetime64[M]").astype(np.int64) % 12
+        yield cyclical_columns(months.astype(np.float64), 12)
+        if external:
+            dows = weekdays_of_ordinals(dates).astype(np.float64)
+            yield cyclical_columns(dows, 7)
+            yield dows[:, None]
+            yield holidays
+            yield flags
+
+    matrices = [np.empty((int(np.count_nonzero(m)), len(columns))) for m in masks]
+    j = 0
+    for block in blocks():
+        for rows, mask in zip(matrices, masks):
+            rows[:, j : j + block.shape[1]] = block[mask]
+        j += block.shape[1]
+
+    target, stores, items = quantities[keep], table.store_ids[keep], table.item_ids[keep]
+    return [
+        FeatureMatrix(list(columns), rows, target[mask], dates[mask], stores[mask], items[mask])
+        for rows, mask in zip(matrices, masks)
+    ]
 
 
 def _scale(train: FeatureMatrix, test: FeatureMatrix) -> None:
@@ -293,11 +312,12 @@ def build_train_test_matrices(
     both keep (store, item, date) order.  Min-max statistics are fit on the
     training rows only and applied to both sides.
     """
-    unscaled = _assemble_unscaled(table, external, calendar, deviation_mode)
-    train_mask = unscaled.dates <= split.train_end.toordinal()
-    test_mask = ~train_mask & (unscaled.dates <= split.test_end.toordinal())
-    # Boolean masks copy the rows, which are then scaled in place.
-    train = unscaled.select_rows(train_mask)
-    test = unscaled.select_rows(test_mask)
+    train, test = _assemble_unscaled(
+        table,
+        external,
+        calendar,
+        deviation_mode,
+        (split.train_end.toordinal(), split.test_end.toordinal()),
+    )
     _scale(train, test)
     return train, test

@@ -18,9 +18,11 @@ sums score every candidate of the level, and rows move by bin rank.
 The split choice must not depend on summation order: candidates within
 TIE_RTOL of their node's best gain, relative, tie, the lowest (feature,
 threshold) among them wins, and it splits only when it beats
-gamma_split_threshold by TIE_RTOL times the node's sum of squared residuals.  A
-threshold is the midpoint of two values, or the lower one when the midpoint
-rounds onto the upper, so ``x <= threshold`` applies the scored partition.
+gamma_split_threshold by TIE_RTOL times the node's row count times the
+target's variance.  That scale is fixed per fit, so a node whose residuals
+are only rounding noise cannot clear it.  A threshold is the midpoint of
+two values, or the lower one when the midpoint rounds onto the upper, so
+``x <= threshold`` applies the scored partition.
 Rows take one canonical order per fit, so any row order fits bit for bit.
 """
 
@@ -191,12 +193,13 @@ def _best_splits(
 
 
 def _build_tree(
-    bins: _Bins, residual: np.ndarray, cfg: GbdtConfig, gain_totals: np.ndarray
+    bins: _Bins, residual: np.ndarray, cfg: GbdtConfig, gain_totals: np.ndarray, scale: float
 ) -> tuple[RegressionTree, np.ndarray]:
     """Grow one tree, one level at a time; also return each row's leaf value.
 
     Nodes are numbered breadth first.  Each split's gain is added to its
-    feature's total.
+    feature's total.  A split must beat gamma_split_threshold by TIE_RTOL
+    times ``scale`` times its node's row count.
     """
     n_rows = len(bins.row_start)
     capacity = min(2 ** (cfg.max_depth + 1), 2 * n_rows) - 1
@@ -209,7 +212,6 @@ def _build_tree(
     split_col = np.full(capacity, bins.width)
     threshold = np.zeros(capacity)
     row_node = np.zeros(n_rows, dtype=np.intp)
-    squared = residual * residual
     open_nodes = np.zeros(int(n_rows >= 2 * cfg.min_child_rows), dtype=np.intp)
     residual_sums = np.bincount(bins.flat, residual.repeat(bins.n_features), bins.width)
     hist = (residual_sums + bins.root_count)[None]
@@ -218,7 +220,7 @@ def _build_tree(
         if not len(open_nodes):
             break
         # A split must beat gamma by more than rounding of its node's sums can.
-        floor = cfg.gamma_split_threshold + TIE_RTOL * np.bincount(row_node, squared)[open_nodes]
+        floor = cfg.gamma_split_threshold + TIE_RTOL * scale * np.bincount(row_node)[open_nodes]
         s, b, b_next, n_left, n_right, gain = _best_splits(hist, bins, floor, cfg)
         parents = open_nodes[s]
         f = bins.feature[b]
@@ -275,11 +277,14 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
     X, y = matrix.rows[order], matrix.target[order]
     bins = _Bins(X)
     base = float(y.mean())
+    # The split floor's scale, over the sorted target so that it depends on
+    # the target's values alone.
+    scale = float(np.var(np.sort(y)))
     gain_totals = np.zeros(bins.n_features)
     trees: list[RegressionTree] = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
-        tree, leaf_value = _build_tree(bins, y - prediction, cfg, gain_totals)
+        tree, leaf_value = _build_tree(bins, y - prediction, cfg, gain_totals, scale)
         trees.append(tree)
         prediction = prediction + cfg.learning_rate * leaf_value
     train_prediction = np.empty(len(y))

@@ -8,7 +8,8 @@ fit on log(1+y), which keeps the estimator a deterministic ridge solve;
 the ridge penalty applies to the changepoint hinge coefficients only.
 The solve is a Householder QR (:mod:`.lsq`) of the design with the ridge
 rows stacked under it, factored once per distinct training window and
-reused for every series that shares it.  95% prediction intervals come
+reused for every series that shares it; the forecast basis of a window's
+test dates is likewise built once.  95% prediction intervals come
 from empirical training residual quantiles, constant width on the log
 scale.
 """
@@ -225,19 +226,43 @@ def fit_trend_seasonal(
     )
 
 
+# Every series of a scenario shares its training window and its test dates,
+# so the forecast basis is built once per scenario, as the fit's design is.
+@functools.lru_cache(maxsize=2)
+def _forecast_basis(
+    ordinal_bytes: bytes,
+    cfg: TrendSeasonalConfig,
+    changepoint_bytes: bytes,
+    t_start: int,
+    t_span: float,
+    entries: tuple[tuple[int, str], ...],
+    holiday_names: tuple[str, ...],
+) -> np.ndarray:
+    basis, _ = build_basis(
+        np.frombuffer(ordinal_bytes, dtype=np.int64),
+        cfg,
+        np.frombuffer(changepoint_bytes, dtype=np.float64),
+        t_start,
+        t_span,
+        dict(entries),
+        holiday_names,
+    )
+    basis.flags.writeable = False
+    return basis
+
+
 def forecast_trend_seasonal(
     model: TrendSeasonalModel, dates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Point forecast with (lo, hi) interval bounds for the given dates."""
-    ordinals = np.asarray(dates, dtype=np.int64)
-    basis, _ = build_basis(
-        ordinals,
+    basis = _forecast_basis(
+        np.asarray(dates, dtype=np.int64).tobytes(),
         model.config,
-        model.changepoints,
+        np.asarray(model.changepoints, dtype=np.float64).tobytes(),
         model.t_start,
         model.t_span,
-        model.calendar_entries,
-        model.holiday_names,
+        tuple(model.calendar_entries.items()),
+        tuple(model.holiday_names),
     )
     linear = model.offset + np.einsum("ij,j->i", basis, model.basis_coef)
     q_lo, q_hi = model.residual_quantiles

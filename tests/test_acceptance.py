@@ -120,7 +120,8 @@ def test_gbdt_small_instance_oracle():
             y = np.round(rng.uniform(-5, 5, size=n), 2)
             cfg = GbdtConfig(n_trees=1, learning_rate=1.0, l2_lambda=lam, max_depth=depth)
             model = fit_gbdt(make_matrix(X, y), cfg)
-            expected = oracle_tree(X, y - y.mean(), lam, depth, cfg.min_child_rows)
+            scale = float(np.var(np.sort(y)))
+            expected = oracle_tree(X, y - y.mean(), lam, depth, cfg.min_child_rows, scale)
             assert_same_tree(model.trees[0], 0, expected)
 
         # leaf-weight regularisation fixture: +-20/4.1

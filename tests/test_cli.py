@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import logging
 import os
@@ -302,6 +303,7 @@ def test_evaluate_writes_expected_artifacts(evaluated):
         "actual_vs_predicted_naive_S1.csv",
     ):
         assert (out / name).exists(), name
+    assert not list(out.glob("models_*.json"))  # save_models is off by default
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["data_fingerprint"]
     assert manifest["config_fingerprint"]
@@ -364,6 +366,35 @@ def test_evaluate_does_not_depend_on_blas_threads(tmp_path):
     assert {"metrics.csv", "residuals_svr_S2.csv", "models_trend_seasonal_S2.json"} <= set(outputs[0])
     assert all(row["error"] == "" for row in read_metrics(out))
     assert outputs[0] == outputs[1]
+
+
+# sha256 of each models_*.json that evaluate writes on small_csv with every
+# model and save_models set, at both worker counts.
+MODEL_DOCUMENT_SHA256 = {
+    "models_arimax_S1.json": "dfa061ad2cfd375442d710da7d79edc03cfb3131657d9e6693ff8cad39b00e81",
+    "models_arimax_S2.json": "74b5e34d1f2ca86eea29235f78d87442996c19c31ca147fee3bdd19145ce71ae",
+    "models_gbdt_S1.json": "d296aa7ea3ab3fd6e9a634144b57d9633c75ae8f013e644c0a3fed6d9e9b42e8",
+    "models_gbdt_S2.json": "6354b6234dbba8f1693805c7af5a7a32bff8a278b4d93c9e459cf56a59fb3ef6",
+    "models_naive_S1.json": "c53c2f52b647aa99e42192e7cdff2bdc00e81d2e1f61016f5a75801e206a9522",
+    "models_naive_S2.json": "c53c2f52b647aa99e42192e7cdff2bdc00e81d2e1f61016f5a75801e206a9522",
+    "models_svr_S1.json": "07b69fc07185c9b7f5df56d64fdf1159ffc4fa835e80b8676edb3f0b15ab683f",
+    "models_svr_S2.json": "2957690d89b103c4a4b4821f056a3939558c9f2373677e391d986325568bdef4",
+    "models_trend_seasonal_S1.json": "8270866a3940f0c944d2f6ef71b1fd3a427b7add9866debf689cf6713e238e1e",
+    "models_trend_seasonal_S2.json": "7d5cd02eeb7362f359afd856f3963fd6f91042df693ac4a2b3f515c95f43b853",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_saved_model_documents_pinned(tmp_path, small_csv, workers):
+    cfg, out = small_config(
+        tmp_path, small_csv, models=list(demandcast.evaluate.MODEL_NAMES), save_models=True,
+        workers=workers,
+    )
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("models_*.json"))
+    } == MODEL_DOCUMENT_SHA256
 
 
 def test_evaluate_aggregate_granularity(tmp_path, small_csv):

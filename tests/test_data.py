@@ -32,7 +32,13 @@ from demandcast.errors import (
     MalformedInputError,
 )
 from demandcast.evaluate import ScenarioSpec, run_scenario
-from demandcast.features import LAGS, DeviationMode, HolidayCalendar, build_train_test_matrices
+from demandcast.features import (
+    LAGS,
+    DeviationMode,
+    HolidayCalendar,
+    _assemble_unscaled,
+    build_train_test_matrices,
+)
 
 from conftest import BASE, gap_filled_tables, make_table, table_rows, unsorted_table
 
@@ -549,6 +555,12 @@ def test_split_partition_property(table, train_days, test_days, mode, seed):
     end, last = train_end.toordinal(), split.test_end.toordinal()
     assert matrix_rows(train) == [r for r in lag_valid if r[2] <= end]
     assert matrix_rows(test) == [r for r in lag_valid if end < r[2] <= last]
+    # Each side's unscaled rows are bit for bit those of one matrix over
+    # both date ranges.
+    (whole,) = _assemble_unscaled(table, True, cal, mode, (last,))
+    sides = _assemble_unscaled(table, True, cal, mode, (end, last))
+    for side, mask in zip(sides, (whole.dates <= end, whole.dates > end)):
+        assert side.rows.tobytes() == whole.rows[mask].tobytes()
 
     # Quantities dated after test_end reach no feature on either side.
     later = table.dates > last

@@ -21,7 +21,7 @@ from demandcast.evaluate import (
     score,
 )
 from demandcast.features import HolidayCalendar
-from demandcast.models.gbdt import GbdtConfig
+from demandcast.models.gbdt import GbdtConfig, feature_importance
 from demandcast.models.naive import seasonal_naive_forecast, seasonal_naive_insample
 
 from conftest import make_table, table_rows
@@ -269,6 +269,34 @@ def test_run_scenario_deterministic_across_worker_counts():
         assert np.array_equal(r1.entries[name].predictions, r2.entries[name].predictions)
 
 
+def test_model_documents_only_when_saving_models():
+    # Workers return each series' model document only for save_models; gbdt's
+    # importance comes from the gain totals either way.
+    table = two_series_table()
+    spec = ScenarioSpec(
+        "S2", SPLIT, models=("gbdt", "naive"), gbdt_config=GbdtConfig(n_trees=20, max_depth=3)
+    )
+    cal = HolidayCalendar.bundled()
+    saved = run_scenario(table, spec, cal, save_models=True)
+    assert saved.entries["naive"].artifacts == {
+        "1|1": {"kind": "naive", "period": 7},
+        "2|1": {"kind": "naive", "period": 7},
+    }
+    docs = saved.entries["gbdt"].artifacts
+    assert list(docs) == ["1|1", "2|1"]
+    totals = {
+        name: sum(doc["gain_totals"][name] for doc in docs.values())
+        for name in docs["1|1"]["gain_totals"]
+    }
+    assert saved.entries["gbdt"].importance == feature_importance(totals)
+    for workers in (1, 2):
+        report = run_scenario(table, spec, cal, workers=workers)
+        for name, entry in report.entries.items():
+            assert entry.artifacts == {}
+            assert np.array_equal(entry.predictions, saved.entries[name].predictions)
+            assert entry.importance == saved.entries[name].importance
+
+
 def test_arimax_drops_exogenous_columns_constant_over_training():
     # Summed over two steady series the deviation flag never fires, so it is
     # a constant column that arimax cannot separate from its intercept.
@@ -279,7 +307,7 @@ def test_arimax_drops_exogenous_columns_constant_over_training():
     spec = ScenarioSpec(
         "S2", SPLIT, granularity=Granularity.AGGREGATE, models=("arimax", "naive")
     )
-    report = run_scenario(table, spec, HolidayCalendar.bundled())
+    report = run_scenario(table, spec, HolidayCalendar.bundled(), save_models=True)
     entry = report.entries["arimax"]
     assert entry.error is None
     assert np.isfinite(entry.metrics.mae)

@@ -1,5 +1,7 @@
+import codecs
 import datetime as dt
 import logging
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -93,7 +95,9 @@ def two_level_table(lengths=(40, 35)):
 
 
 def unscaled_matrix(table):
-    return _assemble_unscaled(table, False, None, DeviationMode.SAME_DAY)
+    last = int(table.dates.max())
+    (matrix,) = _assemble_unscaled(table, False, None, DeviationMode.SAME_DAY, (last,))
+    return matrix
 
 
 def test_lag_single_shift():
@@ -226,6 +230,13 @@ def test_bundled_calendar_republic_day():
 def test_bundled_calendar_covers_dataset_window():
     cal = HolidayCalendar.bundled()
     assert cal.years() == {2013, 2014, 2015, 2016, 2017}
+
+
+def test_calendar_with_byte_order_mark_reads_the_same(tmp_path):
+    ref = resources.files("demandcast.assets") / "holidays_IN_2013_2017.csv"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + ref.read_bytes())
+    assert HolidayCalendar.from_csv(path).entries == HolidayCalendar.bundled().entries
 
 
 def test_holiday_calendar_gap_raises():

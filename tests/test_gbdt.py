@@ -24,8 +24,9 @@ from conftest import bundled_series, make_matrix
 # Independent greedy-tree oracle: evaluates every (feature, threshold)
 # candidate by direct recomputation over row masks, with fit_gbdt's tie rule
 # (the lowest feature index, then the lowest threshold, among candidates
-# within TIE_RTOL of the best gain) and threshold rule (split_threshold).
-def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
+# within TIE_RTOL of the best gain), threshold rule (split_threshold) and
+# floor (TIE_RTOL times scale, the target's variance, per row of the node).
+def oracle_tree(X, residual, lam, max_depth, min_child, scale, gamma=0.0):
     def score(rows):
         g = residual[rows].sum()
         return g * g / (len(rows) + lam)
@@ -44,7 +45,7 @@ def oracle_tree(X, residual, lam, max_depth, min_child, gamma=0.0):
                 candidates.append((0.5 * (score(left) + score(right) - parent), f, thr))
         best = max((c[0] for c in candidates), default=None)
         tied = [c for c in candidates if c[0] >= best - TIE_RTOL * abs(best)]
-        if not tied or not tied[0][0] > gamma + TIE_RTOL * (residual[rows] ** 2).sum():
+        if not tied or not tied[0][0] > gamma + TIE_RTOL * scale * len(rows):
             return {"leaf": residual[rows].sum() / (len(rows) + lam)}
         gain, f, thr = tied[0]
         return {
@@ -80,7 +81,7 @@ def assert_same_tree(tree, node, oracle_node):
 # depth first.  It shares fit_gbdt's candidates, gain formula, tie rule and
 # threshold rule but adds residuals in another order, so fit_gbdt must match
 # its splits exactly and its sums to rounding.
-def reference_best_split(XT, residual, rows, idx, cfg):
+def reference_best_split(XT, residual, rows, idx, cfg, scale):
     m = len(rows)
     g_total = float(residual[rows].sum())
     n_total = float(m)
@@ -104,7 +105,7 @@ def reference_best_split(XT, residual, rows, idx, cfg):
     best = gains.max()
     # Candidates are in (feature, threshold) order: the first tied one wins.
     k = int(np.flatnonzero(gains >= best - TIE_RTOL * abs(best))[0])
-    if not gains[k] > cfg.gamma_split_threshold + TIE_RTOL * float((residual[rows] ** 2).sum()):
+    if not gains[k] > cfg.gamma_split_threshold + TIE_RTOL * scale * m:
         return None
     f, i = int(f[k]), int(i[k])
     return float(gains[k]), f, split_threshold(xs[f, i], xs[f, i + 1])
@@ -126,7 +127,7 @@ def add_node(tree):
     return len(tree.feature) - 1
 
 
-def reference_tree(XT, ranks, residual, cfg, gain_totals, feature_names):
+def reference_tree(XT, ranks, residual, cfg, gain_totals, feature_names, scale):
     tree = RegressionTree()
     n_features, n_rows = XT.shape
     leaf_value = np.empty(n_rows)
@@ -137,7 +138,7 @@ def reference_tree(XT, ranks, residual, cfg, gain_totals, feature_names):
 
     def grow(rows, idx, depth):
         node = add_node(tree)
-        split = None if idx is None else reference_best_split(XT, residual, rows, idx, cfg)
+        split = None if idx is None else reference_best_split(XT, residual, rows, idx, cfg, scale)
         if split is None:
             value = float(residual[rows].sum()) / (len(rows) + cfg.l2_lambda)
             tree.value[node] = value
@@ -174,11 +175,14 @@ def reference_fit(matrix, cfg):
     y = matrix.target
     ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in XT])
     base = float(y.mean())
+    scale = float(np.var(np.sort(y)))
     gain_totals = {name: 0.0 for name in matrix.columns}
     trees = []
     prediction = np.full(len(y), base)
     for _ in range(cfg.n_trees):
-        tree, leaf_value = reference_tree(XT, ranks, y - prediction, cfg, gain_totals, matrix.columns)
+        tree, leaf_value = reference_tree(
+            XT, ranks, y - prediction, cfg, gain_totals, matrix.columns, scale
+        )
         trees.append(tree)
         prediction = prediction + cfg.learning_rate * leaf_value
     return GbdtModel(cfg, base, trees, list(matrix.columns), gain_totals, prediction)
@@ -302,6 +306,22 @@ def test_presorted_fit_matches_per_node_sort_reference(problem):
     assert_matches_reference(model, reference_fit(matrix, cfg))
     assert_children_hold_min_rows(model, matrix)
     assert np.array_equal(model.train_prediction, predict_gbdt(model, matrix))
+
+
+def test_node_of_rounding_noise_does_not_split():
+    # The first tree fits the target exactly, but its right leaf's residuals
+    # come back as 6.9e-18 rather than 0.  The second tree must not split
+    # them: the floor scales with the target's variance, not with the noise.
+    y = np.zeros(9)
+    y[1] = 0.25
+    X = np.zeros((9, 1))
+    X[1, 0] = 1.0
+    matrix = make_matrix(X, y)
+    cfg = GbdtConfig(n_trees=2, learning_rate=1.0, l2_lambda=0.0, max_depth=1)
+    model = fit_gbdt(matrix, cfg)
+    assert model.trees[0].feature == [0, -1, -1]
+    assert model.trees[1].feature == [-1]
+    assert_matches_reference(model, reference_fit(matrix, cfg))
 
 
 # Thresholds the drawn trees split at; rows take these values too, so some
@@ -487,7 +507,8 @@ def test_greedy_split_matches_exhaustive_oracle():
         cfg = GbdtConfig(n_trees=1, learning_rate=1.0, l2_lambda=lam, max_depth=depth)
         model = fit_gbdt(make_matrix(X, y), cfg)
         residual = y - y.mean()
-        expected = oracle_tree(X, residual, lam, depth, cfg.min_child_rows)
+        scale = float(np.var(np.sort(y)))
+        expected = oracle_tree(X, residual, lam, depth, cfg.min_child_rows, scale)
         assert_same_tree(model.trees[0], 0, expected)
 
 

@@ -106,6 +106,13 @@ def test_trend_seasonal_cache_hit_equals_fresh_factorization(seed, n, penalty, w
     assert np.array_equal(hit.train_prediction, fresh.train_prediction)
     # The in-sample values are the forecast of the training days, bit for bit.
     assert np.array_equal(hit.train_prediction, forecast_trend_seasonal(hit, dates)[0])
+    # A forecast from a cached basis equals one from a fresh basis.
+    future = dates[-1] + 1 + np.arange(40, dtype=np.int64)
+    trend_seasonal._forecast_basis.cache_clear()
+    missed = forecast_trend_seasonal(hit, future)
+    cached = forecast_trend_seasonal(fresh, future)
+    assert trend_seasonal._forecast_basis.cache_info().hits == 1
+    assert all(np.array_equal(a, b) for a, b in zip(missed, cached))
 
 
 @settings(max_examples=100, deadline=None)
