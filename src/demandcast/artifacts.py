@@ -19,7 +19,7 @@ from .data import SalesTable, as_datetime64, series_runs
 from .errors import MissingForecastsError
 from .evaluate import FORECAST_MODES, EvaluationReport
 from .features import FeatureMatrix
-from .inventory import ImpactTable, InventoryOutcome
+from .inventory import InventoryOutcome
 
 
 # Rows formatted and written at a time, which bounds the text held in memory.
@@ -235,11 +235,8 @@ def write_ledger_csv(path: Path, outcomes: Mapping[tuple[str, str], "InventoryOu
     _write_csv(path, ["store", "item", "day", *LEDGER_COLUMNS], [stores, items, days, *ledger])
 
 
-def write_impact_csv(path: Path, table: ImpactTable) -> None:
-    rows = []
-    for model, impact_rows in table.rows.items():
-        for r in impact_rows:
-            rows.append([model, r.metric, r.before, r.after, r.improvement_pct, r.direction])
+def write_impact_csv(path: Path, rows: Sequence[Sequence]) -> None:
+    """rows: impact_table's [model, metric, before, after, improvement_pct, direction]."""
     _write_csv(
         path,
         ["model", "metric", "before", "after", "improvement_pct", "direction"],

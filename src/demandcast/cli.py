@@ -224,33 +224,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
             for key, (actual, predicted) in read_residuals_csv(path).items()
         }
         write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", per_series)
-        outcome = pool_outcomes(list(per_series.values()))
-        if outcome.negative_forecast_days:
-            clamped = outcome.negative_forecast_days
+        rates = pool_outcomes(list(per_series.values()))
+        if clamped := rates["negative_forecast_days"]:
             logger.warning("%s: clamped %d negative forecast values to zero", model, clamped)
-        return outcome
+        return rates
 
     baseline = replay("naive")
     pooled = {model: replay(model) for model in models}
 
-    table = impact_table(pooled, baseline)
-    write_impact_csv(out_dir / "impact_table.csv", table)
+    rows = impact_table(pooled, baseline)
+    write_impact_csv(out_dir / "impact_table.csv", rows)
     impact_doc = {
         "scenario": scenario_id,
         "policy": cfg.simulation,
         "baseline": "naive",
-        "baseline_rates": {name: getattr(baseline, name) for name, _ in IMPACT_METRICS},
-        "models": {
-            model: {
-                **{name: getattr(o, name) for name, _ in IMPACT_METRICS},
-                "negative_forecast_days": o.negative_forecast_days,
-            }
-            for model, o in pooled.items()
-        },
+        "baseline_rates": {name: baseline[name] for name, _ in IMPACT_METRICS},
+        "models": pooled,
         "skipped": skipped,
     }
     write_json(out_dir / "impact.json", impact_doc)
-    print(table.to_text())
+    print("\n".join(_impact_section(rows)))
     if skipped:
         print(f"skipped models that failed in evaluate: {sorted(skipped)}", file=sys.stderr)
     return EXIT_OK
@@ -285,6 +278,19 @@ def _comparison_section(comparison: dict) -> list[str]:
             best = comparison["best_by_metric"].get(f"{metric}|{s}")
             if best:
                 lines.append(f"- best {metric.upper()} in {s}: {best}")
+    return lines
+
+
+def _impact_section(rows: list[list]) -> list[str]:
+    """The lines simulate prints: each model's impact_table rows against naive."""
+    lines, last_model = [], None
+    for model, metric, before, after, change, direction in rows:
+        if model != last_model:
+            lines.append(f"{model} vs naive:")
+            last_model = model
+        lines.append(
+            f"  {metric:>18}: {before:10.4f} -> {after:10.4f}  ({change:6.1f}% {direction})"
+        )
     return lines
 
 

@@ -204,11 +204,14 @@ def _run_series_task(payload: dict) -> dict:
     ``payload["save_models"]`` asks for it: a tree or support-vector document
     runs to hundreds of KB that the parent would otherwise unpickle and keep.
     A failure returns its error text instead, so the other tasks in the pool
-    keep running.
+    keep running; a forecast or in-sample value that is not finite fails the
+    task, as it would make the model's scores inf or NaN.
     """
     started = time.perf_counter()
     try:
         predictions, train_pred, model = _fit_and_forecast(payload)
+        if not (np.isfinite(predictions).all() and np.isfinite(train_pred).all()):
+            raise ValueError("the predictions are not all finite")
     except Exception as exc:
         logger.exception("model %s failed on series %s", payload["model"], payload["key"])
         result = {"error": f"{type(exc).__name__}: {exc}"}
@@ -229,7 +232,8 @@ def _run_series_task(payload: dict) -> dict:
 def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
     if workers <= 1 or len(tasks) <= 1:
         return [_run_series_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Under fork, the pool starts all max_workers processes at once.
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_run_series_task, tasks, chunksize=1))
 
 

@@ -9,7 +9,7 @@ closing = opening + received - sold and lost = demand - sold on every day.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,19 +60,11 @@ class InventoryOutcome:
     stockout_rate: float
     cost_index: float
     forecast_mae: float
-    mean_demand: float
     negative_forecast_days: int
 
     @property
     def days(self) -> int:
         return len(self.demand)
-
-    @property
-    def forecast_accuracy(self) -> float:
-        """100 * (1 - MAE / mean demand); one operationalisation of accuracy."""
-        if self.mean_demand == 0.0:
-            return 0.0
-        return 100.0 * (1.0 - self.forecast_mae / self.mean_demand)
 
 
 def _window_sums(fc: np.ndarray, review_period: int, protection: int) -> np.ndarray:
@@ -163,89 +155,46 @@ def simulate(
         stockout_rate=float((lost > 0).mean()) if n else 0.0,
         cost_index=float(policy.holding_cost * closing.sum() + policy.emergency_cost * lost.sum()),
         forecast_mae=float(np.abs(demand - forecast).mean()) if n else 0.0,
-        mean_demand=float(demand.mean()) if n else 0.0,
         negative_forecast_days=negative_days,
     )
 
 
-def pool_outcomes(outcomes: Sequence[InventoryOutcome]) -> InventoryOutcome:
-    """Combine per-series outcomes into portfolio-level rates and costs."""
+def pool_outcomes(outcomes: Sequence[InventoryOutcome]) -> dict[str, float]:
+    """The portfolio rates of per-series outcomes, as impact.json stores them.
+
+    Overstock rate and MAE weight each series by its days; stockout rate and
+    mean demand run over the concatenated days; cost is summed.
+    """
     if not outcomes:
         raise ValueError("no outcomes to pool")
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(o, name) for o in outcomes])
-
-    demand = cat("demand")
-    closing = cat("closing")
-    lost = cat("lost_sales")
+    demand = np.concatenate([o.demand for o in outcomes])
+    lost = np.concatenate([o.lost_sales for o in outcomes])
     total_days = sum(o.days for o in outcomes)
     overstock_days = sum(o.overstock_rate * o.days for o in outcomes)
-    mae = float(
-        sum(o.forecast_mae * o.days for o in outcomes) / total_days
-    )
-    return InventoryOutcome(
-        opening=cat("opening"),
-        ordered=cat("ordered"),
-        received=cat("received"),
-        demand=demand,
-        sold=cat("sold"),
-        lost_sales=lost,
-        closing=closing,
-        overstock_rate=float(overstock_days / total_days),
-        stockout_rate=float((lost > 0).mean()),
-        cost_index=float(sum(o.cost_index for o in outcomes)),
-        forecast_mae=mae,
-        mean_demand=float(demand.mean()),
-        negative_forecast_days=sum(o.negative_forecast_days for o in outcomes),
-    )
-
-
-@dataclass
-class ImpactRow:
-    metric: str
-    before: float
-    after: float
-    improvement_pct: float
-    direction: str  # "reduction" or "increase"
-
-
-@dataclass
-class ImpactTable:
-    rows: dict[str, list[ImpactRow]] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        lines = []
-        for model, rows in self.rows.items():
-            lines.append(f"{model} vs naive:")
-            for r in rows:
-                lines.append(
-                    f"  {r.metric:>18}: {r.before:10.4f} -> {r.after:10.4f}"
-                    f"  ({r.improvement_pct:6.1f}% {r.direction})"
-                )
-        return "\n".join(lines)
+    mae = float(sum(o.forecast_mae * o.days for o in outcomes) / total_days)
+    mean_demand = float(demand.mean())
+    return {
+        "overstock_rate": float(overstock_days / total_days),
+        "stockout_rate": float((lost > 0).mean()),
+        # 100 * (1 - MAE / mean demand); one operationalisation of accuracy.
+        "forecast_accuracy": 0.0 if mean_demand == 0.0 else 100.0 * (1.0 - mae / mean_demand),
+        "cost_index": float(sum(o.cost_index for o in outcomes)),
+        "negative_forecast_days": sum(o.negative_forecast_days for o in outcomes),
+    }
 
 
 def impact_table(
-    outcomes: Mapping[str, InventoryOutcome], baseline: InventoryOutcome
-) -> ImpactTable:
-    """Before/after rates per model against the naive reference forecast."""
-    table = ImpactTable()
-    for model, outcome in outcomes.items():
-        rows = []
+    pooled: Mapping[str, Mapping[str, float]], baseline: Mapping[str, float]
+) -> list[list]:
+    """Rows [model, metric, before, after, improvement_pct, direction] against naive."""
+    rows = []
+    for model, rates in pooled.items():
         for metric, lower_better in IMPACT_METRICS:
-            before = getattr(baseline, metric)
-            after = getattr(outcome, metric)
+            before, after = baseline[metric], rates[metric]
             reduction = improvement_percent(before, after)
-            rows.append(
-                ImpactRow(
-                    metric=metric,
-                    before=float(before),
-                    after=float(after),
-                    # 0.0 - x rather than -x, so that no change reads 0.0, not -0.0.
-                    improvement_pct=reduction if lower_better else 0.0 - reduction,
-                    direction="reduction" if lower_better else "increase",
-                )
-            )
-        table.rows[model] = rows
-    return table
+            if lower_better:
+                rows.append([model, metric, before, after, reduction, "reduction"])
+            else:
+                # 0.0 - x rather than -x, so that no change reads 0.0, not -0.0.
+                rows.append([model, metric, before, after, 0.0 - reduction, "increase"])
+    return rows

@@ -386,8 +386,8 @@ def test_inventory_directional_claim(bundled_run):
 
         tree = pooled_with_matched_sigma("gbdt")
         base = pooled_with_matched_sigma("naive")
-        assert tree.stockout_rate <= base.stockout_rate
-        assert tree.cost_index <= base.cost_index
+        assert tree["stockout_rate"] <= base["stockout_rate"]
+        assert tree["cost_index"] <= base["cost_index"]
 
 
 # --- 10. determinism across worker counts -------------------------------------------

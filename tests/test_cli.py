@@ -443,6 +443,34 @@ def test_simulate_writes_ledgers_and_impact(evaluated):
     assert len(rows) == 1 + 2 * 4  # header + 2 models x 4 metrics
 
 
+# sha256 of what simulate writes and prints on small_csv under a policy other
+# than the default: a longer lead time and review period, a larger safety
+# factor, and the S1 forecasts.
+NON_DEFAULT_POLICY_SHA256 = {
+    "impact.json": "f6e6b59b76fea6a32ae510018abaa28b50491d34e9bede1e0083d8438a8478b5",
+    "impact_table.csv": "e9a78dec825fc40f3b5945bbebf53af9a49fe5a4f176d52df795d51a44abab22",
+    "ledger_arimax_S1.csv": "2b12da437b4923734f00bffce062d6b1822f2332fa01712aa568e7572bf6bc05",
+    "ledger_gbdt_S1.csv": "581343fdd0e30cdb95f273a9de7a4a5e7519486b3665e8fb604c4685b99d3cff",
+    "ledger_naive_S1.csv": "769252229a65ec09e90822e9b99f41d7a85fe9034504944f9018e80745edfe67",
+    "stdout": "6f27d11fd6273f55ea812ee6cf2dc3ab2d0d90474c3a28cf191756c9fbd87ea7",
+}
+
+
+def test_simulate_under_non_default_policy_pinned(tmp_path, small_csv, capsys):
+    policy = {"lead_time": 3, "review_period": 2, "safety_factor": 1.0, "scenario": "S1"}
+    cfg, out = small_config(tmp_path, small_csv, "policy", simulation=policy)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted([out / "impact.json", out / "impact_table.csv", *out.glob("ledger_*.csv")])
+    }
+    digests["stdout"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+    assert digests == NON_DEFAULT_POLICY_SHA256
+
+
 def test_simulate_missing_model_forecasts(tmp_path, small_csv, capsys):
     cfg, out = small_config(
         tmp_path, small_csv, "missing", models=["naive"], scenarios=["S2"]
@@ -491,26 +519,37 @@ def test_simulate_skips_models_that_failed_in_evaluate(tmp_path, small_csv, monk
     assert "gbdt" in capsys.readouterr().err
 
 
-def test_failed_model_report_is_strict_json(tmp_path, small_csv):
+def test_failed_model_report_is_strict_json(tmp_path, small_csv, monkeypatch):
     # More changepoints than training days fails trend_seasonal on every series.
-    cfg, out = small_config(
+    changepoints = small_config(
         tmp_path,
         small_csv,
         "strict",
         models=["trend_seasonal", "naive"],
         model_overrides={"trend_seasonal": {"n_changepoints": 5000}},
     )
-    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert main(["evaluate", "--config", str(changepoints[0])]) == 0
+    # So does an infinite forecast, which would score inf.
+    forecast = demandcast.evaluate.forecast_trend_seasonal
+
+    def infinite_first_day(*args, **kwargs):
+        predictions, lower, upper = forecast(*args, **kwargs)
+        return np.concatenate([[np.inf], predictions[1:]]), lower, upper
+
+    monkeypatch.setattr(demandcast.evaluate, "forecast_trend_seasonal", infinite_first_day)
+    infinite = small_config(tmp_path, small_csv, "infinite", models=["trend_seasonal", "naive"])
+    assert main(["evaluate", "--config", str(infinite[0])]) == 0
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
-    for scenario in report["scenarios"].values():
-        failed = scenario["models"]["trend_seasonal"]
-        assert failed["error"] is not None
-        assert failed["train_residual_std"] is None
-        assert scenario["models"]["naive"]["train_residual_std"] > 0
+    for _, out in (changepoints, infinite):
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        for scenario in report["scenarios"].values():
+            failed = scenario["models"]["trend_seasonal"]
+            assert failed["error"] is not None
+            assert failed["train_residual_std"] is None
+            assert scenario["models"]["naive"]["train_residual_std"] > 0
 
 
 def test_simulate_requires_naive_forecasts(tmp_path, small_csv, monkeypatch):

@@ -243,6 +243,39 @@ def test_run_scenario_records_per_model_failure(monkeypatch, tmp_path):
             assert np.array_equal(entry.predictions, serial.entries[name].predictions)
 
 
+def test_run_scenario_fails_a_model_on_non_finite_predictions(monkeypatch):
+    # Infinite test forecasts on store 2, then NaN in-sample values there:
+    # either fails arimax alone, where it would crash scoring or give inf/NaN.
+    forecast_arimax, in_sample = ev.forecast_arimax, ev.in_sample_predictions
+
+    def infinite_forecast(model, X):
+        predictions = forecast_arimax(model, X)
+        return predictions * np.inf if predictions.mean() > 1000.0 else predictions
+
+    def nan_in_sample(model, y, X):
+        fitted = in_sample(model, y, X)
+        return fitted * np.nan if y.mean() > 1000.0 else fitted
+
+    table = two_series_table()
+    spec = ScenarioSpec("S2", SPLIT, models=("arimax", "naive"))
+    cal = HolidayCalendar.bundled()
+    for name, patch in (
+        ("forecast_arimax", infinite_forecast),
+        ("in_sample_predictions", nan_in_sample),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(ev, name, patch)
+            serial = run_scenario(table, spec, cal, workers=1)
+            parallel = run_scenario(table, spec, cal, workers=2)
+        for report in (serial, parallel):
+            failed = report.entries["arimax"]
+            assert failed.error == "ValueError: the predictions are not all finite"
+            assert failed.metrics is None
+            naive = report.entries["naive"]
+            assert naive.error is None and naive.metrics.n == 2 * 70
+            assert np.array_equal(naive.predictions, serial.entries["naive"].predictions)
+
+
 def test_run_scenario_starts_one_pool(monkeypatch):
     pools = []
 
@@ -255,6 +288,11 @@ def test_run_scenario_starts_one_pool(monkeypatch):
     spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
     assert pools == [{"max_workers": 2}]
+    assert all(e.error is None for e in report.entries.values())
+    # Never more workers than tasks: two models of two series are four tasks.
+    pools.clear()
+    report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=8)
+    assert pools == [{"max_workers": 4}]
     assert all(e.error is None for e in report.entries.values())
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandcast.cli import _impact_section
 from demandcast.features import trailing_mean
 from demandcast.inventory import (
-    ImpactTable,
     InventoryOutcome,
     ReplenishmentPolicy,
     impact_table,
@@ -19,7 +19,6 @@ SCALARS = (
     "stockout_rate",
     "cost_index",
     "forecast_mae",
-    "mean_demand",
     "negative_forecast_days",
 )
 
@@ -77,7 +76,6 @@ def reference_simulate(demand, forecast, policy=ReplenishmentPolicy(), sigma_hat
         stockout_rate=float((lost > 0).mean()) if n else 0.0,
         cost_index=float(policy.holding_cost * closing.sum() + policy.emergency_cost * lost.sum()),
         forecast_mae=float(np.abs(demand - forecast).mean()) if n else 0.0,
-        mean_demand=float(demand.mean()) if n else 0.0,
         negative_forecast_days=negative_days,
     )
 
@@ -151,14 +149,14 @@ def test_simulate_matches_reference_on_short_test_windows(n):
 
 
 def outcome_with(overstock, stockout, accuracy, cost):
-    z = np.zeros(1)
-    return InventoryOutcome(
-        opening=z, ordered=z, received=z, demand=np.ones(1), sold=np.ones(1),
-        lost_sales=z, closing=z,
-        overstock_rate=overstock, stockout_rate=stockout, cost_index=cost,
-        forecast_mae=(1.0 - accuracy / 100.0), mean_demand=1.0,
-        negative_forecast_days=0,
-    )
+    """Pooled rates, as pool_outcomes returns them."""
+    return {
+        "overstock_rate": overstock,
+        "stockout_rate": stockout,
+        "forecast_accuracy": accuracy,
+        "cost_index": cost,
+        "negative_forecast_days": 0,
+    }
 
 
 @st.composite
@@ -263,27 +261,27 @@ def test_pool_outcomes_weights_by_days():
     perfect = simulate(demand, demand.copy(), policy)
     starved = simulate(demand, np.zeros(10), policy)
     pooled = pool_outcomes([perfect, starved])
-    assert pooled.days == 20
-    assert abs(pooled.stockout_rate - 0.5) < 1e-12
+    assert abs(pooled["stockout_rate"] - 0.5) < 1e-12
 
 
 def test_impact_table_reduction_percentages():
     baseline = outcome_with(overstock=0.15, stockout=0.12, accuracy=75.0, cost=100.0)
     after = outcome_with(overstock=0.05, stockout=0.03, accuracy=92.0, cost=80.0)
-    table = impact_table({"model": after}, baseline)
-    rows = {r.metric: r for r in table.rows["model"]}
-    assert round(rows["stockout_rate"].improvement_pct, 1) == 75.0
-    assert round(rows["overstock_rate"].improvement_pct, 1) == 66.7
-    assert rows["forecast_accuracy"].direction == "increase"
-    assert rows["forecast_accuracy"].improvement_pct > 0
-    assert rows["cost_index"].improvement_pct == pytest.approx(20.0)
+    rows = impact_table({"model": after}, baseline)
+    improvement = {metric: pct for _, metric, _, _, pct, _ in rows}
+    direction = {metric: way for _, metric, _, _, _, way in rows}
+    assert round(improvement["stockout_rate"], 1) == 75.0
+    assert round(improvement["overstock_rate"], 1) == 66.7
+    assert direction["forecast_accuracy"] == "increase"
+    assert improvement["forecast_accuracy"] > 0
+    assert improvement["cost_index"] == pytest.approx(20.0)
 
 
 def test_impact_table_identical_outcomes_zero_improvement():
     same = outcome_with(0.1, 0.1, 80.0, 50.0)
-    table = impact_table({"m": same}, same)
-    assert all(r.improvement_pct == 0.0 for r in table.rows["m"])
-    assert "m vs naive" in table.to_text()
+    rows = impact_table({"m": same}, same)
+    assert all(improvement == 0.0 for _, _, _, _, improvement, _ in rows)
+    assert "m vs naive:" in _impact_section(rows)
 
 
 def test_policy_validation():

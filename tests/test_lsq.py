@@ -1,10 +1,12 @@
-"""The Householder least-squares solver, and the rule that src calls no BLAS.
+"""The Householder least-squares solver, and the rules that src calls no BLAS
+and imports nothing beyond the standard library and numpy.
 
 ``np.linalg`` appears here only as a test oracle.
 """
 
 import ast
 import datetime as dt
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -193,5 +195,35 @@ def test_src_calls_no_blas():
         str(path.relative_to(package)): uses
         for path in sorted(package.rglob("*.py"))
         if (uses := blas_uses(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of anything but the standard library, numpy and demandcast."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "demandcast"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    return found
+
+
+def test_src_imports_only_numpy_beyond_the_standard_library():
+    assert foreign_imports("import scipy.linalg\nfrom pandas import DataFrame") == [
+        "line 1: scipy.linalg",
+        "line 2: pandas",
+    ]
+    assert foreign_imports("import os, numpy.linalg\nfrom . import data\nfrom json import dumps") == []
+    package = Path(demandcast.__file__).resolve().parent
+    offenders = {
+        str(path.relative_to(package)): found
+        for path in sorted(package.rglob("*.py"))
+        if (found := foreign_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
