@@ -7,7 +7,6 @@ fixed row order, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .data import SalesTable, as_datetime64, series_runs
 from .errors import MissingForecastsError
-from .evaluate import FORECAST_MODES, EvaluationReport
+from .evaluate import EvaluationReport
 from .features import FeatureMatrix
 from .inventory import InventoryOutcome
 
@@ -116,19 +115,19 @@ def slug(model: str, scenario: str) -> str:
 def write_metrics_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
     rows = []
     for report in reports:
-        for model, entry in report.entries.items():
-            m = entry.metrics
+        for model, entry in report.doc["models"].items():
+            m = entry["metrics"] or {"mae": None, "rmse": None, "r2": None, "n": 0}
             rows.append(
                 [
                     model,
-                    report.scenario.id,
-                    report.deviation_mode,
-                    FORECAST_MODES[model],
-                    m.mae if m else None,
-                    m.rmse if m else None,
-                    m.r2 if m else None,
-                    m.n if m else 0,
-                    entry.error or "",
+                    report.doc["id"],
+                    report.doc["deviation_mode"],
+                    entry["forecast_mode"],
+                    m["mae"],
+                    m["rmse"],
+                    m["r2"],
+                    m["n"],
+                    entry["error"] or "",
                 ]
             )
     header = ["model", "scenario", "deviation_mode", "forecast_mode", "mae", "rmse", "r2", "n", "error"]
@@ -137,9 +136,9 @@ def write_metrics_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
 
 def write_runtimes_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
     rows = [
-        [model, report.scenario.id, entry.runtime_s]
+        [model, report.doc["id"], seconds]
         for report in reports
-        for model, entry in report.entries.items()
+        for model, seconds in report.runtimes.items()
     ]
     _write_csv(path, ["model", "scenario", "runtime_s"], _columns(rows, 3))
 
@@ -168,16 +167,15 @@ def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np
 def write_importance_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
     rows = []
     for report in reports:
-        entry = report.entries.get("gbdt")
-        if entry is None or not entry.importance:
-            continue
-        for rank, (feature, gain) in enumerate(entry.importance, start=1):
-            rows.append([report.scenario.id, rank, feature, gain])
+        importance = report.doc["models"].get("gbdt", {}).get("importance") or []
+        for rank, (feature, gain) in enumerate(importance, start=1):
+            rows.append([report.doc["id"], rank, feature, gain])
     _write_csv(path, ["scenario", "rank", "feature", "normalized_gain"], _columns(rows, 4))
 
 
-def write_histogram_csv(path: Path, entry) -> None:
-    _write_csv(path, ["bin_lo", "bin_hi", "count"], _columns(entry.histogram, 3))
+def write_histogram_csv(path: Path, rows: Sequence[Sequence]) -> None:
+    """rows: error_histogram's (bin_lo, bin_hi, count) bins."""
+    _write_csv(path, ["bin_lo", "bin_hi", "count"], _columns(rows, 3))
 
 
 def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray) -> None:
@@ -189,30 +187,6 @@ def write_actual_vs_predicted_csv(path: Path, test: FeatureMatrix, predictions: 
     actual = np.bincount(slot, weights=test.target)
     predicted = np.bincount(slot, weights=predictions)
     _write_csv(path, ["date", "actual", "predicted"], [as_datetime64(days), actual, predicted])
-
-
-def report_document(reports: Sequence[EvaluationReport], comparison: dict) -> dict:
-    doc: dict = {"scenarios": {}, "comparison": comparison}
-    for report in reports:
-        scenario_doc: dict = {
-            "id": report.scenario.id,
-            "deviation_mode": report.deviation_mode,
-            "config_fingerprint": report.config_fingerprint,
-            "data_fingerprint": report.data_fingerprint,
-            "models": {},
-        }
-        for model, entry in report.entries.items():
-            m = entry.metrics
-            scenario_doc["models"][model] = {
-                "forecast_mode": FORECAST_MODES[model],
-                "error": entry.error,
-                "metrics": None if m is None else dataclasses.asdict(m),
-                "train_residual_std": entry.train_residual_std,
-                "per_series_train_residual_std": entry.per_series_train_residual_std,
-                "importance": entry.importance,
-            }
-        doc["scenarios"][report.scenario.id] = scenario_doc
-    return doc
 
 
 def write_json(path: Path, doc: Mapping) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .artifacts import (
     read_residuals_csv,
-    report_document,
     slug,
     write_actual_vs_predicted_csv,
     write_histogram_csv,
@@ -35,7 +34,7 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, bundled_sample_stream, file_sha256
 from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological
 from .errors import DemandcastError, MissingForecastsError
-from .evaluate import compare, data_fingerprint, run_scenario
+from .evaluate import HISTOGRAM_BINS, compare, data_fingerprint, error_histogram, run_scenario
 from .features import DeviationMode, HolidayCalendar
 from .inventory import IMPACT_METRICS, impact_table, pool_outcomes, simulate
 
@@ -140,19 +139,19 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_runtimes_csv(out_dir / "runtimes.csv", reports)
     write_importance_csv(out_dir / "importance.csv", reports)
     for report in reports:
-        for model, entry in report.entries.items():
-            if entry.error is not None:
-                continue
-            name = slug(model, report.scenario.id)
-            write_residuals_csv(out_dir / f"residuals_{name}.csv", report.test, entry.predictions)
-            write_histogram_csv(out_dir / f"histogram_{name}.csv", entry)
-            write_actual_vs_predicted_csv(
-                out_dir / f"actual_vs_predicted_{name}.csv", report.test, entry.predictions
+        test = report.test
+        for model, predictions in report.predictions.items():
+            name = slug(model, report.doc["id"])
+            write_residuals_csv(out_dir / f"residuals_{name}.csv", test, predictions)
+            write_histogram_csv(
+                out_dir / f"histogram_{name}.csv",
+                error_histogram(test.target - predictions, HISTOGRAM_BINS),
             )
+            write_actual_vs_predicted_csv(out_dir / f"actual_vs_predicted_{name}.csv", test, predictions)
             if cfg.save_models:
-                write_json(out_dir / f"models_{name}.json", entry.artifacts)
-    report_doc = report_document(reports, comparison)
-    write_json(out_dir / "report.json", report_doc)
+                write_json(out_dir / f"models_{name}.json", report.model_documents[model])
+    scenarios = {report.doc["id"]: report.doc for report in reports}
+    write_json(out_dir / "report.json", {"scenarios": scenarios, "comparison": comparison})
     stage_times["artifacts"] = time.perf_counter() - started
 
     manifest = {
@@ -168,13 +167,13 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_json(out_dir / "manifest.json", manifest)
 
     failed = [
-        (report.scenario.id, model)
-        for report in reports
-        for model, entry in report.entries.items()
-        if entry.error is not None
+        (doc["id"], model)
+        for doc in scenarios.values()
+        for model, entry in doc["models"].items()
+        if entry["error"] is not None
     ]
-    total = sum(len(r.entries) for r in reports)
-    print("\n".join(_comparison_section(report_doc["comparison"])))
+    total = sum(len(doc["models"]) for doc in scenarios.values())
+    print("\n".join(_comparison_section(comparison)))
     if failed:
         print(f"failed models: {failed}", file=sys.stderr)
     if failed and len(failed) == total:

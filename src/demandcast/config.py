@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import Granularity, SplitSpec
+from .data import DEFAULT_SCHEMA, Granularity, SplitSpec
 from .evaluate import MODEL_NAMES, SCENARIO_IDS, ScenarioSpec, config_fingerprint
 from .features import DeviationMode
 from .inventory import ReplenishmentPolicy
@@ -128,9 +128,14 @@ class RunConfig:
         ):
             if value not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-        bad_schema = set(self.schema) - {"date", "store", "item", "sales"}
+        bad_schema = set(self.schema) - set(DEFAULT_SCHEMA)
         if bad_schema:
             raise ConfigError(f"schema may remap only date/store/item/sales, got {sorted(bad_schema)}")
+        headers = {**DEFAULT_SCHEMA, **self.schema}
+        for header in dict.fromkeys(headers.values()):
+            shared = [name for name, h in headers.items() if h == header]
+            if len(shared) > 1:
+                raise ConfigError(f"schema maps {' and '.join(shared)} to one column, {header!r}")
         if self.workers < 1:
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
         # Path existence is deliberately not a config check: a missing file

@@ -174,10 +174,12 @@ def _parse_date(text: str) -> int:
 
 
 # Each row's reason code: 0 keeps it, any other names why it is malformed.
-_TOO_FEW, _BAD_DATE, _EMPTY_ID, _BAD_QUANTITY, _NON_FINITE, _NEGATIVE = range(1, 7)
+# An id holding "|" is malformed because series are keyed "store|item".
+_TOO_FEW, _BAD_DATE, _BAR_ID, _EMPTY_ID, _BAD_QUANTITY, _NON_FINITE, _NEGATIVE = range(1, 8)
 _REASONS = {
     _TOO_FEW: "too few fields",
     _BAD_DATE: "unparseable date",
+    _BAR_ID: "store or item id holding '|'",
     _EMPTY_ID: "empty store or item id",
     _BAD_QUANTITY: "unparseable quantity",
     _NON_FINITE: "non-finite quantity",
@@ -309,11 +311,17 @@ def parse_sales_csv(
     width, dates, stores, items, unparsed, quantities = (
         np.concatenate(arrays)[records] for arrays in blocks.values()
     )
-    empty_id = [np.array([not t for t in numbering], dtype=bool) for numbering in ids.values()]
-    reason = np.where(width > needed, 0, _TOO_FEW).astype(np.int8)
+    # Each distinct id's code; a row takes the higher of its store's and
+    # item's, so an empty id outranks one holding "|".
+    store_code, item_code = (
+        np.array([_EMPTY_ID if not t else _BAR_ID if "|" in t else 0 for t in numbering], np.int8)
+        for numbering in ids.values()
+    )
+    id_code = np.maximum(store_code[stores], item_code[items])
+    reason = np.where(
+        width > needed, np.where(dates == 0, _BAD_DATE, id_code), _TOO_FEW
+    ).astype(np.int8)
     for code, bad in (
-        (_BAD_DATE, dates == 0),
-        (_EMPTY_ID, empty_id[0][stores] | empty_id[1][items]),
         (_BAD_QUANTITY, unparsed),
         (_NON_FINITE, ~np.isfinite(quantities)),
         (_NEGATIVE, quantities < 0),

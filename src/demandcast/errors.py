@@ -55,9 +55,5 @@ class NoSplitsError(DemandcastError):
     """Feature importance requested from a tree ensemble with no splits."""
 
 
-class FingerprintMismatchError(DemandcastError):
-    """Reports being compared come from different data or splits."""
-
-
 class MissingForecastsError(DemandcastError):
     """Simulate or report found no evaluation artifacts, or none for a model or scenario."""

@@ -1,4 +1,4 @@
-"""Metrics, scenario orchestration, pooled evaluation, and model comparison.
+"""Scoring, scenario orchestration, pooled evaluation, and model comparison.
 
 A scenario fixes the feature set, split, granularity, and model list, fits
 every model per series on training rows only, forecasts the test window,
@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Granularity, SalesTable, SplitSpec, aggregate, series_runs
-from .errors import EmptyPartitionError, FingerprintMismatchError, NoSplitsError
+from .errors import EmptyPartitionError, NoSplitsError
 from .features import (
     EXTERNAL_COLUMNS,
     DeviationMode,
@@ -58,16 +58,9 @@ HISTOGRAM_BINS = 30
 
 # --- metrics -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Metrics:
-    mae: float
-    rmse: float
-    r2: float | None  # None when the actuals are constant (undefined)
-    n: int
-
-
-def score(actual: np.ndarray, predicted: np.ndarray) -> Metrics:
-    """MAE, RMSE, and R^2 about the actuals' mean."""
+def score(actual: np.ndarray, predicted: np.ndarray) -> dict:
+    """MAE, RMSE, R^2 about the actuals' mean (None when the actuals are
+    constant) and n, as report.json stores a model's metrics."""
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     if len(actual) == 0 or len(actual) != len(predicted):
@@ -80,7 +73,7 @@ def score(actual: np.ndarray, predicted: np.ndarray) -> Metrics:
         r2 = None
     else:
         r2 = 1.0 - float(np.sum(err * err)) / ss_tot
-    return Metrics(mae=mae, rmse=rmse, r2=r2, n=len(actual))
+    return {"mae": mae, "rmse": rmse, "r2": r2, "n": len(actual)}
 
 
 def error_histogram(residuals: np.ndarray, n_bins: int) -> list[tuple[float, float, int]]:
@@ -127,17 +120,6 @@ class ScenarioSpec:
     @property
     def external(self) -> bool:
         return self.id == "S2"
-
-    def fingerprint_payload(self) -> dict:
-        return {
-            "id": self.id,
-            "split": [
-                self.split.train_end.isoformat(),
-                self.split.test_start.isoformat(),
-                self.split.test_end.isoformat(),
-            ],
-            "granularity": self.granularity.value,
-        }
 
 
 # --- per-series model tasks ---------------------------------------------------
@@ -240,38 +222,19 @@ def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
 # --- evaluation report ---------------------------------------------------------
 
 @dataclass
-class ModelEvaluation:
-    """One model's results on its scenario's test rows; a failed model keeps
-    only its runtime and error."""
-
-    runtime_s: float
-    error: str | None = None
-    metrics: Metrics | None = None
-    predictions: np.ndarray = field(default_factory=lambda: np.empty(0))
-    histogram: list[tuple[float, float, int]] = field(default_factory=list)
-    importance: list[tuple[str, float]] | None = None
-    train_residual_std: float | None = None  # null in report.json, as NaN is not JSON
-    # Keyed "store|item", as report.json and the saved models key series.
-    per_series_train_residual_std: dict[str, float] = field(default_factory=dict)
-    # Each series' model document, filled only when the run saves models.
-    artifacts: dict[str, dict] = field(default_factory=dict)
-
-
-@dataclass
 class EvaluationReport:
-    """One scenario's results.  ``test`` holds the pooled test rows of the
-    series with rows on both sides of the split, in (store, item, date)
-    order, and every model's predictions align with them."""
+    """One scenario's results.  ``doc`` is its report.json entry.  ``test``
+    holds the pooled test rows of the series with rows on both sides of the
+    split, in (store, item, date) order, and each scored model's
+    ``predictions`` align with them.  ``runtimes`` sums each model's task
+    seconds; ``model_documents`` holds each scored model's series documents,
+    keyed "store|item", only when the run saves models."""
 
-    scenario: ScenarioSpec
+    doc: dict
     test: FeatureMatrix
-    entries: dict[str, ModelEvaluation]
-    config_fingerprint: str
-    data_fingerprint: str
-
-    @property
-    def deviation_mode(self) -> str:
-        return self.scenario.deviation_mode.value if self.scenario.external else ""
+    predictions: dict[str, np.ndarray] = field(default_factory=dict)
+    runtimes: dict[str, float] = field(default_factory=dict)
+    model_documents: dict[str, dict[str, dict]] = field(default_factory=dict)
 
 
 def data_fingerprint(table: SalesTable) -> str:
@@ -299,10 +262,8 @@ def run_scenario(
     """Fit every model of the scenario and evaluate on the test window.
 
     The holiday calendar reaches the design matrix and the trend model only
-    in S2; S1 is history only.  Each entry's ``artifacts`` holds the model
-    documents only when ``save_models`` is set.  Raises
-    :class:`EmptyPartitionError` when no series has rows on both sides of
-    the split.
+    in S2; S1 is history only.  Raises :class:`EmptyPartitionError` when no
+    series has rows on both sides of the split.
     """
     calendar = calendar if spec.external else None
     working = aggregate(table, spec.granularity)
@@ -347,50 +308,58 @@ def run_scenario(
     test = test_fm.select_rows(
         np.concatenate([np.arange(test_runs[k].start, test_runs[k].stop) for k in keys])
     )
-    entries: dict[str, ModelEvaluation] = {}
+    split = [d.isoformat() for d in (spec.split.train_end, spec.split.test_start, spec.split.test_end)]
+    report = EvaluationReport(
+        doc={
+            "id": spec.id,
+            "deviation_mode": spec.deviation_mode.value if spec.external else "",
+            "config_fingerprint": config_fingerprint(
+                {"id": spec.id, "split": split, "granularity": spec.granularity.value}
+            ),
+            "data_fingerprint": data_fingerprint(table),
+            "models": {},
+        },
+        test=test,
+    )
     for m, model_name in enumerate(spec.models):
         results = all_results[m * len(keys) : (m + 1) * len(keys)]
-        runtime = sum(r["task_seconds"] for r in results)
-        # The first failing series, in series order, fails the whole model.
-        error = next((r["error"] for r in results if "error" in r), None)
-        if error is not None:
-            entries[model_name] = ModelEvaluation(runtime, error)
+        report.runtimes[model_name] = sum(r["task_seconds"] for r in results)
+        # The first failing series, in series order, fails the whole model;
+        # its train_residual_std stays null, as NaN is not JSON.
+        entry = report.doc["models"][model_name] = {
+            "forecast_mode": FORECAST_MODES[model_name],
+            "error": next((r["error"] for r in results if "error" in r), None),
+            "metrics": None,
+            "train_residual_std": None,
+            "per_series_train_residual_std": {},
+            "importance": None,
+        }
+        if entry["error"] is not None:
             continue
 
-        predictions = np.concatenate([r["predictions"] for r in results])
-        importance = None
+        predictions = report.predictions[model_name] = np.concatenate(
+            [r["predictions"] for r in results]
+        )
+        per_series_std = {label: r["train_residual_std"] for label, r in zip(labels, results)}
+        entry.update(
+            metrics=score(test.target, predictions),
+            train_residual_std=float(np.sqrt(np.mean([s * s for s in per_series_std.values()]))),
+            per_series_train_residual_std=per_series_std,
+        )
         if model_name == "gbdt":
             totals: dict[str, float] = {}
             for r in results:
                 for feat, gain in r["gain_totals"].items():
                     totals[feat] = totals.get(feat, 0.0) + gain
             try:
-                importance = feature_importance(totals)
+                entry["importance"] = feature_importance(totals)
             except NoSplitsError:
                 pass
-
-        per_series_std = {label: r["train_residual_std"] for label, r in zip(labels, results)}
-        pooled_std = float(
-            np.sqrt(np.mean([s * s for s in per_series_std.values()]))
-        )
-        entries[model_name] = ModelEvaluation(
-            runtime_s=runtime,
-            metrics=score(test.target, predictions),
-            predictions=predictions,
-            histogram=error_histogram(test.target - predictions, HISTOGRAM_BINS),
-            importance=importance,
-            train_residual_std=pooled_std,
-            per_series_train_residual_std=per_series_std,
-            artifacts={label: r["artifact"] for label, r in zip(labels, results) if "artifact" in r},
-        )
-
-    return EvaluationReport(
-        scenario=spec,
-        test=test,
-        entries=entries,
-        config_fingerprint=config_fingerprint(spec.fingerprint_payload()),
-        data_fingerprint=data_fingerprint(table),
-    )
+        if save_models:
+            report.model_documents[model_name] = {
+                label: r["artifact"] for label, r in zip(labels, results)
+            }
+    return report
 
 
 # --- comparison -----------------------------------------------------------------
@@ -406,23 +375,17 @@ def compare(reports: Sequence[EvaluationReport]) -> dict:
     """Side-by-side metrics across scenario reports, as report.json stores them:
     keyed "model|scenario", and "metric|scenario" for the best model.
 
-    All reports must come from the same data, split, and granularity;
-    comparing numbers from different runs would be meaningless.
+    The reports come from one run's data, split and granularity.
     """
     if not reports:
         raise ValueError("nothing to compare")
-    if len({(r.data_fingerprint, r.scenario.split, r.scenario.granularity) for r in reports}) > 1:
-        raise FingerprintMismatchError(
-            "reports span different data or splits and cannot be compared"
-        )
-    scenarios = [r.scenario.id for r in reports]
-    models = list(dict.fromkeys(m for r in reports for m in r.entries))
+    scenarios = [r.doc["id"] for r in reports]
+    models = list(dict.fromkeys(m for r in reports for m in r.doc["models"]))
     tables: dict[str, dict[str, float | None]] = {"mae": {}, "rmse": {}, "r2": {}}
     for r in reports:
-        for m, entry in r.entries.items():
+        for m, entry in r.doc["models"].items():
             for metric, values in tables.items():
-                value = getattr(entry.metrics, metric) if entry.metrics else None
-                values[f"{m}|{r.scenario.id}"] = value
+                values[f"{m}|{r.doc['id']}"] = entry["metrics"][metric] if entry["metrics"] else None
 
     # The paper's gain: from S1 to S2, whatever order the scenarios ran in.
     improvement: dict[str, float | None] = {}

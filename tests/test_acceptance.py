@@ -98,12 +98,12 @@ def test_metric_oracle_equivalence():
             p = (rng.normal(size=n) * rng.uniform(1, 100)).tolist()
             m = score(np.array(y), np.array(p))
             mae, rmse, r2 = brute(y, p)
-            assert abs(m.mae - mae) <= 1e-9
-            assert abs(m.rmse - rmse) <= 1e-9
+            assert abs(m["mae"] - mae) <= 1e-9
+            assert abs(m["rmse"] - rmse) <= 1e-9
             if r2 is None:
-                assert m.r2 is None
+                assert m["r2"] is None
             else:
-                assert abs(m.r2 - r2) <= 1e-9
+                assert abs(m["r2"] - r2) <= 1e-9
 
 
 # --- 2. gbdt small-instance oracle ---------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import datetime as dt
 import hashlib
@@ -75,6 +76,32 @@ def test_ingest_fills_gaps_and_reports_counts(tmp_path):
     cleaned = (out / "cleaned_sales.csv").read_text().strip().splitlines()
     assert len(cleaned) == 6  # header + 5 days
     assert cleaned[2].startswith("2015-01-02,1,1,12.0,1")
+
+
+def test_ids_holding_a_bar_are_malformed(tmp_path, capsys):
+    # Store "a|b" with item "c" and store "a" with item "b|c" would share the
+    # series key "a|b|c": one residual std in report.json, one imputed count
+    # in ingest_summary.json, and one sigma for both series in simulate.
+    days = [dt.date(2015, 1, 1) + dt.timedelta(days=i) for i in range(365)]
+    header = "date,store,item,sales"
+    small = [f"{d},a|b,c,{20 + i % 7}" for i, d in enumerate(days)]
+    large = [f"{d},a,b|c,{2000 + 70 * (i % 7)}" for i, d in enumerate(days)]
+    path = tmp_path / "colliding.csv"
+    path.write_text("\n".join([header, *small, *large]) + "\n")
+    cfg, out = small_config(tmp_path, path, "bar", models=["arimax", "naive"])
+    for command in ("ingest", "evaluate"):
+        assert main([command, "--config", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error == {"code": "E_INPUT", "message": "730 of 730 rows malformed (> 1% threshold)"}
+    assert not (out / "report.json").exists()
+    # Beside a clean series, each such row is skipped with its own reason.
+    clean = [f"{d},1,1,{20 + i % 7}" for i, d in enumerate(days)]
+    path.write_text("\n".join([header, *clean, small[0], large[0]]) + "\n")
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    summary = json.loads((out / "ingest_summary.json").read_text())
+    reason = "store or item id holding '|'"
+    assert summary["malformed_rows"] == [{"line": 367, "reason": reason}, {"line": 368, "reason": reason}]
+    assert summary["series_count"] == 1
 
 
 def test_missing_data_file_exits_3_with_error_document(tmp_path, capsys):
@@ -174,6 +201,8 @@ NESTED_BAD_CONFIGS = [
     ("evaluate", {"schema": {"date": 5}}, "schema"),
     ("evaluate", {"extra_columns": [5]}, "extra_columns"),
     ("evaluate", {"extra_columns": ["promo"]}, "extra_columns"),
+    # Two logical columns read from one header would make store == item.
+    ("ingest", {"schema": {"store": "item"}}, "store and item"),
 ]
 
 
@@ -550,6 +579,39 @@ def test_failed_model_report_is_strict_json(tmp_path, small_csv, monkeypatch):
             assert failed["error"] is not None
             assert failed["train_residual_std"] is None
             assert scenario["models"]["naive"]["train_residual_std"] > 0
+
+
+# sha256 of what evaluate writes on small_csv when arimax fails on item 2,
+# the series selling about 26 a day, and only the model and scenario columns
+# of runtimes.csv.  The same at both worker counts.
+FAILED_MODEL_SHA256 = {
+    "metrics.csv": "83f8228ee24f48b6ae575b8d1267101117b6a721504396908edd2347767f8f9a",
+    "report.json": "ea3aecee62f5f02719e1a3b08cc595e5fbc11fc89bd6c586f404440667d9babb",
+    "importance.csv": "fdf53527a477fa3aed0b1c347f5d177d5f7630a9bacdaa576592dc36d835c9ee",
+    "runtimes.csv": "021b80b518d7dfded8088544a2f604c5cf143adf36599f1bc9ca4c09f002656f",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_model_artifacts_pinned(tmp_path, small_csv, monkeypatch, workers):
+    fit_arimax = demandcast.evaluate.fit_arimax
+
+    def fails_on_item_2(y, *args, **kwargs):
+        if y.mean() > 22.0:
+            raise RuntimeError("synthetic failure on item 2")
+        return fit_arimax(y, *args, **kwargs)
+
+    monkeypatch.setattr(demandcast.evaluate, "fit_arimax", fails_on_item_2)
+    cfg, out = small_config(tmp_path, small_csv, workers=workers)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "report.json", "importance.csv")
+    }
+    with open(out / "runtimes.csv", newline="") as fh:
+        runs = "".join(f"{row['model']},{row['scenario']}\n" for row in csv.DictReader(fh))
+    digests["runtimes.csv"] = hashlib.sha256(runs.encode()).hexdigest()
+    assert digests == FAILED_MODEL_SHA256
 
 
 def test_simulate_requires_naive_forecasts(tmp_path, small_csv, monkeypatch):

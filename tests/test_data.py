@@ -152,6 +152,9 @@ def reference_parse(source, schema=None) -> IngestResult:
             if not store or not item:
                 malformed.append(MalformedRow(lineno, "empty store or item id"))
                 continue
+            if "|" in store or "|" in item:
+                malformed.append(MalformedRow(lineno, "store or item id holding '|'"))
+                continue
             try:
                 qty = float(row[positions["sales"]])
             except ValueError:
@@ -212,7 +215,7 @@ QUANTITY_CELLS = [
 ]
 ID_CELLS = [
     "1", "12", "A7", "store-100", " 1", "1 ", "\t2\t", " ", "", "\x0b", "\x1c", "\xa0",
-    "　", "é", "商店", "ab,c", 'a"b', "a\nb", "a\rb", "long-store-identifier-0001",
+    "　", "é", "商店", "ab,c", 'a"b', "a\nb", "a\rb", "long-store-identifier-0001", "a|b", " | ",
 ]
 EXTRA_CELLS = ["", "0.5", "x,y", 'q"', "promo", " "]
 GOOD_ROW = ["2016-01-05", "1", "1", "5"]
@@ -306,6 +309,11 @@ def sales_files(draw):
 @example((
     b"date,store,item,sales\n" + b"2016-01-05,1,1,5\n" * 600
     + b"x, ,1,5\nx,1,1,y\n2016-01-05,1, ,y\n2016-01-05, ,1,nan\n2016-01-05,1,,-3\n",
+    None,
+))
+@example((
+    b"date,store,item,sales\n" + b"2016-01-05,1,1,5\n" * 600
+    + b"x,a|b,1,5\n2016-01-05,a|b, ,5\n2016-01-05, ,|,5\n2016-01-05,1,|,y\n",
     None,
 ))
 def test_parse_matches_reference(drawn):

@@ -10,9 +10,7 @@ import demandcast.evaluate as ev
 from demandcast.artifacts import write_metrics_csv
 from demandcast.cli import _comparison_section
 from demandcast.data import Granularity, SplitSpec
-from demandcast.errors import FingerprintMismatchError
 from demandcast.evaluate import (
-    Metrics,
     ScenarioSpec,
     compare,
     error_histogram,
@@ -45,26 +43,26 @@ def brute_force_metrics(actual, predicted):
 def test_score_identity():
     y = np.array([2.0, 4.0, 8.0])
     m = score(y, y)
-    assert (m.mae, m.rmse, m.r2) == (0.0, 0.0, 1.0)
+    assert (m["mae"], m["rmse"], m["r2"]) == (0.0, 0.0, 1.0)
 
 
 def test_score_hand_fixture():
     m = score(np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 5.0]))
-    assert m.mae == 1.0
-    assert abs(m.rmse - np.sqrt(5.0 / 3.0)) < 1e-12
-    assert abs(m.r2 - (-1.5)) < 1e-12
+    assert m["mae"] == 1.0
+    assert abs(m["rmse"] - np.sqrt(5.0 / 3.0)) < 1e-12
+    assert abs(m["r2"] - (-1.5)) < 1e-12
 
 
 def test_score_mean_predictor_r2_zero():
     y = np.array([1.0, 2.0, 3.0, 10.0])
     m = score(y, np.full(4, y.mean()))
-    assert abs(m.r2) < 1e-12
+    assert abs(m["r2"]) < 1e-12
 
 
 def test_score_constant_actuals_r2_undefined():
     m = score(np.full(5, 3.0), np.arange(5.0))
-    assert m.r2 is None
-    assert m.mae > 0
+    assert m["r2"] is None
+    assert m["mae"] > 0
 
 
 def test_score_matches_brute_force_on_random_pairs():
@@ -75,12 +73,12 @@ def test_score_matches_brute_force_on_random_pairs():
         p = rng.normal(size=n) * 50
         m = score(y, p)
         mae, rmse, r2 = brute_force_metrics(y.tolist(), p.tolist())
-        assert abs(m.mae - mae) < 1e-9
-        assert abs(m.rmse - rmse) < 1e-9
+        assert abs(m["mae"] - mae) < 1e-9
+        assert abs(m["rmse"] - rmse) < 1e-9
         if r2 is None:
-            assert m.r2 is None
+            assert m["r2"] is None
         else:
-            assert abs(m.r2 - r2) < 1e-9
+            assert abs(m["r2"] - r2) < 1e-9
 
 
 def test_rmse_at_least_mae():
@@ -90,7 +88,7 @@ def test_rmse_at_least_mae():
         y = rng.normal(size=n)
         p = rng.normal(size=n)
         m = score(y, p)
-        assert m.rmse >= m.mae - 1e-12
+        assert m["rmse"] >= m["mae"] - 1e-12
 
 
 def test_score_is_permutation_invariant():
@@ -99,7 +97,7 @@ def test_score_is_permutation_invariant():
     p = rng.normal(size=40)
     perm = rng.permutation(40)
     a, b = score(y, p), score(y[perm], p[perm])
-    assert np.isclose(a.mae, b.mae) and np.isclose(a.rmse, b.rmse) and np.isclose(a.r2, b.r2)
+    assert all(np.isclose(a[k], b[k]) for k in ("mae", "rmse", "r2"))
 
 
 def test_histogram_degenerate_single_bin():
@@ -193,11 +191,11 @@ def test_run_scenario_smoke_naive_only():
     table = toy_table()
     spec = ScenarioSpec("S1", SPLIT, models=("naive",))
     report = run_scenario(table, spec, HolidayCalendar.bundled())
-    assert list(report.entries) == ["naive"]
-    entry = report.entries["naive"]
-    assert entry.metrics.n == 70
-    assert np.isfinite(entry.metrics.mae)
-    assert entry.error is None
+    assert list(report.doc["models"]) == ["naive"]
+    entry = report.doc["models"]["naive"]
+    assert entry["metrics"]["n"] == 70
+    assert np.isfinite(entry["metrics"]["mae"])
+    assert entry["error"] is None
 
 
 def two_series_table():
@@ -227,20 +225,21 @@ def test_run_scenario_records_per_model_failure(monkeypatch, tmp_path):
     serial = run_scenario(table, spec, cal, workers=1)
     for workers in (1, 2):
         report = serial if workers == 1 else run_scenario(table, spec, cal, workers=workers)
-        failed = report.entries["arimax"]
-        assert failed.error.startswith("RuntimeError: synthetic failure at mean")
-        assert failed.error == serial.entries["arimax"].error
-        assert failed.metrics is None
+        failed = report.doc["models"]["arimax"]
+        assert failed["error"].startswith("RuntimeError: synthetic failure at mean")
+        assert failed["error"] == serial.doc["models"]["arimax"]["error"]
+        assert failed["metrics"] is None
+        assert "arimax" not in report.predictions
         # The row of a failed model keeps its fixed forecast_mode label.
         write_metrics_csv(tmp_path / "metrics.csv", [report])
         with open(tmp_path / "metrics.csv", newline="") as fh:
             rows = {row["model"]: row for row in csv.DictReader(fh)}
         assert rows["arimax"]["forecast_mode"] == "recursive"
-        assert rows["arimax"]["error"] == failed.error
+        assert rows["arimax"]["error"] == failed["error"]
         for name in ("gbdt", "trend_seasonal", "svr", "naive"):
-            entry = report.entries[name]
-            assert entry.error is None and entry.metrics.n == 2 * 70
-            assert np.array_equal(entry.predictions, serial.entries[name].predictions)
+            entry = report.doc["models"][name]
+            assert entry["error"] is None and entry["metrics"]["n"] == 2 * 70
+            assert np.array_equal(report.predictions[name], serial.predictions[name])
 
 
 def test_run_scenario_fails_a_model_on_non_finite_predictions(monkeypatch):
@@ -268,12 +267,12 @@ def test_run_scenario_fails_a_model_on_non_finite_predictions(monkeypatch):
             serial = run_scenario(table, spec, cal, workers=1)
             parallel = run_scenario(table, spec, cal, workers=2)
         for report in (serial, parallel):
-            failed = report.entries["arimax"]
-            assert failed.error == "ValueError: the predictions are not all finite"
-            assert failed.metrics is None
-            naive = report.entries["naive"]
-            assert naive.error is None and naive.metrics.n == 2 * 70
-            assert np.array_equal(naive.predictions, serial.entries["naive"].predictions)
+            failed = report.doc["models"]["arimax"]
+            assert failed["error"] == "ValueError: the predictions are not all finite"
+            assert failed["metrics"] is None
+            naive = report.doc["models"]["naive"]
+            assert naive["error"] is None and naive["metrics"]["n"] == 2 * 70
+            assert np.array_equal(report.predictions["naive"], serial.predictions["naive"])
 
 
 def test_run_scenario_starts_one_pool(monkeypatch):
@@ -288,12 +287,12 @@ def test_run_scenario_starts_one_pool(monkeypatch):
     spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
     assert pools == [{"max_workers": 2}]
-    assert all(e.error is None for e in report.entries.values())
+    assert all(e["error"] is None for e in report.doc["models"].values())
     # Never more workers than tasks: two models of two series are four tasks.
     pools.clear()
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=8)
     assert pools == [{"max_workers": 4}]
-    assert all(e.error is None for e in report.entries.values())
+    assert all(e["error"] is None for e in report.doc["models"].values())
 
 
 def test_run_scenario_deterministic_across_worker_counts():
@@ -303,8 +302,8 @@ def test_run_scenario_deterministic_across_worker_counts():
     r1 = run_scenario(table, spec, cal, workers=1)
     r2 = run_scenario(table, spec, cal, workers=2)
     for name in ("naive", "arimax"):
-        assert r1.entries[name].metrics == r2.entries[name].metrics
-        assert np.array_equal(r1.entries[name].predictions, r2.entries[name].predictions)
+        assert r1.doc["models"][name]["metrics"] == r2.doc["models"][name]["metrics"]
+        assert np.array_equal(r1.predictions[name], r2.predictions[name])
 
 
 def test_model_documents_only_when_saving_models():
@@ -316,23 +315,23 @@ def test_model_documents_only_when_saving_models():
     )
     cal = HolidayCalendar.bundled()
     saved = run_scenario(table, spec, cal, save_models=True)
-    assert saved.entries["naive"].artifacts == {
+    assert saved.model_documents["naive"] == {
         "1|1": {"kind": "naive", "period": 7},
         "2|1": {"kind": "naive", "period": 7},
     }
-    docs = saved.entries["gbdt"].artifacts
+    docs = saved.model_documents["gbdt"]
     assert list(docs) == ["1|1", "2|1"]
     totals = {
         name: sum(doc["gain_totals"][name] for doc in docs.values())
         for name in docs["1|1"]["gain_totals"]
     }
-    assert saved.entries["gbdt"].importance == feature_importance(totals)
+    assert saved.doc["models"]["gbdt"]["importance"] == feature_importance(totals)
     for workers in (1, 2):
         report = run_scenario(table, spec, cal, workers=workers)
-        for name, entry in report.entries.items():
-            assert entry.artifacts == {}
-            assert np.array_equal(entry.predictions, saved.entries[name].predictions)
-            assert entry.importance == saved.entries[name].importance
+        assert report.model_documents == {}
+        assert report.doc == saved.doc
+        for name, predictions in report.predictions.items():
+            assert np.array_equal(predictions, saved.predictions[name])
 
 
 def test_arimax_drops_exogenous_columns_constant_over_training():
@@ -346,10 +345,10 @@ def test_arimax_drops_exogenous_columns_constant_over_training():
         "S2", SPLIT, granularity=Granularity.AGGREGATE, models=("arimax", "naive")
     )
     report = run_scenario(table, spec, HolidayCalendar.bundled(), save_models=True)
-    entry = report.entries["arimax"]
-    assert entry.error is None
-    assert np.isfinite(entry.metrics.mae)
-    (artifact,) = entry.artifacts.values()
+    entry = report.doc["models"]["arimax"]
+    assert entry["error"] is None
+    assert np.isfinite(entry["metrics"]["mae"])
+    (artifact,) = report.model_documents["arimax"].values()
     assert "deviation_flag" not in artifact["beta"]
     assert "holiday" in artifact["beta"]
 
@@ -376,8 +375,8 @@ def test_s2_beats_s1_for_tree_model_on_planted_exogenous_structure():
     cfg = GbdtConfig(n_trees=60, max_depth=4)
     r1 = run_scenario(table, ScenarioSpec("S1", split, models=("gbdt",), gbdt_config=cfg), cal)
     r2 = run_scenario(table, ScenarioSpec("S2", split, models=("gbdt",), gbdt_config=cfg), cal)
-    mae1 = r1.entries["gbdt"].metrics.mae
-    mae2 = r2.entries["gbdt"].metrics.mae
+    mae1 = r1.doc["models"]["gbdt"]["metrics"]["mae"]
+    mae2 = r2.doc["models"]["gbdt"]["metrics"]["mae"]
     assert improvement_percent(mae1, mae2) >= 20.0
 
 
@@ -401,8 +400,8 @@ def test_compare_improvement_column():
     r1 = run_scenario(table, ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
     r2 = run_scenario(table, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
     # synthesize distinct MAE values to pin the improvement arithmetic
-    r1.entries["naive"].metrics = Metrics(mae=46.13, rmse=50.0, r2=0.5, n=70)
-    r2.entries["naive"].metrics = Metrics(mae=22.7, rmse=30.0, r2=0.7, n=70)
+    r1.doc["models"]["naive"]["metrics"] = {"mae": 46.13, "rmse": 50.0, "r2": 0.5, "n": 70}
+    r2.doc["models"]["naive"]["metrics"] = {"mae": 22.7, "rmse": 30.0, "r2": 0.7, "n": 70}
     table_ = compare([r1, r2])
     assert round(table_["improvement_pct"]["naive"], 1) == 50.8
     assert table_["best_by_metric"]["mae|S2"] == "naive"
@@ -431,11 +430,3 @@ def test_compare_single_report_degenerate():
     assert lines[2:4] == ["| model | S1 MAE |", "|---|---|"]
     assert lines[4].startswith("| naive | ")
 
-
-def test_compare_rejects_mismatched_data():
-    cal = HolidayCalendar.bundled()
-    r1 = run_scenario(toy_table(), ScenarioSpec("S1", SPLIT, models=("naive",)), cal)
-    other = toy_table(scale=2.0)
-    r2 = run_scenario(other, ScenarioSpec("S2", SPLIT, models=("naive",)), cal)
-    with pytest.raises(FingerprintMismatchError):
-        compare([r1, r2])

@@ -70,7 +70,7 @@ def test_run_scenario_calls_each_patched_model_function(monkeypatch):
         monkeypatch.setattr(ev, attr, counting(attr, getattr(ev, attr)))
     split = SplitSpec(dt.date(2015, 12, 31), dt.date(2016, 3, 10))
     report = run_scenario(table, ScenarioSpec("S2", split), HolidayCalendar.bundled(), workers=1)
-    assert all(entry.error is None for entry in report.entries.values())
+    assert all(entry["error"] is None for entry in report.doc["models"].values())
     expected = {attr: 1 if attr in PER_SCENARIO else 3 for attr in patched}
     assert calls == expected
 
