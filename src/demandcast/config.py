@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}

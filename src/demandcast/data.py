@@ -335,9 +335,15 @@ def parse_sales_csv(
         for line, code in zip(linenos.tolist(), reason[bad].tolist())
     ]
     if len(malformed) > MALFORMED_ABORT_FRACTION * rows_read:
+        # One clause per reason, in the order of the line each first occurs on.
+        codes, first, counts = np.unique(reason[bad], return_index=True, return_counts=True)
+        clauses = (
+            f"{n} {_REASONS[c]} (first at line {linenos[i]})"
+            for i, c, n in sorted(zip(first.tolist(), codes.tolist(), counts.tolist()))
+        )
         raise MalformedInputError(
             f"{len(malformed)} of {rows_read} rows malformed "
-            f"(> {MALFORMED_ABORT_FRACTION:.0%} threshold)",
+            f"(> {MALFORMED_ABORT_FRACTION:.0%} threshold): {'; '.join(clauses)}",
             malformed,
         )
     if malformed:

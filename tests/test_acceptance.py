@@ -515,17 +515,21 @@ def test_bundled_bytes_pinned(bundled_run):
 
 # The default run saves no models, so the pins above see a model's internals
 # only through its forecasts.  These pin the saved artifact of one S1 and
-# one S2 series of the bundled sample: a change to any tree, leaf value or
-# support vector fails here at once.  On numpy 2.4.
+# one S2 series of the bundled sample: a change to any tree, leaf value,
+# support vector or trend_seasonal coefficient, changepoint or holiday day
+# fails here at once.  S2's trend_seasonal fit takes the bundled calendar.
+# On numpy 2.4.
 MODEL_SHA256 = {
-    # (external features, store, item): (gbdt, svr)
+    # (external features, store, item): (gbdt, svr, trend_seasonal)
     (False, "2", "5"): (
         "62340bb89d79523ef58d6b75aeb8141c4684436b22c703932f5bcea96d0d1d9f",
         "3dcf72127eaeb905b8a18eacb0a85bbfe4fbb718b14188ceadf0a3c7ea956c79",
+        "9b46925a5982b04f2de85f27d88d62a52ddddca8404b338f7448a3b7ae83ed3d",
     ),
     (True, "1", "1"): (
         "d402688481498b0a260a2ec2b1c98cce5e754877236e61bd3fdd4fd0f1032b07",
         "5e022c08b7c34e80ff3815566c97fe1c7211e3a29fd64a601c782b6f7f761b94",
+        "409d2dd1587f761b6121d2a40e962010f7394af2df6b1dc9537aea736ece359e",
     ),
 }
 
@@ -534,7 +538,13 @@ def test_model_artifacts_pinned():
     with criterion("model_artifacts_pinned"):
         for series, expected in MODEL_SHA256.items():
             train, _ = bundled_series(*series)
-            docs = (json.dumps(fit(train).to_dict()) for fit in (fit_gbdt, fit_svr))
+            calendar = HolidayCalendar.bundled() if series[0] else None
+            models = (
+                fit_gbdt(train),
+                fit_svr(train),
+                fit_trend_seasonal(train.target, train.dates, TrendSeasonalConfig(), calendar),
+            )
+            docs = (json.dumps(model.to_dict()) for model in models)
             assert tuple(hashlib.sha256(d.encode()).hexdigest() for d in docs) == expected, series
 
 

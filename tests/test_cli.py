@@ -89,10 +89,14 @@ def test_ids_holding_a_bar_are_malformed(tmp_path, capsys):
     path = tmp_path / "colliding.csv"
     path.write_text("\n".join([header, *small, *large]) + "\n")
     cfg, out = small_config(tmp_path, path, "bar", models=["arimax", "naive"])
+    message = (
+        "730 of 730 rows malformed (> 1% threshold): "
+        "730 store or item id holding '|' (first at line 2)"
+    )
     for command in ("ingest", "evaluate"):
         assert main([command, "--config", str(cfg)]) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-        assert error == {"code": "E_INPUT", "message": "730 of 730 rows malformed (> 1% threshold)"}
+        assert error == {"code": "E_INPUT", "message": message}
     assert not (out / "report.json").exists()
     # Beside a clean series, each such row is skipped with its own reason.
     clean = [f"{d},1,1,{20 + i % 7}" for i, d in enumerate(days)]
@@ -242,6 +246,17 @@ def test_unknown_config_key_exits_2(tmp_path):
     # seed was a reserved key that nothing read; it is no longer accepted
     cfg.write_text(json.dumps({"seed": 0}))
     assert main(["evaluate", "--config", str(cfg)]) == 2
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    # A directory, and a file that is not UTF-8, each fail to read.
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"models": ["na\xefve"]}\xff')
+    for path in (tmp_path, undecodable):
+        assert main(["evaluate", "--config", str(path)]) == 2
+        error = last_error(capsys)
+        assert error["code"] == "E_CONFIG"
+        assert error["message"].startswith(f"cannot read config file {path}: "), error
 
 
 def test_every_config_key_is_documented():

@@ -174,9 +174,15 @@ def reference_parse(source, schema=None) -> IngestResult:
     if rows_read == 0:
         raise EmptyInputError("input has a header but zero data rows")
     if len(malformed) > MALFORMED_ABORT_FRACTION * rows_read:
+        first_line: dict[str, int] = {}
+        count: dict[str, int] = {}
+        for row in malformed:
+            first_line.setdefault(row.reason, row.line)
+            count[row.reason] = count.get(row.reason, 0) + 1
+        clauses = [f"{count[r]} {r} (first at line {line})" for r, line in first_line.items()]
         raise MalformedInputError(
             f"{len(malformed)} of {rows_read} rows malformed "
-            f"(> {MALFORMED_ABORT_FRACTION:.0%} threshold)",
+            f"(> {MALFORMED_ABORT_FRACTION:.0%} threshold): " + "; ".join(clauses),
             malformed,
         )
 

@@ -112,9 +112,12 @@ def test_trend_seasonal_cache_hit_equals_fresh_factorization(seed, n, penalty, w
     future = dates[-1] + 1 + np.arange(40, dtype=np.int64)
     trend_seasonal._forecast_basis.cache_clear()
     missed = forecast_trend_seasonal(hit, future)
-    cached = forecast_trend_seasonal(fresh, future)
+    cached = forecast_trend_seasonal(hit, future)
     assert trend_seasonal._forecast_basis.cache_info().hits == 1
     assert all(np.array_equal(a, b) for a, b in zip(missed, cached))
+    # Fresh holds its own design, so its forecast builds the basis anew.
+    assert fresh.design is not hit.design
+    assert all(np.array_equal(a, b) for a, b in zip(missed, forecast_trend_seasonal(fresh, future)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,6 +10,7 @@ from demandcast.features import HolidayCalendar
 from demandcast.models.trend_seasonal import (
     TrendSeasonalConfig,
     build_basis,
+    changepoints,
     fit_trend_seasonal,
     forecast_trend_seasonal,
 )
@@ -29,22 +30,21 @@ def base_slope(model):
 
 def changepoint_deltas(model):
     """Slope change at each changepoint (fitting scale)."""
-    return model.basis_coef[1 : 1 + len(model.changepoints)]
+    return model.basis_coef[1 : 1 + len(changepoints(model.design.config))]
 
 
 def test_basis_degenerate_single_column():
     cfg = TrendSeasonalConfig(
         n_changepoints=0, weekly_fourier_order=0, yearly_fourier_order=0
     )
-    basis, names = build_basis(ordinals(10), cfg, np.empty(0), START, 9.0, {}, [])
+    basis, names = build_basis(ordinals(10), cfg, START, 9.0, {})
     assert basis.shape == (10, 1)
     assert names == ("trend",)
 
 
 def test_basis_default_column_count():
     cfg = TrendSeasonalConfig()
-    cps = 0.8 * np.arange(1, 26) / 25.0
-    basis, names = build_basis(ordinals(100), cfg, cps, START, 99.0, {}, [])
+    basis, names = build_basis(ordinals(100), cfg, START, 99.0, {})
     assert basis.shape[1] == 1 + 25 + 6 + 20
     assert len(names) == 52
     assert (names[0], names[25], names[26], names[-1]) == (
@@ -54,7 +54,7 @@ def test_basis_default_column_count():
 
 def test_weekly_columns_repeat_after_seven_days():
     cfg = TrendSeasonalConfig(n_changepoints=0, yearly_fourier_order=0)
-    basis, _ = build_basis(ordinals(15), cfg, np.empty(0), START, 14.0, {}, [])
+    basis, _ = build_basis(ordinals(15), cfg, START, 14.0, {})
     weekly = basis[:, 1:7]
     assert np.allclose(weekly[0], weekly[7])
     assert np.allclose(weekly[3], weekly[10])
@@ -139,7 +139,7 @@ def trend_at(model, t: np.ndarray) -> np.ndarray:
     out = model.offset + base_slope(model) * t
     deltas = changepoint_deltas(model)
     if len(deltas):
-        out = out + np.maximum(0.0, t[:, None] - model.changepoints[None, :]) @ deltas
+        out = out + np.maximum(0.0, t[:, None] - changepoints(model.design.config)[None, :]) @ deltas
     return out
 
 
@@ -148,7 +148,7 @@ def test_trend_continuous_at_changepoints():
     n = 400
     y = np.expm1(0.5 + 0.2 * np.arange(n) / n + 0.05 * rng.normal(size=n))
     model = fit_trend_seasonal(y, ordinals(n), TrendSeasonalConfig())
-    for c in model.changepoints:
+    for c in changepoints(model.design.config):
         left = trend_at(model, np.array([c - 1e-9]))[0]
         right = trend_at(model, np.array([c + 1e-9]))[0]
         assert abs(left - right) < 1e-6
@@ -200,7 +200,7 @@ def test_holiday_regressor_recovers_effect():
     y = np.expm1(1.0 + 0.5 * hol)
     cfg = TrendSeasonalConfig(n_changepoints=0, weekly_fourier_order=0, yearly_fourier_order=0)
     model = fit_trend_seasonal(y, ordinals(n), cfg, cal)
-    assert model.holiday_names == ["festival"]
+    assert model.design.holiday_names == ["festival"]
     coef = model.basis_coef[-1]
     assert abs(coef - 0.5) < 1e-6
 
@@ -213,7 +213,7 @@ def test_serialization_roundtrip():
     # The saved model artifact is plain JSON and survives a round trip unchanged.
     doc = model.to_dict()
     assert json.loads(json.dumps(doc)) == doc
-    assert list(doc["coef"]) == model.basis_names
+    assert list(doc["coef"]) == list(model.design.basis_names)
 
 
 def test_short_window_fits_no_yearly_terms_and_stays_bounded():
@@ -226,8 +226,8 @@ def test_short_window_fits_no_yearly_terms_and_stays_bounded():
     train_y = y[:184]
     for calendar in (None, HolidayCalendar.bundled()):
         model = fit_trend_seasonal(train_y, days[:184], TrendSeasonalConfig(), calendar)
-        assert model.config.yearly_fourier_order == 0
-        assert not any(name.startswith("yearly_") for name in model.basis_names)
+        assert model.design.config.yearly_fourier_order == 0
+        assert not any(name.startswith("yearly_") for name in model.design.basis_names)
         assert model.to_dict()["config"]["yearly_fourier_order"] == 0
         point, lo_band, hi_band = forecast_trend_seasonal(model, days[184 : 184 + 150])
         assert all(np.isfinite(v).all() for v in (point, lo_band, hi_band))
@@ -240,5 +240,5 @@ def test_yearly_terms_start_at_a_full_year():
     y = rng.poisson(30.0, 365).astype(float)
     for n, order in ((364, 0), (365, TrendSeasonalConfig().yearly_fourier_order)):
         model = fit_trend_seasonal(y[:n], ordinals(n))
-        assert model.config.yearly_fourier_order == order
-        assert sum(name.startswith("yearly_") for name in model.basis_names) == 2 * order
+        assert model.design.config.yearly_fourier_order == order
+        assert sum(name.startswith("yearly_") for name in model.design.basis_names) == 2 * order
