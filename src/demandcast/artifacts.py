@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import re
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,27 +33,43 @@ def _write_csv(
     """Write equal-length columns under ``header``, as csv.writer writes rows.
 
     A float64 array's cells are the repr() of its values, formatted once per
-    distinct bit pattern in a block, and a datetime64[D] array's are its ISO
-    dates.  Every other cell is the text csv.writer gives its value (an empty
-    cell for None), so that quoting follows csv; an integer, bool or str
-    array's are formatted once per distinct value.
+    distinct bit pattern across all of a block's float64 columns, and a
+    datetime64[D] array's are its ISO dates.  Every other cell is the text
+    csv.writer gives its value (an empty cell for None), so that quoting
+    follows csv; an integer, bool or str array's are formatted once per
+    distinct value.
     """
     csv_text = _csv_formatter(len(columns) == 1, lineterminator)
+    floats = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns]
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator=lineterminator).writerow(header)
         for start in range(0, rows, BLOCK_ROWS):
-            block = [_cells(column[start : start + BLOCK_ROWS], csv_text) for column in columns]
-            fh.write(lineterminator.join(map(",".join, zip(*block))) + lineterminator)
+            block = [column[start : start + BLOCK_ROWS] for column in columns]
+            float_cells = iter(_float_cells([part for part, is_float in zip(block, floats) if is_float]))
+            cells = [
+                next(float_cells) if is_float else _cells(part, csv_text)
+                for part, is_float in zip(block, floats)
+            ]
+            fh.write(lineterminator.join(map(",".join, zip(*cells))) + lineterminator)
+
+
+def _float_cells(parts: Sequence[np.ndarray]) -> list[list[str]]:
+    """The repr() of each value of equal-length float64 arrays, one list per array.
+
+    Keyed on the bits, so that 0.0 and -0.0 keep their own texts; each
+    distinct bit pattern is formatted once across the arrays.
+    """
+    if not parts:
+        return []
+    bits, codes = np.unique(np.concatenate(parts).view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return [texts[part].tolist() for part in np.split(codes, len(parts))]
 
 
 def _cells(values: Sequence, csv_text) -> list[str]:
     """The text of each value; an array's formatted once per distinct value."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        # Keyed on the bits, so that 0.0 and -0.0 keep their own texts.
-        bits, codes = np.unique(values.view(np.int64), return_inverse=True)
-        texts = [repr(v) for v in bits.view(np.float64).tolist()]
-    elif isinstance(values, np.ndarray) and values.dtype.kind == "M":
+    if isinstance(values, np.ndarray) and values.dtype.kind == "M":
         # ISO dates need no quoting.
         distinct, codes = np.unique(values, return_inverse=True)
         texts = np.datetime_as_string(distinct, unit="D").tolist()
@@ -151,17 +169,99 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     )
 
 
+# A quoted cell, with "" for each quote inside it, or an unquoted one.
+_CELL = re.compile(r'"((?:[^"]|"")*)"|[^,"\n]*')
+
+
+def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
+    """The cells, row after row, of CSV text that holds no quote.
+
+    Without quotes no cell holds a comma or a line end, so rows split on
+    "\n" and cells on ",".  Returns the cells, each row's comma count (its
+    cell count less one) and each row's line number.
+    """
+    rows = text.split("\n")
+    if rows[-1] == "":
+        rows.pop()
+        text = text[:-1]
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    return text.replace("\n", ",").split(","), commas, range(1, len(rows) + 1)
+
+
+def _quoted_cells(text: str, path: Path) -> tuple[list[str], list[int], Sequence[int]]:
+    """As ``_plain_cells``, for cells that may be quoted as csv.writer quotes them.
+
+    Rows end at a "\n" outside quotes; a lone "\r" belongs to its cell, as
+    a writer ending rows with "\n" leaves it unquoted.
+    """
+    cells, commas, lines = [], [], []
+    pos, line = 0, 1
+    while pos < len(text):
+        start, count = pos, 0
+        while True:
+            match = _CELL.match(text, pos)
+            quoted = match.group(1)
+            cells.append(match.group(0) if quoted is None else quoted.replace('""', '"'))
+            pos = match.end()
+            if not text.startswith(",", pos):
+                break
+            count, pos = count + 1, pos + 1
+        if pos < len(text) and text[pos] != "\n":
+            raise MissingForecastsError(f"forecast file {path} line {line}: malformed quoting")
+        commas.append(count)
+        lines.append(line)
+        line += text.count("\n", start, pos + 1)
+        pos += 1
+    return cells, commas, lines
+
+
 def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """(store, item) -> (actual, predicted), in the file's (store, item, date) order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        cells = dict(zip(next(reader, []), zip(*reader)))
-    if not cells:
+    """(store, item) -> (actual, predicted), in the file's (store, item, date) order.
+
+    Only those four columns are read.  Bytes that are not UTF-8, a row whose
+    cell count differs from the header's, or an ``actual`` or ``predicted``
+    that is not a number raise MissingForecastsError naming the line.
+    """
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise MissingForecastsError(f"forecast file {path} line {line}: not UTF-8") from None
+    cells, commas, lines = _quoted_cells(text, path) if '"' in text else _plain_cells(text)
+    if len(commas) < 2:
         raise MissingForecastsError(f"forecast file {path} has no rows")
-    actual = np.array(cells["actual"], dtype=np.float64)
-    predicted = np.array(cells["predicted"], dtype=np.float64)
-    runs = series_runs(np.array(cells["store"]), np.array(cells["item"]))
+    if commas.count(commas[0]) != len(commas):
+        row = next(row for row, count in enumerate(commas) if count != commas[0])
+        raise MissingForecastsError(
+            f"forecast file {path} line {lines[row]}: {commas[row] + 1} fields, "
+            f"the header has {commas[0] + 1}"
+        )
+    width = commas[0] + 1
+    header = cells[:width]
+    column = {}
+    for name in ("store", "item", "actual", "predicted"):
+        if name not in header:
+            raise MissingForecastsError(f"forecast file {path} lacks column {name!r}")
+        column[name] = cells[width + header.index(name) :: width]
+    actual, predicted = (_numbers(column, name, path, lines) for name in ("actual", "predicted"))
+    runs = series_runs(np.array(column["store"]), np.array(column["item"]))
     return {key: (actual[a:b], predicted[a:b]) for key, (a, b) in runs.items()}
+
+
+def _numbers(column: Mapping[str, list[str]], name: str, path: Path, lines: Sequence[int]) -> np.ndarray:
+    """The named column as float64; its first cell that is not a number raises."""
+    try:
+        return np.array(column[name], dtype=np.float64)
+    except ValueError:
+        for row, cell in enumerate(column[name]):
+            try:
+                np.array([cell], dtype=np.float64)
+            except ValueError:
+                raise MissingForecastsError(
+                    f"forecast file {path} line {lines[row + 1]}: {name} {cell!r} is not a number"
+                ) from None
+        raise
 
 
 def write_importance_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:
@@ -196,16 +296,13 @@ def write_json(path: Path, doc: Mapping) -> None:
 LEDGER_COLUMNS = ("opening", "ordered", "received", "demand", "sold", "lost_sales", "closing")
 
 
-def write_ledger_csv(path: Path, outcomes: Mapping[tuple[str, str], "InventoryOutcome"]) -> None:
-    series = list(outcomes.values())
-    lengths = np.array([outcome.days for outcome in series], dtype=np.int64)
-    stores = np.repeat(np.array([store for store, _ in outcomes], dtype=np.str_), lengths)
-    items = np.repeat(np.array([item for _, item in outcomes], dtype=np.str_), lengths)
-    days = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    ledger = [
-        np.concatenate([np.empty(0), *(getattr(outcome, name) for outcome in series)])
-        for name in LEDGER_COLUMNS
-    ]
+def write_ledger_csv(path: Path, keys: Sequence[tuple[str, str]], outcome: InventoryOutcome) -> None:
+    """One row per series day; ``keys`` names the outcome's series in order."""
+    stores = np.repeat(np.array([store for store, _ in keys], dtype=np.str_), outcome.lengths)
+    items = np.repeat(np.array([item for _, item in keys], dtype=np.str_), outcome.lengths)
+    starts = np.cumsum(outcome.lengths) - outcome.lengths
+    days = np.arange(outcome.days) - np.repeat(starts, outcome.lengths)
+    ledger = [getattr(outcome, name) for name in LEDGER_COLUMNS]
     _write_csv(path, ["store", "item", "day", *LEDGER_COLUMNS], [stores, items, days, *ledger])
 
 

@@ -213,17 +213,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
             skipped[model] = error
 
     def replay(model: str):
-        """Pool the model's per-series replays and write its ledger."""
+        """Replay all of the model's series at once, write its ledger and pool it."""
         path = out_dir / f"residuals_{slug(model, scenario_id)}.csv"
         if not path.exists():
             raise MissingForecastsError(f"evaluation lacks forecasts for model {model!r}")
         stds = scenario_doc["models"][model]["per_series_train_residual_std"]
-        per_series = {
-            key: simulate(actual, predicted, policy, sigma_hat=stds.get(f"{key[0]}|{key[1]}", 0.0))
-            for key, (actual, predicted) in read_residuals_csv(path).items()
-        }
-        write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", per_series)
-        rates = pool_outcomes(list(per_series.values()))
+        series = read_residuals_csv(path)
+        outcome = simulate(
+            [actual for actual, _ in series.values()],
+            [predicted for _, predicted in series.values()],
+            policy,
+            [stds.get(f"{store}|{item}", 0.0) for store, item in series],
+        )
+        write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", list(series), outcome)
+        rates = pool_outcomes(outcome)
         if clamped := rates["negative_forecast_days"]:
             logger.warning("%s: clamped %d negative forecast values to zero", model, clamped)
         return rates

@@ -49,6 +49,15 @@ class ReplenishmentPolicy:
 
 @dataclass
 class InventoryOutcome:
+    """The replay of a batch of series.
+
+    The ledger columns hold every series' days, one series after another;
+    ``lengths`` gives each series' day count and the rates, cost and MAE
+    hold one value per series.  ``negative_forecast_days`` is the batch's
+    total.
+    """
+
+    lengths: np.ndarray
     opening: np.ndarray
     ordered: np.ndarray
     received: np.ndarray
@@ -56,10 +65,10 @@ class InventoryOutcome:
     sold: np.ndarray
     lost_sales: np.ndarray
     closing: np.ndarray
-    overstock_rate: float
-    stockout_rate: float
-    cost_index: float
-    forecast_mae: float
+    overstock_rate: np.ndarray
+    stockout_rate: np.ndarray
+    cost_index: np.ndarray
+    forecast_mae: np.ndarray
     negative_forecast_days: int
 
     @property
@@ -67,83 +76,114 @@ class InventoryOutcome:
         return len(self.demand)
 
 
-def _window_sums(fc: np.ndarray, review_period: int, protection: int) -> np.ndarray:
-    """``fc[t : t + protection].sum()`` for every review day t, bit for bit.
+def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[s : s + n].sum()`` for every start s and length n, bit for bit.
 
-    Picking the review days' rows of the sliding windows copies them into a
-    contiguous block, whose row sums add each row as the slice's own sum
-    does.  The windows that run past the last day keep their slice sums:
-    ``sliding_window_view`` has no such rows, and padding them with zeros
-    changes the sums' pairwise order once protection reaches 8.
+    Runs of one length are picked as rows of the sliding windows of that
+    length, and numpy adds each row of the contiguous copy as it adds the
+    slice on its own.  Padding shorter runs with zeros into longer rows
+    would change numpy's pairwise order once a row reaches 8 values.
     """
-    days = np.arange(0, len(fc), review_period)
-    full = days[days + protection <= len(fc)]
-    head = sliding_window_view(fc, protection)[full].sum(axis=1) if len(full) else np.empty(0)
-    return np.concatenate([head, [fc[t:].sum() for t in days[len(full) :].tolist()]])
+    sums = np.zeros(len(starts))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = lengths == length
+        sums[rows] = sliding_window_view(values, length)[starts[rows]].sum(axis=1)
+    return sums
 
 
 def simulate(
-    demand: np.ndarray,
-    forecast: np.ndarray,
+    demands: Sequence[np.ndarray],
+    forecasts: Sequence[np.ndarray],
     policy: ReplenishmentPolicy = ReplenishmentPolicy(),
-    sigma_hat: float = 0.0,
+    sigma_hats: Sequence[float] | None = None,
 ) -> InventoryOutcome:
-    """Replay the order-up-to policy day by day.
+    """Replay the order-up-to policy on every series at once, day by day.
 
     Day sequence: arrivals land, a review (every ``review_period`` days,
     starting day 0) places an order up to forecast-over-protection-interval
     plus safety stock, a zero lead time lands that order immediately, then
     demand consumes on-hand stock.  Negative forecast values are clamped to
-    zero and counted.
+    zero and counted.  ``sigma_hats`` gives each series' safety-stock unit
+    (0.0 for all when omitted).
+
+    Series are padded to the longest, one column each, and each day steps
+    all columns with elementwise numpy that rounds as the scalar rules do:
+    ``min(a, b)`` is ``where(b < a, b, a)``, ``max(0.0, x)`` is
+    ``where(x > 0.0, x, 0.0)``, and the pending orders are a left fold,
+    oldest first, where a day without an order adds an exact 0.0.
     """
-    demand = np.asarray(demand, dtype=np.float64)
-    forecast = np.asarray(forecast, dtype=np.float64)
-    if len(demand) != len(forecast):
+    lengths = np.array([len(d) for d in demands], dtype=np.int64)
+    if [len(f) for f in forecasts] != lengths.tolist():
         raise ValueError("demand and forecast must align on the test window")
-    n = len(demand)
+    sigmas = np.zeros(len(lengths)) if sigma_hats is None else np.asarray(sigma_hats, dtype=np.float64)
+    demand = np.concatenate([np.empty(0), *demands])
+    forecast = np.concatenate([np.empty(0), *forecasts])
+    starts = np.cumsum(lengths) - lengths
     negative_days = int((forecast < 0).sum())
     fc = np.maximum(forecast, 0.0)
     review, lead = policy.review_period, policy.lead_time
-    targets = iter(
-        (_window_sums(fc, review, lead + review) + policy.safety_factor * sigma_hat).tolist()
-    )
 
-    opening, ordered, received, sold, closing = [], [], [], [], []
-    on_hand = float(policy.initial_stock)
-    pipeline: dict[int, float] = {}
+    # The day loop steps (day, series) grids.  ``cells`` marks each series'
+    # days in (series, day) order, the order of the concatenated days; the
+    # cells past a series' last day are padding.
+    n_days = int(lengths.max(initial=0))
+    cells = np.arange(n_days) < lengths[:, None]
 
-    for t, wanted in enumerate(demand.tolist()):
-        opening.append(on_hand)
-        arrived = pipeline.pop(t, 0.0)
-        qty = 0.0
-        if t % review == 0:
-            # A plain left fold, as sum() over numpy scalars adds; sum() over
-            # Python floats compensates its rounding from Python 3.12 on.
-            pending = 0.0
-            for q in pipeline.values():
-                pending += q
-            qty = max(0.0, next(targets) - (on_hand + arrived + pending))
-            if qty > 0.0:
+    # Each review's target: the clamped forecast over the protection interval,
+    # cut at the series' end, plus the series' safety stock.
+    review_days = np.arange(0, n_days, review)
+    due = review_days[:, None] < lengths
+    series = np.broadcast_to(np.arange(len(lengths)), due.shape)[due]
+    day = np.broadcast_to(review_days[:, None], due.shape)[due]
+    targets = np.zeros(due.shape)
+    targets[due] = _run_sums(
+        fc, starts[series] + day, np.minimum(lengths[series] - day, lead + review)
+    ) + policy.safety_factor * sigmas[series]
+
+    wanted = np.zeros(cells.shape)
+    wanted[cells] = demand
+    wanted = np.ascontiguousarray(wanted.T)
+    ordered = np.zeros((n_days, len(lengths)))
+    received = np.zeros((n_days, len(lengths)))
+    sold = np.zeros((n_days, len(lengths)))
+    closing = np.zeros((n_days, len(lengths)))
+    on_hand = np.full(len(lengths), float(policy.initial_stock))
+    # Python floats wrap inf and nan silently, as this grid must.
+    with np.errstate(all="ignore"):
+        for t in range(n_days):
+            arrived = received[t]
+            if t % review == 0:
+                # Orders still in the pipeline: review days s with t - lead < s < t.
+                pending = 0.0
+                for s in range(max(t - (lead - 1) // review * review, 0), t, review):
+                    pending = pending + ordered[s]
+                x = targets[t // review] - (on_hand + arrived + pending)
+                qty = np.where(x > 0.0, x, 0.0)
+                ordered[t] = qty
                 if lead == 0:
-                    arrived += qty
-                else:
-                    pipeline[t + lead] = qty
-        ordered.append(qty)
-        received.append(arrived)
-        on_hand += arrived
-        sale = min(wanted, on_hand)
-        sold.append(sale)
-        on_hand -= sale
-        closing.append(on_hand)
+                    arrived += qty  # in place: received[t] lands today
+                elif t + lead < n_days:
+                    received[t + lead] = qty
+            on_hand = on_hand + arrived
+            sold[t] = np.where(on_hand < wanted[t], on_hand, wanted[t])
+            on_hand = on_hand - sold[t]
+            closing[t] = on_hand
 
-    opening, ordered, received, sold, closing = (
-        np.array(column, dtype=np.float64) for column in (opening, ordered, received, sold, closing)
+    opening = np.concatenate([np.full((1, len(lengths)), float(policy.initial_stock)), closing])[:-1]
+    ordered, received, sold, closing, opening = (
+        column.T[cells] for column in (ordered, received, sold, closing, opening)
     )
     lost = demand - sold
-    trailing = trailing_mean(demand, np.arange(n), 7)
+    trailing = trailing_mean(demand, np.arange(len(demand)) - np.repeat(starts, lengths), 7)
     overstock_days = closing > policy.overstock_multiplier * trailing
 
+    def series_means(values: np.ndarray) -> np.ndarray:
+        """Each series' mean of ``values``; 0.0 for a series without days."""
+        sums = _run_sums(values, starts, lengths)
+        return np.divide(sums, lengths, out=np.zeros(len(lengths)), where=lengths > 0)
+
     return InventoryOutcome(
+        lengths=lengths,
         opening=opening,
         ordered=ordered,
         received=received,
@@ -151,35 +191,36 @@ def simulate(
         sold=sold,
         lost_sales=lost,
         closing=closing,
-        overstock_rate=float(overstock_days.mean()) if n else 0.0,
-        stockout_rate=float((lost > 0).mean()) if n else 0.0,
-        cost_index=float(policy.holding_cost * closing.sum() + policy.emergency_cost * lost.sum()),
-        forecast_mae=float(np.abs(demand - forecast).mean()) if n else 0.0,
+        overstock_rate=series_means(overstock_days),
+        stockout_rate=series_means(lost > 0),
+        cost_index=policy.holding_cost * _run_sums(closing, starts, lengths)
+        + policy.emergency_cost * _run_sums(lost, starts, lengths),
+        forecast_mae=series_means(np.abs(demand - forecast)),
         negative_forecast_days=negative_days,
     )
 
 
-def pool_outcomes(outcomes: Sequence[InventoryOutcome]) -> dict[str, float]:
-    """The portfolio rates of per-series outcomes, as impact.json stores them.
+def pool_outcomes(outcome: InventoryOutcome) -> dict[str, float]:
+    """The portfolio rates of a batch's series, as impact.json stores them.
 
     Overstock rate and MAE weight each series by its days; stockout rate and
-    mean demand run over the concatenated days; cost is summed.
+    mean demand run over all the batch's days; cost is summed.  The
+    per-series terms are added in series order by ``sum``, as they always
+    were, not pairwise by numpy.
     """
-    if not outcomes:
+    if not len(outcome.lengths):
         raise ValueError("no outcomes to pool")
-    demand = np.concatenate([o.demand for o in outcomes])
-    lost = np.concatenate([o.lost_sales for o in outcomes])
-    total_days = sum(o.days for o in outcomes)
-    overstock_days = sum(o.overstock_rate * o.days for o in outcomes)
-    mae = float(sum(o.forecast_mae * o.days for o in outcomes) / total_days)
-    mean_demand = float(demand.mean())
+    total_days = outcome.days
+    overstock_days = sum((outcome.overstock_rate * outcome.lengths).tolist())
+    mae = float(sum((outcome.forecast_mae * outcome.lengths).tolist()) / total_days)
+    mean_demand = float(outcome.demand.mean())
     return {
         "overstock_rate": float(overstock_days / total_days),
-        "stockout_rate": float((lost > 0).mean()),
+        "stockout_rate": float((outcome.lost_sales > 0).mean()),
         # 100 * (1 - MAE / mean demand); one operationalisation of accuracy.
         "forecast_accuracy": 0.0 if mean_demand == 0.0 else 100.0 * (1.0 - mae / mean_demand),
-        "cost_index": float(sum(o.cost_index for o in outcomes)),
-        "negative_forecast_days": sum(o.negative_forecast_days for o in outcomes),
+        "cost_index": float(sum(outcome.cost_index.tolist())),
+        "negative_forecast_days": outcome.negative_forecast_days,
     }
 
 

@@ -336,23 +336,18 @@ def test_leakage_sentinel_perturbation():
 def test_inventory_directional_claim(bundled_run):
     with criterion("inventory_directional_claim"):
         policy = ReplenishmentPolicy(review_period=1, safety_factor=0.5, lead_time=1)
-        stockouts = {"good": [], "bad": []}
-        costs = {"good": [], "bad": []}
-        maes = {"good": [], "bad": []}
+        demands, forecasts = [], {"good": [], "bad": []}
         for seed in range(24):
             rng = np.random.default_rng(seed)
             base = 30 + 10 * np.sin(np.arange(153) / 7.0) + 5 * ((np.arange(153) % 7) == 5)
-            demand = rng.poisson(np.maximum(base, 1.0)).astype(float)
-            good = np.maximum(demand + rng.normal(scale=2.0, size=153), 0.0)
-            bad = np.maximum(demand + rng.normal(scale=12.0, size=153), 0.0)
-            for name, forecast, sigma in (("good", good, 2.0), ("bad", bad, 12.0)):
-                outcome = simulate(demand, forecast, policy, sigma_hat=sigma)
-                stockouts[name].append(outcome.stockout_rate)
-                costs[name].append(outcome.cost_index)
-                maes[name].append(outcome.forecast_mae)
-        assert np.mean(maes["good"]) < np.mean(maes["bad"])
-        assert np.mean(stockouts["good"]) <= np.mean(stockouts["bad"])
-        assert np.mean(costs["good"]) <= np.mean(costs["bad"])
+            demands.append(rng.poisson(np.maximum(base, 1.0)).astype(float))
+            forecasts["good"].append(np.maximum(demands[-1] + rng.normal(scale=2.0, size=153), 0.0))
+            forecasts["bad"].append(np.maximum(demands[-1] + rng.normal(scale=12.0, size=153), 0.0))
+        good = simulate(demands, forecasts["good"], policy, [2.0] * 24)
+        bad = simulate(demands, forecasts["bad"], policy, [12.0] * 24)
+        assert np.mean(good.forecast_mae) < np.mean(bad.forecast_mae)
+        assert np.mean(good.stockout_rate) <= np.mean(bad.stockout_rate)
+        assert np.mean(good.cost_index) <= np.mean(bad.cost_index)
 
         # End-to-end on the bundled run.  With safety stock sized in each
         # model's own residual std, stockout rate is a calibration artifact
@@ -378,11 +373,13 @@ def test_inventory_directional_claim(bundled_run):
 
         def pooled_with_matched_sigma(model):
             per_series = read_residuals_csv(out / f"residuals_{model}_S2.csv")
-            outcomes = [
-                simulate(actual, predicted, policy, sigma_hat=naive_stds[f"{store}|{item}"])
-                for (store, item), (actual, predicted) in per_series.items()
-            ]
-            return pool_outcomes(outcomes)
+            outcome = simulate(
+                [actual for actual, _ in per_series.values()],
+                [predicted for _, predicted in per_series.values()],
+                policy,
+                [naive_stds[f"{store}|{item}"] for store, item in per_series],
+            )
+            return pool_outcomes(outcome)
 
         tree = pooled_with_matched_sigma("gbdt")
         base = pooled_with_matched_sigma("naive")

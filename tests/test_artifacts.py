@@ -3,11 +3,12 @@ import datetime as dt
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import artifacts
 from demandcast.data import SalesTable, parse_sales_csv
+from demandcast.features import FeatureMatrix
 
 
 def fmt(value) -> str:
@@ -131,3 +132,43 @@ def test_sales_csv_quotes_ids_as_csv_writer_does(tmp_path):
         parsed = parse_sales_csv(path).table
         assert parsed.store_ids.tolist() == [i.strip() for i in ids]
         assert parsed.item_ids.tolist() == [i.strip() for i in ids[::-1]]
+
+
+RESIDUAL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, float("inf"), float("-inf")]),
+    st.floats(allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def residual_series(draw):
+    """1-5 series of different lengths, keyed by ids that need quoting or not."""
+    keys = draw(st.lists(st.tuples(QUOTED, QUOTED), min_size=1, max_size=5, unique=True))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=len(keys), max_size=len(keys)))
+    floats = st.lists(RESIDUAL_FLOATS, min_size=sum(lengths), max_size=sum(lengths))
+    return keys, lengths, np.array(draw(floats)), np.array(draw(floats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(residual_series())
+@example(([("1", "1"), ("1", "2")], [2, 1], np.array([1.0, -0.0, 5e-324]), np.array([np.inf, 2.5, -np.inf])))
+@example(([('a,"', "\r"), ("\n", "")], [1, 2], np.array([0.0, 1.5, -2.0]), np.array([3.0, -0.0, 4.0])))
+def test_residuals_round_trip(tmp_path_factory, series):
+    # A file with no quote is split on commas and line ends; one with a
+    # quoted id is tokenized: both paths must give back what was written.
+    keys, lengths, actual, predicted = series
+    stores = np.repeat(np.array([store for store, _ in keys], dtype=object), lengths)
+    items = np.repeat(np.array([item for _, item in keys], dtype=object), lengths)
+    n = len(actual)
+    test = FeatureMatrix(
+        ["x"], np.zeros((n, 1)), actual, np.arange(n) + dt.date(2017, 8, 1).toordinal(), stores, items
+    )
+    path = tmp_path_factory.getbasetemp() / "residuals.csv"
+    with np.errstate(all="ignore"):
+        artifacts.write_residuals_csv(path, test, predicted)
+    back = artifacts.read_residuals_csv(path)
+    assert list(back) == keys
+    starts = np.cumsum(lengths) - lengths
+    for (got_actual, got_predicted), start, length in zip(back.values(), starts.tolist(), lengths):
+        assert got_actual.tobytes() == actual[start : start + length].tobytes()
+        assert got_predicted.tobytes() == predicted[start : start + length].tobytes()

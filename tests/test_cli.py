@@ -665,6 +665,34 @@ def test_simulate_rejects_forecast_file_without_rows(tmp_path, small_csv, capsys
     assert error["code"] == "E_INPUT" and str(path) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "line, damage, message",
+    [
+        pytest.param(-1, lambda cells: cells[:5], "5 fields, the header has 6", id="last_row_cut_to_5"),
+        pytest.param(3, lambda cells: cells[:4], "4 fields, the header has 6", id="row_cut_to_4"),
+        pytest.param(
+            2, lambda cells: [*cells[:4], "n/a", cells[5]], "predicted 'n/a' is not a number", id="predicted_not_a_number"
+        ),
+        pytest.param(4, lambda cells: [*cells[:4], "\udcff", cells[5]], "not UTF-8", id="predicted_not_utf8"),
+    ],
+)
+def test_simulate_rejects_damaged_forecast_file(tmp_path, small_csv, capsys, line, damage, message):
+    # Before, a short last row was replayed without its residual column, and
+    # the others ended in a traceback.  "\udcff" is written as the byte 0xff.
+    cfg, out = small_config(tmp_path, small_csv, "damaged", models=["naive"], scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    path = out / "residuals_naive_S2.csv"
+    lines = path.read_text().splitlines()
+    lines[line] = ",".join(damage(lines[line].split(",")))
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    error = last_error(capsys)
+    number = line + 1 if line >= 0 else len(lines)
+    assert error["code"] == "E_INPUT"
+    assert error["message"] == f"forecast file {path} line {number}: {message}"
+    assert not (out / "impact.json").exists()
+
+
 def test_report_renders_comparison_and_importance(evaluated, capsys):
     cfg, out = evaluated
     assert main(["report", "--config", str(cfg)]) == 0

@@ -14,13 +14,8 @@ from demandcast.inventory import (
 )
 
 LEDGER = ("opening", "ordered", "received", "demand", "sold", "lost_sales", "closing")
-SCALARS = (
-    "overstock_rate",
-    "stockout_rate",
-    "cost_index",
-    "forecast_mae",
-    "negative_forecast_days",
-)
+# One value per series; negative_forecast_days is the batch's total.
+SCALARS = ("overstock_rate", "stockout_rate", "cost_index", "forecast_mae")
 
 
 def reference_simulate(demand, forecast, policy=ReplenishmentPolicy(), sigma_hat=0.0):
@@ -65,6 +60,7 @@ def reference_simulate(demand, forecast, policy=ReplenishmentPolicy(), sigma_hat
     trailing = trailing_mean(demand, np.arange(n), 7)
     overstock_days = closing > policy.overstock_multiplier * trailing
     return InventoryOutcome(
+        lengths=np.array([n]),
         opening=opening,
         ordered=ordered,
         received=received,
@@ -80,22 +76,28 @@ def reference_simulate(demand, forecast, policy=ReplenishmentPolicy(), sigma_hat
     )
 
 
-def assert_same_bits(out, ref):
-    for name in LEDGER:
-        got, want = getattr(out, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    for name in SCALARS:
-        got, want = getattr(out, name), getattr(ref, name)
-        assert type(got) is type(want), name
-        assert np.array(got).tobytes() == np.array(want).tobytes(), name
+def assert_same_bits(out, refs):
+    """Each series of the batch ``out`` equals its reference outcome bit for bit."""
+    assert out.lengths.tolist() == [ref.days for ref in refs]
+    starts = np.cumsum(out.lengths) - out.lengths
+    for i, (start, ref) in enumerate(zip(starts.tolist(), refs)):
+        for name in LEDGER:
+            got, want = getattr(out, name)[start : start + ref.days], getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, name)
+        for name in SCALARS:
+            got, want = getattr(out, name), getattr(ref, name)
+            assert got.dtype == np.float64 and got[i].tobytes() == np.float64(want).tobytes(), (i, name)
+    assert out.negative_forecast_days == sum(ref.negative_forecast_days for ref in refs)
+    assert type(out.negative_forecast_days) is int
 
 
-# simulate sums each review's window as picked rows of sliding windows plus
-# slice sums for the windows that run past the last day.  Two simpler forms
-# do not reproduce the slice sums: np.add.reduceat adds each window in order,
-# where numpy's sum adds pairwise (1,828 of 3,000 random cases differed), and
-# zero-padding the last windows into full rows changes their pairwise order
-# once protection reaches 8.  Protection here reaches 17.
+# simulate sums each review's window as picked rows of sliding windows, one
+# window length at a time, so the windows cut at a series' end keep their
+# slice sums.  Two simpler forms do not reproduce the slice sums:
+# np.add.reduceat adds each window in order, where numpy's sum adds pairwise
+# (1,828 of 3,000 random cases differed), and zero-padding the cut windows
+# into full rows changes their pairwise order once protection reaches 8.
+# Protection here reaches 17.
 ODD_FLOATS = st.sampled_from(
     [0.0, -0.0, float("nan"), 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300]
 )
@@ -130,9 +132,54 @@ def test_simulate_matches_reference_bit_for_bit(data, sigma, review, lead, safet
         review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
     )
     with np.errstate(all="ignore"):
-        out = simulate(demand, forecast, policy, sigma_hat=sigma)
+        out = simulate([demand], [forecast], policy, [sigma])
         ref = reference_simulate(demand, forecast, policy, sigma_hat=sigma)
-    assert_same_bits(out, ref)
+    assert_same_bits(out, [ref])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(oracle_inputs(), st.one_of(st.just(0.0), st.floats(0.0, 1e3))), min_size=1, max_size=6),
+    st.integers(1, 7),
+    st.integers(0, 10),
+    st.floats(0.0, 3.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+)
+def test_batched_simulate_matches_reference_per_series(batch, review, lead, safety, initial):
+    # Series of different lengths share one replay; padding the shorter ones
+    # must not reach their ledgers, their scalars or the pooled rates.
+    policy = ReplenishmentPolicy(
+        review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
+    )
+    demands = [demand for (demand, _), _ in batch]
+    forecasts = [forecast for (_, forecast), _ in batch]
+    sigmas = [sigma for _, sigma in batch]
+    with np.errstate(all="ignore"):
+        out = simulate(demands, forecasts, policy, sigmas)
+        refs = [reference_simulate(d, f, policy, sigma_hat=s) for d, f, s in zip(demands, forecasts, sigmas)]
+    assert_same_bits(out, refs)
+    total_days = sum(ref.days for ref in refs)
+    if not total_days:
+        return
+    with np.errstate(all="ignore"):
+        pooled = pool_outcomes(out)
+        # The portfolio formula over per-series outcomes: sum() folds the
+        # series' terms left to right, which also fixes the NaN a sum of
+        # several NaNs keeps.
+        overstock_days = sum(ref.overstock_rate * ref.days for ref in refs)
+        mae = float(sum(ref.forecast_mae * ref.days for ref in refs) / total_days)
+        mean_demand = float(np.concatenate([ref.demand for ref in refs]).mean())
+        expected = {
+            "overstock_rate": float(overstock_days / total_days),
+            "stockout_rate": float((np.concatenate([ref.lost_sales for ref in refs]) > 0).mean()),
+            "forecast_accuracy": 0.0 if mean_demand == 0.0 else 100.0 * (1.0 - mae / mean_demand),
+            "cost_index": float(sum(ref.cost_index for ref in refs)),
+            "negative_forecast_days": sum(ref.negative_forecast_days for ref in refs),
+        }
+    assert pooled.keys() == expected.keys()
+    for name, want in expected.items():
+        assert type(pooled[name]) is type(want), name
+        assert np.array(pooled[name]).tobytes() == np.array(want).tobytes(), name
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 7])
@@ -143,8 +190,8 @@ def test_simulate_matches_reference_on_short_test_windows(n):
     forecast = demand + rng.normal(scale=4.0, size=n)
     policy = ReplenishmentPolicy(review_period=2, lead_time=7, safety_factor=0.5)
     assert_same_bits(
-        simulate(demand, forecast, policy, sigma_hat=3.0),
-        reference_simulate(demand, forecast, policy, sigma_hat=3.0),
+        simulate([demand], [forecast], policy, [3.0]),
+        [reference_simulate(demand, forecast, policy, sigma_hat=3.0)],
     )
 
 
@@ -181,7 +228,7 @@ def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
     policy = ReplenishmentPolicy(
         review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
     )
-    out = simulate(demand, forecast, policy, sigma_hat=sigma)
+    out = simulate([demand], [forecast], policy, [sigma])
     assert np.array_equal(out.closing, out.opening + out.received - out.sold)
     assert np.array_equal(out.sold, np.minimum(demand, out.opening + out.received))
     assert np.array_equal(out.lost_sales, demand - out.sold)
@@ -192,28 +239,28 @@ def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
     # Overstock days compare closing stock with the mean of each day's slice
     # of up to 7 days of (fractional) demand.
     trailing = np.array([demand[max(0, t - 6) : t + 1].mean() for t in range(len(demand))])
-    assert out.overstock_rate == float((out.closing > policy.overstock_multiplier * trailing).mean())
+    assert out.overstock_rate[0] == float((out.closing > policy.overstock_multiplier * trailing).mean())
 
 
 def test_perfect_forecast_zero_lead_never_stocks_out_or_holds():
     demand = np.array([5.0, 8.0, 3.0, 9.0, 4.0])
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0, initial_stock=0.0)
-    out = simulate(demand, demand.copy(), policy, sigma_hat=0.0)
-    assert out.stockout_rate == 0.0
+    out = simulate([demand], [demand.copy()], policy, [0.0])
+    assert out.stockout_rate[0] == 0.0
     assert np.allclose(out.closing, 0.0)
 
 
 def test_zero_forecast_starves():
     demand = np.full(30, 6.0)
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0, initial_stock=0.0)
-    out = simulate(demand, np.zeros(30), policy, sigma_hat=0.0)
-    assert out.stockout_rate == 1.0
+    out = simulate([demand], [np.zeros(30)], policy, [0.0])
+    assert out.stockout_rate[0] == 1.0
 
 
 def test_negative_forecast_clamped_and_counted():
     demand = np.full(10, 5.0)
     forecast = np.full(10, -2.0)
-    out = simulate(demand, forecast, ReplenishmentPolicy(lead_time=0))
+    out = simulate([demand], [forecast], ReplenishmentPolicy(lead_time=0))
     assert out.negative_forecast_days == 10
     assert (out.ordered >= 0.0).all()
 
@@ -227,13 +274,13 @@ def test_increasing_safety_factor_never_increases_stockouts():
         rates = []
         for sf in (0.0, 0.5, 1.0, 2.0):
             policy = ReplenishmentPolicy(review_period=2, safety_factor=sf, lead_time=1)
-            rates.append(simulate(demand, forecast, policy, sigma_hat=5.0).stockout_rate)
+            rates.append(simulate([demand], [forecast], policy, [5.0]).stockout_rate[0])
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_zero_demand_never_stocks_out():
-    out = simulate(np.zeros(40), np.full(40, 3.0), ReplenishmentPolicy())
-    assert out.stockout_rate == 0.0
+    out = simulate([np.zeros(40)], [np.full(40, 3.0)], ReplenishmentPolicy())
+    assert out.stockout_rate[0] == 0.0
     assert out.lost_sales.sum() == 0.0
 
 
@@ -248,9 +295,9 @@ def test_lower_mae_forecast_dominates_over_seeds():
         good = np.maximum(demand + rng.normal(scale=2.0, size=150), 0.0)
         bad = np.maximum(demand + rng.normal(scale=12.0, size=150), 0.0)
         for name, fc, sigma in (("good", good, 2.0), ("bad", bad, 12.0)):
-            out = simulate(demand, fc, policy, sigma_hat=sigma)
-            stockouts[name].append(out.stockout_rate)
-            costs[name].append(out.cost_index)
+            out = simulate([demand], [fc], policy, [sigma])
+            stockouts[name].append(out.stockout_rate[0])
+            costs[name].append(out.cost_index[0])
     assert np.mean(stockouts["good"]) <= np.mean(stockouts["bad"])
     assert np.mean(costs["good"]) <= np.mean(costs["bad"])
 
@@ -258,9 +305,8 @@ def test_lower_mae_forecast_dominates_over_seeds():
 def test_pool_outcomes_weights_by_days():
     demand = np.full(10, 5.0)
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0)
-    perfect = simulate(demand, demand.copy(), policy)
-    starved = simulate(demand, np.zeros(10), policy)
-    pooled = pool_outcomes([perfect, starved])
+    # A perfect forecast and a zero one, replayed together.
+    pooled = pool_outcomes(simulate([demand, demand], [demand.copy(), np.zeros(10)], policy))
     assert abs(pooled["stockout_rate"] - 0.5) < 1e-12
 
 

@@ -187,10 +187,11 @@ def test_simulate_calls_each_patched_cli_function(tmp_path, monkeypatch):
     for attr in patched:
         monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
     assert cli.main(["simulate", "--config", str(config)]) == 0
-    # naive, the baseline, is replayed first, then arimax; each over 3 series.
+    # naive, the baseline, is replayed first, then arimax; one replay steps
+    # each model's 3 series together.
     assert calls == {
         "read_residuals_csv": 2,
-        "simulate": 6,
+        "simulate": 2,
         "write_ledger_csv": 2,
         "pool_outcomes": 2,
         "impact_table": 1,
