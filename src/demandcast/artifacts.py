@@ -10,7 +10,6 @@ import csv
 import io
 import itertools
 import json
-import re
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,27 +29,22 @@ BLOCK_ROWS = 8192
 def _write_csv(
     path: Path, header: Sequence[str], columns: Sequence[Sequence], lineterminator: str = "\n"
 ) -> None:
-    """Write equal-length columns under ``header``, as csv.writer writes rows.
+    """Write two or more equal-length columns under ``header``.
 
     A float64 array's cells are the repr() of its values, formatted once per
     distinct bit pattern across all of a block's float64 columns, and a
-    datetime64[D] array's are its ISO dates.  Every other cell is the text
-    csv.writer gives its value (an empty cell for None), so that quoting
-    follows csv; an integer, bool or str array's are formatted once per
-    distinct value.
+    datetime64[D] array's are its ISO dates.  Every other cell, the header's
+    too, is ``_csv_text`` of its value; an integer, bool or str array's are
+    formatted once per distinct value.
     """
-    csv_text = _csv_formatter(len(columns) == 1, lineterminator)
     floats = [isinstance(column, np.ndarray) and column.dtype == np.float64 for column in columns]
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator=lineterminator).writerow(header)
+        fh.write(",".join(map(_csv_text, header)) + lineterminator)
         for start in range(0, rows, BLOCK_ROWS):
             block = [column[start : start + BLOCK_ROWS] for column in columns]
             float_cells = iter(_float_cells([part for part, is_float in zip(block, floats) if is_float]))
-            cells = [
-                next(float_cells) if is_float else _cells(part, csv_text)
-                for part, is_float in zip(block, floats)
-            ]
+            cells = [next(float_cells) if is_float else _cells(part) for part, is_float in zip(block, floats)]
             fh.write(lineterminator.join(map(",".join, zip(*cells))) + lineterminator)
 
 
@@ -67,7 +61,7 @@ def _float_cells(parts: Sequence[np.ndarray]) -> list[list[str]]:
     return [texts[part].tolist() for part in np.split(codes, len(parts))]
 
 
-def _cells(values: Sequence, csv_text) -> list[str]:
+def _cells(values: Sequence) -> list[str]:
     """The text of each value; an array's formatted once per distinct value."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "M":
         # ISO dates need no quoting.
@@ -76,32 +70,25 @@ def _cells(values: Sequence, csv_text) -> list[str]:
     elif isinstance(values, np.ndarray) and values.dtype.kind in "biuU":
         # Values of these dtypes that compare equal print alike.
         distinct, codes = np.unique(values, return_inverse=True)
-        texts = [csv_text(v) for v in distinct.tolist()]
+        texts = [_csv_text(v) for v in distinct.tolist()]
     else:
         values = values.tolist() if isinstance(values, np.ndarray) else values
-        return [csv_text(value) for value in values]
+        return [_csv_text(value) for value in values]
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _csv_formatter(one_column: bool, lineterminator: str):
-    """A function giving the text csv.writer writes for a value as a cell.
+def _csv_text(value) -> str:
+    """The cell of ``value``: csv.writer's quoting for CRLF files, whatever the line end.
 
-    csv quotes a cell that holds a character of the line terminator, so the
-    writer ends its rows as the file does.
+    Empty for None, else str(value), quoted with each quote doubled when it
+    holds a comma, a quote, a CR or an LF.
     """
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer, lineterminator=lineterminator)
-    # csv quotes a row's only cell when it is empty, and leaves it bare
-    # beside a second cell, which is then cut off with its comma.
-    cut = len(lineterminator) + (0 if one_column else 1)
-
-    def csv_text(value) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow([value] if one_column else [value, None])
-        return buffer.getvalue()[:-cut]
-
-    return csv_text
+    if value is None:
+        return ""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _columns(rows: Sequence[Sequence], width: int) -> list:
@@ -169,10 +156,6 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     )
 
 
-# A quoted cell, with "" for each quote inside it, or an unquoted one.
-_CELL = re.compile(r'"((?:[^"]|"")*)"|[^,"\n]*')
-
-
 def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
     """The cells, row after row, of CSV text that holds no quote.
 
@@ -189,29 +172,20 @@ def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
 
 
 def _quoted_cells(text: str, path: Path) -> tuple[list[str], list[int], Sequence[int]]:
-    """As ``_plain_cells``, for cells that may be quoted as csv.writer quotes them.
+    """As ``_plain_cells``, for cells that may be quoted, read by csv.reader.
 
-    Rows end at a "\n" outside quotes; a lone "\r" belongs to its cell, as
-    a writer ending rows with "\n" leaves it unquoted.
+    A row's line is the first it starts on; LF, CR and CRLF each end a line.
     """
-    cells, commas, lines = [], [], []
-    pos, line = 0, 1
-    while pos < len(text):
-        start, count = pos, 0
-        while True:
-            match = _CELL.match(text, pos)
-            quoted = match.group(1)
-            cells.append(match.group(0) if quoted is None else quoted.replace('""', '"'))
-            pos = match.end()
-            if not text.startswith(",", pos):
-                break
-            count, pos = count + 1, pos + 1
-        if pos < len(text) and text[pos] != "\n":
-            raise MissingForecastsError(f"forecast file {path} line {line}: malformed quoting")
-        commas.append(count)
-        lines.append(line)
-        line += text.count("\n", start, pos + 1)
-        pos += 1
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    cells, commas, lines, line = [], [], [], 1
+    try:
+        for row in reader:
+            cells += row
+            commas.append(len(row) - 1)
+            lines.append(line)
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise MissingForecastsError(f"forecast file {path} line {line}: malformed quoting ({exc})") from None
     return cells, commas, lines
 
 
@@ -219,8 +193,9 @@ def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np
     """(store, item) -> (actual, predicted), in the file's (store, item, date) order.
 
     Only those four columns are read.  Bytes that are not UTF-8, a row whose
-    cell count differs from the header's, or an ``actual`` or ``predicted``
-    that is not a number raise MissingForecastsError naming the line.
+    cell count differs from the header's, an ``actual`` or ``predicted``
+    that is not a number, or a series whose rows come in two runs raise
+    MissingForecastsError naming the line.
     """
     raw = path.read_bytes()
     try:
@@ -245,7 +220,18 @@ def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np
             raise MissingForecastsError(f"forecast file {path} lacks column {name!r}")
         column[name] = cells[width + header.index(name) :: width]
     actual, predicted = (_numbers(column, name, path, lines) for name in ("actual", "predicted"))
-    runs = series_runs(np.array(column["store"]), np.array(column["item"]))
+    stores, items = np.array(column["store"]), np.array(column["item"])
+    runs = series_runs(stores, items)
+    if sum(b - a for a, b in runs.values()) < len(stores):
+        # series_runs keeps only a series' last run: name where one comes back.
+        seen, row = set(), 0
+        for key, group in itertools.groupby(zip(stores.tolist(), items.tolist())):
+            if key in seen:
+                raise MissingForecastsError(
+                    f"forecast file {path} line {lines[row + 1]}: series {key!r} appears again after other series"
+                )
+            seen.add(key)
+            row += len(list(group))
     return {key: (actual[a:b], predicted[a:b]) for key, (a, b) in runs.items()}
 
 

@@ -219,11 +219,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
             raise MissingForecastsError(f"evaluation lacks forecasts for model {model!r}")
         stds = scenario_doc["models"][model]["per_series_train_residual_std"]
         series = read_residuals_csv(path)
+        try:
+            sigmas = [stds[f"{store}|{item}"] for store, item in series]
+        except KeyError as exc:
+            raise MissingForecastsError(
+                f"forecast file {path}: series {exc.args[0]!r} has no train residual std in {report_path}"
+            ) from None
         outcome = simulate(
             [actual for actual, _ in series.values()],
             [predicted for _, predicted in series.values()],
             policy,
-            [stds.get(f"{store}|{item}", 0.0) for store, item in series],
+            sigmas,
         )
         write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", list(series), outcome)
         rates = pool_outcomes(outcome)

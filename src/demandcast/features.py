@@ -123,7 +123,7 @@ class HolidayCalendar:
                 for row in reader:
                     if not row:
                         continue
-                    if len(row) < 2:
+                    if len(row) < 2 or not row[1].strip():
                         raise ValueError("a row needs a date and a name")
                     day = dt.date.fromisoformat(row[0].strip())
                     if day.toordinal() in entries:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import importlib.util
 import json
 import logging
 import os
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 import demandcast.evaluate
-from demandcast.artifacts import write_sales_csv
+from demandcast.artifacts import read_residuals_csv, write_sales_csv
 from demandcast.cli import main
 from demandcast.config import MODEL_CONFIGS, RunConfig
+from demandcast.data import SalesTable
 from demandcast.inventory import ReplenishmentPolicy
 from demandcast.synthetic import generate_sales_table
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +301,7 @@ BAD_CALENDARS = [
     ("date", b"date,name\n2015-01-26,Republic Day\n2015-13-01,Bad\n", 3),
     ("duplicate", b"date,name\n2015-01-26,Republic Day\n2015-01-26,Again\n", 3),
     ("one_field", b"date,name\n2015-01-26\n", 2),
+    ("empty_name", b"date,name\n2015-01-26,Republic Day\n2015-01-27, \n", 3),
     ("empty", b"", 1),
     ("not_utf8", b"date,name\n2015-01-26,R\xe9publique\n", 2),
 ]
@@ -665,6 +670,59 @@ def test_simulate_rejects_forecast_file_without_rows(tmp_path, small_csv, capsys
     assert error["code"] == "E_INPUT" and str(path) in error["message"]
 
 
+def load_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_other_readers_read_every_artifact(tmp_path, capsys):
+    # Ids holding a comma, a quote, a lone CR and an LF.  Before, an LF file
+    # left a lone CR unquoted, so csv.reader split its row in two.
+    table = generate_sales_table(n_stores=1, n_items=2, start=dt.date(2015, 1, 1), end=dt.date(2015, 12, 31))
+    stores = np.full(len(table.dates), 's,"1')
+    items = np.where(table.item_ids == "1", "i\n1", "i\r2")
+    data = tmp_path / "sales.csv"
+    write_sales_csv(SalesTable(table.dates, stores, items, table.quantities), data, raw=True)
+    cfg, out = small_config(tmp_path, data, "readers", models=["arimax", "naive"])
+    for command in ("ingest", "evaluate", "simulate"):
+        assert main([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    keys = {('s,"1', "i\n1"), ('s,"1', "i\r2")}
+    residuals = sorted(out.glob("residuals_*.csv"))
+    ledgers = sorted(out.glob("ledger_*.csv"))
+    assert [p.name for p in residuals] == [f"residuals_{m}_{s}.csv" for m in ("arimax", "naive") for s in ("S1", "S2")]
+    assert [p.name for p in ledgers] == ["ledger_arimax_S2.csv", "ledger_naive_S2.csv"]
+    for path in [out / "cleaned_sales.csv", *residuals, *ledgers]:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh, strict=True)
+        assert {len(row) for row in rows} == {len(header)}, path.name
+        assert {(row[header.index("store")], row[header.index("item")]) for row in rows} == keys, path.name
+    checks = load_checks()
+    for path in residuals:
+        assert checks.residual_columns(path)["keys"] == [
+            key for key, (actual, _) in read_residuals_csv(path).items() for _ in actual
+        ]
+    assert checks.check_pooled_metrics(out) == []
+    assert checks.check_ledgers(out) == []
+
+
+def test_simulate_rejects_series_without_residual_std(tmp_path, small_csv, capsys):
+    # Before, a series that report.json does not list was replayed with a
+    # residual std of 0.0.
+    cfg, out = small_config(tmp_path, small_csv, "nostd", models=["naive"], scenarios=["S2"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    path = out / "residuals_naive_S2.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join([store, "9" if item == "2" else item, *rest]) + "\n" for store, item, *rest in rows))
+    assert main(["simulate", "--config", str(cfg)]) == 3
+    error = last_error(capsys)
+    assert error["code"] == "E_INPUT"
+    assert error["message"] == f"forecast file {path}: series '1|9' has no train residual std in {out / 'report.json'}"
+    assert not (out / "impact.json").exists()
+
+
 @pytest.mark.parametrize(
     "line, damage, message",
     [
@@ -674,11 +732,18 @@ def test_simulate_rejects_forecast_file_without_rows(tmp_path, small_csv, capsys
             2, lambda cells: [*cells[:4], "n/a", cells[5]], "predicted 'n/a' is not a number", id="predicted_not_a_number"
         ),
         pytest.param(4, lambda cells: [*cells[:4], "\udcff", cells[5]], "not UTF-8", id="predicted_not_utf8"),
+        pytest.param(
+            -1,
+            lambda cells: [cells[0], "1", *cells[2:]],
+            "series ('1', '1') appears again after other series",
+            id="series_in_two_runs",
+        ),
     ],
 )
 def test_simulate_rejects_damaged_forecast_file(tmp_path, small_csv, capsys, line, damage, message):
-    # Before, a short last row was replayed without its residual column, and
-    # the others ended in a traceback.  "\udcff" is written as the byte 0xff.
+    # Before, a short last row was replayed without its residual column, a
+    # series in two runs kept only its last, and the others ended in a
+    # traceback.  "\udcff" is written as the byte 0xff.
     cfg, out = small_config(tmp_path, small_csv, "damaged", models=["naive"], scenarios=["S2"])
     assert main(["evaluate", "--config", str(cfg)]) == 0
     path = out / "residuals_naive_S2.csv"
