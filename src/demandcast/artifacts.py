@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import SalesTable, as_datetime64, series_runs
+from .data import SalesTable, as_datetime64, line_of
 from .errors import MissingForecastsError
 from .evaluate import EvaluationReport
 from .features import FeatureMatrix
@@ -160,9 +160,12 @@ def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
     """The cells, row after row, of CSV text that holds no quote.
 
     Without quotes no cell holds a comma or a line end, so rows split on
-    "\n" and cells on ",".  Returns the cells, each row's comma count (its
-    cell count less one) and each row's line number.
+    line ends and cells on ",".  LF, CR and CRLF each end a line, as for
+    csv.reader.  Returns the cells, each row's comma count (its cell count
+    less one) and each row's line number.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows = text.split("\n")
     if rows[-1] == "":
         rows.pop()
@@ -189,8 +192,8 @@ def _quoted_cells(text: str, path: Path) -> tuple[list[str], list[int], Sequence
     return cells, commas, lines
 
 
-def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
-    """(store, item) -> (actual, predicted), in the file's (store, item, date) order.
+def read_residuals_csv(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:
+    """Each series' (store, item) and row count, in file order, and the actual and predicted columns.
 
     Only those four columns are read.  Bytes that are not UTF-8, a row whose
     cell count differs from the header's, an ``actual`` or ``predicted``
@@ -201,8 +204,7 @@ def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise MissingForecastsError(f"forecast file {path} line {line}: not UTF-8") from None
+        raise MissingForecastsError(f"forecast file {path} line {line_of(raw, exc.start)}: not UTF-8") from None
     cells, commas, lines = _quoted_cells(text, path) if '"' in text else _plain_cells(text)
     if len(commas) < 2:
         raise MissingForecastsError(f"forecast file {path} has no rows")
@@ -221,18 +223,16 @@ def read_residuals_csv(path: Path) -> dict[tuple[str, str], tuple[np.ndarray, np
         column[name] = cells[width + header.index(name) :: width]
     actual, predicted = (_numbers(column, name, path, lines) for name in ("actual", "predicted"))
     stores, items = np.array(column["store"]), np.array(column["item"])
-    runs = series_runs(stores, items)
-    if sum(b - a for a, b in runs.values()) < len(stores):
-        # series_runs keeps only a series' last run: name where one comes back.
-        seen, row = set(), 0
-        for key, group in itertools.groupby(zip(stores.tolist(), items.tolist())):
-            if key in seen:
-                raise MissingForecastsError(
-                    f"forecast file {path} line {lines[row + 1]}: series {key!r} appears again after other series"
-                )
-            seen.add(key)
-            row += len(list(group))
-    return {key: (actual[a:b], predicted[a:b]) for key, (a, b) in runs.items()}
+    # The first row of each run of equal keys.
+    starts = np.flatnonzero(np.concatenate([[True], (stores[1:] != stores[:-1]) | (items[1:] != items[:-1])]))
+    keys = list(zip(stores[starts].tolist(), items[starts].tolist()))
+    first_row: dict[tuple[str, str], int] = {}
+    for key, row in zip(keys, starts.tolist()):
+        if first_row.setdefault(key, row) != row:
+            raise MissingForecastsError(
+                f"forecast file {path} line {lines[row + 1]}: series {key!r} appears again after other series"
+            )
+    return keys, np.diff(starts, append=len(stores)), actual, predicted
 
 
 def _numbers(column: Mapping[str, list[str]], name: str, path: Path, lines: Sequence[int]) -> np.ndarray:

@@ -218,20 +218,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
         if not path.exists():
             raise MissingForecastsError(f"evaluation lacks forecasts for model {model!r}")
         stds = scenario_doc["models"][model]["per_series_train_residual_std"]
-        series = read_residuals_csv(path)
+        keys, lengths, actual, predicted = read_residuals_csv(path)
         try:
-            sigmas = [stds[f"{store}|{item}"] for store, item in series]
+            sigmas = [stds[f"{store}|{item}"] for store, item in keys]
         except KeyError as exc:
             raise MissingForecastsError(
                 f"forecast file {path}: series {exc.args[0]!r} has no train residual std in {report_path}"
             ) from None
-        outcome = simulate(
-            [actual for actual, _ in series.values()],
-            [predicted for _, predicted in series.values()],
-            policy,
-            sigmas,
-        )
-        write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", list(series), outcome)
+        outcome = simulate(actual, predicted, lengths, policy, sigmas)
+        write_ledger_csv(out_dir / f"ledger_{slug(model, scenario_id)}.csv", keys, outcome)
         rates = pool_outcomes(outcome)
         if clamped := rates["negative_forecast_days"]:
             logger.warning("%s: clamped %d negative forecast values to zero", model, clamped)

@@ -216,16 +216,20 @@ def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
     return positions
 
 
-def check_utf8(data: bytes) -> None:
-    """Raise, naming the first bad byte, unless ``data`` after one leading BOM is UTF-8."""
+def line_of(data: bytes, offset: int) -> int:
+    """The line that byte ``offset`` of ``data`` is on; LF, CR and CRLF each end a line."""
+    return data.count(b"\n", 0, offset) + data.count(b"\r", 0, offset) - data.count(b"\r\n", 0, offset) + 1
+
+
+def check_utf8(data: bytes) -> str:
+    """``data`` after one leading BOM, decoded; raise, naming the first bad byte, unless UTF-8."""
     skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        str(memoryview(data)[skip:], "utf-8")
+        return str(memoryview(data)[skip:], "utf-8")
     except UnicodeDecodeError as exc:
         offset = skip + exc.start
-        line = data.count(b"\n", 0, offset) + 1
         raise MalformedInputError(
-            f"input is not UTF-8: {exc.reason} at byte offset {offset} (line {line})"
+            f"input is not UTF-8: {exc.reason} at byte offset {offset} (line {line_of(data, offset)})"
         ) from None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -110,28 +111,27 @@ class HolidayCalendar:
         :class:`MalformedInputError` naming the file and the line.
         """
         try:
-            check_utf8(Path(path).read_bytes())
+            text = check_utf8(Path(path).read_bytes())
         except MalformedInputError as exc:
             raise MalformedInputError(f"holiday calendar {path}: {exc}") from None
         entries: dict[int, str] = {}
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, [])
-                if [h.strip() for h in header[:2]] != ["date", "name"]:
-                    raise ValueError("header must be date,name")
-                for row in reader:
-                    if not row:
-                        continue
-                    if len(row) < 2 or not row[1].strip():
-                        raise ValueError("a row needs a date and a name")
-                    day = dt.date.fromisoformat(row[0].strip())
-                    if day.toordinal() in entries:
-                        raise ValueError(f"duplicate holiday date {day}")
-                    entries[day.toordinal()] = row[1].strip()
-            except (ValueError, csv.Error) as exc:
-                line = max(reader.line_num, 1)
-                raise MalformedInputError(f"holiday calendar {path}, line {line}: {exc}") from None
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, [])
+            if [h.strip() for h in header[:2]] != ["date", "name"]:
+                raise ValueError("header must be date,name")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 2 or not row[1].strip():
+                    raise ValueError("a row needs a date and a name")
+                day = dt.date.fromisoformat(row[0].strip())
+                if day.toordinal() in entries:
+                    raise ValueError(f"duplicate holiday date {day}")
+                entries[day.toordinal()] = row[1].strip()
+        except (ValueError, csv.Error) as exc:
+            line = max(reader.line_num, 1)
+            raise MalformedInputError(f"holiday calendar {path}, line {line}: {exc}") from None
         return cls(entries=entries)
 
     @classmethod

@@ -92,19 +92,22 @@ def _run_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np
 
 
 def simulate(
-    demands: Sequence[np.ndarray],
-    forecasts: Sequence[np.ndarray],
+    demand: np.ndarray,
+    forecast: np.ndarray,
+    lengths: np.ndarray,
     policy: ReplenishmentPolicy = ReplenishmentPolicy(),
     sigma_hats: Sequence[float] | None = None,
 ) -> InventoryOutcome:
     """Replay the order-up-to policy on every series at once, day by day.
 
-    Day sequence: arrivals land, a review (every ``review_period`` days,
-    starting day 0) places an order up to forecast-over-protection-interval
-    plus safety stock, a zero lead time lands that order immediately, then
-    demand consumes on-hand stock.  Negative forecast values are clamped to
-    zero and counted.  ``sigma_hats`` gives each series' safety-stock unit
-    (0.0 for all when omitted).
+    ``demand`` and ``forecast`` hold every series' days, one series after
+    another, and ``lengths`` each series' day count.  Day sequence: arrivals
+    land, a review (every ``review_period`` days, starting day 0) places an
+    order up to forecast-over-protection-interval plus safety stock, a zero
+    lead time lands that order immediately, then demand consumes on-hand
+    stock.  Negative forecast values are clamped to zero and counted.
+    ``sigma_hats`` gives each series' safety-stock unit (0.0 for all when
+    omitted).
 
     Series are padded to the longest, one column each, and each day steps
     all columns with elementwise numpy that rounds as the scalar rules do:
@@ -112,19 +115,16 @@ def simulate(
     ``where(x > 0.0, x, 0.0)``, and the pending orders are a left fold,
     oldest first, where a day without an order adds an exact 0.0.
     """
-    lengths = np.array([len(d) for d in demands], dtype=np.int64)
-    if [len(f) for f in forecasts] != lengths.tolist():
+    if not len(demand) == len(forecast) == lengths.sum():
         raise ValueError("demand and forecast must align on the test window")
     sigmas = np.zeros(len(lengths)) if sigma_hats is None else np.asarray(sigma_hats, dtype=np.float64)
-    demand = np.concatenate([np.empty(0), *demands])
-    forecast = np.concatenate([np.empty(0), *forecasts])
     starts = np.cumsum(lengths) - lengths
     negative_days = int((forecast < 0).sum())
     fc = np.maximum(forecast, 0.0)
     review, lead = policy.review_period, policy.lead_time
 
     # The day loop steps (day, series) grids.  ``cells`` marks each series'
-    # days in (series, day) order, the order of the concatenated days; the
+    # days in (series, day) order, the order of the flat columns; the
     # cells past a series' last day are padding.
     n_days = int(lengths.max(initial=0))
     cells = np.arange(n_days) < lengths[:, None]

@@ -94,16 +94,7 @@ class GbdtModel:
             "base_score": self.base_score,
             "feature_names": list(self.feature_names),
             "gain_totals": dict(self.gain_totals),
-            "trees": [
-                {
-                    "feature": t.feature,
-                    "threshold": t.threshold,
-                    "left": t.left,
-                    "right": t.right,
-                    "value": t.value,
-                }
-                for t in self.trees
-            ],
+            "trees": [asdict(t) for t in self.trees],
         }
 
 

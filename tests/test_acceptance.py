@@ -343,8 +343,9 @@ def test_inventory_directional_claim(bundled_run):
             demands.append(rng.poisson(np.maximum(base, 1.0)).astype(float))
             forecasts["good"].append(np.maximum(demands[-1] + rng.normal(scale=2.0, size=153), 0.0))
             forecasts["bad"].append(np.maximum(demands[-1] + rng.normal(scale=12.0, size=153), 0.0))
-        good = simulate(demands, forecasts["good"], policy, [2.0] * 24)
-        bad = simulate(demands, forecasts["bad"], policy, [12.0] * 24)
+        lengths = np.full(24, 153)
+        good = simulate(np.concatenate(demands), np.concatenate(forecasts["good"]), lengths, policy, [2.0] * 24)
+        bad = simulate(np.concatenate(demands), np.concatenate(forecasts["bad"]), lengths, policy, [12.0] * 24)
         assert np.mean(good.forecast_mae) < np.mean(bad.forecast_mae)
         assert np.mean(good.stockout_rate) <= np.mean(bad.stockout_rate)
         assert np.mean(good.cost_index) <= np.mean(bad.cost_index)
@@ -372,12 +373,9 @@ def test_inventory_directional_claim(bundled_run):
         ]
 
         def pooled_with_matched_sigma(model):
-            per_series = read_residuals_csv(out / f"residuals_{model}_S2.csv")
+            keys, lengths, actual, predicted = read_residuals_csv(out / f"residuals_{model}_S2.csv")
             outcome = simulate(
-                [actual for actual, _ in per_series.values()],
-                [predicted for _, predicted in per_series.values()],
-                policy,
-                [naive_stds[f"{store}|{item}"] for store, item in per_series],
+                actual, predicted, lengths, policy, [naive_stds[f"{store}|{item}"] for store, item in keys]
             )
             return pool_outcomes(outcome)
 

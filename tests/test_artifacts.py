@@ -4,11 +4,13 @@ import io
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import artifacts
 from demandcast.data import SalesTable, parse_sales_csv
+from demandcast.errors import MissingForecastsError
 from demandcast.features import FeatureMatrix
 
 
@@ -156,7 +158,8 @@ def residual_series(draw):
 @example(([('a,"', "\r"), ("\n", "")], [1, 2], np.array([0.0, 1.5, -2.0]), np.array([3.0, -0.0, 4.0])))
 def test_residuals_round_trip(tmp_path_factory, series):
     # A file with no quote is split on commas and line ends; one with a
-    # quoted id is read by csv.reader: both must give back what was written.
+    # quoted id is read by csv.reader: both must give back what was written,
+    # whether its lines end in LF, CRLF or CR.
     keys, lengths, actual, predicted = series
     stores = np.repeat(np.array([store for store, _ in keys], dtype=object), lengths)
     items = np.repeat(np.array([item for _, item in keys], dtype=object), lengths)
@@ -167,9 +170,25 @@ def test_residuals_round_trip(tmp_path_factory, series):
     path = tmp_path_factory.getbasetemp() / "residuals.csv"
     with np.errstate(all="ignore"):
         artifacts.write_residuals_csv(path, test, predicted)
-    back = artifacts.read_residuals_csv(path)
-    assert list(back) == keys
-    starts = np.cumsum(lengths) - lengths
-    for (got_actual, got_predicted), start, length in zip(back.values(), starts.tolist(), lengths):
-        assert got_actual.tobytes() == actual[start : start + length].tobytes()
-        assert got_predicted.tobytes() == predicted[start : start + length].tobytes()
+    written = path.read_bytes()
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, strict=True))
+    for line_end in ("\n", "\r\n", "\r"):
+        text = "".join(crlf_row(row)[:-2] + line_end for row in rows)
+        assert line_end != "\n" or text.encode("utf-8") == written
+        path.write_text(text, encoding="utf-8", newline="")
+        got_keys, got_lengths, got_actual, got_predicted = artifacts.read_residuals_csv(path)
+        assert got_keys == keys, repr(line_end)
+        assert got_lengths.dtype == np.int64 and got_lengths.tolist() == lengths, repr(line_end)
+        assert got_actual.tobytes() == actual.tobytes(), repr(line_end)
+        assert got_predicted.tobytes() == predicted.tobytes(), repr(line_end)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_residuals_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, line_end):
+    # Before, the line counted LF alone, so a CR file named line 1.
+    path = tmp_path / "residuals.csv"
+    lines = ["store,item,date,actual,predicted,residual", "1,1,2017-08-01,1.0,2.0,-1.0", "1,1,2017-08-02,1.0,\udcff,0.0"]
+    path.write_bytes((line_end.join(lines) + line_end).encode("utf-8", "surrogateescape"))
+    with pytest.raises(MissingForecastsError, match=r"line 3: not UTF-8$"):
+        artifacts.read_residuals_csv(path)

@@ -351,12 +351,15 @@ def test_parse_skips_one_leading_byte_order_mark():
 
 
 def test_parse_names_the_first_byte_that_is_not_utf8():
-    data = b"date,store,item,sales\n2013-01-01,1,1,5\n2013-01-02,1,1,\xff\n"
-    with pytest.raises(MalformedInputError, match=r"not UTF-8: .* byte offset 54 \(line 3\)"):
-        parse_bytes(data)
-    # The offset counts the byte order mark's three bytes.
-    with pytest.raises(MalformedInputError, match=r"not UTF-8: .* byte offset 57 \(line 3\)"):
-        parse_bytes(codecs.BOM_UTF8 + data)
+    # LF, CR and CRLF each end a line, as for every other parse error;
+    # before, the line counted LF alone, so a CR file named line 1.
+    for line_end, offset in ((b"\n", 54), (b"\r\n", 56), (b"\r", 54)):
+        data = b"date,store,item,sales\n2013-01-01,1,1,5\n2013-01-02,1,1,\xff\n".replace(b"\n", line_end)
+        with pytest.raises(MalformedInputError, match=rf"not UTF-8: .* byte offset {offset} \(line 3\)"):
+            parse_bytes(data)
+        # The offset counts the byte order mark's three bytes.
+        with pytest.raises(MalformedInputError, match=rf"not UTF-8: .* byte offset {offset + 3} \(line 3\)"):
+            parse_bytes(codecs.BOM_UTF8 + data)
 
 
 def test_sort_orders_by_date():

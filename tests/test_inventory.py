@@ -76,6 +76,13 @@ def reference_simulate(demand, forecast, policy=ReplenishmentPolicy(), sigma_hat
     )
 
 
+def simulate_series(demands, forecasts, policy=ReplenishmentPolicy(), sigma_hats=None):
+    """simulate on per-series lists, joined into the flat columns it takes."""
+    lengths = np.array([len(demand) for demand in demands], dtype=np.int64)
+    flat = [np.concatenate([np.empty(0), *columns]) for columns in (demands, forecasts)]
+    return simulate(*flat, lengths, policy, sigma_hats)
+
+
 def assert_same_bits(out, refs):
     """Each series of the batch ``out`` equals its reference outcome bit for bit."""
     assert out.lengths.tolist() == [ref.days for ref in refs]
@@ -132,7 +139,7 @@ def test_simulate_matches_reference_bit_for_bit(data, sigma, review, lead, safet
         review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
     )
     with np.errstate(all="ignore"):
-        out = simulate([demand], [forecast], policy, [sigma])
+        out = simulate(demand, forecast, np.array([len(demand)]), policy, [sigma])
         ref = reference_simulate(demand, forecast, policy, sigma_hat=sigma)
     assert_same_bits(out, [ref])
 
@@ -155,7 +162,7 @@ def test_batched_simulate_matches_reference_per_series(batch, review, lead, safe
     forecasts = [forecast for (_, forecast), _ in batch]
     sigmas = [sigma for _, sigma in batch]
     with np.errstate(all="ignore"):
-        out = simulate(demands, forecasts, policy, sigmas)
+        out = simulate_series(demands, forecasts, policy, sigmas)
         refs = [reference_simulate(d, f, policy, sigma_hat=s) for d, f, s in zip(demands, forecasts, sigmas)]
     assert_same_bits(out, refs)
     total_days = sum(ref.days for ref in refs)
@@ -190,9 +197,16 @@ def test_simulate_matches_reference_on_short_test_windows(n):
     forecast = demand + rng.normal(scale=4.0, size=n)
     policy = ReplenishmentPolicy(review_period=2, lead_time=7, safety_factor=0.5)
     assert_same_bits(
-        simulate([demand], [forecast], policy, [3.0]),
+        simulate_series([demand], [forecast], policy, [3.0]),
         [reference_simulate(demand, forecast, policy, sigma_hat=3.0)],
     )
+
+
+def test_simulate_rejects_lengths_that_miss_the_columns():
+    demand = np.full(10, 5.0)
+    for forecast, lengths in ((demand[:9], [10]), (demand, [4, 5]), (demand, [4, 7])):
+        with pytest.raises(ValueError, match="must align"):
+            simulate(demand, forecast, np.array(lengths), ReplenishmentPolicy())
 
 
 def outcome_with(overstock, stockout, accuracy, cost):
@@ -228,7 +242,7 @@ def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
     policy = ReplenishmentPolicy(
         review_period=review, lead_time=lead, safety_factor=safety, initial_stock=initial
     )
-    out = simulate([demand], [forecast], policy, [sigma])
+    out = simulate_series([demand], [forecast], policy, [sigma])
     assert np.array_equal(out.closing, out.opening + out.received - out.sold)
     assert np.array_equal(out.sold, np.minimum(demand, out.opening + out.received))
     assert np.array_equal(out.lost_sales, demand - out.sold)
@@ -245,7 +259,7 @@ def test_ledger_identities_hold(data, sigma, review, lead, safety, initial):
 def test_perfect_forecast_zero_lead_never_stocks_out_or_holds():
     demand = np.array([5.0, 8.0, 3.0, 9.0, 4.0])
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0, initial_stock=0.0)
-    out = simulate([demand], [demand.copy()], policy, [0.0])
+    out = simulate_series([demand], [demand.copy()], policy, [0.0])
     assert out.stockout_rate[0] == 0.0
     assert np.allclose(out.closing, 0.0)
 
@@ -253,14 +267,14 @@ def test_perfect_forecast_zero_lead_never_stocks_out_or_holds():
 def test_zero_forecast_starves():
     demand = np.full(30, 6.0)
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0, initial_stock=0.0)
-    out = simulate([demand], [np.zeros(30)], policy, [0.0])
+    out = simulate_series([demand], [np.zeros(30)], policy, [0.0])
     assert out.stockout_rate[0] == 1.0
 
 
 def test_negative_forecast_clamped_and_counted():
     demand = np.full(10, 5.0)
     forecast = np.full(10, -2.0)
-    out = simulate([demand], [forecast], ReplenishmentPolicy(lead_time=0))
+    out = simulate_series([demand], [forecast], ReplenishmentPolicy(lead_time=0))
     assert out.negative_forecast_days == 10
     assert (out.ordered >= 0.0).all()
 
@@ -274,12 +288,12 @@ def test_increasing_safety_factor_never_increases_stockouts():
         rates = []
         for sf in (0.0, 0.5, 1.0, 2.0):
             policy = ReplenishmentPolicy(review_period=2, safety_factor=sf, lead_time=1)
-            rates.append(simulate([demand], [forecast], policy, [5.0]).stockout_rate[0])
+            rates.append(simulate_series([demand], [forecast], policy, [5.0]).stockout_rate[0])
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_zero_demand_never_stocks_out():
-    out = simulate([np.zeros(40)], [np.full(40, 3.0)], ReplenishmentPolicy())
+    out = simulate_series([np.zeros(40)], [np.full(40, 3.0)], ReplenishmentPolicy())
     assert out.stockout_rate[0] == 0.0
     assert out.lost_sales.sum() == 0.0
 
@@ -295,7 +309,7 @@ def test_lower_mae_forecast_dominates_over_seeds():
         good = np.maximum(demand + rng.normal(scale=2.0, size=150), 0.0)
         bad = np.maximum(demand + rng.normal(scale=12.0, size=150), 0.0)
         for name, fc, sigma in (("good", good, 2.0), ("bad", bad, 12.0)):
-            out = simulate([demand], [fc], policy, [sigma])
+            out = simulate_series([demand], [fc], policy, [sigma])
             stockouts[name].append(out.stockout_rate[0])
             costs[name].append(out.cost_index[0])
     assert np.mean(stockouts["good"]) <= np.mean(stockouts["bad"])
@@ -306,7 +320,7 @@ def test_pool_outcomes_weights_by_days():
     demand = np.full(10, 5.0)
     policy = ReplenishmentPolicy(review_period=1, safety_factor=0.0, lead_time=0)
     # A perfect forecast and a zero one, replayed together.
-    pooled = pool_outcomes(simulate([demand, demand], [demand.copy(), np.zeros(10)], policy))
+    pooled = pool_outcomes(simulate_series([demand, demand], [demand.copy(), np.zeros(10)], policy))
     assert abs(pooled["stockout_rate"] - 0.5) < 1e-12
 
 
