@@ -171,6 +171,8 @@ def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
         rows.pop()
         text = text[:-1]
     commas = list(map(str.count, rows, itertools.repeat(",")))
+    if "" in rows:  # a blank line is a row of no cells, as csv.reader reads it
+        commas = [count if row else -1 for row, count in zip(rows, commas)]
     return text.replace("\n", ",").split(","), commas, range(1, len(rows) + 1)
 
 

@@ -187,7 +187,13 @@ _REASONS = {
 }
 
 # Records read and converted at a time, which bounds the cell text held.
-_BLOCK_RECORDS = 8192
+# A block's csv records and their strings are the parse's largest
+# temporaries, and the heap they free stays resident in the process and
+# in every worker forked from it.  On the bundled sample, 2,048 records
+# leave the evaluate parent 2.7 MB less resident than 8,192, for about
+# 7 ms more parse: the rules run once per distinct text of a block, and
+# smaller blocks share fewer texts.
+_BLOCK_RECORDS = 2048
 
 
 class _Distinct(dict):

@@ -192,3 +192,19 @@ def test_residuals_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, line_end):
     path.write_bytes((line_end.join(lines) + line_end).encode("utf-8", "surrogateescape"))
     with pytest.raises(MissingForecastsError, match=r"line 3: not UTF-8$"):
         artifacts.read_residuals_csv(path)
+
+
+@pytest.mark.parametrize("store", ["1", '"1"'], ids=["plain", "quoted"])
+def test_residuals_count_a_blank_line_as_no_fields(tmp_path, store):
+    # Split on commas, a blank line was one empty field; csv.reader, which
+    # reads a file holding a quote, gives it none.  Both now say 0.
+    path = tmp_path / "residuals.csv"
+    lines = [
+        "store,item,date,actual,predicted,residual",
+        f"{store},1,2017-08-01,1.0,2.0,-1.0",
+        "",
+        "1,1,2017-08-02,1.0,1.0,0.0",
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MissingForecastsError, match=r"line 3: 0 fields, the header has 6$"):
+        artifacts.read_residuals_csv(path)

@@ -3,12 +3,14 @@ import csv
 import datetime as dt
 import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demandcast import data as data_module
 from demandcast.artifacts import write_sales_csv
 from demandcast.data import (
     DEFAULT_SCHEMA,
@@ -325,6 +327,23 @@ def sales_files(draw):
 def test_parse_matches_reference(drawn):
     data, schema = drawn
     assert parse_outcome(parse_sales_csv, data, schema) == parse_outcome(reference_parse, data, schema)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sales_files(), st.booleans())
+@example((
+    b"date,store,item,sales\n\n2016-01-05, 1,1,5\n2016-01-05,1,1,-3\n\n2016-01-06,1 ,1,x\n2016-01-06,1,1,4",
+    None,
+), True)
+def test_parse_is_the_same_for_any_block_size(drawn, bom):
+    # Ids numbered in one block are met again in the next, and a record's
+    # line counts the blank and malformed lines of the blocks before it.
+    data, schema = drawn
+    data = codecs.BOM_UTF8 + data if bom else data
+    expected = parse_outcome(parse_sales_csv, data, schema)
+    for block_records in (1, 2, 3, 7):
+        with mock.patch.object(data_module, "_BLOCK_RECORDS", block_records):
+            assert parse_outcome(parse_sales_csv, data, schema) == expected, block_records
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
