@@ -7,16 +7,14 @@ fixed row order, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import SalesTable, as_datetime64, line_of
-from .errors import MissingForecastsError
+from .data import SalesTable, as_datetime64, utf8_text
+from .errors import MalformedInputError, MissingForecastsError
 from .evaluate import EvaluationReport
 from .features import FeatureMatrix
 from .inventory import InventoryOutcome
@@ -156,32 +154,21 @@ def write_residuals_csv(path: Path, test: FeatureMatrix, predictions: np.ndarray
     )
 
 
-def _plain_cells(text: str) -> tuple[list[str], list[int], Sequence[int]]:
-    """The cells, row after row, of CSV text that holds no quote.
+def read_residuals_csv(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:
+    """Each series' (store, item) and row count, in file order, and the actual and predicted columns.
 
-    Without quotes no cell holds a comma or a line end, so rows split on
-    line ends and cells on ",".  LF, CR and CRLF each end a line, as for
-    csv.reader.  Returns the cells, each row's comma count (its cell count
-    less one) and each row's line number.
+    Only those four columns are read.  One leading UTF-8 byte order mark is
+    skipped.  Bytes that are not UTF-8, a row whose cell count differs from
+    the header's, an ``actual`` or ``predicted`` that is not a finite
+    number, or a series whose rows come in two runs raise
+    MissingForecastsError naming the line.  A row's line is the first it
+    starts on; LF, CR and CRLF each end a line.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    rows = text.split("\n")
-    if rows[-1] == "":
-        rows.pop()
-        text = text[:-1]
-    commas = list(map(str.count, rows, itertools.repeat(",")))
-    if "" in rows:  # a blank line is a row of no cells, as csv.reader reads it
-        commas = [count if row else -1 for row, count in zip(rows, commas)]
-    return text.replace("\n", ",").split(","), commas, range(1, len(rows) + 1)
-
-
-def _quoted_cells(text: str, path: Path) -> tuple[list[str], list[int], Sequence[int]]:
-    """As ``_plain_cells``, for cells that may be quoted, read by csv.reader.
-
-    A row's line is the first it starts on; LF, CR and CRLF each end a line.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        reader = csv.reader(utf8_text(path.read_bytes()), strict=True)
+    except MalformedInputError as exc:
+        raise MissingForecastsError(f"forecast file {path}: {exc}") from None
+    # The cells, row after row, and each row's comma count (its cell count less one) and line.
     cells, commas, lines, line = [], [], [], 1
     try:
         for row in reader:
@@ -191,23 +178,6 @@ def _quoted_cells(text: str, path: Path) -> tuple[list[str], list[int], Sequence
             line = reader.line_num + 1
     except csv.Error as exc:
         raise MissingForecastsError(f"forecast file {path} line {line}: malformed quoting ({exc})") from None
-    return cells, commas, lines
-
-
-def read_residuals_csv(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, np.ndarray, np.ndarray]:
-    """Each series' (store, item) and row count, in file order, and the actual and predicted columns.
-
-    Only those four columns are read.  Bytes that are not UTF-8, a row whose
-    cell count differs from the header's, an ``actual`` or ``predicted``
-    that is not a number, or a series whose rows come in two runs raise
-    MissingForecastsError naming the line.
-    """
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MissingForecastsError(f"forecast file {path} line {line_of(raw, exc.start)}: not UTF-8") from None
-    cells, commas, lines = _quoted_cells(text, path) if '"' in text else _plain_cells(text)
     if len(commas) < 2:
         raise MissingForecastsError(f"forecast file {path} has no rows")
     if commas.count(commas[0]) != len(commas):
@@ -238,18 +208,22 @@ def read_residuals_csv(path: Path) -> tuple[list[tuple[str, str]], np.ndarray, n
 
 
 def _numbers(column: Mapping[str, list[str]], name: str, path: Path, lines: Sequence[int]) -> np.ndarray:
-    """The named column as float64; its first cell that is not a number raises."""
+    """The named column as float64; its first cell that is not a finite number raises."""
     try:
-        return np.array(column[name], dtype=np.float64)
+        values = np.array(column[name], dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        for row, cell in enumerate(column[name]):
-            try:
-                np.array([cell], dtype=np.float64)
-            except ValueError:
-                raise MissingForecastsError(
-                    f"forecast file {path} line {lines[row + 1]}: {name} {cell!r} is not a number"
-                ) from None
-        raise
+        pass
+    for row, cell in enumerate(column[name]):
+        try:
+            if np.isfinite(np.array([cell], dtype=np.float64)).all():
+                continue
+            problem = "is not a finite number"
+        except ValueError:
+            problem = "is not a number"
+        raise MissingForecastsError(f"forecast file {path} line {lines[row + 1]}: {name} {cell!r} {problem}")
+    raise AssertionError(f"{name} does not read as float64, yet each of its cells does")
 
 
 def write_importance_csv(path: Path, reports: Sequence[EvaluationReport]) -> None:

@@ -8,7 +8,6 @@ workers.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import datetime as dt
 import io
@@ -222,21 +221,30 @@ def _positions(header: list[str], colmap: Mapping[str, str]) -> dict[str, int]:
     return positions
 
 
-def line_of(data: bytes, offset: int) -> int:
+def _line_of(data: bytes, offset: int) -> int:
     """The line that byte ``offset`` of ``data`` is on; LF, CR and CRLF each end a line."""
     return data.count(b"\n", 0, offset) + data.count(b"\r", 0, offset) - data.count(b"\r\n", 0, offset) + 1
 
 
-def check_utf8(data: bytes) -> str:
-    """``data`` after one leading BOM, decoded; raise, naming the first bad byte, unless UTF-8."""
-    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+def utf8_text(data: bytes) -> io.TextIOWrapper:
+    """``data`` as text for csv.reader, after one leading BOM; raise, naming the first bad byte, unless UTF-8.
+
+    The stream decodes a block at a time, which holds no second copy of the file.
+    """
     try:
-        return str(memoryview(data)[skip:], "utf-8")
+        str(data, "utf-8")
     except UnicodeDecodeError as exc:
-        offset = skip + exc.start
         raise MalformedInputError(
-            f"input is not UTF-8: {exc.reason} at byte offset {offset} (line {line_of(data, offset)})"
+            f"input is not UTF-8: {exc.reason} at byte offset {exc.start} (line {_line_of(data, exc.start)})"
         ) from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _start_lines(data: bytes) -> np.ndarray:
+    """The line each csv record of ``data`` starts on, the header's first."""
+    reader = csv.reader(utf8_text(data))
+    ends = [reader.line_num for _ in reader]
+    return np.array([0, *ends[:-1]], dtype=np.int64) + 1
 
 
 def _ordinal(text: str) -> int:
@@ -284,9 +292,7 @@ def parse_sales_csv(
     if schema:
         colmap.update(schema)
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    check_utf8(data)
-    # Decoded a block at a time, which holds no second copy of the file.
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    reader = csv.reader(utf8_text(data))
     header = next(reader, None)
     if header is None:
         raise EmptyInputError("input has no header row")
@@ -339,7 +345,9 @@ def parse_sales_csv(
         reason[(reason == 0) & bad] = code
 
     bad = np.flatnonzero(reason)
-    linenos = records[bad] + 2  # csv.reader's record number, the header being 1
+    # A row's line is the line it starts on.  Only a quoted cell spans
+    # lines, so without a quote that is its record number, the header's 1.
+    linenos = _start_lines(data)[records[bad] + 1] if len(bad) and b'"' in data else records[bad] + 2
     malformed = [
         MalformedRow(line, _REASONS[code])
         for line, code in zip(linenos.tolist(), reason[bad].tolist())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import SalesTable, SplitSpec, as_datetime64, check_utf8
+from .data import SalesTable, SplitSpec, as_datetime64, utf8_text
 from .errors import CalendarGapError, MalformedInputError
 
 logger = logging.getLogger(__name__)
@@ -108,29 +107,30 @@ class HolidayCalendar:
         One leading UTF-8 byte order mark is skipped, as the sales CSV's is.
         A file that is not UTF-8 or lacks that header, or a row without a
         name, with a bad date or with a date seen before, raises
-        :class:`MalformedInputError` naming the file and the line.
+        :class:`MalformedInputError` naming the file and the line the row
+        starts on.
         """
         try:
-            text = check_utf8(Path(path).read_bytes())
+            reader = csv.reader(utf8_text(Path(path).read_bytes()))
         except MalformedInputError as exc:
             raise MalformedInputError(f"holiday calendar {path}: {exc}") from None
         entries: dict[int, str] = {}
-        reader = csv.reader(io.StringIO(text, newline=""))
+        line = 1  # the line the row being read starts on
         try:
             header = next(reader, [])
             if [h.strip() for h in header[:2]] != ["date", "name"]:
                 raise ValueError("header must be date,name")
+            line = reader.line_num + 1
             for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2 or not row[1].strip():
-                    raise ValueError("a row needs a date and a name")
-                day = dt.date.fromisoformat(row[0].strip())
-                if day.toordinal() in entries:
-                    raise ValueError(f"duplicate holiday date {day}")
-                entries[day.toordinal()] = row[1].strip()
+                if row:
+                    if len(row) < 2 or not row[1].strip():
+                        raise ValueError("a row needs a date and a name")
+                    day = dt.date.fromisoformat(row[0].strip())
+                    if day.toordinal() in entries:
+                        raise ValueError(f"duplicate holiday date {day}")
+                    entries[day.toordinal()] = row[1].strip()
+                line = reader.line_num + 1
         except (ValueError, csv.Error) as exc:
-            line = max(reader.line_num, 1)
             raise MalformedInputError(f"holiday calendar {path}, line {line}: {exc}") from None
         return cls(entries=entries)
 

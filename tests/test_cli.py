@@ -306,6 +306,8 @@ BAD_CALENDARS = [
     ("not_utf8", b"date,name\n2015-01-26,R\xe9publique\n", 2),
     ("not_utf8_cr", b"date,name\r2015-01-26,R\xe9publique\r", 2),
     ("date_cr", b"date,name\r2015-01-26,Republic Day\r2015-13-01,Bad\r", 3),
+    # A row on two lines is named by the first: before, the last.
+    ("date_on_two_lines", b'date,name\n2015-01-26,"Republic\nDay"\n2015-13-01,"Bad\nDay"\n', 4),
 ]
 
 
@@ -729,35 +731,69 @@ def test_simulate_rejects_series_without_residual_std(tmp_path, small_csv, capsy
 @pytest.mark.parametrize(
     "line, damage, message",
     [
-        pytest.param(-1, lambda cells: cells[:5], "5 fields, the header has 6", id="last_row_cut_to_5"),
-        pytest.param(3, lambda cells: cells[:4], "4 fields, the header has 6", id="row_cut_to_4"),
+        pytest.param(-1, lambda cells: cells[:5], " line {line}: 5 fields, the header has 6", id="last_row_cut_to_5"),
+        pytest.param(3, lambda cells: cells[:4], " line {line}: 4 fields, the header has 6", id="row_cut_to_4"),
         pytest.param(
-            2, lambda cells: [*cells[:4], "n/a", cells[5]], "predicted 'n/a' is not a number", id="predicted_not_a_number"
+            2,
+            lambda cells: [*cells[:4], "n/a", cells[5]],
+            " line {line}: predicted 'n/a' is not a number",
+            id="predicted_not_a_number",
         ),
-        pytest.param(4, lambda cells: [*cells[:4], "\udcff", cells[5]], "not UTF-8", id="predicted_not_utf8"),
+        pytest.param(
+            2,
+            lambda cells: [*cells[:4], "nan", cells[5]],
+            " line {line}: predicted 'nan' is not a finite number",
+            id="predicted_nan",
+        ),
+        pytest.param(
+            3,
+            lambda cells: [*cells[:3], "inf", *cells[4:]],
+            " line {line}: actual 'inf' is not a finite number",
+            id="actual_inf",
+        ),
+        pytest.param(
+            2,
+            lambda cells: [*cells[:3], "-inf", *cells[4:]],
+            " line {line}: actual '-inf' is not a finite number",
+            id="actual_minus_inf",
+        ),
+        pytest.param(
+            3,
+            lambda cells: [*cells[:4], "1e400", cells[5]],
+            " line {line}: predicted '1e400' is not a finite number",
+            id="predicted_overflows",
+        ),
+        pytest.param(
+            4,
+            lambda cells: [*cells[:4], "\udcff", cells[5]],
+            ": input is not UTF-8: invalid start byte at byte offset {offset} (line {line})",
+            id="predicted_not_utf8",
+        ),
         pytest.param(
             -1,
             lambda cells: [cells[0], "1", *cells[2:]],
-            "series ('1', '1') appears again after other series",
+            " line {line}: series ('1', '1') appears again after other series",
             id="series_in_two_runs",
         ),
     ],
 )
 def test_simulate_rejects_damaged_forecast_file(tmp_path, small_csv, capsys, line, damage, message):
     # Before, a short last row was replayed without its residual column, a
-    # series in two runs kept only its last, and the others ended in a
-    # traceback.  "\udcff" is written as the byte 0xff.
+    # series in two runs kept only its last, a non-finite cell reached
+    # impact.json as NaN or Infinity, and the others ended in a traceback.
+    # "\udcff" is written as the byte 0xff.
     cfg, out = small_config(tmp_path, small_csv, "damaged", models=["naive"], scenarios=["S2"])
     assert main(["evaluate", "--config", str(cfg)]) == 0
     path = out / "residuals_naive_S2.csv"
     lines = path.read_text().splitlines()
     lines[line] = ",".join(damage(lines[line].split(",")))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+    path.write_bytes(data)
     assert main(["simulate", "--config", str(cfg)]) == 3
     error = last_error(capsys)
     number = line + 1 if line >= 0 else len(lines)
     assert error["code"] == "E_INPUT"
-    assert error["message"] == f"forecast file {path} line {number}: {message}"
+    assert error["message"] == f"forecast file {path}" + message.format(line=number, offset=data.find(b"\xff"))
     assert not (out / "impact.json").exists()
 
 

@@ -83,6 +83,22 @@ def test_parse_aborts_when_malformed_fraction_exceeds_threshold():
     assert len(exc.value.malformed) == 1
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_malformed_row_names_the_line_it_starts_on(end):
+    # Before, a row was numbered by csv record, so after a quoted id on two
+    # lines the bad date on line 5 was "first at line 4".
+    lines = ["date,store,item,sales", '2013-01-01,"a', 'b",1,5', "2013-01-02,1,1,5", "x,1,1,5", "2013-01-03,1,1,-2"]
+    data = end.join(lines).encode() + end.encode()
+    with pytest.raises(MalformedInputError) as exc:
+        parse_bytes(data)
+    assert [row.line for row in exc.value.malformed] == [5, 6]
+    assert str(exc.value).endswith("1 unparseable date (first at line 5); 1 negative quantity (first at line 6)")
+    # Under the 1% threshold the rows are skipped, numbered alike.
+    good = [f"{dt.date(2014, 1, 1) + dt.timedelta(days=k)},1,1,5" for k in range(300)]
+    res = parse_bytes(end.join(lines + good).encode())
+    assert [row.line for row in res.malformed] == [5, 6]
+
+
 def test_parse_empty_input():
     with pytest.raises(EmptyInputError):
         parse_bytes(b"date,store,item,sales\n")
@@ -137,7 +153,9 @@ def reference_parse(source, schema=None) -> IngestResult:
         rows_read = 0
         needed = max(positions.values(), default=0)
 
-        for lineno, row in enumerate(reader, start=2):
+        line = reader.line_num + 1  # the line the next row starts on
+        for row in reader:
+            lineno, line = line, reader.line_num + 1
             if not row:
                 continue
             rows_read += 1
@@ -313,6 +331,8 @@ def sales_files(draw):
 @example((b"\n2016-01-05,1,1,5\n", None))
 @example((b"date,store,item,sales\r\n\r\n2016-01-05,1,1,5", None))
 @example((b"date,store,item,sales\r2016-01-05,1,1,5\r", None))
+# A malformed row after a quoted id on two lines, numbered by its first line.
+@example((b'date,store,item,sales\r2016-01-05,"a\rb",1,5\r2016-01-06,1,1,x\r', None))
 # Rows that break two rules each, which the first rule checked must name.
 @example((
     b"date,store,item,sales\n" + b"2016-01-05,1,1,5\n" * 600

@@ -1,5 +1,6 @@
-"""The Householder least-squares solver, and the rules that src calls no BLAS
-and imports nothing beyond the standard library and numpy.
+"""The Householder least-squares solver, and the rules that src calls no BLAS,
+imports nothing beyond the standard library and numpy, and reads CSV text
+only through ``data.utf8_text``.
 
 ``np.linalg`` appears here only as a test oracle.
 """
@@ -228,5 +229,43 @@ def test_src_imports_only_numpy_beyond_the_standard_library():
         str(path.relative_to(package)): found
         for path in sorted(package.rglob("*.py"))
         if (found := foreign_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def text_streams(source: str, module: str) -> list[str]:
+    """csv.reader calls on anything but ``utf8_text(...)``, and text streams built outside data.py.
+
+    So that one function in data.py turns CSV bytes into text.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "csv.reader":
+            stream = node.args[0] if node.args else None
+            if not (isinstance(stream, ast.Call) and ast.unparse(stream.func) == "utf8_text"):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif name.split(".")[-1] in ("StringIO", "TextIOWrapper") and module != "data.py":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_src_reads_csv_text_only_through_utf8_text():
+    assert text_streams("r = csv.reader(io.StringIO(t))\nq = csv.reader(fh)", "data.py") == [
+        "line 1: csv.reader(io.StringIO(t))",
+        "line 2: csv.reader(fh)",
+    ]
+    assert text_streams("s = io.TextIOWrapper(b)\nt = StringIO(x)", "artifacts.py") == [
+        "line 1: io.TextIOWrapper(b)",
+        "line 2: StringIO(x)",
+    ]
+    assert text_streams("s = io.TextIOWrapper(b)\nr = csv.reader(utf8_text(d), strict=True)", "data.py") == []
+    package = Path(demandcast.__file__).resolve().parent
+    offenders = {
+        str(path.relative_to(package)): found
+        for path in sorted(package.rglob("*.py"))
+        if (found := text_streams(path.read_text(encoding="utf-8"), str(path.relative_to(package))))
     }
     assert offenders == {}
