@@ -6,6 +6,12 @@ failed.  Fatal errors also emit a machine-readable JSON document on stderr.
 
 from __future__ import annotations
 
+import os
+
+# No code path calls BLAS, so OpenBLAS's worker threads only cost start-up
+# time; pin them to one before numpy loads.  A value the user sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import json

@@ -67,13 +67,14 @@ class GbdtConfig:
 
 @dataclass
 class RegressionTree:
-    """Flat-array binary tree; feature == -1 marks a leaf."""
+    """Flat-array binary tree, of numpy arrays from a fit or of lists;
+    feature == -1 marks a leaf."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
+    feature: list[int] | np.ndarray = field(default_factory=list)
+    threshold: list[float] | np.ndarray = field(default_factory=list)
+    left: list[int] | np.ndarray = field(default_factory=list)
+    right: list[int] | np.ndarray = field(default_factory=list)
+    value: list[float] | np.ndarray = field(default_factory=list)
 
 
 @dataclass
@@ -94,7 +95,7 @@ class GbdtModel:
             "base_score": self.base_score,
             "feature_names": list(self.feature_names),
             "gain_totals": dict(self.gain_totals),
-            "trees": [asdict(t) for t in self.trees],
+            "trees": [{k: np.asarray(v).tolist() for k, v in vars(t).items()} for t in self.trees],
         }
 
 
@@ -116,8 +117,11 @@ class _Bins:
         self.value = np.concatenate(values)
         self.width = len(self.value) + 1
         self.n_features = X.shape[1]
-        self.feature = np.repeat(np.arange(self.n_features), np.diff(self.edges))
-        self.start = self.edges[self.feature]
+        # Per column: its feature (-1 for column 0, which holds no bin), and
+        # how far it lies past the column whose prefix sum ends the features
+        # before its own.
+        self.feature = np.repeat(np.arange(-1, self.n_features), np.diff(self.edges, prepend=-1))
+        self.back = np.arange(self.width) - self.edges[self.feature]
         # Row r's histogram column of feature f is columns[r, f], which is
         # flat[row_start[r] + f].
         self.columns = np.column_stack(ranks) + self.edges[:-1] + 1
@@ -138,59 +142,58 @@ def _histograms(
 
 
 def _best_splits(
-    hist: np.ndarray, bins: _Bins, floor: np.ndarray, cfg: GbdtConfig
+    hist: np.ndarray, bins: _Bins, cfg: GbdtConfig, scale: float
 ) -> tuple[np.ndarray, ...]:
-    """The nodes whose best gain exceeds their ``floor``, each with its last
-    left bin, next non-empty bin, left and right row counts and gain.
+    """The nodes whose best gain beats their split floor, each with its split
+    column, next non-empty column, [left, right] row counts and gain.
 
     An empty bin's residual sum in ``hist`` is exactly 0.
     """
     n_nodes, width = hist.shape
-    # Prefix sums along each node's columns: splitting after bin b sends
-    # the rows in its feature's bins up to b left.
+    # Prefix sums along each node's columns: splitting after column c sends
+    # the rows in its feature's columns up to c left.
     prefix = hist.cumsum(axis=1)
-    # The candidates close a non-empty bin; one after an empty bin would
-    # repeat the split of the bin before it.  They run node by node, each
-    # node's in (feature, value) order.
-    node_of, b_of = (hist.imag[:, 1:] > 0.0).nonzero()
-    row = node_of * width
-    flat = prefix.ravel()
+    # The candidates close a non-empty bin (column 0 holds none); one after
+    # an empty bin would repeat the split of the bin before it.  They run
+    # node by node, each node's in (feature, value) order.
+    at = np.flatnonzero(hist.imag > 0.0)
+    node_of, col = np.divmod(at, width)
     # [left, right] sums and counts of every candidate.
-    sides = np.empty((2, len(b_of)), dtype=complex)
-    np.subtract(flat[row + b_of + 1], flat[row + bins.start[b_of]], out=sides[0])
+    sides = np.empty((2, len(at)), dtype=complex)
+    np.subtract(prefix.take(at), prefix.take(at - bins.back[col]), out=sides[0])
     # Node totals are the sums over the first feature's bins.
     total = prefix[:, bins.edges[1]]
     np.subtract(total[node_of], sides[0], out=sides[1])
     n = sides.imag
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty sides are discarded
-        score = sides.real * sides.real
-        score /= n + cfg.l2_lambda
-        gain = score[0] + score[1]
-        gain -= (total.real * total.real / (total.imag + cfg.l2_lambda))[node_of]
-        gain *= 0.5
+    score = sides.real * sides.real
+    score /= n + cfg.l2_lambda
+    gain = score[0] + score[1]
+    gain -= (total.real * total.real / (total.imag + cfg.l2_lambda))[node_of]
+    gain *= 0.5
     # A candidate leaves min_child_rows on each side.
-    gain = np.where(np.minimum(n[0], n[1]) >= cfg.min_child_rows, gain, -np.inf)
+    gain[np.minimum(n[0], n[1]) < cfg.min_child_rows] = -np.inf
     first = node_of.searchsorted(np.arange(n_nodes))
     best = np.maximum.reduceat(gain, first)
     # A node's first tied candidate is its lowest (feature, threshold).
-    tied = (gain >= (best - TIE_RTOL * np.abs(best))[node_of]).nonzero()[0]
+    tied = np.flatnonzero(gain >= (best - TIE_RTOL * np.abs(best))[node_of])
     pick = tied[tied.searchsorted(first)]
-    gain = gain[pick]
-    node = (gain > floor).nonzero()[0]
+    # The split floor (see _build_tree); total.imag is the node's row count.
+    node = np.flatnonzero(gain[pick] > cfg.gamma_split_threshold + TIE_RTOL * scale * total.imag)
     pick = pick[node]
     # A split leaves rows on its right in its own feature, so the next
     # candidate holds the next non-empty bin.
-    return node, b_of[pick], b_of[pick + 1], n[0, pick], n[1, pick], gain[node]
+    return node, col[pick], col[pick + 1], n.T[pick], gain[pick]
 
 
 def _build_tree(
-    bins: _Bins, residual: np.ndarray, cfg: GbdtConfig, gain_totals: np.ndarray, scale: float
+    bins: _Bins, residual: np.ndarray, cfg: GbdtConfig, scale: float, splits: list
 ) -> tuple[RegressionTree, np.ndarray]:
     """Grow one tree, one level at a time; also return each row's leaf value.
 
-    Nodes are numbered breadth first.  Each split's gain is added to its
-    feature's total.  A split must beat gamma_split_threshold by TIE_RTOL
-    times ``scale`` times its node's row count.
+    Nodes are numbered breadth first; each level's (feature, gain) arrays go
+    on ``splits``.  A split must beat gamma_split_threshold by TIE_RTOL times
+    ``scale`` times its node's row count.  Every node of a level is searched;
+    one too small for min_child_rows on each side finds no split.
     """
     n_rows = len(bins.row_start)
     capacity = min(2 ** (cfg.max_depth + 1), 2 * n_rows) - 1
@@ -200,57 +203,51 @@ def _build_tree(
     # own left child and no column is past its split_col, so its rows stay
     # (whatever column they read).
     left = np.arange(capacity)
-    split_col = np.full(capacity, bins.width)
-    threshold = np.zeros(capacity)
+    split_col = np.full(capacity, bins.width - 1)
+    next_col = np.full(capacity, bins.width - 1)
     row_node = np.zeros(n_rows, dtype=np.intp)
-    open_nodes = np.zeros(int(n_rows >= 2 * cfg.min_child_rows), dtype=np.intp)
-    residual_sums = np.bincount(bins.flat, residual.repeat(bins.n_features), bins.width)
-    hist = (residual_sums + bins.root_count)[None]
-    n_nodes = 1
+    # The histograms of the current level's nodes, level up to n_nodes.
+    hist = np.bincount(bins.flat, residual.repeat(bins.n_features), bins.width) + bins.root_count
+    hist, level, n_nodes = hist[None], 0, 1
     for depth in range(1, cfg.max_depth + 1):
-        if not len(open_nodes):
+        s, col, col_next, counts, gain = _best_splits(hist, bins, cfg, scale)
+        if not len(s):
             break
-        # A split must beat gamma by more than rounding of its node's sums can.
-        floor = cfg.gamma_split_threshold + TIE_RTOL * scale * np.bincount(row_node)[open_nodes]
-        s, b, b_next, n_left, n_right, gain = _best_splits(hist, bins, floor, cfg)
-        parents = open_nodes[s]
-        f = bins.feature[b]
-        np.add.at(gain_totals, f, gain)
-        first = n_nodes
-        n_nodes += 2 * len(s)
-        feature[parents], split_col[parents], left[parents] = f, b + 1, np.arange(first, n_nodes, 2)
-        lo, hi = bins.value[b], bins.value[b_next]
-        mid = (lo + hi) / 2.0
-        threshold[parents] = np.where(mid < hi, mid, lo)
+        parents = level + s
+        f = bins.feature[col]
+        splits.append((f, gain))
+        level, n_nodes = n_nodes, n_nodes + 2 * len(s)
+        feature[parents], split_col[parents], next_col[parents] = f, col, col_next
+        left[parents] = np.arange(level, n_nodes, 2)
         row_col = bins.flat[bins.row_start + feature[row_node]]
         row_node = left[row_node] + (row_col > split_col[row_node])
-        # Children, as node - first: split k's are 2k (left) and 2k + 1.
-        is_open = np.array([n_left, n_right]).T.ravel() >= 2 * cfg.min_child_rows
-        if depth == cfg.max_depth or not is_open.any():
+        if depth == cfg.max_depth:
             break
-        open_nodes = first + is_open.nonzero()[0]
-        # Histograms of the smaller child of each split with an open child;
-        # the larger is its parent's minus that one.
-        needed = (is_open[::2] | is_open[1::2]).nonzero()[0]
-        smaller = 2 * needed + (n_right[needed] < n_left[needed])
+        # Children, as node - level: split k's are 2k (left) and 2k + 1.
+        # Histograms of the smaller child of each split; the larger is its
+        # parent's minus that one.
+        smaller = np.arange(0, 2 * len(s), 2) + (counts[:, 1] < counts[:, 0])
         is_small = np.zeros(n_nodes, dtype=bool)
-        is_small[first + smaller] = True
-        mine = is_small[row_node].nonzero()[0]
-        child = _histograms(bins, mine, residual, row_node[mine] - first, n_nodes - first)
-        larger = hist[s[needed]] - child[smaller]
+        is_small[level + smaller] = True
+        mine = np.flatnonzero(is_small[row_node])
+        small = _histograms(bins, mine, residual, (row_node[mine] - level) >> 1, len(s))
+        larger = hist[s] - small
         # A bin the larger child has no rows in holds rounding of the
         # subtraction; its sum is 0.
-        larger.real *= larger.imag != 0.0
-        child[smaller ^ 1] = larger
-        hist = child[open_nodes - first]
+        np.copyto(larger.real, 0.0, where=larger.imag == 0.0)
+        hist = np.empty((n_nodes - level, bins.width), dtype=complex)
+        hist[smaller], hist[smaller ^ 1] = small, larger
+    feature, left, split_col, next_col = (a[:n_nodes] for a in (feature, left, split_col, next_col))
     # Internal nodes hold no rows, so their value is 0.
     count = np.maximum(np.bincount(row_node, minlength=n_nodes), 1)
     value = np.bincount(row_node, residual, n_nodes) / (count + cfg.l2_lambda)
     is_leaf = feature == _LEAF
+    lo, hi = bins.value[split_col - 1], bins.value[next_col - 1]
+    mid = (lo + hi) / 2.0
+    threshold = np.where(is_leaf, 0.0, np.where(mid < hi, mid, lo))
     left[is_leaf] = _LEAF
     right = np.where(is_leaf, _LEAF, left + 1)
-    arrays = (feature, threshold, left, right, value)
-    return RegressionTree(*(a[:n_nodes].tolist() for a in arrays)), value[row_node]
+    return RegressionTree(feature, threshold, left, right, value), value[row_node]
 
 
 def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel:
@@ -271,13 +268,20 @@ def fit_gbdt(matrix: FeatureMatrix, cfg: GbdtConfig = GbdtConfig()) -> GbdtModel
     # The split floor's scale, over the sorted target so that it depends on
     # the target's values alone.
     scale = float(np.var(np.sort(y)))
-    gain_totals = np.zeros(bins.n_features)
     trees: list[RegressionTree] = []
+    splits: list[tuple[np.ndarray, np.ndarray]] = []
     prediction = np.full(len(y), base)
-    for _ in range(cfg.n_trees):
-        tree, leaf_value = _build_tree(bins, y - prediction, cfg, gain_totals, scale)
-        trees.append(tree)
-        prediction = prediction + cfg.learning_rate * leaf_value
+    # Only the gains of candidates with an empty side divide by zero (0/0
+    # when l2_lambda is 0), and those gains are discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cfg.n_trees):
+            tree, leaf_value = _build_tree(bins, y - prediction, cfg, scale, splits)
+            trees.append(tree)
+            prediction = prediction + cfg.learning_rate * leaf_value
+    # Each feature's gains add in split order, as add.at takes its indices.
+    gain_totals = np.zeros(bins.n_features)
+    if splits:
+        np.add.at(gain_totals, *map(np.concatenate, zip(*splits)))
     train_prediction = np.empty(len(y))
     train_prediction[order] = prediction
     return GbdtModel(
@@ -306,7 +310,7 @@ def predict_gbdt(model: GbdtModel, matrix: FeatureMatrix) -> np.ndarray:
     if not model.trees:
         return out
     feature, threshold, left, right, value = (
-        np.array([v for tree in model.trees for v in getattr(tree, name)])
+        np.concatenate([getattr(tree, name) for tree in model.trees])
         for name in ("feature", "threshold", "left", "right", "value")
     )
     sizes = [len(tree.feature) for tree in model.trees]

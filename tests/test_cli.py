@@ -388,6 +388,25 @@ def test_evaluate_rerun_is_byte_identical(tmp_path, small_csv):
     assert (out / "metrics.csv").read_bytes() == first
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_cli_import_pins_openblas_to_one_thread():
+    # No code path calls BLAS, so importing the CLI leaves OpenBLAS one
+    # thread; a count the environment sets still wins.
+    code = "import os, demandcast.cli; print(len(os.listdir('/proc/self/task')))"
+    src = str(Path(demandcast.evaluate.__file__).resolve().parents[1])
+    counts = []
+    for threads in (None, "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        counts.append(int(run.stdout))
+    assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
+
+
 def test_evaluate_does_not_depend_on_blas_threads(tmp_path):
     # Every model on four series, evaluated in two processes that differ only
     # in the BLAS thread count; no deterministic artifact may differ.

@@ -319,8 +319,8 @@ def test_node_of_rounding_noise_does_not_split():
     matrix = make_matrix(X, y)
     cfg = GbdtConfig(n_trees=2, learning_rate=1.0, l2_lambda=0.0, max_depth=1)
     model = fit_gbdt(matrix, cfg)
-    assert model.trees[0].feature == [0, -1, -1]
-    assert model.trees[1].feature == [-1]
+    assert list(model.trees[0].feature) == [0, -1, -1]
+    assert list(model.trees[1].feature) == [-1]
     assert_matches_reference(model, reference_fit(matrix, cfg))
 
 
@@ -429,7 +429,7 @@ def test_fit_sees_only_each_columns_order(problem, data):
     expected = fit_gbdt(matrix, cfg)
     for variant in (replaced, widened, swapped):
         model = fit_gbdt(make_matrix(variant, matrix.target), cfg)
-        assert [t.feature for t in model.trees] == [t.feature for t in expected.trees]
+        assert [list(t.feature) for t in model.trees] == [list(t.feature) for t in expected.trees]
         assert np.array_equal(model.train_prediction, expected.train_prediction)
 
 
@@ -586,6 +586,22 @@ def test_importance_without_splits_raises():
     model = fit_gbdt(m, GbdtConfig(n_trees=3))
     with pytest.raises(NoSplitsError):
         feature_importance(model.gain_totals)
+
+
+def test_fit_keeps_the_callers_error_state():
+    # With l2_lambda 0, the last non-empty bin of the first feature leaves
+    # its right side empty, so its gain is 0/0; the fit discards it under any
+    # error state the caller sets, and leaves that state as it was.
+    rng = np.random.default_rng(6)
+    m = make_matrix(np.round(rng.uniform(size=(40, 3)), 1), np.round(rng.uniform(size=40), 2))
+    cfg = GbdtConfig(n_trees=5, l2_lambda=0.0, max_depth=3)
+    expected = fit_gbdt(m, cfg).to_dict()
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        model = fit_gbdt(m, cfg)
+        assert np.geterr() == before
+    assert model.to_dict() == expected
+    assert sum(len(tree.feature) for tree in model.trees) > cfg.n_trees
 
 
 def test_serialization_roundtrip():

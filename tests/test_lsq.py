@@ -1,6 +1,7 @@
 """The Householder least-squares solver, and the rules that src calls no BLAS,
-imports nothing beyond the standard library and numpy, and reads CSV text
-only through ``data.utf8_text``.
+imports nothing beyond the standard library and numpy, reads CSV text only
+through ``data.utf8_text``, and pins OpenBLAS's threads in cli.py before
+numpy loads.
 
 ``np.linalg`` appears here only as a test oracle.
 """
@@ -269,3 +270,46 @@ def test_src_reads_csv_text_only_through_utf8_text():
         if (found := text_streams(path.read_text(encoding="utf-8"), str(path.relative_to(package))))
     }
     assert offenders == {}
+
+
+# --- the BLAS thread pin comes before numpy in cli.py --------------------------
+
+PIN = 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")'
+
+
+def imports_before_pin(source: str) -> list[str]:
+    """The numpy and package imports that run before the module's
+    ``os.environ.setdefault("OPENBLAS_NUM_THREADS", ...)``; the whole module
+    counts when it has no such call."""
+    found = []
+    for statement in ast.parse(source).body:
+        call = statement.value if isinstance(statement, ast.Expr) else None
+        if (
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "os.environ.setdefault"
+            and ast.unparse(call.args[0]) == "'OPENBLAS_NUM_THREADS'"
+        ):
+            return found
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            found += [
+                f"line {node.lineno}: {module}"
+                for module in modules
+                if module.startswith(".") or module.split(".")[0] in ("numpy", "demandcast")
+            ]
+    return found
+
+
+def test_cli_pins_blas_threads_before_numpy_loads():
+    assert imports_before_pin(f"import numpy as np\nimport os\n{PIN}") == ["line 1: numpy"]
+    assert imports_before_pin(f"import os\nfrom . import data\n{PIN}") == ["line 2: ."]
+    assert imports_before_pin(f"import os\nfrom .evaluate import run\n{PIN}") == ["line 2: .evaluate"]
+    assert imports_before_pin("import os\nimport numpy") == ["line 2: numpy"]
+    assert imports_before_pin(f"import os, json\n{PIN}\nimport numpy\nfrom . import data") == []
+    cli = Path(demandcast.__file__).resolve().parent / "cli.py"
+    assert imports_before_pin(cli.read_text(encoding="utf-8")) == []
