@@ -40,7 +40,14 @@ from .artifacts import (
 from .config import ConfigError, RunConfig, bundled_sample_stream, file_sha256
 from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological
 from .errors import DemandcastError, MissingForecastsError
-from .evaluate import HISTOGRAM_BINS, compare, data_fingerprint, error_histogram, run_scenario
+from .evaluate import (
+    HISTOGRAM_BINS,
+    compare,
+    data_fingerprint,
+    error_histogram,
+    peak_rss_mb,
+    run_scenario,
+)
 from .features import DeviationMode, HolidayCalendar
 from .inventory import IMPACT_METRICS, impact_table, pool_outcomes, simulate
 
@@ -160,6 +167,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     write_json(out_dir / "report.json", {"scenarios": scenarios, "comparison": comparison})
     stage_times["artifacts"] = time.perf_counter() - started
 
+    worker_peaks = [r.worker_peak_rss_mb for r in reports if r.worker_peak_rss_mb is not None]
     manifest = {
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -168,6 +176,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         "data_fingerprint": data_fingerprint(table),
         "data_file_sha256": file_sha256(cfg.data_path) if cfg.data_path else "bundled",
         "stage_seconds": stage_times,
+        "peak_rss_mb": {"parent": peak_rss_mb(), "largest_worker": max(worker_peaks, default=None)},
         "outputs": sorted(p.name for p in out_dir.iterdir() if p.is_file()),
     }
     write_json(out_dir / "manifest.json", manifest)

@@ -9,9 +9,11 @@ aborting the others.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -211,12 +213,63 @@ def _run_series_task(payload: dict) -> dict:
     return result
 
 
-def _execute_tasks(tasks: list[dict], workers: int) -> list[dict]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_series_task(t) for t in tasks]
-    # Under fork, the pool starts all max_workers processes at once.
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_run_series_task, tasks, chunksize=1))
+def peak_rss_mb() -> float | None:
+    """This process's own peak resident set in MB, or None off Linux.
+
+    Read from ``VmHWM``, not ``ru_maxrss``: Linux carries the high-water
+    mark of the process that exec'd this one into ``ru_maxrss``.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
+def _run_worker_task(payload: dict) -> tuple[dict, float | None]:
+    """A pool worker's task: its result and the worker's peak RSS so far."""
+    result = _run_series_task(payload)
+    return result, peak_rss_mb()
+
+
+@contextlib.contextmanager
+def _worker_pool(max_workers: int):
+    """A fork pool of ``max_workers`` processes, started on entry; None for
+    at most one worker, whose tasks then run in this process.
+
+    Fork, whatever the platform default: workers inherit the program as it
+    is, and a forkserver's workers would be children of the server.  An
+    executor, not ``multiprocessing.Pool``: a worker that dies breaks the
+    executor with ``BrokenProcessPool``, where ``Pool`` would replace the
+    worker and wait forever for the task it lost.
+    """
+    if max_workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        # A fork pool forks all its workers at its first submit.  A no-op
+        # submitted now forks them before the caller builds its matrices,
+        # which every task is sent pickled anyway, so no worker carries
+        # those matrices or the build's heap.
+        pool.submit(int)
+        yield pool
+
+
+def _execute_tasks(
+    tasks: list[dict], pool: ProcessPoolExecutor | None
+) -> tuple[list[dict], float | None]:
+    """Each task's result, in task order, and the largest peak RSS a worker
+    reported: None without a pool or off Linux."""
+    if pool is None:
+        return [_run_series_task(t) for t in tasks], None
+    pairs = list(pool.map(_run_worker_task, tasks, chunksize=1))
+    peaks = [peak for _, peak in pairs if peak is not None]
+    return [result for result, _ in pairs], max(peaks, default=None)
 
 
 # --- evaluation report ---------------------------------------------------------
@@ -228,13 +281,16 @@ class EvaluationReport:
     split, in (store, item, date) order, and each scored model's
     ``predictions`` align with them.  ``runtimes`` sums each model's task
     seconds; ``model_documents`` holds each scored model's series documents,
-    keyed "store|item", only when the run saves models."""
+    keyed "store|item", only when the run saves models.
+    ``worker_peak_rss_mb`` is the largest peak RSS of the scenario's pool
+    workers, None when it ran without a pool or off Linux."""
 
     doc: dict
     test: FeatureMatrix
     predictions: dict[str, np.ndarray] = field(default_factory=dict)
     runtimes: dict[str, float] = field(default_factory=dict)
     model_documents: dict[str, dict[str, dict]] = field(default_factory=dict)
+    worker_peak_rss_mb: float | None = None
 
 
 def data_fingerprint(table: SalesTable) -> str:
@@ -267,42 +323,47 @@ def run_scenario(
     """
     calendar = calendar if spec.external else None
     working = aggregate(table, spec.granularity)
-    train_fm, test_fm = build_train_test_matrices(
-        working, spec.split, spec.external, calendar, spec.deviation_mode
-    )
-    train_runs, test_runs = (
-        {k: slice(*r) for k, r in series_runs(fm.stores, fm.items).items()}
-        for fm in (train_fm, test_fm)
-    )
-    keys = [k for k in train_runs if k in test_runs]
-    if not keys:
-        raise EmptyPartitionError(
-            f"no series has rows both up to {spec.split.train_end} and "
-            f"from {spec.split.test_start} to {spec.split.test_end}"
-        )
-
+    working._require_sorted()
     # Every (model, series) task of the scenario goes through one pool, in
-    # model-major order, so each model's results are a contiguous run.  The
-    # pool is per scenario, not per run, so workers forked inside a traced
-    # scenario book their time under it.  The models share each series'
-    # matrices, which are views of the scenario's.
-    series = {
-        k: (train_fm.select_rows(train_runs[k]), test_fm.select_rows(test_runs[k])) for k in keys
-    }
-    tasks = [
-        {
-            "model": model_name,
-            "key": key,
-            "train": series[key][0],
-            "test": series[key][1],
-            "spec": spec,
-            "calendar": calendar,
-            "save_models": save_models,
+    # model-major order, so each model's results are a contiguous run.  Its
+    # workers start here, before the build, so that none inherits the
+    # scenario's matrices; models x series bounds the tasks before they are
+    # known.  Workers forked inside a traced scenario book their time under it.
+    with _worker_pool(min(workers, len(spec.models) * len(working.series_index))) as pool:
+        train_fm, test_fm = build_train_test_matrices(
+            working, spec.split, spec.external, calendar, spec.deviation_mode
+        )
+        train_runs, test_runs = (
+            {k: slice(*r) for k, r in series_runs(fm.stores, fm.items).items()}
+            for fm in (train_fm, test_fm)
+        )
+        keys = [k for k in train_runs if k in test_runs]
+        if not keys:
+            raise EmptyPartitionError(
+                f"no series has rows both up to {spec.split.train_end} and "
+                f"from {spec.split.test_start} to {spec.split.test_end}"
+            )
+
+        # The models share each series' matrices, which are views of the
+        # scenario's.
+        series = {
+            k: (train_fm.select_rows(train_runs[k]), test_fm.select_rows(test_runs[k]))
+            for k in keys
         }
-        for model_name in spec.models
-        for key in keys
-    ]
-    all_results = _execute_tasks(tasks, workers)
+        tasks = [
+            {
+                "model": model_name,
+                "key": key,
+                "train": series[key][0],
+                "test": series[key][1],
+                "spec": spec,
+                "calendar": calendar,
+                "save_models": save_models,
+            }
+            for model_name in spec.models
+            for key in keys
+        ]
+        all_results, worker_peak_rss_mb = _execute_tasks(tasks, pool)
 
     labels = [f"{store}|{item}" for store, item in keys]
     test = test_fm.select_rows(
@@ -320,6 +381,7 @@ def run_scenario(
             "models": {},
         },
         test=test,
+        worker_peak_rss_mb=worker_peak_rss_mb,
     )
     for m, model_name in enumerate(spec.models):
         results = all_results[m * len(keys) : (m + 1) * len(keys)]

@@ -469,6 +469,31 @@ def test_saved_model_documents_pinned(tmp_path, small_csv, workers):
     } == MODEL_DOCUMENT_SHA256
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("status", [True, False], ids=["proc_status", "no_proc_status"])
+def test_manifest_records_each_process_peak_rss(tmp_path, small_csv, monkeypatch, workers, status):
+    # The parent's VmHWM and the largest of its pool workers'; without a
+    # pool no worker reports, and without /proc/self/status nothing is known.
+    if status and not Path("/proc/self/status").is_file():
+        pytest.skip("reads /proc/self/status")
+    if not status:
+        def no_status(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/status")
+
+        monkeypatch.setattr(demandcast.evaluate, "open", no_status, raising=False)
+    cfg, out = small_config(tmp_path, small_csv, models=["naive", "arimax"], workers=workers)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    peaks = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+    if not status:
+        assert peaks == {"parent": None, "largest_worker": None}
+        return
+    assert 0 < peaks["parent"] <= demandcast.evaluate.peak_rss_mb()
+    if workers == 1:
+        assert peaks["largest_worker"] is None
+    else:
+        assert peaks["largest_worker"] > 0
+
+
 def test_evaluate_aggregate_granularity(tmp_path, small_csv):
     cfg, out = small_config(
         tmp_path, small_csv, "agg", granularity="aggregate", models=["naive"], scenarios=["S1"]

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import demandcast.evaluate as ev
 from demandcast.artifacts import write_metrics_csv
 from demandcast.cli import _comparison_section
 from demandcast.data import Granularity, SplitSpec
+from demandcast.errors import EmptyPartitionError
 from demandcast.evaluate import (
     ScenarioSpec,
     compare,
@@ -286,13 +288,55 @@ def test_run_scenario_starts_one_pool(monkeypatch):
     monkeypatch.setattr(ev, "ProcessPoolExecutor", CountingPool)
     spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
-    assert pools == [{"max_workers": 2}]
+    assert [p["max_workers"] for p in pools] == [2]
+    # Fork whatever the platform default, which Python 3.14 makes forkserver
+    # on Linux: a forkserver's workers are not children of the run.
+    assert pools[0]["mp_context"].get_start_method() == "fork"
     assert all(e["error"] is None for e in report.doc["models"].values())
-    # Never more workers than tasks: two models of two series are four tasks.
+    # Never more workers than models x series, known before the build: two
+    # models of two series.
     pools.clear()
     report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=8)
-    assert pools == [{"max_workers": 4}]
+    assert [p["max_workers"] for p in pools] == [4]
     assert all(e["error"] is None for e in report.doc["models"].values())
+
+
+def children_at_build(monkeypatch) -> list[int]:
+    """Make the feature build record how many child processes are alive
+    when it starts; returns the list it appends to."""
+    build = ev.build_train_test_matrices
+    children = []
+
+    def counting_build(*args, **kwargs):
+        children.append(len(multiprocessing.active_children()))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "build_train_test_matrices", counting_build)
+    return children
+
+
+@pytest.mark.parametrize("workers, alive", [(1, 0), (2, 2)])
+def test_run_scenario_forks_its_workers_before_the_feature_build(monkeypatch, workers, alive):
+    # Workers forked before the build inherit none of its matrices, which
+    # each task is sent pickled anyway.
+    children = children_at_build(monkeypatch)
+    spec = ScenarioSpec("S1", SPLIT, models=("naive", "arimax"))
+    report = run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=workers)
+    assert children == [alive]
+    assert all(e["error"] is None for e in report.doc["models"].values())
+    assert multiprocessing.active_children() == []
+
+
+def test_run_scenario_stops_its_workers_when_the_scenario_raises(monkeypatch):
+    # Every row precedes the test window, so the scenario raises after its
+    # workers started; none may outlive it.
+    children = children_at_build(monkeypatch)
+    split = SplitSpec(dt.date(2016, 3, 10), dt.date(2016, 6, 30))
+    spec = ScenarioSpec("S1", split, models=("naive", "arimax"))
+    with pytest.raises(EmptyPartitionError):
+        run_scenario(two_series_table(), spec, HolidayCalendar.bundled(), workers=2)
+    assert children == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_run_scenario_deterministic_across_worker_counts():
