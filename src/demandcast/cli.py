@@ -42,6 +42,8 @@ from .data import Granularity, fill_gaps, parse_sales_csv, sort_chronological
 from .errors import DemandcastError, MissingForecastsError
 from .evaluate import (
     HISTOGRAM_BINS,
+    MODEL_NAMES,
+    SCENARIO_IDS,
     compare,
     data_fingerprint,
     error_histogram,
@@ -147,6 +149,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         stage_times[f"scenario_{spec.id}"] = time.perf_counter() - started
 
     started = time.perf_counter()
+    # simulate's and report's files here describe the evaluation this run replaces.
+    stale = ["impact.json", "impact_table.csv", "report.md"]
+    stale += [f"ledger_{slug(model, s)}.csv" for model in MODEL_NAMES for s in SCENARIO_IDS]
+    for name in stale:
+        (out_dir / name).unlink(missing_ok=True)
     comparison = compare(reports)
     write_metrics_csv(out_dir / "metrics.csv", reports)
     write_runtimes_csv(out_dir / "runtimes.csv", reports)

@@ -220,9 +220,9 @@ def peak_rss_mb() -> float | None:
     mark of the process that exec'd this one into ``ru_maxrss``.
     """
     try:
-        with open("/proc/self/status", encoding="ascii") as fh:
+        with open("/proc/self/status", "rb") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
+                if line.startswith(b"VmHWM:"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass

@@ -160,10 +160,8 @@ def simulate(
                 x = targets[t // review] - (on_hand + arrived + pending)
                 qty = np.where(x > 0.0, x, 0.0)
                 ordered[t] = qty
-                if lead == 0:
-                    arrived += qty  # in place: received[t] lands today
-                elif t + lead < n_days:
-                    received[t + lead] = qty
+                if t + lead < n_days:
+                    received[t + lead] = qty  # lead 0 writes row t, which ``arrived`` views
             on_hand = on_hand + arrived
             sold[t] = np.where(on_hand < wanted[t], on_hand, wanted[t])
             on_hand = on_hand - sold[t]

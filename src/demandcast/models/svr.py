@@ -157,20 +157,17 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
 
     Stops when the maximum KKT violation drops to ``smo_tolerance`` or after
     ``max_passes`` sweeps (reported via a warning and the model's
-    ``converged`` flag).  Rows beyond ``max_train_rows`` are dropped oldest
-    first: exact kernel solves scale quadratically and recent history
-    carries the relevant signal.
+    ``converged`` flag).  A constant target is the solution with every dual
+    at zero, taken without a solve.  Rows beyond ``max_train_rows`` are
+    dropped oldest first: exact kernel solves scale quadratically and recent
+    history carries the relevant signal.
     """
     if not len(matrix):
         raise ValueError("cannot fit on an empty matrix")
     kept = _kept_rows(matrix, cfg)
     X, y = matrix.rows[kept], matrix.target[kept]
     if len(X) < len(matrix):
-        logger.info(
-            "capped SVR training to the most recent %d of %d rows",
-            len(X),
-            len(matrix),
-        )
+        logger.info("capped SVR training to the most recent %d of %d rows", len(X), len(matrix))
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -181,28 +178,49 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
     gamma = cfg.rbf_gamma if cfg.rbf_gamma is not None else 1.0 / X.shape[1]
 
     if cfg.standardize_target and y_std < _TINY:
-        # Constant target: the epsilon tube around the mean covers everything.
-        return SvrModel(
-            config=cfg,
-            support_vectors=np.empty((0, X.shape[1])),
-            support_indices=np.empty(0, dtype=np.int64),
-            dual_coeffs=np.empty(0),
-            bias=0.0,
-            gamma=gamma,
-            feature_names=list(matrix.columns),
-            feature_means=mu,
-            feature_stds=sd,
-            target_mean=y_mean,
-            target_std=1.0,
-            converged=True,
-            kkt_violation_achieved=0.0,
-            sweeps=0,
-            pair_updates=0,
-            dual_objective_trace=[0.0],
-            train_prediction=np.full(len(matrix), y_mean),
+        # Constant target: the epsilon tube around the mean covers every
+        # row, so every dual is zero and there is nothing to solve.
+        y_std = 1.0
+        beta = K_beta = np.zeros(len(y))
+        bias, converged, violation, sweeps, pair_updates, trace = 0.0, True, 0.0, 0, 0, [0.0]
+    else:
+        beta, K_beta, bias, converged, violation, sweeps, pair_updates, trace = _solve_dual(
+            Xz, (y - y_mean) / y_std, gamma, cfg
         )
-    yz = (y - y_mean) / y_std
 
+    sv = np.abs(beta) > _TINY
+    model = SvrModel(
+        config=cfg,
+        support_vectors=Xz[sv].copy(),
+        support_indices=np.flatnonzero(sv).astype(np.int64),
+        dual_coeffs=beta[sv].copy(),
+        bias=bias,
+        gamma=gamma,
+        feature_names=list(matrix.columns),
+        feature_means=mu,
+        feature_stds=sd,
+        target_mean=y_mean,
+        target_std=y_std,
+        converged=converged,
+        kkt_violation_achieved=violation,
+        sweeps=sweeps,
+        pair_updates=pair_updates,
+        dual_objective_trace=trace,
+    )
+    # For a trained row k, q_k = (K beta)_k + eps - yz_k, so its decision
+    # value needs no kernel pass.  Only rows the cap dropped are predicted.
+    model.train_prediction = np.empty(len(matrix))
+    model.train_prediction[kept] = y_mean + y_std * (K_beta + bias)
+    if len(X) < len(matrix):
+        dropped = np.ones(len(matrix), dtype=bool)
+        dropped[kept] = False
+        model.train_prediction[dropped] = predict_svr(model, matrix.select_rows(dropped))
+    return model
+
+
+def _solve_dual(Xz: np.ndarray, yz: np.ndarray, gamma: float, cfg: SvrConfig) -> tuple:
+    """SMO on the standardized rows: (beta, K beta, bias, converged, KKT
+    violation, sweeps, pair updates, dual objective after each sweep)."""
     n = len(yz)
     K = gram_matrix(Xz, gamma)
     diag = K.diagonal().copy()
@@ -230,11 +248,10 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
 
     trace: list[float] = []
     violation = 0.0
-    sweeps_done = 0
     pair_updates = 0
     converged = False
 
-    for sweep in range(cfg.max_passes):
+    for sweeps_done in range(1, cfg.max_passes + 1):
         progressed = False
         for _ in range(n):
             i = int(q_lo.argmax())
@@ -301,7 +318,6 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
         trace.append(
             float(np.einsum("i,i->", yz, beta) - eps * theta_a.sum() - 0.5 * np.einsum("i,i->", beta, K_beta))
         )
-        sweeps_done = sweep + 1
         if converged or not progressed:
             break
 
@@ -315,39 +331,10 @@ def fit_svr(matrix: FeatureMatrix, cfg: SvrConfig = SvrConfig()) -> SvrModel:
 
     bias = -(float(q_lo.max()) + float(q_hi.min())) / 2.0
     # beta and K_beta are the last sweep's, which left theta as it is.
-    sv = np.abs(beta) > _TINY
-    model = SvrModel(
-        config=cfg,
-        support_vectors=Xz[sv].copy(),
-        support_indices=np.flatnonzero(sv).astype(np.int64),
-        dual_coeffs=beta[sv].copy(),
-        bias=bias,
-        gamma=gamma,
-        feature_names=list(matrix.columns),
-        feature_means=mu,
-        feature_stds=sd,
-        target_mean=y_mean,
-        target_std=y_std,
-        converged=converged,
-        kkt_violation_achieved=max(violation, 0.0),
-        sweeps=sweeps_done,
-        pair_updates=pair_updates,
-        dual_objective_trace=trace,
-    )
-    # For a trained row k, q_k = (K beta)_k + eps - yz_k, so its decision
-    # value needs no kernel pass.  Only rows the cap dropped are predicted.
-    model.train_prediction = np.empty(len(matrix))
-    model.train_prediction[kept] = y_mean + y_std * (K_beta + bias)
-    if n < len(matrix):
-        dropped = np.ones(len(matrix), dtype=bool)
-        dropped[kept] = False
-        model.train_prediction[dropped] = predict_svr(model, matrix.select_rows(dropped))
-    return model
+    return beta, K_beta, bias, converged, max(violation, 0.0), sweeps_done, pair_updates, trace
 
 
 def _decision_standardized(model: SvrModel, Xz: np.ndarray) -> np.ndarray:
-    if len(model.dual_coeffs) == 0:
-        return np.full(len(Xz), model.bias)
     k = rbf_kernel(Xz, model.support_vectors, model.gamma)
     # Row-wise pairwise sum instead of BLAS matvec: identical rows must give
     # bit-identical predictions regardless of their position in the batch.

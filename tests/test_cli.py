@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import importlib.util
+import io
 import json
 import logging
 import os
@@ -470,22 +471,33 @@ def test_saved_model_documents_pinned(tmp_path, small_csv, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("status", [True, False], ids=["proc_status", "no_proc_status"])
+@pytest.mark.parametrize("status", ["proc_status", "no_proc_status", "non_ascii_name"])
 def test_manifest_records_each_process_peak_rss(tmp_path, small_csv, monkeypatch, workers, status):
     # The parent's VmHWM and the largest of its pool workers'; without a
     # pool no worker reports, and without /proc/self/status nothing is known.
-    if status and not Path("/proc/self/status").is_file():
+    # The Name: line holds the process name's raw bytes, which need not be
+    # ASCII or even UTF-8; the fork workers inherit the fake file.
+    if status == "proc_status" and not Path("/proc/self/status").is_file():
         pytest.skip("reads /proc/self/status")
-    if not status:
-        def no_status(*args, **kwargs):
+    if status == "no_proc_status":
+        def fake_status(*args, **kwargs):
             raise FileNotFoundError("/proc/self/status")
 
-        monkeypatch.setattr(demandcast.evaluate, "open", no_status, raising=False)
+        monkeypatch.setattr(demandcast.evaluate, "open", fake_status, raising=False)
+    if status == "non_ascii_name":
+        def fake_status(path, mode="r", encoding=None, **kwargs):
+            data = io.BytesIO(b"Name:\td\xc3\xa9mand\nUmask:\t0022\nVmHWM:\t   61440 kB\n")
+            return data if "b" in mode else io.TextIOWrapper(data, encoding=encoding)
+
+        monkeypatch.setattr(demandcast.evaluate, "open", fake_status, raising=False)
     cfg, out = small_config(tmp_path, small_csv, models=["naive", "arimax"], workers=workers)
     assert main(["evaluate", "--config", str(cfg)]) == 0
     peaks = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
-    if not status:
+    if status == "no_proc_status":
         assert peaks == {"parent": None, "largest_worker": None}
+        return
+    if status == "non_ascii_name":
+        assert peaks == {"parent": 60.0, "largest_worker": None if workers == 1 else 60.0}
         return
     assert 0 < peaks["parent"] <= demandcast.evaluate.peak_rss_mb()
     if workers == 1:
@@ -864,3 +876,23 @@ def test_report_marks_absent_simulation(tmp_path, small_csv):
     assert main(["evaluate", "--config", str(cfg)]) == 0
     assert main(["report", "--config", str(cfg)]) == 0
     assert "Simulation section absent" in (out / "report.md").read_text()
+
+
+def test_evaluate_again_drops_the_earlier_simulation(tmp_path, small_csv):
+    # A second evaluate into the same directory replaces the forecasts that
+    # simulate replayed, so its ledgers, impact files and report.md go.
+    cfg, out = small_config(tmp_path, small_csv, "rerun", models=["naive", "arimax"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert "| arimax |" in (out / "report.md").read_text()
+    cfg, out = small_config(tmp_path, small_csv, "rerun", models=["naive", "trend_seasonal"])
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert not {"impact.json", "impact_table.csv", "report.md"} & set(outputs)
+    assert not [name for name in outputs if name.startswith("ledger_")]
+    assert not list(out.glob("ledger_*"))
+    assert main(["report", "--config", str(cfg)]) == 0
+    text = (out / "report.md").read_text()
+    assert "Simulation section absent" in text
+    assert "| arimax |" not in text

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import logging
@@ -380,6 +381,94 @@ def test_constant_target_has_no_support_vectors():
     assert len(model.dual_coeffs) == 0
     assert np.allclose(predict_svr(model, m), 6.5)
     assert kkt_violation(model, m) == 0.0
+
+
+_CONSTANT_X = np.column_stack([np.arange(8.0), [0.5, -1.0, 2.0, 0.0, 3.5, 1.0, -2.5, 4.0]])
+_ZERO_SOLUTION = {
+    "kind": "svr",
+    "support_vectors": [],
+    "support_indices": [],
+    "dual_coeffs": [],
+    "bias": 0.0,
+    "gamma": 0.5,
+    "feature_names": ["f0", "f1"],
+    "target_std": 1.0,
+    "converged": True,
+    "kkt_violation_achieved": 0.0,
+    "sweeps": 0,
+    "pair_updates": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "rows, target, max_train_rows, means, stds, level",
+    [
+        (8, [6.5] * 8, 2000, [3.5, 0.9375], [2.29128784747792, 2.0530084632071053], 6.5),
+        # Capped to the most recent six rows, whose target is constant.
+        (8, [1.0, 9.0] + [3.25] * 6, 6, [4.5, 1.3333333333333333], [1.707825127659933, 2.1921577396609844], 3.25),
+        (5, [-0.0] * 5, 2000, [2.0, 1.0], [1.4142135623730951, 1.5811388300841898], 0.0),
+    ],
+    ids=["uncapped", "capped", "negative_zero"],
+)
+def test_constant_target_takes_the_zero_solution(monkeypatch, rows, target, max_train_rows, means, stds, level):
+    # Every dual is zero, so no Gram matrix is built; the document and the
+    # predictions are pinned to the bits a constant target has always had.
+    def no_gram(*args):
+        raise AssertionError("a constant target needs no Gram matrix")
+
+    monkeypatch.setattr("demandcast.models.svr.gram_matrix", no_gram)
+    cfg = SvrConfig(max_train_rows=max_train_rows)
+    m = make_matrix(_CONSTANT_X[:rows], target)
+    model = fit_svr(m, cfg)
+    expected = {
+        **_ZERO_SOLUTION,
+        "config": dataclasses.asdict(cfg),
+        "feature_means": means,
+        "feature_stds": stds,
+        "target_mean": level,
+    }
+    # json.dumps tells 0.0 from -0.0 and keeps the key order.
+    assert json.dumps(model.to_dict()) == json.dumps({key: expected[key] for key in model.to_dict()})
+    assert model.dual_objective_trace == [0.0]
+    probe = make_matrix(np.array([[1.5, 0.25], [20.0, -7.0]]), np.zeros(2))
+    for got in (model.train_prediction, predict_svr(model, m), predict_svr(model, probe)):
+        assert got.tobytes() == np.full(len(got), level).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 4),
+    n=st.integers(0, 6),
+    # The empty kernel sum is +0.0, so a bias of -0.0 predicts as +0.0;
+    # bias + 0.0 draws every other bias.  A fit's target_mean is never -0.0
+    # (numpy's mean of -0.0s is +0.0), and beside any other the two agree.
+    bias=st.floats(-1e6, 1e6).map(lambda b: b + 0.0),
+    target_mean=st.floats(-1e6, 1e6),
+    target_std=st.floats(1e-6, 1e6),
+)
+def test_model_without_support_vectors_predicts_its_bias(data, k, n, bias, target_mean, target_std):
+    values = st.floats(-1e3, 1e3)
+    model = SvrModel(
+        config=SvrConfig(),
+        support_vectors=np.empty((0, k)),
+        support_indices=np.empty(0, dtype=np.int64),
+        dual_coeffs=np.empty(0),
+        bias=bias,
+        gamma=data.draw(st.floats(1e-3, 10.0)),
+        feature_names=[f"f{j}" for j in range(k)],
+        feature_means=data.draw(arrays(np.float64, k, elements=values)),
+        feature_stds=data.draw(arrays(np.float64, k, elements=st.floats(1e-3, 1e3))),
+        target_mean=target_mean,
+        target_std=target_std,
+        converged=True,
+        kkt_violation_achieved=0.0,
+        sweeps=0,
+        pair_updates=0,
+    )
+    rows = data.draw(arrays(np.float64, (n, k), elements=values))
+    got = predict_svr(model, make_matrix(rows, np.zeros(n)))
+    assert got.tobytes() == np.full(n, target_mean + target_std * bias).tobytes()
 
 
 def test_noiseless_function_rows_outside_support_stay_in_tube():
